@@ -73,6 +73,7 @@ from .measure import (
     invariant_measure_transport,
     pushforward,
     restrict,
+    unique_preimages,
 )
 from .nlmp import (
     Kernel,
@@ -83,7 +84,6 @@ from .nlmp import (
     is_event_bisim,
     is_nk_morphism,
     is_state_bisim,
-    unique_preimages,
 )
 from .nlmp import direct_sum as kernel_sum
 from .space import (
@@ -101,7 +101,6 @@ from .space import (
 from .upperset import (
     MeasureSet,
     UpperSet,
-    canonicalize,
     contains,
     dual,
     equals,

@@ -51,16 +51,7 @@ def _require_ef(model: Model, label: str | None, where: str):
     if model.kind == "ef":
         return model.ef
     nlmp = model.nlmp
-    assert nlmp is not None
-    if label is None:
-        if len(nlmp.labels) != 1:
-            raise ModelFormatError(
-                "model has several labels; pick one with --label", file=where, location="labels"
-            )
-        label = nlmp.labels[0]
-    if label not in nlmp.labels:
-        raise ModelFormatError(f"unknown label {label!r}", file=where, location="labels")
-    return nlmp_ops.filter_generate(nlmp.kernel(label))
+    return nlmp_ops.filter_generate(nlmp.kernel(_pick_label(nlmp, label, where)))
 
 
 def _require_nlmp(model: Model, where: str) -> Nlmp:

@@ -18,10 +18,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .effectivity import EffFn, push_upperset, restrict_upperset
-from .errors import EffkitError, NotFinitelySupportedError, InternalInvariantViolation
+from .effectivity import (
+    EffFn,
+    greatest_ef_bisim,
+    push_upperset,
+    quotient,
+    restrict_upperset,
+    sum_ef,
+)
+from .errors import (
+    EffkitError,
+    InternalInvariantViolation,
+    NotFinitelySupportedError,
+    SpaceMismatchError,
+)
 from .measure import SubProb, pushforward
-from .space import MeasurableMap, Space
+from .space import MeasurableMap, Space, compose
 from .upperset import MeasureSet, UpperSet, equals
 
 __all__ = [
@@ -47,8 +59,6 @@ class Cospan:
     g: MeasurableMap
 
     def __post_init__(self):
-        from .errors import SpaceMismatchError
-
         if self.f.domain != self.p.space or self.f.codomain != self.m.space:
             raise SpaceMismatchError("left leg must map the left portfolio onto the mediator")
         if self.g.domain != self.q.space or self.g.codomain != self.m.space:
@@ -215,9 +225,6 @@ def canonical_mediator_cospan(p: EffFn, q: EffFn) -> Cospan:
     state of the other, so ``verify_cospan`` on the result decides
     behavioral equivalence for finitely supported portfolios.
     """
-    from .effectivity import greatest_ef_bisim, quotient, sum_ef
-    from .space import compose
-
     summed, ds = sum_ef(p, q)
     mediator, eta = quotient(summed, greatest_ef_bisim(summed))
     return Cospan(p, q, mediator, compose(eta, ds.left), compose(eta, ds.right))

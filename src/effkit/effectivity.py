@@ -14,7 +14,9 @@ finite generator antichains; the reductions are spelled out per operation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from fractions import Fraction
+from math import gcd, lcm
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     ForeignStateError,
@@ -23,12 +25,13 @@ from .errors import (
     NotSurjectiveError,
     SpaceMismatchError,
 )
-from .measure import SubProb, pushforward, restrict
+from .measure import SubProb, pushforward, restrict, unique_preimages
 from .space import (
     DirectSum,
     MeasurableMap,
     Relation,
     Space,
+    _atom_roots,
     direct_sum as space_sum,
     sigma_r,
 )
@@ -80,70 +83,106 @@ class EffFn:
         return all(u.is_principal for _, u in self.portfolio)
 
 
-def _gen_transfer(source: UpperSet, target: UpperSet, agree) -> bool:
-    """Generator-level transfer: for every source generator there is a
-    target generator each of whose members is matched by an agreeing source
-    member.  Upward closure makes this equivalent to the transfer condition
-    quantified over all member sets of both families."""
-    for g in source.generators:
-        ok = False
-        for h in target.generators:
-            if all(any(agree(mu, nu) for mu in g) for nu in h):
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+def _refine(
+    space: Space, portfolios: Sequence[EffFn], blocks: Iterable[tuple[str, ...]]
+) -> Iterator[tuple[Callable[[SubProb], int], tuple[tuple[tuple[str, ...], ...], ...]]]:
+    """Signature refinement of a partition of ``space`` against portfolios
+    on it (a kernel enters as its ``filter_generate`` portfolio).
+
+    Each round interns every measure's mass vector, restricted to the atom
+    closure of the current blocks (the space ``sigma_r`` gives for them), to
+    a class id.  A state's signature is, per portfolio, the minimal antichain
+    of its generators' class-id sets; equal signatures are exactly the
+    two-sided generator transfer (docs/derivations.md, section 6).  Every
+    round yields the class id of a measure and, per block, its signature
+    classes; the next round's blocks are those classes.  The rounds stop
+    after the first that splits no block.
+    """
+    number: dict[tuple[Fraction, ...], int] = {}
+    scaled: list[tuple[int, tuple[tuple[int, int], ...]]] = []
+
+    def measure_number(mu: SubProb) -> int:
+        i = number.setdefault(mu.mass, len(number))
+        if i == len(scaled):  # integer numerators over a common denominator
+            den = lcm(*(q.denominator for q in mu.mass))
+            scaled.append((den, tuple(
+                (a, q.numerator * (den // q.denominator)) for a, q in enumerate(mu.mass) if q
+            )))
+        return i
+
+    generators = [
+        [[tuple(map(measure_number, g)) for g in u.generators] for _, u in p.portfolio]
+        for p in portfolios
+    ]
+    blocks = tuple(blocks)
+    while True:
+        root = _atom_roots(space, blocks)
+        vectors: dict[tuple, int] = {}
+        cid = []
+        for den, nums in scaled:
+            vec: dict[int, int] = {}
+            for a, n in nums:
+                vec[root[a]] = vec.get(root[a], 0) + n
+            g = gcd(den, *vec.values())
+            key = (den // g, *sorted((b, n // g) for b, n in vec.items()))
+            cid.append(vectors.setdefault(key, len(vectors)))
+        signature = {
+            s: tuple(
+                _minimal({frozenset(cid[m] for m in g) for g in gens[i]}) for gens in generators
+            )
+            for i, s in enumerate(space.carrier)
+        }
+        classes = []
+        for block in blocks:
+            groups: dict[tuple, list[str]] = {}
+            for s in block:
+                groups.setdefault(signature[s], []).append(s)
+            classes.append(tuple(map(tuple, groups.values())))
+
+        def class_of(mu: SubProb, cid=cid) -> int:
+            return cid[number[mu.mass]]
+
+        yield class_of, tuple(classes)
+        split = tuple(c for group in classes for c in group)
+        if len(split) == len(blocks):
+            return
+        blocks = split
+
+
+def _minimal(sets: set[frozenset[int]]) -> frozenset[frozenset[int]]:
+    """The minimal antichain of a finite family of sets."""
+    return frozenset(a for a in sets if not any(b < a for b in sets))
+
+
+def _greatest_bisim(space: Space, portfolios: Sequence[EffFn]) -> Relation:
+    for _, classes in _refine(space, portfolios, (space.carrier,)):
+        pass
+    return Relation.from_partition(space, (c for group in classes for c in group))
+
+
+def _is_bisim(portfolios: Sequence[EffFn], rel: Relation) -> bool:
+    """One round under ``sigma_r(rel)``: a pair of the symmetric relation
+    passes the transfer test iff its two signatures are equal."""
+    _, classes = next(_refine(rel.base, portfolios, sigma_r(rel).atoms))
+    number = {s: i for i, c in enumerate(c for group in classes for c in group) for s in c}
+    return all(number[s] == number[t] for s, t in rel.pairs)
 
 
 def is_ef_state_bisim(p: EffFn, rel: Relation) -> bool:
     """State bisimulation test for a symmetric relation on a portfolio."""
     if rel.base != p.space:
         raise ForeignStateError("relation must be over the portfolio's space")
-    quotient_sp = sigma_r(rel)  # rejects non-symmetric relations
-    cache = _restriction_cache(p, quotient_sp)
-
-    def agree(mu: SubProb, nu: SubProb) -> bool:
-        return cache[mu] == cache[nu]
-
-    return all(_gen_transfer(p(s), p(t), agree) for s, t in rel.pairs)
-
-
-def _restriction_cache(p: EffFn, quotient_sp: Space) -> dict[SubProb, tuple]:
-    cache: dict[SubProb, tuple] = {}
-    for _, u in p.portfolio:
-        for g in u.generators:
-            for mu in g:
-                if mu not in cache:
-                    cache[mu] = restrict(mu, quotient_sp).mass
-    return cache
+    return _is_bisim((p,), rel)  # sigma_r rejects non-symmetric relations
 
 
 def greatest_ef_bisim(p: EffFn) -> Relation:
     """Greatest state bisimulation of a portfolio (an equivalence).
 
-    Same greatest-fixed-point iteration as for kernels, with the
-    effectivity transfer condition checked in both directions.
+    Signature refinement from the one-block partition: each round splits
+    every block by the states' minimal antichains of generator class ids
+    (docs/derivations.md, sections 6 and 7).
     """
-    rel = Relation.full(p.space)
-    while True:
-        quotient_sp = sigma_r(rel)
-        cache = _restriction_cache(p, quotient_sp)
-
-        def agree(mu: SubProb, nu: SubProb) -> bool:
-            return cache[mu] == cache[nu]
-
-        refined = Relation(
-            p.space,
-            [
-                (s, t)
-                for s, t in rel.pairs
-                if _gen_transfer(p(s), p(t), agree) and _gen_transfer(p(t), p(s), agree)
-            ],
-        )
-        if refined == rel:
-            return rel
-        rel = refined
+    return _greatest_bisim(p.space, (p,))
 
 
 def push_upperset(f: MeasurableMap, u: UpperSet) -> UpperSet:
@@ -179,8 +218,6 @@ def is_ef_morphism(f: MeasurableMap, p: EffFn, q: EffFn) -> bool:
 def _preimage_set(f: MeasurableMap, h: MeasureSet) -> MeasureSet | None:
     """Full pushforward preimage of a finite measure set, or None if it is
     infinite."""
-    from .nlmp import unique_preimages
-
     members: list[SubProb] = []
     for nu in h:
         sols = unique_preimages(f, nu)
@@ -222,46 +259,26 @@ def is_strong_morphism(f: MeasurableMap, p: EffFn, q: EffFn) -> bool:
     return True
 
 
-class NonEquivalence(SpaceMismatchError):
-    """The relation handed to a quotient is not an equivalence."""
-
-
 def quotient_space(space: Space, alpha: Relation) -> tuple[Space, MeasurableMap]:
     """Quotient of a space by an equivalence, with the factor map.
 
     Classes are named after their least representative.  The quotient
     carries the finest sigma-algebra making the factor map measurable:
     classes are merged into one quotient atom whenever they overlap a common
-    base atom.
+    base atom, which makes the quotient atoms the images of the atoms of
+    ``sigma_r(alpha)``.
     """
     if alpha.base != space:
         raise ForeignStateError("equivalence must be over the given space")
     if not alpha.is_equivalence:
-        raise NonEquivalence("quotient requires an equivalence relation")
+        raise SpaceMismatchError("quotient requires an equivalence relation")
     classes = alpha.classes()
     name_of = {}
     for cls in classes:
         for s in cls:
             name_of[s] = cls[0]
     carrier = tuple(cls[0] for cls in classes)
-    parent = {name: name for name in carrier}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for block in space.atoms:
-        names = sorted({name_of[s] for s in block}, key=carrier.index)
-        for other in names[1:]:
-            a, b = find(names[0]), find(other)
-            if a != b:
-                parent[b] = a
-    groups: dict[str, list[str]] = {}
-    for name in carrier:
-        groups.setdefault(find(name), []).append(name)
-    qspace = Space(carrier, groups.values())
+    qspace = Space(carrier, ({name_of[s] for s in block} for block in sigma_r(alpha).atoms))
     eta = MeasurableMap(space, qspace, {s: name_of[s] for s in space.carrier})
     return qspace, eta
 

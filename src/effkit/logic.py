@@ -15,12 +15,13 @@ Concrete syntax::
 a single measure unit, so composite measure formulas under a modality are
 bracketed: ``[][ [T<1/3] | [T>2/3] ]``.
 
-Logical equivalence is computed by partition refinement that keeps, next to
-the partition, a conjunction-closed family of formulas whose extensions
-generate exactly the sets respected by the partition.  States are split
-only on an actually synthesized and evaluator-confirmed formula, so the
-procedure is an independent witness-producing counterpart of the relational
-greatest-bisimulation computation.
+Logical equivalence runs the signature refinement that also computes the
+greatest bisimulation, and keeps next to its partition a conjunction-closed
+family of formulas whose extensions generate exactly the partition's sets.
+Every split is backed by a synthesized, evaluator-confirmed formula, and the
+family's partition is checked against the refinement's every round.  The
+procedure is therefore not independent of the relational computation; the
+tests keep an independent pair-pruning oracle to compare both against.
 """
 
 from __future__ import annotations
@@ -29,13 +30,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .effectivity import EffFn, _gen_transfer
+from .effectivity import EffFn, _refine
 from .errors import (
     FormulaSyntaxError,
     InternalInvariantViolation,
     ThresholdOutOfRangeError,
 )
-from .measure import SubProb, evaluate, restrict
+from .measure import SubProb, evaluate
 from .space import Relation, Space
 
 __all__ = [
@@ -166,11 +167,34 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
+# Deepest accepted nesting, both of brackets and of the syntax tree.
+# Parsing, printing, hashing and evaluating recurse at most about four frames
+# per level, so every formula the parser accepts stays well under the
+# interpreter's default recursion limit of 1000.
+_MAX_NESTING = 100
+
+
+class _TooDeep(FormulaSyntaxError):
+    """Nesting beyond ``_MAX_NESTING``; never retried as another reading."""
+
+
 class _Parser:
+    """Recursive descent; every parse method returns the formula and the
+    height of its syntax tree."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        depth = 0
+        for kind, _, pos in self.tokens:
+            depth += (kind in ("(", "[")) - (kind in (")", "]"))
+            self.nested(depth, pos)
+
+    def nested(self, height: int, pos: int) -> int:
+        if height > _MAX_NESTING:
+            raise _TooDeep(f"formula nested deeper than {_MAX_NESTING} levels", pos)
+        return height
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -186,24 +210,23 @@ class _Parser:
             raise FormulaSyntaxError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
         return tok
 
-    def parse_state(self) -> StateFormula:
-        left = self.parse_state_unit()
+    def parse_state(self) -> tuple[StateFormula, int]:
+        left, height = self.parse_state_unit()
         while self.peek()[0] == "&":
-            self.next()
-            left = And(left, self.parse_state_unit())
-        return left
+            pos = self.next()[2]
+            right, h = self.parse_state_unit()
+            left, height = And(left, right), self.nested(max(height, h) + 1, pos)
+        return left, height
 
-    def parse_state_unit(self) -> StateFormula:
+    def parse_state_unit(self) -> tuple[StateFormula, int]:
         kind, text, pos = self.peek()
         if kind == "T":
             self.next()
-            return Top()
-        if kind == "<>":
+            return Top(), 1
+        if kind in ("<>", "[]"):
             self.next()
-            return Diamond(self.parse_measure_unit())
-        if kind == "[]":
-            self.next()
-            return Box(self.parse_measure_unit())
+            body, h = self.parse_measure_unit()
+            return (Diamond if kind == "<>" else Box)(body), self.nested(h + 1, pos)
         if kind == "(":
             self.next()
             inner = self.parse_state()
@@ -211,27 +234,31 @@ class _Parser:
             return inner
         raise FormulaSyntaxError(f"expected a state formula, found {text or 'end of input'!r}", pos)
 
-    def parse_measure(self) -> MeasureFormula:
-        left = self.parse_measure_conj()
+    def parse_measure(self) -> tuple[MeasureFormula, int]:
+        left, height = self.parse_measure_conj()
         while self.peek()[0] == "|":
-            self.next()
-            left = MOr(left, self.parse_measure_conj())
-        return left
+            pos = self.next()[2]
+            right, h = self.parse_measure_conj()
+            left, height = MOr(left, right), self.nested(max(height, h) + 1, pos)
+        return left, height
 
-    def parse_measure_conj(self) -> MeasureFormula:
-        left = self.parse_measure_unit()
+    def parse_measure_conj(self) -> tuple[MeasureFormula, int]:
+        left, height = self.parse_measure_unit()
         while self.peek()[0] == "&":
-            self.next()
-            left = MAnd(left, self.parse_measure_unit())
-        return left
+            pos = self.next()[2]
+            right, h = self.parse_measure_unit()
+            left, height = MAnd(left, right), self.nested(max(height, h) + 1, pos)
+        return left, height
 
-    def parse_measure_unit(self) -> MeasureFormula:
+    def parse_measure_unit(self) -> tuple[MeasureFormula, int]:
         kind, text, pos = self.peek()
         if kind == "[":
             self.next()
             mark = self.pos
             try:
                 return self._parse_threshold_tail(pos)
+            except _TooDeep:
+                raise
             except FormulaSyntaxError:
                 self.pos = mark  # brackets group a composite measure formula
             inner = self.parse_measure()
@@ -246,8 +273,8 @@ class _Parser:
             f"expected a measure formula, found {text or 'end of input'!r}", pos
         )
 
-    def _parse_threshold_tail(self, open_pos: int) -> Threshold:
-        state = self.parse_state()
+    def _parse_threshold_tail(self, open_pos: int) -> tuple[Threshold, int]:
+        state, h = self.parse_state()
         kind, text, pos = self.next()
         if kind not in ("<", ">"):
             raise FormulaSyntaxError(f"expected < or > in threshold, found {text!r}", pos)
@@ -256,13 +283,13 @@ class _Parser:
         if bound >= 1:
             raise ThresholdOutOfRangeError(f"threshold {bound} outside [0, 1)")
         self.expect("]")
-        return Threshold(state, kind, bound)
+        return Threshold(state, kind, bound), self.nested(h + 1, open_pos)
 
 
 def parse_formula(text: str) -> StateFormula:
     """Parse a state formula; raises FormulaSyntaxError / ThresholdOutOfRangeError."""
     parser = _Parser(text)
-    formula = parser.parse_state()
+    formula, _ = parser.parse_state()
     parser.expect("EOF")
     return formula
 
@@ -406,13 +433,12 @@ def _ext_key(space: Space):
 
 
 class _Refiner:
-    """Shared engine for logical equivalence and formula synthesis.
+    """Formula synthesis on top of the signature refinement.
 
-    Maintains a partition of the carrier together with a conjunction-closed
-    formula family whose extensions generate exactly the partition's sets.
-    Each round checks the modal transfer condition on same-block pairs over
-    block masses; failures synthesize a separating formula which is
-    confirmed by the evaluator before it refines the partition.
+    Keeps a conjunction-closed formula family whose extensions generate
+    exactly the refinement's partition.  Each round, every pair of signature
+    classes inside a block gets one separating formula, confirmed by the
+    evaluator before it enters the family.
     """
 
     def __init__(self, p: EffFn):
@@ -450,99 +476,75 @@ class _Refiner:
             self.family[ext] = formula
             self._close_family()
 
-    # -- transfer over current block masses --------------------------------
-    def _mass_cache(self, qspace: Space) -> dict[SubProb, tuple]:
-        cache: dict[SubProb, tuple] = {}
-        for _, u in self.p.portfolio:
-            for g in u.generators:
-                for mu in g:
-                    if mu not in cache:
-                        cache[mu] = restrict(mu, qspace).mass
-        return cache
-
     def refine(self, watch: tuple[str, str] | None = None):
         """Run refinement to the fixed point.
 
         With ``watch`` set, return the confirmed separating formula for the
-        watched pair as soon as it is synthesized, as (formula, satisfier);
+        watched pair in the round that splits it, as (formula, satisfier);
         returns None when the fixed point is reached without separating it.
         Without ``watch``, return the final blocks.
         """
-        while True:
-            blocks = self.blocks()
-            qspace = Space(self.p.space.carrier, blocks)
-            cache = self._mass_cache(qspace)
-
-            def agree(mu: SubProb, nu: SubProb) -> bool:
-                return cache[mu] == cache[nu]
-
-            fresh: list[tuple[StateFormula, frozenset[str]]] = []
-            hit = None
-            for block in blocks:
-                for s, t in itertools.combinations(block, 2):
-                    for x, y in ((s, t), (t, s)):
-                        if _gen_transfer(self.p(x), self.p(y), agree):
-                            continue
-                        formula, satisfier = self._synthesize(x, y, cache)
-                        ext = self.ev.state_ext(formula)
-                        refuted = t if satisfier == s else s
-                        if satisfier not in ext or refuted in ext:
-                            raise InternalInvariantViolation(
-                                "synthesized formula failed evaluator confirmation"
-                            )
-                        fresh.append((formula, ext))
-                        if watch is not None and {x, y} == set(watch):
-                            hit = (formula, satisfier)
-                        break
-                    if hit:
-                        break
-                if hit:
-                    break
-            if hit:
-                return hit
-            if not fresh:
-                return None if watch is not None else blocks
-            for formula, ext in fresh:
+        space = self.p.space
+        for class_of, classes in _refine(space, (self.p,), (space.carrier,)):
+            if watch is not None and not any(
+                watch[0] in c and watch[1] in c for group in classes for c in group
+            ):
+                formula, _, satisfier = self._confirmed(*watch, class_of)
+                return formula, satisfier
+            fresh = [
+                self._confirmed(left[0], right[0], class_of)
+                for group in classes
+                for left, right in itertools.combinations(group, 2)
+            ]
+            for formula, ext, _ in fresh:
                 self._add(formula, ext)
+            split = {frozenset(c) for group in classes for c in group}
+            if set(map(frozenset, self.blocks())) != split:
+                raise InternalInvariantViolation(
+                    "formula family and signature refinement disagree on the partition"
+                )
+        return None if watch is not None else self.blocks()
 
     # -- formula synthesis ---------------------------------------------------
-    def _synthesize(
-        self, s: str, t: str, cache: dict[SubProb, tuple]
-    ) -> tuple[StateFormula, str]:
-        """Separating formula for a failed transfer from ``s`` to ``t``.
+    def _confirmed(self, s: str, t: str, class_of) -> tuple[StateFormula, frozenset[str], str]:
+        """Separating formula for two states with different signatures, its
+        extension, and the state satisfying it, checked by the evaluator."""
+        formula, satisfier = self._synthesize(s, t, class_of)
+        ext = self.ev.state_ext(formula)
+        refuted = t if satisfier == s else s
+        if satisfier not in ext or refuted in ext:
+            raise InternalInvariantViolation(
+                "synthesized formula failed evaluator confirmation"
+            )
+        return formula, ext, satisfier
+
+    def _synthesize(self, s: str, t: str, class_of) -> tuple[StateFormula, str]:
+        """Separating formula for a failed transfer between ``s`` and ``t``,
+        in whichever direction fails.
 
         Mirrors the completeness argument: pick an unmatched source
         generator, one culprit measure per target generator, and for every
         culprit/source pair a family formula whose mass differs; thresholds
         at the midpoints, oriented toward the culprit, assemble into a box
-        over a disjunction of conjunctions satisfied by ``t`` and refuted
-        by ``s``.
+        over a disjunction of conjunctions satisfied by the target and
+        refuted by the source.
         """
-        source, target = self.p(s), self.p(t)
-        if target.is_empty:
-            return Box(_FALSUM), t
-        if source.is_full:
-            return Diamond(_FALSUM), s
+        for s, t in ((s, t), (t, s)):
+            source, target = self.p(s), self.p(t)
+            if target.is_empty and not source.is_empty:
+                return Box(_FALSUM), t
+            if source.is_full and not target.is_full:
+                return Diamond(_FALSUM), s
+            for g in source.generators:
+                culprits = [
+                    next((nu for nu in h if all(class_of(nu) != class_of(mu) for mu in g)), None)
+                    for h in target.generators
+                ]
+                if None not in culprits:
+                    return Box(self._culprit_body(g, culprits)), t
+        raise InternalInvariantViolation("synthesis called on a passing transfer")
 
-        chosen = None
-        for g in source.generators:
-            culprits = []
-            for h in target.generators:
-                bad = next(
-                    (nu for nu in h if all(cache[nu] != cache[mu] for mu in g)),
-                    None,
-                )
-                if bad is None:
-                    culprits = None
-                    break
-                culprits.append(bad)
-            if culprits is not None:
-                chosen = (g, culprits)
-                break
-        if chosen is None:
-            raise InternalInvariantViolation("synthesis called on a passing transfer")
-        g, culprits = chosen
-
+    def _culprit_body(self, g, culprits) -> MeasureFormula:
         exts = sorted(self.family, key=self.key)
         disjuncts = []
         for nu in culprits:
@@ -556,7 +558,7 @@ class _Refiner:
         body = disjuncts[0]
         for d in disjuncts[1:]:
             body = MOr(body, d)
-        return Box(body), t
+        return body
 
     def _separating_test(self, mu: SubProb, nu: SubProb, exts):
         for ext in exts:
@@ -572,11 +574,10 @@ class _Refiner:
 def logical_equivalence(p: EffFn) -> Relation:
     """Partition of states by the formulas they satisfy, as an equivalence.
 
-    Computed by confirmed-formula partition refinement; for finitary
-    portfolios this coincides with the greatest state bisimulation.
+    Computed by signature refinement with a confirmed formula for every
+    split; for finitary portfolios this is the greatest state bisimulation.
     """
-    blocks = _Refiner(p).refine()
-    return Relation.from_partition(p.space, blocks)
+    return Relation.from_partition(p.space, _Refiner(p).refine())
 
 
 def distinguish(p: EffFn, s: str, t: str) -> DistinguishResult:

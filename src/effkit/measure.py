@@ -31,6 +31,7 @@ __all__ = [
     "SubProb",
     "evaluate",
     "pushforward",
+    "unique_preimages",
     "restrict",
     "agree_mod",
     "invariant_measure_transport",
@@ -129,6 +130,35 @@ def pushforward(f: MeasurableMap, mu: SubProb) -> SubProb:
         f.codomain,
         [evaluate(mu, f.preimage(block)) for block in f.codomain.atoms],
     )
+
+
+def unique_preimages(f: MeasurableMap, nu: SubProb) -> list[SubProb] | None:
+    """All measures on the domain that push forward to ``nu`` along ``f``,
+    provided there are finitely many; ``None`` signals an infinite family.
+
+    The solution set is a product of simplex slices, one per codomain atom:
+    it is a singleton iff every codomain atom carrying positive mass has a
+    single domain atom in its preimage, and empty if some massive atom has
+    none.  Multi-atom preimages with positive mass admit infinitely many
+    rational splittings.
+    """
+    masses = [None] * len(f.domain.atoms)
+    for i, block in enumerate(f.codomain.atoms):
+        pre = f.preimage(block)
+        idx = f.domain.atoms_of_set(pre)
+        weight = nu.mass[i]
+        if not idx:
+            if weight > 0:
+                return []
+            continue
+        if weight == 0:
+            for j in idx:
+                masses[j] = 0
+        elif len(idx) == 1:
+            masses[idx[0]] = weight
+        else:
+            return None  # infinitely many splits
+    return [SubProb(f.domain, [m or 0 for m in masses])]
 
 
 def restrict(mu: SubProb, coarser: Space) -> SubProb:

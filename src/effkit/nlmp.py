@@ -16,16 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from .effectivity import EffFn, _greatest_bisim, _is_bisim
 from .errors import ForeignStateError, IncompatiblePartitionError, SpaceMismatchError
-from .measure import SubProb, pushforward, restrict
-from .space import (
-    DirectSum,
-    MeasurableMap,
-    Relation,
-    Space,
-    direct_sum as space_sum,
-    sigma_r,
-)
+from .measure import SubProb, pushforward, restrict, unique_preimages
+from .space import DirectSum, MeasurableMap, Relation, Space, direct_sum as space_sum
 from .upperset import MeasureSet, UpperSet
 
 __all__ = [
@@ -38,7 +32,6 @@ __all__ = [
     "direct_sum",
     "filter_generate",
     "angelize",
-    "unique_preimages",
 ]
 
 
@@ -96,67 +89,29 @@ def _kernels_of(m: Kernel | Nlmp) -> tuple[Kernel, ...]:
     return tuple(k for _, k in m.kernels)
 
 
+def _portfolios(m: Kernel | Nlmp) -> tuple[EffFn, ...]:
+    return tuple(filter_generate(k) for k in _kernels_of(m))
+
+
 def is_state_bisim(m: Kernel | Nlmp, rel: Relation) -> bool:
     """Transfer test: a symmetric relation is a state bisimulation iff every
     successor measure of one related state is matched by a successor of the
     other agreeing on all closed sets of the relation."""
-    space = m.space
-    if rel.base != space:
+    if rel.base != m.space:
         raise ForeignStateError("relation must be over the kernel's space")
     if not rel.is_symmetric:
         return False
-    quotient = sigma_r(rel)
-    for k in _kernels_of(m):
-        if not _transfer_holds(k, rel.pairs, quotient):
-            return False
-    return True
-
-
-def _restricted(mu: SubProb, quotient: Space) -> tuple:
-    return restrict(mu, quotient).mass
-
-
-def _transfer_holds(k: Kernel, pairs, quotient: Space) -> bool:
-    cache = {s: [_restricted(mu, quotient) for mu in k(s)] for s in k.space.carrier}
-    for s, t in pairs:
-        targets = set(cache[t])
-        if any(m not in targets for m in cache[s]):
-            return False
-    return True
+    return _is_bisim(_portfolios(m), rel)
 
 
 def greatest_bisim(m: Kernel | Nlmp) -> Relation:
     """Greatest state bisimulation, as an equivalence relation.
 
-    Iterates the two-sided transfer condition from the full relation down to
-    its greatest fixed point.  Coarser relations weaken the agreement of
-    measures monotonically, so the fixed point contains every state
-    bisimulation and is itself one; every iterate stays an equivalence.
+    The signature refinement of the principal-filter portfolios, one per
+    label: a kernel's signature at a state is the set of class ids of its
+    restricted successor measures (docs/derivations.md, sections 6 and 7).
     """
-    space = m.space
-    rel = Relation.full(space)
-    while True:
-        quotient = sigma_r(rel)
-        caches = [
-            {s: [_restricted(mu, quotient) for mu in k(s)] for s in space.carrier}
-            for k in _kernels_of(m)
-        ]
-
-        def related(s: str, t: str) -> bool:
-            for cache in caches:
-                left, right = set(cache[s]), set(cache[t])
-                if any(v not in right for v in cache[s]):
-                    return False
-                if any(v not in left for v in cache[t]):
-                    return False
-            return True
-
-        refined = Relation(
-            space, [(s, t) for s, t in rel.pairs if related(s, t)]
-        )
-        if refined == rel:
-            return rel
-        rel = refined
+    return _greatest_bisim(m.space, _portfolios(m))
 
 
 def is_event_bisim(m: Kernel | Nlmp, coarser: Space) -> bool:
@@ -178,35 +133,6 @@ def is_event_bisim(m: Kernel | Nlmp, coarser: Space) -> bool:
             if len(images) > 1:
                 return False
     return True
-
-
-def unique_preimages(f: MeasurableMap, nu: SubProb) -> list[SubProb] | None:
-    """All measures on the domain that push forward to ``nu`` along ``f``,
-    provided there are finitely many; ``None`` signals an infinite family.
-
-    The solution set is a product of simplex slices, one per codomain atom:
-    it is a singleton iff every codomain atom carrying positive mass has a
-    single domain atom in its preimage, and empty if some massive atom has
-    none.  Multi-atom preimages with positive mass admit infinitely many
-    rational splittings.
-    """
-    masses = [None] * len(f.domain.atoms)
-    for i, block in enumerate(f.codomain.atoms):
-        pre = f.preimage(block)
-        idx = f.domain.atoms_of_set(pre)
-        weight = nu.mass[i]
-        if not idx:
-            if weight > 0:
-                return []
-            continue
-        if weight == 0:
-            for j in idx:
-                masses[j] = 0
-        elif len(idx) == 1:
-            masses[idx[0]] = weight
-        else:
-            return None  # infinitely many splits
-    return [SubProb(f.domain, [m or 0 for m in masses])]
 
 
 def is_nk_morphism(f: MeasurableMap, k: Kernel, k2: Kernel) -> bool:
@@ -251,22 +177,18 @@ def direct_sum(k: Kernel, k2: Kernel) -> tuple[Kernel, DirectSum]:
     return Kernel(ds.space, image), ds
 
 
-def filter_generate(k: Kernel):
+def filter_generate(k: Kernel) -> EffFn:
     """Principal-filter embedding of a kernel: each state's portfolio is the
     filter of its measure set (``demonize``)."""
-    from .effectivity import EffFn
-
     return EffFn(
         k.space,
         {s: UpperSet(k.space, (k(s),)) for s in k.space.carrier},
     )
 
 
-def angelize(k: Kernel):
+def angelize(k: Kernel) -> EffFn:
     """Singleton-filter union of a kernel: each successor measure becomes an
     Angel choice of its own."""
-    from .effectivity import EffFn
-
     return EffFn(
         k.space,
         {

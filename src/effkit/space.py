@@ -290,6 +290,15 @@ def sigma_r(rel: Relation) -> Space:
             "closed sets of a non-symmetric relation do not form a field"
         )
     base = rel.base
+    groups: dict[int, list[str]] = {}
+    for root, block in zip(_atom_roots(base, rel.pairs), base.atoms):
+        groups.setdefault(root, []).extend(block)
+    return Space(base.carrier, groups.values())
+
+
+def _atom_roots(base: Space, groups: Iterable[Iterable[str]]) -> list[int]:
+    """Per atom of ``base``, a representative atom index after merging the
+    atoms that hold the states of each group, transitively (union-find)."""
     parent = list(range(len(base.atoms)))
 
     def find(i: int) -> int:
@@ -298,14 +307,13 @@ def sigma_r(rel: Relation) -> Space:
             i = parent[i]
         return i
 
-    for s, t in rel.pairs:
-        a, b = find(base.atom_of(s)), find(base.atom_of(t))
-        if a != b:
-            parent[b] = a
-    groups: dict[int, list[str]] = {}
-    for i, block in enumerate(base.atoms):
-        groups.setdefault(find(i), []).extend(block)
-    return Space(base.carrier, groups.values())
+    for group in groups:
+        atoms = [base.atom_of(s) for s in group]
+        for other in atoms[1:]:
+            a, b = find(atoms[0]), find(other)
+            if a != b:
+                parent[b] = a
+    return [find(i) for i in range(len(base.atoms))]
 
 
 def kernel_of(f: MeasurableMap) -> Relation:

@@ -25,7 +25,6 @@ from .space import Space
 __all__ = [
     "MeasureSet",
     "UpperSet",
-    "canonicalize",
     "filter_of",
     "contains",
     "union",
@@ -77,7 +76,7 @@ class MeasureSet:
 class UpperSet:
     """An upper-closed family in canonical antichain form.
 
-    The constructor canonicalizes: duplicate generators are removed and any
+    The constructor builds that form: duplicate generators are removed and any
     generator containing another is dropped (its filter is already covered).
     """
 
@@ -128,11 +127,6 @@ class UpperSet:
         if self.is_full:
             return "UpperSet(full)"
         return f"UpperSet({[list(g.members) for g in self.generators]!r})"
-
-
-def canonicalize(space: Space, generators: Iterable[MeasureSet]) -> UpperSet:
-    """Upper-closed family generated by the given measure sets."""
-    return UpperSet(space, generators)
 
 
 def filter_of(w: MeasureSet) -> UpperSet:

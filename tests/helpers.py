@@ -18,6 +18,8 @@ from effkit import (
     UpperSet,
     contains,
     evaluate,
+    restrict,
+    sigma_r,
     unique_preimages,
 )
 from effkit.logic import (
@@ -367,3 +369,48 @@ def ef_transfer_oracle(p: EffFn, rel: Relation, agree) -> bool:
             if not matched:
                 return False
     return True
+
+
+def _matched(g, h) -> bool:
+    """Every member of ``h`` agrees with some member of ``g``."""
+    return all(any(a == b for a in g) for b in h)
+
+
+def _transfer_test(system, quotient: Space):
+    """One-sided transfer from ``s`` to ``t``, with measures compared by
+    their restrictions to ``quotient``.  Portfolios are checked on
+    generators: every generator of ``s`` needs a generator of ``t`` whose
+    members all agree with members of the former.  Kernels are checked per
+    label: every successor of ``s`` agrees with a successor of ``t``."""
+
+    def restricted(ms):
+        return [restrict(mu, quotient).mass for mu in ms]
+
+    carrier = system.space.carrier
+    if isinstance(system, EffFn):
+        gens = {s: [restricted(g) for g in system(s).generators] for s in carrier}
+        return lambda s, t: all(any(_matched(g, h) for h in gens[t]) for g in gens[s])
+    kernels = (system,) if isinstance(system, Kernel) else [k for _, k in system.kernels]
+    images = [{s: restricted(k(s)) for s in carrier} for k in kernels]
+    return lambda s, t: all(_matched(image[t], image[s]) for image in images)
+
+
+def transfer_oracle(system, rel: Relation) -> bool:
+    """State-bisimulation test of a symmetric relation by checking the
+    transfer condition pair by pair."""
+    holds = _transfer_test(system, sigma_r(rel))
+    return all(holds(s, t) for s, t in rel.pairs)
+
+
+def pairwise_bisim_oracle(system) -> Relation:
+    """Greatest bisimulation of a kernel, labelled process or portfolio by
+    pair pruning: from the full relation, keep the pairs passing the
+    two-sided transfer against the current relation until nothing changes."""
+    space = system.space
+    rel = Relation.full(space)
+    while True:
+        holds = _transfer_test(system, sigma_r(rel))
+        refined = Relation(space, [(s, t) for s, t in rel.pairs if holds(s, t) and holds(t, s)])
+        if refined == rel:
+            return rel
+        rel = refined

@@ -162,6 +162,14 @@ class TestEvalDistinguish:
         code, _, err = invoke("eval", efA, "--formula", "<>[T >")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "formula", ["<>[" * 400 + "T" + " > 0]" * 400, "(" * 3000], ids=["modal", "parens"]
+    )
+    def test_eval_too_deep_is_a_syntax_error(self, efA, formula):
+        code, out, err = invoke("eval", efA, "--formula", formula, "--state", "s0")
+        assert code == 2 and out == ""
+        assert "nested deeper" in json.loads(err)["error"]["message"]
+
     def test_lequiv(self, efA):
         code, out, _ = invoke("lequiv", efA)
         assert code == 0

@@ -12,6 +12,7 @@ from effkit import (
     Kernel,
     MeasurableMap,
     MeasureSet,
+    Nlmp,
     NotACongruenceError,
     NotSurjectiveError,
     Relation,
@@ -22,12 +23,14 @@ from effkit import (
     equals,
     filter_generate,
     from_markov_kernel,
+    greatest_bisim,
     greatest_ef_bisim,
     is_ef_morphism,
     is_ef_state_bisim,
     is_event_bisim,
     is_nk_morphism,
     is_strong_morphism,
+    is_state_bisim,
     is_subsystem,
     kernel_of,
     quotient,
@@ -40,10 +43,12 @@ from helpers import (
     all_partitions,
     all_symmetric_relations,
     ef_transfer_oracle,
+    pairwise_bisim_oracle,
     rand_ef,
     rand_kernel,
     rand_nk_instance,
     rand_space,
+    transfer_oracle,
 )
 
 S3 = Space.discrete(["s0", "s1", "s2"])
@@ -141,6 +146,31 @@ class TestGreatestEfBisim:
             expected = blockwise_bisim_oracle(p)
             got = {frozenset(c) for c in greatest_ef_bisim(p).classes()}
             assert got == expected
+
+    def test_signature_refinement_matches_pairwise_pruning(self):
+        # kernels, labelled processes and portfolios, a third each, on
+        # spaces that are coarse 40% of the time
+        rng = Random(2005)
+        verdicts = {True: 0, False: 0}
+        for i in range(2001):
+            space = rand_space(rng, 1, 5, allow_coarse=True)
+            den = rng.choice((2, 4, 8))
+            if i % 3 == 2:
+                system, greatest, is_bisim = rand_ef(rng, space, max_den=den), greatest_ef_bisim, is_ef_state_bisim
+            else:
+                labels = 1 if i % 3 == 0 else rng.randint(1, 3)
+                kernels = {f"a{j}": rand_kernel(rng, space, max_den=den) for j in range(labels)}
+                system = kernels["a0"] if i % 3 == 0 else Nlmp(space, kernels)
+                greatest, is_bisim = greatest_bisim, is_state_bisim
+            best = greatest(system)
+            assert best == pairwise_bisim_oracle(system)
+            pairs = [pair for pair in best.pairs if rng.random() < 0.7]
+            pairs += [(s, t) for s in space.carrier for t in space.carrier if rng.random() < 0.1]
+            rel = Relation(space, pairs + [(t, s) for s, t in pairs])
+            verdict = is_bisim(system, rel)
+            assert verdict == transfer_oracle(system, rel)
+            verdicts[verdict] += 1
+        assert min(verdicts.values()) >= 400
 
     def test_is_greatest_exhaustively(self):
         rng = Random(137)

@@ -14,6 +14,7 @@ from effkit import (
     Box,
     Diamond,
     EffFn,
+    EffkitError,
     FormulaSyntaxError,
     Kernel,
     MAnd,
@@ -33,6 +34,7 @@ from effkit import (
     format_formula,
     greatest_ef_bisim,
     is_ef_state_bisim,
+    is_subsystem,
     logical_equivalence,
     parse_formula,
     sigma_r,
@@ -53,6 +55,17 @@ P_A = filter_generate(K_A)
 
 
 class TestParser:
+    def test_nesting_bound(self):
+        from effkit.logic import _MAX_NESTING
+
+        chain = " & ".join(["T"] * _MAX_NESTING)
+        deepest = parse_formula(chain)
+        assert format_formula(deepest) == chain
+        assert eval_state(P_A, deepest) == frozenset(S3.carrier)
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_formula(chain + " & T")
+        assert exc.value.position == len(chain) + 1
+
     def test_diamond_threshold(self):
         f = parse_formula("<>[T > 1/2]")
         assert f == Diamond(Threshold(Top(), ">", Fraction(1, 2)))
@@ -183,6 +196,26 @@ class TestLogicalEquivalence:
     def test_constant_portfolio_one_block(self):
         p = EffFn(S3, {s: P_A("s0") for s in S3.carrier})
         assert logical_equivalence(p) == Relation.full(S3)
+
+    def test_coarse_atoms_with_split_dynamics_agree_or_refuse(self):
+        # states sharing an atom but moving differently make a portfolio
+        # that is not measurable; the logic may refuse it but never answers
+        # differently from the relational computation
+        rng = Random(4)
+        answered = refused = 0
+        while answered + refused < 150:
+            space = rand_space(rng, 2, 5, allow_coarse=True)
+            p = rand_ef(rng, space, max_den=rng.choice((2, 4, 8)))
+            if space.is_discrete or is_subsystem(p, space):
+                continue
+            try:
+                rel = logical_equivalence(p)
+            except EffkitError:
+                refused += 1
+                continue
+            assert rel == greatest_ef_bisim(p)
+            answered += 1
+        assert answered >= 100
 
     def test_matches_greatest_bisim_on_random_efs(self):
         rng = Random(181)

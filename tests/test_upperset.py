@@ -12,7 +12,6 @@ from effkit import (
     SpaceMismatchError,
     SubProb,
     UpperSet,
-    canonicalize,
     contains,
     dual,
     equals,
@@ -43,26 +42,26 @@ def rand_upperset(rng: Random, space, max_gens=3, max_measures=3) -> UpperSet:
 
 class TestCanonicalize:
     def test_superset_generator_dropped(self):
-        u = canonicalize(S3, [ms(M1), ms(M1, M2)])
+        u = UpperSet(S3, [ms(M1), ms(M1, M2)])
         assert u.generators == (ms(M1),)
 
     def test_empty_is_empty_family(self):
-        u = canonicalize(S3, [])
+        u = UpperSet(S3, [])
         assert u.is_empty and not u.is_full
 
     def test_dedup(self):
-        u = canonicalize(S3, [ms(M1), ms(M2), ms(M1)])
+        u = UpperSet(S3, [ms(M1), ms(M2), ms(M1)])
         assert set(u.generators) == {ms(M1), ms(M2)}
         assert len(u.generators) == 2
 
     def test_empty_generator_dominates(self):
-        u = canonicalize(S3, [ms(), ms(M1), ms(M2, M3)])
+        u = UpperSet(S3, [ms(), ms(M1), ms(M2, M3)])
         assert u.is_full
 
     def test_space_mismatch(self):
         other = Space.discrete(["x"])
         with pytest.raises(SpaceMismatchError):
-            canonicalize(S3, [MeasureSet(other, [SubProb.zero(other)])])
+            UpperSet(S3, [MeasureSet(other, [SubProb.zero(other)])])
 
 
 class TestFilterOf:
@@ -82,14 +81,14 @@ class TestFilterOf:
 
 class TestContains:
     def test_upward_closure(self):
-        assert contains(canonicalize(S3, [ms(M1)]), ms(M1, M2))
+        assert contains(UpperSet(S3, [ms(M1)]), ms(M1, M2))
 
     def test_empty_family_contains_nothing(self):
         assert not contains(UpperSet.empty(S3), ms())
         assert not contains(UpperSet.empty(S3), ms(M1))
 
     def test_generator_inclusion_is_the_criterion(self):
-        u = canonicalize(S3, [ms(M1, M2)])
+        u = UpperSet(S3, [ms(M1, M2)])
         assert not contains(u, ms(M1))
         assert contains(u, ms(M1, M2))
 
@@ -106,11 +105,11 @@ class TestContains:
 
 class TestUnionIntersect:
     def test_union_of_principals(self):
-        u = union(canonicalize(S3, [ms(M1)]), canonicalize(S3, [ms(M2)]))
+        u = union(UpperSet(S3, [ms(M1)]), UpperSet(S3, [ms(M2)]))
         assert set(u.generators) == {ms(M1), ms(M2)}
 
     def test_intersect_of_principals(self):
-        u = intersect(canonicalize(S3, [ms(M1)]), canonicalize(S3, [ms(M2)]))
+        u = intersect(UpperSet(S3, [ms(M1)]), UpperSet(S3, [ms(M2)]))
         assert u.generators == (ms(M1, M2),)
         # membership oracle: a set is in both filters iff it has both members
         assert contains(u, ms(M1, M2, M3))
@@ -146,7 +145,7 @@ class TestUnionIntersect:
 
 class TestDual:
     def test_choice_functions_example(self):
-        u = canonicalize(S3, [ms(D0, D1)])
+        u = UpperSet(S3, [ms(D0, D1)])
         assert set(dual(u).generators) == {ms(D0), ms(D1)}
 
     def test_involution_random(self):
@@ -197,11 +196,11 @@ class TestDual:
 class TestEquals:
     def test_canonicalization_identifies(self):
         assert equals(
-            canonicalize(S3, [ms(M1), ms(M1, M2)]), canonicalize(S3, [ms(M1)])
+            UpperSet(S3, [ms(M1), ms(M1, M2)]), UpperSet(S3, [ms(M1)])
         )
 
     def test_distinct_singletons_differ(self):
-        assert not equals(canonicalize(S3, [ms(M1)]), canonicalize(S3, [ms(M2)]))
+        assert not equals(UpperSet(S3, [ms(M1)]), UpperSet(S3, [ms(M2)]))
 
     def test_union_commutes(self):
         rng = Random(73)
