@@ -35,7 +35,7 @@ from .space import (
     direct_sum as space_sum,
     sigma_r,
 )
-from .upperset import MeasureSet, UpperSet, dual, equals
+from .upperset import MeasureSet, UpperSet, _minimal, dual, equals
 
 __all__ = [
     "EffFn",
@@ -128,7 +128,8 @@ def _refine(
             cid.append(vectors.setdefault(key, len(vectors)))
         signature = {
             s: tuple(
-                _minimal({frozenset(cid[m] for m in g) for g in gens[i]}) for gens in generators
+                frozenset(_minimal(frozenset(cid[m] for m in g) for g in gens[i]))
+                for gens in generators
             )
             for i, s in enumerate(space.carrier)
         }
@@ -147,11 +148,6 @@ def _refine(
         if len(split) == len(blocks):
             return
         blocks = split
-
-
-def _minimal(sets: set[frozenset[int]]) -> frozenset[frozenset[int]]:
-    """The minimal antichain of a finite family of sets."""
-    return frozenset(a for a in sets if not any(b < a for b in sets))
 
 
 def _greatest_bisim(space: Space, portfolios: Sequence[EffFn]) -> Relation:
@@ -251,10 +247,7 @@ def is_strong_morphism(f: MeasurableMap, p: EffFn, q: EffFn) -> bool:
                 return False
         preimages = [_preimage_set(f, h) for h in target.generators]
         for g in source.generators:
-            members = set(g.members)
-            if not any(
-                pre is not None and set(pre.members) <= members for pre in preimages
-            ):
+            if not any(pre is not None and pre.issubset(g) for pre in preimages):
                 return False
     return True
 

@@ -72,7 +72,7 @@ class SubProb:
         Keys are carrier states; omitted states carry mass zero.  At most one
         state per atom may be listed, and it sets its whole atom's mass.
         """
-        vec = [Fraction(0)] * len(space.atoms)
+        vec: list[RationalLike] = [0] * len(space.atoms)
         used: dict[int, str] = {}
         for state, raw in masses.items():
             idx = space.atom_of(state)
@@ -82,7 +82,7 @@ class SubProb:
                     "give the atom's mass once"
                 )
             used[idx] = state
-            vec[idx] = _as_fraction(raw)
+            vec[idx] = raw
         return SubProb(space, vec)
 
     @staticmethod

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .effectivity import EffFn, _greatest_bisim, _is_bisim
+from .effectivity import EffFn, _greatest_bisim, _is_bisim, is_subsystem
 from .errors import ForeignStateError, IncompatiblePartitionError, SpaceMismatchError
-from .measure import SubProb, pushforward, restrict, unique_preimages
+from .measure import SubProb, pushforward, unique_preimages
 from .space import DirectSum, MeasurableMap, Relation, Space, direct_sum as space_sum
 from .upperset import MeasureSet, UpperSet
 
@@ -120,19 +120,16 @@ def is_event_bisim(m: Kernel | Nlmp, coarser: Space) -> bool:
     Decided by quotienting: restrict every successor measure to the coarser
     space and require the resulting measure set to be constant on each
     coarser atom.  This is the finite reduction of hit-measurability against
-    the sub-sigma-algebra (docs/derivations.md).
+    the sub-sigma-algebra (docs/derivations.md).  A principal filter
+    restricted to the coarser space is constant on an atom exactly when its
+    restricted measure set is, so each label's ``filter_generate``
+    portfolio goes through ``is_subsystem``.
     """
-    space = m.space
-    if not coarser.coarsens(space):
+    if not coarser.coarsens(m.space):  # also when there is no label to test
         raise IncompatiblePartitionError(
             "event test needs a coarsening of the kernel space's atoms"
         )
-    for k in _kernels_of(m):
-        for block in coarser.atoms:
-            images = {MeasureSet(coarser, (restrict(mu, coarser) for mu in k(s))) for s in block}
-            if len(images) > 1:
-                return False
-    return True
+    return all(is_subsystem(p, coarser) for p in _portfolios(m))
 
 
 def is_nk_morphism(f: MeasurableMap, k: Kernel, k2: Kernel) -> bool:
@@ -147,7 +144,7 @@ def is_nk_morphism(f: MeasurableMap, k: Kernel, k2: Kernel) -> bool:
     if f.domain != k.space or f.codomain != k2.space:
         raise SpaceMismatchError("map endpoints must match the kernel spaces")
     for s in k.space.carrier:
-        source = set(k(s).members)
+        source = k(s)
         target = k2(f(s))
         if any(pushforward(f, mu) not in target for mu in source):
             return False
@@ -157,7 +154,7 @@ def is_nk_morphism(f: MeasurableMap, k: Kernel, k2: Kernel) -> bool:
             if sols is None:
                 return False
             expected.update(sols)
-        if expected != source:
+        if expected != source.member_set:
             return False
     return True
 

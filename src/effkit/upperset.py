@@ -11,11 +11,19 @@ their antichains are equal.
 Degenerate encodings are fixed so that duality is a total involution: no
 generators at all encodes the empty family, and a single empty generator
 encodes the full family (the empty set is contained in everything).
+
+A measure set holds its members twice: as a tuple sorted by mass vector,
+which every iteration, ordering and emission uses so that output does not
+depend on hashing (a frozenset's iteration order changes with
+``PYTHONHASHSEED``), and as a frozenset, which answers containment and
+subset tests without rehashing the measures.  One routine, ``_minimal``,
+keeps the minimal members of a family of sets; the ``UpperSet``
+constructor, ``dual`` and the refinement engine's signatures all use it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import SpaceMismatchError
@@ -40,15 +48,16 @@ class MeasureSet:
 
     space: Space
     members: tuple[SubProb, ...]
+    member_set: frozenset[SubProb] = field(repr=False, compare=False)
 
     def __init__(self, space: Space, members: Iterable[SubProb]):
-        pool = list(members)
-        for mu in pool:
+        unique = frozenset(members)
+        for mu in unique:
             if mu.space != space:
                 raise SpaceMismatchError("measure set members must share one space")
-        unique = sorted(set(pool), key=lambda m: m.sort_key())
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "members", tuple(unique))
+        object.__setattr__(self, "members", tuple(sorted(unique, key=SubProb.sort_key)))
+        object.__setattr__(self, "member_set", unique)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -57,10 +66,10 @@ class MeasureSet:
         return iter(self.members)
 
     def __contains__(self, mu: SubProb) -> bool:
-        return mu in self.members
+        return mu in self.member_set
 
     def issubset(self, other: "MeasureSet") -> bool:
-        return set(self.members) <= set(other.members)
+        return self.member_set <= other.member_set
 
     def union(self, other: "MeasureSet") -> "MeasureSet":
         return MeasureSet(self.space, self.members + other.members)
@@ -70,6 +79,17 @@ class MeasureSet:
 
     def __repr__(self) -> str:
         return f"MeasureSet({list(self.members)!r})"
+
+
+def _minimal(family: Iterable) -> list:
+    """The minimal members of a finite family of sets (frozensets or measure
+    sets), smallest first and otherwise in input order; a duplicate is
+    dropped as soon as it contains its kept copy."""
+    kept = []
+    for a in sorted(family, key=len):
+        if not any(b.issubset(a) for b in kept):
+            kept.append(a)
+    return kept
 
 
 @dataclass(frozen=True)
@@ -84,19 +104,12 @@ class UpperSet:
     generators: tuple[MeasureSet, ...]
 
     def __init__(self, space: Space, generators: Iterable[MeasureSet]):
-        gens = []
-        for g in generators:
+        gens = sorted(generators, key=MeasureSet.sort_key)
+        for g in gens:
             if g.space != space:
                 raise SpaceMismatchError("generators must live on the carrier space")
-            gens.append(g)
-        gens = sorted(set(gens), key=lambda g: (len(g), g.sort_key()))
-        kept: list[MeasureSet] = []
-        for g in gens:
-            if any(smaller.issubset(g) for smaller in kept):
-                continue
-            kept.append(g)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "generators", tuple(kept))
+        object.__setattr__(self, "generators", tuple(_minimal(gens)))
 
     @staticmethod
     def empty(space: Space) -> "UpperSet":
@@ -171,18 +184,13 @@ def dual(u: UpperSet) -> UpperSet:
     """
     partial: list[frozenset[SubProb]] = [frozenset()]
     for g in u.generators:
-        members = frozenset(g.members)
         grown: list[frozenset[SubProb]] = []
         for h in partial:
-            if h & members:
+            if h & g.member_set:
                 grown.append(h)
             else:
                 grown.extend(h | {m} for m in g.members)
-        grown.sort(key=len)
-        partial = []
-        for h in grown:
-            if not any(kept <= h for kept in partial):
-                partial.append(h)
+        partial = _minimal(grown)
     return UpperSet(u.space, (MeasureSet(u.space, h) for h in partial))
 
 

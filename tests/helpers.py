@@ -298,6 +298,11 @@ def generated_field(space: Space, family) -> list[frozenset[str]]:
     return out
 
 
+def minimal_oracle(sets: set[frozenset]) -> frozenset[frozenset]:
+    """The minimal antichain of a finite family of sets, by definition."""
+    return frozenset(a for a in sets if not any(b < a for b in sets))
+
+
 def upperset_members_oracle(u: UpperSet, pool: list[SubProb]) -> set[frozenset[SubProb]]:
     """Extensional view of the family over all subsets of a measure pool."""
     out = set()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -346,6 +347,42 @@ class TestFormatAndDeterminism:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["partition"] == [["s0", "s1"], ["s2"]]
+
+
+    def test_stdout_does_not_depend_on_hash_seed(self, tmp_path):
+        third, half, one = {"s1": "1/3"}, {"s0": "1/2"}, {"s2": "1"}
+        ef = write(tmp_path, "ef.json", {
+            "kind": "ef",
+            "states": ["s0", "s1", "s2", "s3"],
+            "effectivity": {
+                "s0": [[half, third, one], [{"s3": "1/4"}, third]],
+                "s1": [[half, third], [{"s2": "1/5"}, {"s3": "1"}, one]],
+                "s2": [[third, one, {"s3": "1/4"}], [half, {"s0": "1/5"}]],
+                "s3": [[{}]],
+            },
+        })
+        nlmp = write(tmp_path, "k.json", {
+            "kind": "nlmp",
+            "states": ["s0", "s1", "s2"],
+            "labels": ["a"],
+            "kernels": {"a": {
+                "s0": [half, third, one, {"s0": "1/7", "s2": "2/7"}],
+                "s1": [third, {"s2": "1/2"}, {}],
+                "s2": [half, one],
+            }},
+        })
+        commands = [["dual", ef], ["angelize", nlmp], ["distinguish", ef, "s0", "s1"]]
+        for argv in commands:
+            outputs = [
+                subprocess.run(
+                    [sys.executable, "-m", "effkit.cli", *argv],
+                    capture_output=True,
+                    env={**os.environ, "PYTHONHASHSEED": seed},
+                )
+                for seed in ("0", "1")
+            ]
+            assert outputs[0].returncode in (0, 1) and outputs[0].stdout, argv
+            assert outputs[0].stdout == outputs[1].stdout, argv
 
 
 class TestModelRoundTrips:

@@ -152,8 +152,9 @@ class TestEventBisim:
         assert not is_event_bisim(k, coarse)
 
     def test_incompatible_partition(self):
-        with pytest.raises(IncompatiblePartitionError):
-            is_event_bisim(K_A, Space(["s0", "s1"], [["s0", "s1"]]))
+        for m in (K_A, Nlmp(S3, {})):  # no label still checks the partition
+            with pytest.raises(IncompatiblePartitionError):
+                is_event_bisim(m, Space(["s0", "s1"], [["s0", "s1"]]))
 
     def test_greatest_bisim_partition_is_event_bisim(self):
         rng = Random(101)

@@ -19,7 +19,14 @@ from effkit import (
     intersect,
     union,
 )
-from helpers import rand_measure_set, rand_space, rand_subprob, upperset_members_oracle
+from effkit.upperset import _minimal
+from helpers import (
+    minimal_oracle,
+    rand_measure_set,
+    rand_space,
+    rand_subprob,
+    upperset_members_oracle,
+)
 
 S3 = Space.discrete(["s0", "s1", "s2"])
 M1 = SubProb.of(S3, {"s0": "1/2"})
@@ -62,6 +69,29 @@ class TestCanonicalize:
         other = Space.discrete(["x"])
         with pytest.raises(SpaceMismatchError):
             UpperSet(S3, [MeasureSet(other, [SubProb.zero(other)])])
+
+
+class TestMinimal:
+    def test_matches_definition_on_random_families(self):
+        rng = Random(331)
+        for _ in range(2500):
+            family = [
+                frozenset(rng.sample(range(6), rng.randint(0, 4)))
+                for _ in range(rng.randint(0, 8))
+            ]
+            if family and rng.random() < 0.3:  # chains and repeats
+                base = rng.choice(family)
+                family += [base, base | {6}, base | {6, 7}, frozenset()][: rng.randint(1, 4)]
+                rng.shuffle(family)
+            kept = _minimal(family)
+            assert set(kept) == minimal_oracle(set(family))
+            assert len(kept) == len(set(kept))
+            assert [len(a) for a in kept] == sorted(len(a) for a in kept)
+            first = {}
+            for i, a in enumerate(family):
+                first.setdefault(a, i)
+            same_size = [[first[a] for a in kept if len(a) == n] for n in {len(a) for a in kept}]
+            assert all(order == sorted(order) for order in same_size)
 
 
 class TestFilterOf:
