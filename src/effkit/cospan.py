@@ -190,9 +190,7 @@ def build_span(c: Cospan) -> SpanResult:
     # Measures on w correspond to mediator measures atom for atom; transport
     # each pushed support by reading its mass per mediator atom.
     def transport(nu: SubProb) -> SubProb:
-        return SubProb.of(
-            w, {representative[i]: nu.mass[i] for i in range(len(blocks))}
-        )
+        return SubProb.of(w, dict(zip(representative, nu.num)), nu.den)
 
     portfolio = {}
     for s, t in pairs:

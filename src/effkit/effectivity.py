@@ -14,8 +14,7 @@ finite generator antichains; the reductions are spelled out per operation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -91,23 +90,22 @@ def _refine(
 
     Each round interns every measure's mass vector, restricted to the atom
     closure of the current blocks (the space ``sigma_r`` gives for them), to
-    a class id.  A state's signature is, per portfolio, the minimal antichain
-    of its generators' class-id sets; equal signatures are exactly the
-    two-sided generator transfer (docs/derivations.md, section 6).  Every
-    round yields the class id of a measure and, per block, its signature
-    classes; the next round's blocks are those classes.  The rounds stop
-    after the first that splits no block.
+    a class id: its nonzero numerators are summed per closure block over its
+    denominator and reduced, so no ``Fraction`` is built.  A state's
+    signature is, per portfolio, the minimal antichain of its generators'
+    class-id sets; equal signatures are exactly the two-sided generator
+    transfer (docs/derivations.md, section 6).  Every round yields the class
+    id of a measure and, per block, its signature classes; the next round's
+    blocks are those classes.  The rounds stop after the first that splits
+    no block.
     """
-    number: dict[tuple[Fraction, ...], int] = {}
-    scaled: list[tuple[int, tuple[tuple[int, int], ...]]] = []
+    number: dict[SubProb, int] = {}
+    support: list[tuple[int, tuple[tuple[int, int], ...]]] = []
 
     def measure_number(mu: SubProb) -> int:
-        i = number.setdefault(mu.mass, len(number))
-        if i == len(scaled):  # integer numerators over a common denominator
-            den = lcm(*(q.denominator for q in mu.mass))
-            scaled.append((den, tuple(
-                (a, q.numerator * (den // q.denominator)) for a, q in enumerate(mu.mass) if q
-            )))
+        i = number.setdefault(mu, len(number))
+        if i == len(support):
+            support.append((mu.den, tuple((a, n) for a, n in enumerate(mu.num) if n)))
         return i
 
     generators = [
@@ -119,7 +117,7 @@ def _refine(
         root = _atom_roots(space, blocks)
         vectors: dict[tuple, int] = {}
         cid = []
-        for den, nums in scaled:
+        for den, nums in support:
             vec: dict[int, int] = {}
             for a, n in nums:
                 vec[root[a]] = vec.get(root[a], 0) + n
@@ -141,7 +139,7 @@ def _refine(
             classes.append(tuple(map(tuple, groups.values())))
 
         def class_of(mu: SubProb, cid=cid) -> int:
-            return cid[number[mu.mass]]
+            return cid[number[mu]]
 
         yield class_of, tuple(classes)
         split = tuple(c for group in classes for c in group)

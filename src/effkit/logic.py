@@ -27,6 +27,7 @@ tests keep an independent pair-pruning oracle to compare both against.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,9 +35,10 @@ from .effectivity import EffFn, _refine
 from .errors import (
     FormulaSyntaxError,
     InternalInvariantViolation,
+    SpaceMismatchError,
     ThresholdOutOfRangeError,
 )
-from .measure import SubProb, evaluate
+from .measure import SubProb, _atoms_of
 from .space import Relation, Space
 
 __all__ = [
@@ -130,6 +132,7 @@ class Threshold(MeasureFormula):
 # ---------------------------------------------------------------------------
 
 _TOKENS = ("<>", "[]", "&", "|", "(", ")", "[", "]", "<", ">", "T")
+_RATIONAL = re.compile(r"[0-9]+(/[0-9]*)?")  # ASCII digits only
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -149,18 +152,16 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 break
         if matched:
             continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "/":
-                j += 1
-                if j >= n or not text[j].isdigit():
-                    raise FormulaSyntaxError("missing denominator", j)
-                while j < n and text[j].isdigit():
-                    j += 1
-            out.append(("RAT", text[i:j], i))
-            i = j
+        rat = _RATIONAL.match(text, i)
+        if rat is not None:
+            if rat.group().endswith("/"):
+                raise FormulaSyntaxError("missing denominator", rat.end())
+            try:
+                Fraction(rat.group())
+            except (ValueError, ZeroDivisionError) as exc:  # too many digits, zero denominator
+                raise FormulaSyntaxError(f"unreadable rational: {exc}", i) from None
+            out.append(("RAT", rat.group(), i))
+            i = rat.end()
             continue
         raise FormulaSyntaxError(f"unexpected character {ch!r}", i)
     out.append(("EOF", "", n))
@@ -344,6 +345,16 @@ class _Evaluator:
     def __init__(self, p: EffFn):
         self.p = p
         self._ext: dict[StateFormula, frozenset[str]] = {}
+        self._atoms: dict[StateFormula, tuple[int, ...]] = {}
+
+    def numerator(self, mu: SubProb, f: StateFormula) -> int:
+        """Mass of the extension of ``f`` under ``mu``, over ``mu.den``; the
+        extension is checked measurable once."""
+        idx = self._atoms.get(f)
+        if idx is None:
+            idx = self._atoms[f] = _atoms_of(self.p.space, self.state_ext(f))
+        num = mu.num
+        return sum([num[i] for i in idx])
 
     def state_ext(self, f: StateFormula) -> frozenset[str]:
         cached = self._ext.get(f)
@@ -382,8 +393,9 @@ class _Evaluator:
         if isinstance(m, MOr):
             return self.msat(m.left, mu) or self.msat(m.right, mu)
         if isinstance(m, Threshold):
-            mass = evaluate(mu, self.state_ext(m.state))
-            return mass < m.bound if m.cmp == "<" else mass > m.bound
+            mass = self.numerator(mu, m.state) * m.bound.denominator
+            bound = m.bound.numerator * mu.den
+            return mass < bound if m.cmp == "<" else mass > bound
         raise TypeError(f"not a measure formula: {m!r}")
 
 
@@ -398,7 +410,10 @@ def eval_state(p: EffFn, f: StateFormula) -> frozenset[str]:
 
 
 def eval_measure(p: EffFn, m: MeasureFormula, mu: SubProb) -> bool:
-    """Whether a measure satisfies a measure formula."""
+    """Whether a measure on the portfolio's space satisfies a measure
+    formula."""
+    if mu.space != p.space:
+        raise SpaceMismatchError("measure does not live on the portfolio's space")
     return _Evaluator(p).msat(m, mu)
 
 
@@ -562,10 +577,11 @@ class _Refiner:
 
     def _separating_test(self, mu: SubProb, nu: SubProb, exts):
         for ext in exts:
-            a = evaluate(nu, ext)
-            b = evaluate(mu, ext)
+            phi = self.family[ext]
+            a = Fraction(self.ev.numerator(nu, phi), nu.den)
+            b = Fraction(self.ev.numerator(mu, phi), mu.den)
             if a != b:
-                return self.family[ext], a, b
+                return phi, a, b
         raise InternalInvariantViolation(
             "measures disagree on the partition but on no family extension"
         )

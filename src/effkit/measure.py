@@ -1,10 +1,20 @@
 """Exact-rational subprobability measures on finite spaces.
 
 A measure is a vector of nonnegative rationals indexed by the atoms of its
-space, with total mass at most one.  All arithmetic is exact
-(:class:`fractions.Fraction`); there is deliberately no floating point
-anywhere, because the bisimulation procedures hinge on exact equality of
-masses and floats would produce false separations.
+space, with total mass at most one.  It is held as one positive integer
+denominator ``den`` and a tuple ``num`` of integer numerators, one per
+atom, in lowest terms: ``gcd(den, *num) == 1``.  Equal measures on a space
+therefore have equal ``(den, num)``, so equality, hashing, sums over atoms
+and the mass bound are integer operations.  There is deliberately no
+floating point anywhere, because the bisimulation procedures hinge on exact
+equality of masses and floats would produce false separations; masses are
+read and reported as :class:`fractions.Fraction` (``mass``, ``total``,
+``evaluate``).  Measures on one space sort by their mass vectors; a
+collection sorts by integer keys, each numerator scaled to the lcm of the
+collection's denominators (docs/derivations.md, section 13).
+
+Pushforward and restriction sum numerators along a per-atom index map:
+measurability puts each domain atom inside exactly one codomain atom.
 
 The lifted agreement relation ``agree_mod`` compares two measures on every
 measurable closed set of a symmetric relation.  Under symmetry those closed
@@ -17,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from math import gcd, lcm
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     IncompatiblePartitionError,
@@ -40,37 +51,63 @@ __all__ = [
 RationalLike = Fraction | int | str
 
 
-def _as_fraction(value: RationalLike) -> Fraction:
-    q = Fraction(value)
-    if q < 0:
-        raise SpaceMismatchError(f"negative mass {value!r}")
-    return q
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubProb:
-    """A subprobability mass vector over the atoms of a space."""
+    """A subprobability mass vector over the atoms of a space: atom ``i``
+    carries ``num[i] / den``, in lowest terms.
+
+    ``mass`` lists rationals (``Fraction``, ``int`` or strings such as
+    ``"1/2"``); with ``den`` given, it lists integer numerators over ``den``,
+    in any terms.
+    """
 
     space: Space
-    mass: tuple[Fraction, ...]
+    den: int
+    num: tuple[int, ...]
 
-    def __init__(self, space: Space, mass: Iterable[RationalLike]):
-        vec = tuple(_as_fraction(m) for m in mass)
-        if len(vec) != len(space.atoms):
+    def __init__(self, space: Space, mass: Iterable[RationalLike], den: int | None = None):
+        if den is None:
+            vec = []
+            for m in mass:
+                q = Fraction(m)
+                if q < 0:
+                    raise SpaceMismatchError(f"negative mass {m!r}")
+                vec.append(q)
+            # reduced denominators: gcd(den, *num) == 1 (docs/derivations.md, section 13)
+            den = lcm(*(q.denominator for q in vec))
+            num = tuple([q.numerator * (den // q.denominator) for q in vec])
+        else:
+            num = tuple(mass)
+            if den < 1:
+                raise SpaceMismatchError(f"denominator must be positive, got {den!r}")
+            if num and min(num) < 0:
+                raise SpaceMismatchError(f"negative mass {Fraction(min(num), den)!r}")
+            g = gcd(den, *num)
+            if g > 1:
+                den //= g
+                num = tuple([n // g for n in num])
+        if len(num) != len(space.atoms):
             raise SpaceMismatchError(
-                f"expected {len(space.atoms)} atom masses, got {len(vec)}"
+                f"expected {len(space.atoms)} atom masses, got {len(num)}"
             )
-        if sum(vec) > 1:
-            raise SpaceMismatchError(f"total mass exceeds 1: {sum(vec)}")
+        if sum(num) > den:
+            raise SpaceMismatchError(f"total mass exceeds 1: {Fraction(sum(num), den)}")
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "mass", vec)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "num", num)
+
+    def __hash__(self) -> int:
+        return hash((self.den, self.num))
 
     @staticmethod
-    def of(space: Space, masses: Mapping[str, RationalLike]) -> "SubProb":
+    def of(
+        space: Space, masses: Mapping[str, RationalLike], den: int | None = None
+    ) -> "SubProb":
         """Build a measure from per-state masses.
 
         Keys are carrier states; omitted states carry mass zero.  At most one
         state per atom may be listed, and it sets its whole atom's mass.
+        With ``den`` given, the masses are integer numerators over it.
         """
         vec: list[RationalLike] = [0] * len(space.atoms)
         used: dict[int, str] = {}
@@ -83,22 +120,26 @@ class SubProb:
                 )
             used[idx] = state
             vec[idx] = raw
-        return SubProb(space, vec)
+        return SubProb(space, vec, den)
 
     @staticmethod
     def zero(space: Space) -> "SubProb":
-        return SubProb(space, [0] * len(space.atoms))
+        return SubProb(space, [0] * len(space.atoms), 1)
 
     @staticmethod
     def dirac(space: Space, state: str) -> "SubProb":
         """Point mass at ``state`` (all mass on the atom containing it)."""
-        vec = [Fraction(0)] * len(space.atoms)
-        vec[space.atom_of(state)] = Fraction(1)
-        return SubProb(space, vec)
+        vec = [0] * len(space.atoms)
+        vec[space.atom_of(state)] = 1
+        return SubProb(space, vec, 1)
+
+    @property
+    def mass(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     @property
     def total(self) -> Fraction:
-        return sum(self.mass, Fraction(0))
+        return Fraction(sum(self.num), self.den)
 
     def sort_key(self) -> tuple[Fraction, ...]:
         return self.mass
@@ -112,24 +153,50 @@ class SubProb:
         return f"SubProb({masses!r})" if masses else "SubProb(zero)"
 
 
-def evaluate(mu: SubProb, states: Iterable[str]) -> Fraction:
-    """Mass of a measurable set given as a union of atoms."""
-    idx = mu.space.atoms_of_set(states)
+def _mass_order(measures: Iterable[SubProb]) -> Callable[[SubProb], tuple[int, ...]]:
+    """A sort key ordering the given measures, all on one space, as their
+    mass vectors: integer numerators scaled to the lcm of the measures'
+    denominators."""
+    den = lcm(*{mu.den for mu in measures})
+
+    def key(mu: SubProb) -> tuple[int, ...]:
+        scale = den // mu.den
+        return mu.num if scale == 1 else tuple([n * scale for n in mu.num])
+
+    return key
+
+
+def _atoms_of(space: Space, states: Iterable[str]) -> tuple[int, ...]:
+    """Indices of the atoms whose union is ``states``."""
+    wanted = frozenset(states)
+    idx = space.atoms_of_set(wanted)
     if idx is None:
         raise NotMeasurableSetError(
-            f"{sorted(set(states))} is not a union of atoms of the space"
+            f"{sorted(wanted)} is not a union of atoms of the space"
         )
-    return sum((mu.mass[i] for i in idx), Fraction(0))
+    return idx
+
+
+def evaluate(mu: SubProb, states: Iterable[str]) -> Fraction:
+    """Mass of a measurable set given as a union of atoms."""
+    num = mu.num
+    return Fraction(sum([num[i] for i in _atoms_of(mu.space, states)]), mu.den)
+
+
+def _collect(space: Space, into: Sequence[int], mu: SubProb) -> SubProb:
+    """The measure on ``space`` whose atom ``j`` carries the mass of the
+    atoms ``i`` of ``mu`` with ``into[i] == j``."""
+    num = [0] * len(space.atoms)
+    for j, n in zip(into, mu.num):
+        num[j] += n
+    return SubProb(space, num, mu.den)
 
 
 def pushforward(f: MeasurableMap, mu: SubProb) -> SubProb:
     """Image measure along a measurable map: ``B -> mu(preimage of B)``."""
     if mu.space != f.domain:
         raise SpaceMismatchError("measure does not live on the map's domain")
-    return SubProb(
-        f.codomain,
-        [evaluate(mu, f.preimage(block)) for block in f.codomain.atoms],
-    )
+    return _collect(f.codomain, f.atom_map, mu)
 
 
 def unique_preimages(f: MeasurableMap, nu: SubProb) -> list[SubProb] | None:
@@ -142,23 +209,18 @@ def unique_preimages(f: MeasurableMap, nu: SubProb) -> list[SubProb] | None:
     none.  Multi-atom preimages with positive mass admit infinitely many
     rational splittings.
     """
-    masses = [None] * len(f.domain.atoms)
-    for i, block in enumerate(f.codomain.atoms):
-        pre = f.preimage(block)
-        idx = f.domain.atoms_of_set(pre)
-        weight = nu.mass[i]
-        if not idx:
-            if weight > 0:
+    preimage: list[list[int]] = [[] for _ in f.codomain.atoms]
+    for i, j in enumerate(f.atom_map):
+        preimage[j].append(i)
+    num = [0] * len(f.domain.atoms)
+    for idx, weight in zip(preimage, nu.num):
+        if weight:
+            if not idx:
                 return []
-            continue
-        if weight == 0:
-            for j in idx:
-                masses[j] = 0
-        elif len(idx) == 1:
-            masses[idx[0]] = weight
-        else:
-            return None  # infinitely many splits
-    return [SubProb(f.domain, [m or 0 for m in masses])]
+            if len(idx) > 1:
+                return None  # infinitely many splits
+            num[idx[0]] = weight
+    return [SubProb(f.domain, num, nu.den)]
 
 
 def restrict(mu: SubProb, coarser: Space) -> SubProb:
@@ -167,9 +229,10 @@ def restrict(mu: SubProb, coarser: Space) -> SubProb:
     Equals the pushforward along the identity-carrier inclusion into the
     coarser space.
     """
-    if not coarser.coarsens(mu.space):
+    into = mu.space.atom_map(coarser)
+    if into is None:
         raise _incompatible(mu.space, coarser)
-    return SubProb(coarser, [evaluate(mu, block) for block in coarser.atoms])
+    return _collect(coarser, into, mu)
 
 
 def _incompatible(fine: Space, coarse: Space):

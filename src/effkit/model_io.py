@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -37,7 +37,7 @@ __all__ = [
     "dumps_canonical",
 ]
 
-_RATIONAL = re.compile(r"^\d+(/[1-9]\d*)?$")
+_RATIONAL = re.compile(r"([0-9]+)(?:/([1-9][0-9]*))?")
 
 
 @dataclass(frozen=True)
@@ -52,23 +52,31 @@ def _fail(message: str, file: str | None, location: str) -> ModelFormatError:
     return ModelFormatError(message, file=file, location=location)
 
 
-def _parse_rational(raw: Any, file: str | None, location: str) -> Fraction:
-    if not isinstance(raw, str) or not _RATIONAL.match(raw):
-        raise _fail(
-            f'rationals must be "p/q", "0" or "1" strings, got {raw!r}', file, location
-        )
-    return Fraction(raw)
+def _rational(raw: str) -> tuple[int, int] | None:
+    """Numerator and denominator of a rational string, in any terms."""
+    match = _RATIONAL.fullmatch(raw)
+    try:
+        return None if match is None else (int(match[1]), int(match[2] or 1))
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 def _parse_measure(raw: Any, space: Space, file: str | None, location: str) -> SubProb:
     if not isinstance(raw, dict):
         raise _fail(f"a measure must be an object, got {type(raw).__name__}", file, location)
-    masses = {
-        state: _parse_rational(value, file, f"{location}.{state}")
-        for state, value in raw.items()
-    }
+    masses = {}
+    for state, value in raw.items():
+        parts = _rational(value) if isinstance(value, str) else None
+        if parts is None:
+            raise _fail(
+                f'rationals must be "p/q", "0" or "1" strings, got {value!r}',
+                file,
+                f"{location}.{state}",
+            )
+        masses[state] = parts
+    den = lcm(*(q for _, q in masses.values()))
     try:
-        return SubProb.of(space, masses)
+        return SubProb.of(space, {s: p * (den // q) for s, (p, q) in masses.items()}, den)
     except EffkitError as exc:
         raise _fail(str(exc), file, location) from exc
 
@@ -205,12 +213,17 @@ def load_map(path: str | Path, domain: Space, codomain: Space) -> MeasurableMap:
         raise ModelFormatError(str(exc), file=str(path), location="map") from exc
 
 
+def _rational_str(n: int, den: int) -> str:
+    g = gcd(n, den)
+    return f"{n // g}/{den // g}" if den != g else str(n // g)
+
+
 def _measure_to_dict(mu: SubProb) -> dict[str, str]:
-    out = {}
-    for i, block in enumerate(mu.space.atoms):
-        if mu.mass[i] != 0:
-            out[block[0]] = str(mu.mass[i])
-    return out
+    return {
+        block[0]: _rational_str(n, mu.den)
+        for block, n in zip(mu.space.atoms, mu.num)
+        if n
+    }
 
 
 def _measures_to_list(ms: MeasureSet) -> list[dict[str, str]]:

@@ -107,8 +107,10 @@ class Space:
 
     def atom_of(self, state: str) -> int:
         """Index of the atom containing ``state``."""
-        self.index(state)
-        return self._atom_index[state]
+        try:
+            return self._atom_index[state]
+        except KeyError:
+            raise ForeignStateError(f"state {state!r} not in carrier") from None
 
     def atoms_of_set(self, states: Iterable[str]) -> tuple[int, ...] | None:
         """Atom indices whose union is ``states``, or None if not measurable."""
@@ -127,9 +129,20 @@ class Space:
     def coarsens(self, finer: "Space") -> bool:
         """True if this space has the same carrier and every atom here is a
         union of atoms of ``finer``."""
-        if self.carrier != finer.carrier:
-            return False
-        return all(finer.atoms_of_set(block) is not None for block in self.atoms)
+        return finer.atom_map(self) is not None
+
+    def atom_map(self, coarser: "Space") -> tuple[int, ...] | None:
+        """Per atom here, the index of the atom of ``coarser`` holding it;
+        None unless ``coarser`` coarsens this space.  Both partition one
+        carrier, so each atom of ``coarser`` is a union of atoms here iff
+        each atom here lies inside one atom of ``coarser``."""
+        if self.carrier != coarser.carrier:
+            return None
+        index = coarser._atom_index
+        into = tuple(index[block[0]] for block in self.atoms)
+        if any(index[s] != j for block, j in zip(self.atoms, into) for s in block):
+            return None
+        return into
 
 
 @dataclass(frozen=True)
@@ -176,6 +189,13 @@ class MeasurableMap:
 
     def __call__(self, state: str) -> str:
         return self.mapping[state]
+
+    @cached_property
+    def atom_map(self) -> tuple[int, ...]:
+        """Per domain atom, the index of the codomain atom it maps into
+        (one atom, by measurability)."""
+        index, table = self.codomain._atom_index, self.mapping
+        return tuple(index[table[block[0]]] for block in self.domain.atoms)
 
     @cached_property
     def is_surjective(self) -> bool:

@@ -12,11 +12,12 @@ Degenerate encodings are fixed so that duality is a total involution: no
 generators at all encodes the empty family, and a single empty generator
 encodes the full family (the empty set is contained in everything).
 
-A measure set holds its members twice: as a tuple sorted by mass vector,
-which every iteration, ordering and emission uses so that output does not
-depend on hashing (a frozenset's iteration order changes with
-``PYTHONHASHSEED``), and as a frozenset, which answers containment and
-subset tests without rehashing the measures.  One routine, ``_minimal``,
+A measure set holds its members twice: as a tuple sorted by mass vector
+(and generators sort by their member tuples), which every iteration,
+ordering and emission uses so that output does not depend on hashing (a
+frozenset's iteration order changes with ``PYTHONHASHSEED``), and as a
+frozenset, which answers containment and subset tests without rehashing
+the measures.  One routine, ``_minimal``,
 keeps the minimal members of a family of sets; the ``UpperSet``
 constructor, ``dual`` and the refinement engine's signatures all use it.
 """
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import SpaceMismatchError
-from .measure import SubProb
+from .measure import SubProb, _mass_order
 from .space import Space
 
 __all__ = [
@@ -56,7 +57,7 @@ class MeasureSet:
             if mu.space != space:
                 raise SpaceMismatchError("measure set members must share one space")
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "members", tuple(sorted(unique, key=SubProb.sort_key)))
+        object.__setattr__(self, "members", tuple(sorted(unique, key=_mass_order(unique))))
         object.__setattr__(self, "member_set", unique)
 
     def __len__(self) -> int:
@@ -73,9 +74,6 @@ class MeasureSet:
 
     def union(self, other: "MeasureSet") -> "MeasureSet":
         return MeasureSet(self.space, self.members + other.members)
-
-    def sort_key(self):
-        return tuple(m.sort_key() for m in self.members)
 
     def __repr__(self) -> str:
         return f"MeasureSet({list(self.members)!r})"
@@ -104,7 +102,9 @@ class UpperSet:
     generators: tuple[MeasureSet, ...]
 
     def __init__(self, space: Space, generators: Iterable[MeasureSet]):
-        gens = sorted(generators, key=MeasureSet.sort_key)
+        gens = list(generators)
+        key = _mass_order(mu for g in gens for mu in g.members)
+        gens.sort(key=lambda g: tuple(map(key, g.members)))
         for g in gens:
             if g.space != space:
                 raise SpaceMismatchError("generators must live on the carrier space")

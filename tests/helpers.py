@@ -12,12 +12,13 @@ from effkit import (
     Kernel,
     MeasurableMap,
     MeasureSet,
+    NotMeasurableSetError,
     Relation,
     Space,
+    SpaceMismatchError,
     SubProb,
     UpperSet,
     contains,
-    evaluate,
     restrict,
     sigma_r,
     unique_preimages,
@@ -122,6 +123,22 @@ def rand_fin_supported_ef(
             space, (rand_measure_set(rng, space, lo, max_measures, max_den),)
         )
     return EffFn(space, portfolio)
+
+
+def rand_coarsening(rng: Random, space: Space) -> Space:
+    """The carrier under a random merge of the atoms of ``space``."""
+    groups = rand_partition_blocks(rng, list(range(len(space.atoms))))
+    return Space(space.carrier, [[s for i in g for s in space.atoms[i]] for g in groups])
+
+
+def rand_measurable_map(rng: Random, dom: Space, cod: Space) -> MeasurableMap:
+    """Each domain atom sent into one random codomain atom, state by state
+    to random states of it, so the map is measurable by construction."""
+    table = {}
+    for block in dom.atoms:
+        target = rng.choice(cod.atoms)
+        table.update((s, rng.choice(target)) for s in block)
+    return MeasurableMap(dom, cod, table)
 
 
 def rand_surjection(rng: Random, dom: Space, cod: Space) -> MeasurableMap:
@@ -271,7 +288,59 @@ def sigma_r_blocks_oracle(rel: Relation) -> set[frozenset[str]]:
 
 def agree_mod_oracle(rel: Relation, mu: SubProb, nu: SubProb) -> bool:
     return all(
-        evaluate(mu, c) == evaluate(nu, c) for c in closed_atom_unions(rel)
+        evaluate_oracle(mu, c) == evaluate_oracle(nu, c) for c in closed_atom_unions(rel)
+    )
+
+
+# Fraction-vector arithmetic: measures as one Fraction per atom, the way
+# SubProb computed before it held integer numerators over one denominator.
+
+
+def subprob_oracle(space: Space, masses) -> tuple[Fraction, ...]:
+    """Mass vector of ``SubProb(space, masses)``, one Fraction per entry,
+    raising the constructor's errors with its messages."""
+    vec = []
+    for m in masses:
+        q = Fraction(m)
+        if q < 0:
+            raise SpaceMismatchError(f"negative mass {m!r}")
+        vec.append(q)
+    if len(vec) != len(space.atoms):
+        raise SpaceMismatchError(f"expected {len(space.atoms)} atom masses, got {len(vec)}")
+    if sum(vec) > 1:
+        raise SpaceMismatchError(f"total mass exceeds 1: {sum(vec)}")
+    return tuple(vec)
+
+
+def evaluate_oracle(mu: SubProb, states) -> Fraction:
+    idx = mu.space.atoms_of_set(states)
+    if idx is None:
+        raise NotMeasurableSetError("not a union of atoms")
+    return sum((mu.mass[i] for i in idx), Fraction(0))
+
+
+def pushforward_oracle(f: MeasurableMap, mu: SubProb) -> tuple[Fraction, ...]:
+    return tuple(evaluate_oracle(mu, f.preimage(block)) for block in f.codomain.atoms)
+
+
+def restrict_oracle(mu: SubProb, coarser: Space) -> tuple[Fraction, ...] | None:
+    """Block masses on ``coarser``, or None if it does not coarsen the
+    measure's space."""
+    fine = mu.space
+    if coarser.carrier != fine.carrier or any(
+        fine.atoms_of_set(block) is None for block in coarser.atoms
+    ):
+        return None
+    return tuple(evaluate_oracle(mu, block) for block in coarser.atoms)
+
+
+def upperset_order_oracle(generators) -> list[tuple[tuple[Fraction, ...], ...]]:
+    """Generator order of the UpperSet of ``generators``: the minimal
+    distinct ones, by size and then by their members' mass vectors."""
+    keys = {tuple(sorted(mu.mass for mu in g.members)) for g in generators}
+    kept = minimal_oracle({frozenset(k) for k in keys})
+    return sorted(
+        (k for k in keys if frozenset(k) in kept), key=lambda k: (len(k), k)
     )
 
 

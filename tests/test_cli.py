@@ -95,6 +95,33 @@ class TestValidate:
         assert code == 2
         assert "p/q" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "mass",
+        ["0\n", "1/2\n", "\u0661", "1/\u0662", "\u00b2", "1/" + "1" * 5000],
+        ids=[
+            "zero-newline", "half-newline", "arabic-indic", "arabic-indic-den", "superscript",
+            "5000-digits",
+        ],
+    )
+    def test_rational_needs_ascii_digits_only(self, tmp_path, mass):
+        doc = dict(K_A_DOC, kernels={"a": {"s0": [{"s2": mass}], "s1": [], "s2": []}})
+        path = write(tmp_path, "digits.json", doc)
+        code, out, err = invoke("validate", path)
+        assert code == 2 and out == ""
+        diagnostic = json.loads(err)["error"]
+        assert diagnostic["file"] == path
+        assert diagnostic["location"] == "kernels.a.s0[0].s2"
+        assert "p/q" in diagnostic["message"]
+
+    def test_unreduced_rationals_read_exactly(self, tmp_path):
+        kernel = {"s0": [{"s1": "2/4", "s2": "003/12"}], "s1": [], "s2": []}
+        doc = dict(K_A_DOC, kernels={"a": kernel})
+        model = load_model(write(tmp_path, "unreduced.json", doc))
+        (mu,) = model.nlmp.kernel("a")("s0")
+        assert (mu.den, mu.num) == (4, (0, 2, 1))
+        emitted = model_to_dict(model)["kernels"]["a"]["s0"]
+        assert emitted == [{"s1": "1/2", "s2": "1/4"}]
+
     def test_missing_file(self, tmp_path):
         code, _, err = invoke("validate", str(tmp_path / "nope.json"))
         assert code == 2
@@ -170,6 +197,17 @@ class TestEvalDistinguish:
         code, out, err = invoke("eval", efA, "--formula", formula, "--state", "s0")
         assert code == 2 and out == ""
         assert "nested deeper" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "formula",
+        ["<>[T > \u00b2]", "<>[T > \u0661/\u0662]", "<>[T > 1/0]", "<>[T > 1/" + "1" * 5000 + "]"],
+        ids=["superscript", "arabic-indic", "zero-denominator", "5000-digits"],
+    )
+    def test_eval_rational_is_ascii_and_readable(self, efA, formula):
+        code, out, err = invoke("eval", efA, "--formula", formula)
+        assert code == 2 and out == ""
+        assert set(json.loads(err)["error"]) == {"file", "location", "message"}
+        assert "(at position 7)" in json.loads(err)["error"]["message"]
 
     def test_lequiv(self, efA):
         code, out, _ = invoke("lequiv", efA)

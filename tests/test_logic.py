@@ -22,6 +22,7 @@ from effkit import (
     MeasureSet,
     Relation,
     Space,
+    SpaceMismatchError,
     SubProb,
     Threshold,
     ThresholdOutOfRangeError,
@@ -171,6 +172,9 @@ class TestEval:
         psi = parse_formula("<>[T > 1/2]").body
         assert eval_measure(P_A, psi, D2)
         assert not eval_measure(P_A, psi, ZERO)
+        elsewhere = SubProb.dirac(Space.discrete(["t0", "t1", "t2"]), "t2")
+        with pytest.raises(SpaceMismatchError):
+            eval_measure(P_A, psi, elsewhere)
 
     def test_extension_is_atom_union_on_quotient_spaces(self):
         # a portfolio constant on coarser atoms keeps extensions measurable

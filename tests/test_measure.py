@@ -4,6 +4,7 @@ invariant transport."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from random import Random
 
 import pytest
@@ -11,12 +12,14 @@ import pytest
 from effkit import (
     IncompatiblePartitionError,
     MeasurableMap,
+    MeasureSet,
     NotMeasurableSetError,
     NotSurjectiveError,
     Relation,
     Space,
     SpaceMismatchError,
     SubProb,
+    UpperSet,
     agree_mod,
     compose,
     evaluate,
@@ -25,8 +28,22 @@ from effkit import (
     pushforward,
     restrict,
     sigma_r,
+    unique_preimages,
 )
-from helpers import agree_mod_oracle, rand_space, rand_subprob, rand_surjection
+from helpers import (
+    agree_mod_oracle,
+    evaluate_oracle,
+    pushforward_oracle,
+    rand_coarsening,
+    rand_measurable_map,
+    rand_partition_blocks,
+    rand_space,
+    rand_subprob,
+    rand_surjection,
+    restrict_oracle,
+    subprob_oracle,
+    upperset_order_oracle,
+)
 
 S3 = Space.discrete(["s0", "s1", "s2"])
 T2 = Space.discrete(["t0", "t1"])
@@ -237,3 +254,105 @@ class TestInvariantTransport:
             mu0 = rand_subprob(rng, dom)
             back = invariant_measure_transport(f, pushforward(f, mu0))
             assert back == restrict(mu0, invariant)
+
+
+def _rand_masses(rng: Random, n: int) -> list:
+    """Atom masses as a mix of int, Fraction and non-reduced strings; now and
+    then a negative entry, a wrong count or a total above one."""
+    den = rng.randint(1, 12)
+    remaining = den + (rng.random() < 0.1)
+    masses = []
+    for _ in range(n + rng.choice([0] * 18 + [-1, 1])):
+        take = rng.randint(0, remaining) if rng.random() < 0.7 else 0
+        remaining -= take
+        q = Fraction(take, den)
+        if rng.random() < 0.03:
+            q = -q - 1
+        k = rng.randint(1, 4)
+        kind = rng.random()
+        if q.denominator == 1 and kind < 0.3:
+            masses.append(int(q))
+        elif kind < 0.6:
+            masses.append(q)
+        else:
+            masses.append(f"{q.numerator * k}/{q.denominator * k}")
+    return masses
+
+
+class TestIntegerRepresentation:
+    """SubProb holds integer numerators over one denominator; every result
+    is checked against one-Fraction-per-atom arithmetic (helpers)."""
+
+    def test_construction_matches_fraction_oracle(self):
+        rng = Random(43)
+        built = 0
+        for _ in range(2000):
+            space = rand_space(rng, 1, 6, allow_coarse=True)
+            masses = _rand_masses(rng, len(space.atoms))
+            try:
+                vec = subprob_oracle(space, masses)
+            except SpaceMismatchError as exc:
+                with pytest.raises(SpaceMismatchError) as got:
+                    SubProb(space, masses)
+                assert str(got.value) == str(exc)
+                continue
+            built += 1
+            mu = SubProb(space, masses)
+            assert mu.mass == vec and mu.total == sum(vec)
+            assert mu.den == lcm(*(q.denominator for q in vec))
+            assert gcd(mu.den, *mu.num) == 1
+            k = rng.randint(2, 6)
+            for twin in (SubProb(space, vec), SubProb(space, [n * k for n in mu.num], mu.den * k)):
+                assert twin == mu and hash(twin) == hash(mu)
+                assert (twin.den, twin.num) == (mu.den, mu.num)
+        assert built > 1500
+
+    def test_operations_match_fraction_oracle(self):
+        rng = Random(47)
+        for _ in range(2000):
+            space = rand_space(rng, 1, 6, allow_coarse=True)
+            mu = rand_subprob(rng, space, max_den=12)
+            states = [s for s in space.carrier if rng.random() < 0.5]
+            try:
+                expected = evaluate_oracle(mu, states)
+            except NotMeasurableSetError:
+                with pytest.raises(NotMeasurableSetError):
+                    evaluate(mu, states)
+            else:
+                assert evaluate(mu, states) == expected
+
+            cod = rand_space(rng, 1, 4, allow_coarse=True)
+            f = rand_measurable_map(rng, space, cod)
+            nu = pushforward(f, mu)
+            assert nu.mass == pushforward_oracle(f, mu)
+            for pre in unique_preimages(f, nu) or ():
+                assert pushforward(f, pre) == nu
+
+            coarser = rand_coarsening(rng, space)
+            assert restrict(mu, coarser).mass == restrict_oracle(mu, coarser)
+            other = Space(space.carrier, rand_partition_blocks(rng, list(space.carrier)))
+            if restrict_oracle(mu, other) is None:
+                with pytest.raises(IncompatiblePartitionError):
+                    restrict(mu, other)
+            else:
+                assert restrict(mu, other).mass == restrict_oracle(mu, other)
+
+            pairs = set()
+            for _ in range(rng.randint(0, 3)):
+                s, t = rng.choice(space.carrier), rng.choice(space.carrier)
+                pairs |= {(s, t), (t, s)}
+            rel = Relation(space, pairs)
+            other_mu = rand_subprob(rng, space, max_den=12)
+            assert agree_mod(rel, mu, other_mu) == agree_mod_oracle(rel, mu, other_mu)
+
+    def test_sort_order_follows_fraction_vectors(self):
+        rng = Random(53)
+        for _ in range(300):
+            space = rand_space(rng, 1, 4, allow_coarse=True)
+            pool = [rand_subprob(rng, space, max_den=rng.choice([2, 6, 12])) for _ in range(6)]
+            ms = MeasureSet(space, rng.sample(pool, rng.randint(0, 6)))
+            assert [mu.mass for mu in ms.members] == sorted({mu.mass for mu in ms.members})
+            gens = [MeasureSet(space, rng.sample(pool, rng.randint(0, 3))) for _ in range(5)]
+            u = UpperSet(space, gens)
+            got = [tuple(mu.mass for mu in g.members) for g in u.generators]
+            assert got == upperset_order_oracle(gens)
