@@ -3,10 +3,20 @@
 Rationals travel as strings ("p/q", "0", "1") so no float ever touches a
 mass.  A model file holds either a labelled process (kind "nlmp") or an
 effectivity function (kind "ef"); measures are objects mapping a state to
-its atom's mass, omitted states carrying mass zero.  Emission is canonical:
-states in carrier order, atoms always listed, masses in lowest terms, so
-re-parsing an emitted model yields an equal value and equal inputs emit
-byte-identical JSON.
+its atom's mass, omitted states carrying mass zero.
+
+Files are read as bytes and decoded as UTF-8 (RFC 8259), whatever the
+locale; a file that is not UTF-8 or not JSON, nests too deeply or holds an
+integer too long to convert is a located :class:`ModelFormatError`.  Each
+distinct measure object of one model file is built once, so a measure
+object that repeats in the file becomes one shared :class:`SubProb`; the
+cache lives for one load.
+
+Emission is canonical: states in carrier order, atoms always listed, masses
+in lowest terms, so re-parsing an emitted model yields an equal value and
+equal inputs emit byte-identical JSON.  :func:`dumps_canonical` writes
+exactly the bytes of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``
+(ASCII only, keys sorted, two-space indent).
 """
 
 from __future__ import annotations
@@ -14,6 +24,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 from pathlib import Path
 from typing import Any, Mapping
@@ -61,24 +72,52 @@ def _rational(raw: str) -> tuple[int, int] | None:
         return None
 
 
-def _parse_measure(raw: Any, space: Space, file: str | None, location: str) -> SubProb:
-    if not isinstance(raw, dict):
-        raise _fail(f"a measure must be an object, got {type(raw).__name__}", file, location)
-    masses = {}
-    for state, value in raw.items():
-        parts = _rational(value) if isinstance(value, str) else None
-        if parts is None:
+class _MeasureReader:
+    """Reads the measures of one model file.
+
+    Each distinct measure object (the same states and strings in the same
+    order) is built once, so repeats share one :class:`SubProb`.  A reader
+    serves one :func:`model_from_dict` call and is dropped with it.
+    """
+
+    def __init__(self, space: Space, file: str | None):
+        self.space = space
+        self.file = file
+        self.measures: dict[tuple, SubProb] = {}
+
+    def __call__(self, raw: Any, where: str, i: int) -> SubProb:
+        """The measure ``raw``, found at ``where[i]`` in the file."""
+        if not isinstance(raw, dict):
             raise _fail(
-                f'rationals must be "p/q", "0" or "1" strings, got {value!r}',
-                file,
-                f"{location}.{state}",
+                f"a measure must be an object, got {type(raw).__name__}", self.file, f"{where}[{i}]"
             )
-        masses[state] = parts
-    den = lcm(*(q for _, q in masses.values()))
-    try:
-        return SubProb.of(space, {s: p * (den // q) for s, (p, q) in masses.items()}, den)
-    except EffkitError as exc:
-        raise _fail(str(exc), file, location) from exc
+        key = tuple(raw.items())
+        try:
+            mu = self.measures.get(key)
+        except TypeError:  # an unhashable value, which _read reports
+            return self._read(raw, f"{where}[{i}]")
+        if mu is None:
+            mu = self.measures[key] = self._read(raw, f"{where}[{i}]")
+        return mu
+
+    def _read(self, raw: dict, location: str) -> SubProb:
+        # faults are reported in the order rationals, states, mass
+        parts = []
+        for state, value in raw.items():
+            pq = _rational(value) if isinstance(value, str) else None
+            if pq is None:
+                raise _fail(
+                    f'rationals must be "p/q", "0" or "1" strings, got {value!r}',
+                    self.file,
+                    f"{location}.{state}",
+                )
+            parts.append(pq)
+        den = lcm(*[q for _, q in parts])
+        nums = [p * (den // q) for p, q in parts]
+        try:
+            return SubProb.of(self.space, dict(zip(raw, nums)), den)
+        except EffkitError as exc:
+            raise _fail(str(exc), self.file, location) from exc
 
 
 def _parse_space(doc: Mapping[str, Any], file: str | None) -> Space:
@@ -108,6 +147,7 @@ def model_from_dict(doc: Mapping[str, Any], file: str | None = None) -> Model:
     if kind not in ("nlmp", "ef"):
         raise _fail("'kind' must be \"nlmp\" or \"ef\"", file, "kind")
     space = _parse_space(doc, file)
+    read_measure = _MeasureReader(space, file)
     if kind == "nlmp":
         labels = doc.get("labels")
         if not isinstance(labels, list) or not all(isinstance(a, str) for a in labels):
@@ -126,10 +166,8 @@ def model_from_dict(doc: Mapping[str, Any], file: str | None = None) -> Model:
                     raise _fail(f"unknown state {state!r}", file, f"kernels.{label}.{state}")
                 if not isinstance(measures, list):
                     raise _fail("kernel entries must be lists of measures", file, f"kernels.{label}.{state}")
-                image[state] = [
-                    _parse_measure(m, space, file, f"kernels.{label}.{state}[{i}]")
-                    for i, m in enumerate(measures)
-                ]
+                where = f"kernels.{label}.{state}"
+                image[state] = [read_measure(m, where, i) for i, m in enumerate(measures)]
             kernels[label] = Kernel(space, image)
         return Model("nlmp", space, nlmp=Nlmp(space, kernels))
 
@@ -146,14 +184,9 @@ def model_from_dict(doc: Mapping[str, Any], file: str | None = None) -> Model:
         for i, gen in enumerate(gens):
             if not isinstance(gen, list):
                 raise _fail("a generator must be a list of measures", file, f"effectivity.{state}[{i}]")
+            where = f"effectivity.{state}[{i}]"
             parsed.append(
-                MeasureSet(
-                    space,
-                    [
-                        _parse_measure(m, space, file, f"effectivity.{state}[{i}][{j}]")
-                        for j, m in enumerate(gen)
-                    ],
-                )
+                MeasureSet(space, [read_measure(m, where, j) for j, m in enumerate(gen)])
             )
         portfolio[state] = UpperSet(space, parsed)
     missing = [s for s in space.carrier if s not in portfolio]
@@ -163,16 +196,28 @@ def model_from_dict(doc: Mapping[str, Any], file: str | None = None) -> Model:
 
 
 def _read_json(path: str | Path) -> Any:
+    file = str(path)
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
-        raise ModelFormatError(f"cannot read file: {exc}", file=str(path)) from exc
+        raise ModelFormatError(f"cannot read file: {exc}", file=file) from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ModelFormatError(
+            f"invalid UTF-8: {exc.reason} at byte {exc.start}", file=file, location=f"line {line}"
+        ) from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(
-            f"invalid JSON: {exc.msg}", file=str(path), location=f"line {exc.lineno}"
+            f"invalid JSON: {exc.msg}", file=file, location=f"line {exc.lineno}"
         ) from exc
+    except RecursionError:
+        raise ModelFormatError("invalid JSON: nested too deeply", file=file, location="$") from None
+    except ValueError as exc:  # an integer with more digits than int() converts
+        raise ModelFormatError("invalid JSON: integer too long", file=file, location="$") from exc
 
 
 def load_model(path: str | Path) -> Model:
@@ -183,9 +228,11 @@ def load_partition(path: str | Path, space: Space) -> Space:
     """A partition file is a JSON array of blocks of state names; the result
     is the carrier of ``space`` under the listed partition."""
     doc = _read_json(path)
-    if not isinstance(doc, list) or not all(isinstance(b, list) for b in doc):
+    if not isinstance(doc, list) or not all(
+        isinstance(b, list) and all(isinstance(s, str) for s in b) for b in doc
+    ):
         raise ModelFormatError(
-            "partition file must hold a list of blocks", file=str(path), location="$"
+            "partition file must hold a list of blocks of state names", file=str(path), location="$"
         )
     try:
         return Space(space.carrier, doc)
@@ -261,4 +308,52 @@ def model_to_dict(model: Model) -> dict[str, Any]:
 
 
 def dumps_canonical(doc: Any) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, for documents
+    of dicts with string keys, lists, tuples, strings, ints, booleans and
+    ``None``."""
+    chunks: list[str] = []
+    _emit(doc, "\n", chunks)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _emit(obj: Any, newline: str, chunks: list[str]) -> None:
+    """Append ``obj`` to ``chunks`` as indented JSON whose closing bracket
+    follows ``newline``.  A module-level function, so a call leaves no cycle
+    of closures for the garbage collector."""
+    if isinstance(obj, str):
+        chunks.append(_quote(obj))
+    elif obj is None:
+        chunks.append("null")
+    elif obj is True:
+        chunks.append("true")
+    elif obj is False:
+        chunks.append("false")
+    elif isinstance(obj, int):
+        chunks.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            chunks.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            chunks.append(f"{sep}{_quote(key)}: ")
+            _emit(obj[key], inner, chunks)
+            sep = "," + inner
+        chunks.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            chunks.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            chunks.append(sep)
+            _emit(item, inner, chunks)
+            sep = "," + inner
+        chunks.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

@@ -4,6 +4,7 @@ independent brute-force oracles used to freeze expected values."""
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 from random import Random
 
@@ -488,3 +489,38 @@ def pairwise_bisim_oracle(system) -> Relation:
         if refined == rel:
             return rel
         rel = refined
+
+
+# Canonical JSON emission as the standard library writes it.
+
+
+def dumps_oracle(doc) -> str:
+    """The bytes ``dumps_canonical`` must write for ``doc``."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+_JSON_CHARS = "az09 \"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\u4e2d\U0001f600"
+
+
+def rand_json_doc(rng: Random, depth: int = 4):
+    """A random JSON document of dicts with string keys, lists, tuples,
+    strings over ASCII, control, quote and non-ASCII characters, ints,
+    booleans and ``None``; containers are often empty."""
+    def text() -> str:
+        return "".join(rng.choice(_JSON_CHARS) for _ in range(rng.randint(0, 6)))
+
+    kind = rng.randrange(8 if depth else 5)
+    if kind == 0:
+        return text()
+    if kind == 1:
+        return rng.choice([0, 1, -1, 7, -(10**30), 10**40])
+    if kind == 2:
+        return rng.choice([True, False])
+    if kind == 3:
+        return None
+    if kind == 4:
+        return rng.randint(-1000, 1000)
+    if kind == 5:
+        return {text(): rand_json_doc(rng, depth - 1) for _ in range(rng.randint(0, 4))}
+    items = [rand_json_doc(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    return items if kind == 6 else tuple(items)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
@@ -21,7 +23,7 @@ from effkit.model_io import (
     model_to_dict,
     nlmp_model,
 )
-from helpers import rand_ef, rand_kernel, rand_space
+from helpers import dumps_oracle, rand_ef, rand_json_doc, rand_kernel, rand_space
 
 from effkit import Nlmp
 
@@ -126,6 +128,112 @@ class TestValidate:
         code, _, err = invoke("validate", str(tmp_path / "nope.json"))
         assert code == 2
 
+    def test_repeated_measures_load_as_one_subprob(self, tmp_path):
+        half = {"s2": "1/2", "s0": "1/4"}
+        kernels = {
+            "a": {"s0": [half], "s1": [dict(half), {"s1": "1"}], "s2": []},
+            "b": {"s0": [], "s1": [], "s2": [dict(half)]},
+        }
+        doc = dict(K_A_DOC, labels=["a", "b"], kernels=kernels)
+        path = write(tmp_path, "k.json", doc)
+        nlmp = load_model(path).nlmp
+        (mu,) = nlmp.kernel("a")("s0").members
+        assert [nu for nu in nlmp.kernel("a")("s1").members if nu == mu][0] is mu
+        assert nlmp.kernel("b")("s2").members[0] is mu
+        # no measure outlives its load
+        assert load_model(path).nlmp.kernel("a")("s0").members[0] is not mu
+        effectivity = {"s0": [[half], [half, {}]], "s1": [[{}, half]], "s2": [[{}]]}
+        ef = load_model(write(tmp_path, "ef.json", dict(EF_A_DOC, effectivity=effectivity))).ef
+        shared = [mu for s in ef.space.carrier for g in ef(s).generators for mu in g.members]
+        assert len({id(mu) for mu in shared}) == 2
+
+    @pytest.mark.parametrize(
+        "measure, field, message",
+        [
+            ({"s2": "3/2"}, "", "total mass exceeds 1: 3/2"),
+            ({"s2": "1/0"}, ".s2", "got '1/0'"),
+            ({"s2": ["1"]}, ".s2", "got ['1']"),
+            ({"zz": "1"}, "", "state 'zz' not in carrier"),
+        ],
+        ids=["mass", "rational", "unhashable", "state"],
+    )
+    def test_repeated_malformed_measure_reports_its_first_location(
+        self, tmp_path, measure, field, message
+    ):
+        kernel = {"s0": [{"s1": "1"}], "s1": [{"s1": "1"}, measure], "s2": [measure]}
+        path = write(tmp_path, "k.json", dict(K_A_DOC, kernels={"a": kernel}))
+        code, _, err = invoke("validate", path)
+        assert code == 2
+        diagnostic = json.loads(err)["error"]
+        assert diagnostic["location"] == "kernels.a.s1[1]" + field
+        assert message in diagnostic["message"]
+
+    @pytest.mark.parametrize(
+        "measure, field, message",
+        [
+            ({"s0": "1/4", "s1": "1/4", "zz": "1", "s2": "x"}, ".s2", "got 'x'"),
+            ({"s0": "1/4", "s1": "1/4", "zz": "1"}, "", "states 's0' and 's1' lie in one atom"),
+            ({"zz": "1", "s0": "1/4", "s1": "1/4"}, "", "state 'zz' not in carrier"),
+            ({"s0": "1/4", "s1": "1/2"}, "", "states 's0' and 's1' lie in one atom"),
+            ({"s1": "3/4", "s2": "1/2"}, "", "total mass exceeds 1: 5/4"),
+        ],
+        ids=[
+            "rationals-first", "atom-before-later-state", "state-before-later-atom", "atom",
+            "mass-last",
+        ],
+    )
+    def test_first_fault_of_a_measure_wins(self, tmp_path, measure, field, message):
+        doc = {
+            "kind": "ef",
+            "states": ["s0", "s1", "s2"],
+            "sigma": [["s0", "s1"], ["s2"]],
+            "effectivity": {"s0": [[{}]], "s1": [[{}]], "s2": [[{"s2": "1"}, measure]]},
+        }
+        code, _, err = invoke("validate", write(tmp_path, "ef.json", doc))
+        assert code == 2
+        diagnostic = json.loads(err)["error"]
+        assert diagnostic["location"] == "effectivity.s2[0][1]" + field
+        assert message in diagnostic["message"]
+
+
+class TestUnreadableFiles:
+    """Every file that cannot be decoded as JSON ends with a located
+    diagnostic and exit 2."""
+
+    @pytest.mark.parametrize("role", ["model", "partition"])
+    @pytest.mark.parametrize(
+        "content, location, message",
+        [
+            (b'{"kind": "nlmp",\n "states": ["\xff"]}', "line 2", "invalid UTF-8"),
+            (b"[" * 100_000, "$", "nested too deeply"),
+            (b'{"kind": ' + b"1" * 5000 + b"}", "$", "integer too long"),
+        ],
+        ids=["invalid-utf8", "deep-nesting", "5000-digit-int"],
+    )
+    def test_decode_failure_is_located(self, tmp_path, kA, role, content, location, message):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        argv = ["validate", str(bad)] if role == "model" else ["event-bisim", kA, "--partition", str(bad)]
+        code, out, err = invoke(*argv)
+        assert code == 2 and out == ""
+        diagnostic = json.loads(err)["error"]
+        assert (diagnostic["file"], diagnostic["location"]) == (str(bad), location)
+        assert message in diagnostic["message"]
+
+    def test_utf8_model_reads_under_the_c_locale(self, tmp_path):
+        doc = dict(K_A_DOC, states=["s0", "s1", "\u00e9"])
+        doc["kernels"] = {"a": {"s0": [{"\u00e9": "1"}], "s1": [], "\u00e9": []}}
+        path = tmp_path / "accent.json"
+        path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "effkit.cli", "bisim", str(path)],
+            capture_output=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["partition"] == [["s0"], ["s1", "\u00e9"]]
+
 
 class TestBisim:
     def test_partition_and_exit_zero(self, kA):
@@ -167,6 +275,16 @@ class TestPartitionCommands:
         part = write(tmp_path, "p.json", [["s0"], ["s1"]])
         code, _, err = invoke("event-bisim", kA, "--partition", part)
         assert code == 2
+
+    def test_partition_blocks_list_state_names(self, kA, tmp_path):
+        part = write(tmp_path, "p.json", [[["s0"]], ["s1", "s2"]])
+        code, _, err = invoke("event-bisim", kA, "--partition", part)
+        assert code == 2
+        assert json.loads(err)["error"] == {
+            "file": part,
+            "location": "$",
+            "message": "partition file must hold a list of blocks of state names",
+        }
 
 
 class TestEvalDistinguish:
@@ -421,6 +539,29 @@ class TestFormatAndDeterminism:
             ]
             assert outputs[0].returncode in (0, 1) and outputs[0].stdout, argv
             assert outputs[0].stdout == outputs[1].stdout, argv
+
+
+class TestCanonicalEmitter:
+    def test_matches_json_dumps_on_random_documents(self):
+        rng = Random(8259)
+        for _ in range(2000):
+            doc = rand_json_doc(rng)
+            assert dumps_canonical(doc) == dumps_oracle(doc)
+
+    def test_unsupported_values_raise_type_error(self):
+        for doc in ({"a": {1, 2}}, [Fraction(1, 2)], {1: "a"}):
+            with pytest.raises(TypeError):
+                dumps_canonical(doc)
+
+    def test_leaves_no_garbage_cycle(self):
+        doc = {"kernels": {"a": [{"s0": "1/2"}, []], "b": {}}, "n": 3, "ok": True, "x": None}
+        gc.disable()
+        try:
+            gc.collect()
+            dumps_canonical(doc)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestModelRoundTrips:
