@@ -362,18 +362,14 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, payload = args.handler(args)
-    except ModelFormatError as exc:
+    except EffkitError as exc:
         diagnostic = {
             "error": {
-                "file": exc.file,
-                "location": exc.location,
+                "file": getattr(exc, "file", None),
+                "location": getattr(exc, "location", None),
                 "message": str(exc),
             }
         }
-        err.write(dumps_canonical(diagnostic))
-        return 2
-    except EffkitError as exc:
-        diagnostic = {"error": {"file": None, "location": None, "message": str(exc)}}
         err.write(dumps_canonical(diagnostic))
         return 2
     if args.format == "json":

@@ -159,7 +159,7 @@ def _is_bisim(portfolios: Sequence[EffFn], rel: Relation) -> bool:
     passes the transfer test iff its two signatures are equal."""
     _, classes = next(_refine(rel.base, portfolios, sigma_r(rel).atoms))
     number = {s: i for i, c in enumerate(c for group in classes for c in group) for s in c}
-    return all(number[s] == number[t] for s, t in rel.pairs)
+    return all(len({number[s] for s in (*h, *ts)}) == 1 for ts, h in rel._holders.items() if ts)
 
 
 def is_ef_state_bisim(p: EffFn, rel: Relation) -> bool:
@@ -304,16 +304,15 @@ def is_subsystem(p: EffFn, coarser: Space) -> bool:
     """Whether a coarser sigma-algebra on the carrier cuts out a subsystem:
     the portfolio restricted to the coarser space must be constant on each
     coarser atom, which is the finite form of t-measurability of the
-    restricted portfolio."""
+    restricted portfolio.  One refinement round from the coarser atoms
+    decides it: they are their own atom closure, and equal signatures are
+    equal restricted antichains (docs/derivations.md, section 6)."""
     if not coarser.coarsens(p.space):
         raise IncompatiblePartitionError(
             "subsystem test needs a coarsening of the portfolio space's atoms"
         )
-    for block in coarser.atoms:
-        seen = {restrict_upperset(p(s), coarser) for s in block}
-        if len(seen) > 1:
-            return False
-    return True
+    _, classes = next(_refine(p.space, (p,), coarser.atoms))
+    return all(len(group) == 1 for group in classes)
 
 
 def dual_ef(p: EffFn) -> EffFn:

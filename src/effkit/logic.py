@@ -295,10 +295,6 @@ def parse_formula(text: str) -> StateFormula:
     return formula
 
 
-def _fmt_rat(q: Fraction) -> str:
-    return str(q)
-
-
 def _fmt_state(f: StateFormula, prec: int) -> str:
     if isinstance(f, Top):
         return "T"
@@ -320,7 +316,7 @@ def _fmt_munit(m: MeasureFormula) -> str:
 
 def _fmt_measure(m: MeasureFormula, prec: int) -> str:
     if isinstance(m, Threshold):
-        return f"[{_fmt_state(m.state, 0)} {m.cmp} {_fmt_rat(m.bound)}]"
+        return f"[{_fmt_state(m.state, 0)} {m.cmp} {m.bound!s}]"
     if isinstance(m, MAnd):
         text = f"{_fmt_measure(m.left, 2)} & {_fmt_measure(m.right, 3)}"
         return f"({text})" if prec > 2 else text
@@ -475,21 +471,15 @@ class _Refiner:
             seen.setdefault(sig[s], []).append(s)
         return tuple(tuple(block) for block in seen.values())
 
-    def _close_family(self) -> None:
-        changed = True
-        while changed:
-            changed = False
-            items = list(self.family.items())
-            for (e1, f1), (e2, f2) in itertools.combinations(items, 2):
-                meet = e1 & e2
-                if meet not in self.family:
-                    self.family[meet] = And(f1, f2)
-                    changed = True
-
     def _add(self, formula: StateFormula, ext: frozenset[str]) -> None:
+        """Insert a confirmed formula and its meets with the family, which
+        keeps an intersection-closed family closed (docs/derivations.md,
+        section 12)."""
         if ext not in self.family:
+            old = list(self.family.items())
             self.family[ext] = formula
-            self._close_family()
+            for e, f in old:
+                self.family.setdefault(e & ext, And(f, formula))
 
     def refine(self, watch: tuple[str, str] | None = None):
         """Run refinement to the fixed point.

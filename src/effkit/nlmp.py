@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .effectivity import EffFn, _greatest_bisim, _is_bisim, is_subsystem
+from .effectivity import EffFn, _greatest_bisim, _is_bisim, _preimage_set, is_subsystem
 from .errors import ForeignStateError, IncompatiblePartitionError, SpaceMismatchError
-from .measure import SubProb, pushforward, unique_preimages
+from .measure import SubProb, pushforward
 from .space import DirectSum, MeasurableMap, Relation, Space, direct_sum as space_sum
 from .upperset import MeasureSet, UpperSet
 
@@ -148,13 +148,7 @@ def is_nk_morphism(f: MeasurableMap, k: Kernel, k2: Kernel) -> bool:
         target = k2(f(s))
         if any(pushforward(f, mu) not in target for mu in source):
             return False
-        expected: set[SubProb] = set()
-        for nu in target:
-            sols = unique_preimages(f, nu)
-            if sols is None:
-                return False
-            expected.update(sols)
-        if expected != source.member_set:
+        if _preimage_set(f, target) != source:
             return False
     return True
 

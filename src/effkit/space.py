@@ -13,7 +13,6 @@ so equal inputs always produce identical output.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -227,73 +226,95 @@ def compose(outer: MeasurableMap, inner: MeasurableMap) -> MeasurableMap:
 
 @dataclass(frozen=True)
 class Relation:
-    """A finite binary relation over the carrier of a space."""
+    """A finite binary relation over the carrier of a space.
+
+    Held as ``related``: per carrier state, in carrier order, the frozenset
+    of states it relates to.  ``from_partition`` shares one frozenset per
+    block, so an equivalence costs O(n) however many pairs it holds.
+    ``classes``, ``is_equivalence``, ``is_symmetric`` and ``sigma_r`` work
+    once per distinct related set and never list the pairs; ``pairs``
+    builds them on demand, at O(pairs).
+    """
 
     base: Space
-    pairs: frozenset[tuple[str, str]]
+    related: tuple[frozenset[str], ...]
 
     def __init__(self, base: Space, pairs: Iterable[tuple[str, str]]):
-        frozen = frozenset((s, t) for s, t in pairs)
-        for s, t in frozen:
+        related: dict[str, set[str]] = {s: set() for s in base.carrier}
+        for s, t in pairs:
             base.index(s)
             base.index(t)
+            related[s].add(t)
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "pairs", frozen)
+        object.__setattr__(self, "related", tuple(map(frozenset, related.values())))
 
     @staticmethod
     def full(space: Space) -> "Relation":
-        return Relation(space, itertools.product(space.carrier, space.carrier))
+        return Relation.from_partition(space, (space.carrier,))
 
     @staticmethod
     def identity(space: Space) -> "Relation":
-        return Relation(space, ((s, s) for s in space.carrier))
+        return Relation.from_partition(space, ((s,) for s in space.carrier))
 
     @staticmethod
     def from_partition(space: Space, blocks: Iterable[Iterable[str]]) -> "Relation":
-        """The equivalence whose classes are the given blocks."""
-        pairs = []
+        """The equivalence whose classes are the given blocks (a state
+        relates to the union of the blocks holding it)."""
+        held: dict[str, frozenset[str]] = {}
         for block in blocks:
-            block = list(block)
-            pairs.extend(itertools.product(block, block))
-        return Relation(space, pairs)
+            members = frozenset(block)
+            for s in members:
+                space.index(s)
+                held[s] = held[s] | members if s in held else members
+        rel = object.__new__(Relation)
+        object.__setattr__(rel, "base", space)
+        object.__setattr__(rel, "related", tuple(held.get(s, frozenset()) for s in space.carrier))
+        return rel
+
+    @property
+    def pairs(self) -> frozenset[tuple[str, str]]:
+        return frozenset((s, t) for s, ts in zip(self.base.carrier, self.related) for t in ts)
 
     def __contains__(self, pair: tuple[str, str]) -> bool:
-        return pair in self.pairs
+        s, t = pair
+        i = self.base._index.get(s)
+        return i is not None and t in self.related[i]
 
     def __repr__(self) -> str:
         return f"Relation({sorted(self.pairs)!r})"
 
+    @cached_property
+    def _holders(self) -> dict[frozenset[str], list[str]]:
+        """Each distinct related set, with the states relating to exactly
+        that set, in carrier order."""
+        out: dict[frozenset[str], list[str]] = {}
+        for s, ts in zip(self.base.carrier, self.related):
+            out.setdefault(ts, []).append(s)
+        return out
+
     @property
     def is_symmetric(self) -> bool:
-        return all((t, s) in self.pairs for s, t in self.pairs)
+        """Every member of a related set relates back to all its holders;
+        checked once per distinct set among the members' own sets."""
+        index, related = self.base._index, self.related
+        for ts, holders in self._holders.items():
+            back = {id(r): r for r in (related[index[t]] for t in ts)}
+            if not all(r.issuperset(holders) for r in back.values()):
+                return False
+        return True
 
     @property
     def is_equivalence(self) -> bool:
-        if not self.is_symmetric:
-            return False
-        if any((s, s) not in self.pairs for s in self.base.carrier):
-            return False
-        related: dict[str, set[str]] = {s: set() for s in self.base.carrier}
-        for s, t in self.pairs:
-            related[s].add(t)
-        return all(related[t] >= related[s] for s, t in self.pairs)
-
-    def converse(self) -> "Relation":
-        return Relation(self.base, ((t, s) for s, t in self.pairs))
+        """Exactly when every distinct related set is the set of its
+        holders: then each state relates to itself, and every state related
+        to it holds the same set."""
+        return all(len(ts) == len(h) and ts.issuperset(h) for ts, h in self._holders.items())
 
     def classes(self) -> tuple[tuple[str, ...], ...]:
         """Equivalence classes in carrier order (requires an equivalence)."""
         if not self.is_equivalence:
             raise NonSymmetricRelationError("classes() requires an equivalence relation")
-        seen: set[str] = set()
-        out = []
-        for s in self.base.carrier:
-            if s in seen:
-                continue
-            cls = tuple(t for t in self.base.carrier if (s, t) in self.pairs)
-            seen.update(cls)
-            out.append(cls)
-        return tuple(out)
+        return tuple(map(tuple, self._holders.values()))
 
 
 def sigma_r(rel: Relation) -> Space:
@@ -310,8 +331,10 @@ def sigma_r(rel: Relation) -> Space:
             "closed sets of a non-symmetric relation do not form a field"
         )
     base = rel.base
+    # holders of a nonempty related set are linked to all its members
+    linked = ((*holders, *ts) for ts, holders in rel._holders.items() if ts)
     groups: dict[int, list[str]] = {}
-    for root, block in zip(_atom_roots(base, rel.pairs), base.atoms):
+    for root, block in zip(_atom_roots(base, linked), base.atoms):
         groups.setdefault(root, []).extend(block)
     return Space(base.carrier, groups.values())
 
@@ -338,13 +361,7 @@ def _atom_roots(base: Space, groups: Iterable[Iterable[str]]) -> list[int]:
 
 def kernel_of(f: MeasurableMap) -> Relation:
     """The equivalence identifying states with a common image."""
-    pairs = [
-        (s, s2)
-        for s in f.domain.carrier
-        for s2 in f.domain.carrier
-        if f(s) == f(s2)
-    ]
-    return Relation(f.domain, pairs)
+    return Relation.from_partition(f.domain, f.fibers().values())
 
 
 @dataclass(frozen=True)

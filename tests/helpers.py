@@ -13,6 +13,7 @@ from effkit import (
     Kernel,
     MeasurableMap,
     MeasureSet,
+    NonSymmetricRelationError,
     NotMeasurableSetError,
     Relation,
     Space,
@@ -20,7 +21,9 @@ from effkit import (
     SubProb,
     UpperSet,
     contains,
+    filter_generate,
     restrict,
+    restrict_upperset,
     sigma_r,
     unique_preimages,
 )
@@ -343,6 +346,89 @@ def upperset_order_oracle(generators) -> list[tuple[tuple[Fraction, ...], ...]]:
     return sorted(
         (k for k in keys if frozenset(k) in kept), key=lambda k: (len(k), k)
     )
+
+
+class PairRelation:
+    """A relation held as its frozenset of pairs, with the queries computed
+    pair by pair: the reference for ``Relation``, which holds each state's
+    related set instead."""
+
+    def __init__(self, base: Space, pairs):
+        frozen = frozenset((s, t) for s, t in pairs)
+        for s, t in frozen:
+            base.index(s)
+            base.index(t)
+        self.base, self.pairs = base, frozen
+
+    @staticmethod
+    def from_partition(space: Space, blocks) -> "PairRelation":
+        pairs = []
+        for block in blocks:
+            block = list(block)
+            pairs.extend(itertools.product(block, block))
+        return PairRelation(space, pairs)
+
+    def __contains__(self, pair) -> bool:
+        return pair in self.pairs
+
+    def __repr__(self) -> str:
+        return f"Relation({sorted(self.pairs)!r})"
+
+    @property
+    def is_symmetric(self) -> bool:
+        return all((t, s) in self.pairs for s, t in self.pairs)
+
+    @property
+    def is_equivalence(self) -> bool:
+        if not self.is_symmetric:
+            return False
+        if any((s, s) not in self.pairs for s in self.base.carrier):
+            return False
+        related: dict[str, set[str]] = {s: set() for s in self.base.carrier}
+        for s, t in self.pairs:
+            related[s].add(t)
+        return all(related[t] >= related[s] for s, t in self.pairs)
+
+    def classes(self) -> tuple[tuple[str, ...], ...]:
+        if not self.is_equivalence:
+            raise NonSymmetricRelationError("classes() requires an equivalence relation")
+        seen: set[str] = set()
+        out = []
+        for s in self.base.carrier:
+            if s not in seen:
+                cls = tuple(t for t in self.base.carrier if (s, t) in self.pairs)
+                seen.update(cls)
+                out.append(cls)
+        return tuple(out)
+
+    def sigma_r(self) -> Space:
+        """Base atoms merged across every related pair, transitively."""
+        if not self.is_symmetric:
+            raise NonSymmetricRelationError(
+                "closed sets of a non-symmetric relation do not form a field"
+            )
+        block = {s: atom for atom in self.base.atom_sets for s in atom}
+        for s, t in self.pairs:
+            if block[s] != block[t]:
+                merged = block[s] | block[t]
+                for u in merged:
+                    block[u] = merged
+        return Space(self.base.carrier, set(block.values()))
+
+
+def subsystem_oracle(p: EffFn, coarser: Space) -> bool:
+    """Whether the portfolio's families, restricted to a coarsening, are
+    constant on each of its atoms, compared state by state."""
+    return all(
+        len({restrict_upperset(p(s), coarser) for s in block}) == 1
+        for block in coarser.atoms
+    )
+
+
+def event_bisim_oracle(m, coarser: Space) -> bool:
+    """``subsystem_oracle`` for each label's principal-filter portfolio."""
+    kernels = (m,) if isinstance(m, Kernel) else tuple(k for _, k in m.kernels)
+    return all(subsystem_oracle(filter_generate(k), coarser) for k in kernels)
 
 
 def relation_from_family(space: Space, family) -> set[tuple[str, str]]:

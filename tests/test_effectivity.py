@@ -43,11 +43,14 @@ from helpers import (
     all_partitions,
     all_symmetric_relations,
     ef_transfer_oracle,
+    event_bisim_oracle,
     pairwise_bisim_oracle,
+    rand_coarsening,
     rand_ef,
     rand_kernel,
     rand_nk_instance,
     rand_space,
+    subsystem_oracle,
     transfer_oracle,
 )
 
@@ -320,6 +323,30 @@ class TestSubsystem:
             for blocks in all_partitions(space.carrier):
                 coarse = Space(space.carrier, blocks)
                 assert is_subsystem(p, coarse) == is_event_bisim(k, coarse)
+
+    def test_one_round_matches_restricted_family_oracle(self):
+        # coarse spaces give atoms whose states have different dynamics;
+        # copying one state's dynamics across a block plants positives
+        rng = Random(2025)
+        verdicts = {True: 0, False: 0}
+        for _ in range(600):
+            space = rand_space(rng, 2, 5, allow_coarse=True)
+            coarse = rand_coarsening(rng, space)
+            rep = {s: s for s in space.carrier}
+            for block in coarse.atoms:
+                if rng.random() < 0.6:
+                    rep.update((s, block[0]) for s in block)
+            p = rand_ef(rng, space, max_gens=2, max_measures=2, max_den=3)
+            p = EffFn(space, {s: p(rep[s]) for s in space.carrier})
+            kernels = [rand_kernel(rng, space, max_measures=2, max_den=3) for _ in range(2)]
+            kernels = [Kernel(space, {s: k(rep[s]) for s in space.carrier}) for k in kernels]
+            m = Nlmp(space, {"a": kernels[0], "b": kernels[1]})
+            holds = is_subsystem(p, coarse)
+            assert holds == subsystem_oracle(p, coarse)
+            assert is_event_bisim(kernels[0], coarse) == event_bisim_oracle(kernels[0], coarse)
+            assert is_event_bisim(m, coarse) == event_bisim_oracle(m, coarse)
+            verdicts[holds] += 1
+        assert min(verdicts.values()) > 100
 
 
 class TestDualSumMarkov:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from random import Random
 
 import pytest
 
 from effkit import (
+    EffkitError,
     ForeignStateError,
     MeasurableMap,
     NonSymmetricRelationError,
@@ -20,6 +22,7 @@ from effkit import (
     sigma_r,
 )
 from helpers import (
+    PairRelation,
     generated_field,
     rand_partition_blocks,
     rand_space,
@@ -150,6 +153,103 @@ class TestKernelOf:
         one = Space.discrete(["u"])
         const = MeasurableMap(S3, one, {s: "u" for s in S3.carrier})
         assert kernel_of(const) == Relation.full(S3)
+
+
+def _outcome(call):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except EffkitError as exc:
+        return type(exc), str(exc)
+
+
+def _rand_relation_input(rng: Random, space: Space):
+    """Pairs, or blocks for ``from_partition``, of a random shape: empty,
+    sparse, dense, symmetrized, reflexive; blocks that partition, overlap,
+    repeat, leave states out or are empty."""
+    states = list(space.carrier)
+    if rng.random() < 0.5:
+        density = rng.choice([0.0, 0.2, 0.5, 1.0])
+        pairs = [(s, t) for s in states for t in states if rng.random() < density]
+        if rng.random() < 0.4:
+            pairs += [(t, s) for s, t in pairs]
+        if rng.random() < 0.3:
+            pairs += [(s, s) for s in states]
+        return "pairs", pairs
+    blocks = rand_partition_blocks(rng, states)
+    if rng.random() < 0.3:
+        blocks.append(rng.sample(states, rng.randint(1, len(states))))
+    if rng.random() < 0.2 and len(blocks) > 1:
+        blocks.pop(rng.randrange(len(blocks)))
+    if rng.random() < 0.2:
+        blocks.append([])
+    if rng.random() < 0.2:
+        blocks.append(blocks[0] + blocks[0])
+    return "blocks", blocks
+
+
+class TestRelationAgainstPairOracle:
+    def test_random_relations(self):
+        rng = Random(2024)
+        shapes = {True: 0, False: 0}
+        for _ in range(400):
+            space = rand_space(rng, 2, 6, allow_coarse=True)
+            kind, data = _rand_relation_input(rng, space)
+            if kind == "pairs":
+                rel, ref = Relation(space, data), PairRelation(space, data)
+            else:
+                rel = Relation.from_partition(space, data)
+                ref = PairRelation.from_partition(space, data)
+            shapes[ref.is_equivalence] += 1
+            assert rel.pairs == ref.pairs
+            assert repr(rel) == repr(ref)
+            assert rel.is_symmetric == ref.is_symmetric
+            assert rel.is_equivalence == ref.is_equivalence
+            assert _outcome(rel.classes) == _outcome(ref.classes)
+            assert _outcome(lambda: sigma_r(rel)) == _outcome(ref.sigma_r)
+            probes = space.carrier + ("zz",)
+            for s in probes:
+                for t in probes:
+                    assert ((s, t) in rel) == ((s, t) in ref)
+            same = Relation(space, ref.pairs)
+            assert rel == same and hash(rel) == hash(same)
+            if ref.pairs:
+                fewer = Relation(space, sorted(ref.pairs)[1:])
+                assert rel != fewer
+        assert min(shapes.values()) > 50
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda cls: cls(S3, [("s0", "zz")]),
+            lambda cls: cls(S3, [("zz", "s0"), ("s1", "s1")]),
+            lambda cls: cls.from_partition(S3, [["s0", "zz"], ["s1", "s2"]]),
+            lambda cls: cls.from_partition(S3, [["s0"], [], ["zz"]]),
+        ],
+    )
+    def test_foreign_states(self, build):
+        got = _outcome(lambda: build(Relation))
+        assert got == (ForeignStateError, "state 'zz' not in carrier")
+        assert got == _outcome(lambda: build(PairRelation))
+
+    def test_one_block_queries_list_no_pairs(self):
+        # a one-block relation of 2000 states holds 4M pairs, hundreds of MB
+        # as a frozenset of tuples; its queries must stay within a few MB
+        space = Space.discrete([f"s{i}" for i in range(2000)])
+        one = Space.discrete(["u"])
+        const = MeasurableMap(space, one, {s: "u" for s in space.carrier})
+        tracemalloc.start()
+        try:
+            rel = Relation.from_partition(space, [space.carrier])
+            assert rel.is_equivalence and rel.is_symmetric
+            assert rel.classes() == (space.carrier,)
+            assert ("s0", "s1999") in rel and ("s0", "zz") not in rel
+            assert rel == kernel_of(const) and hash(rel) == hash(Relation.full(space))
+            assert len(sigma_r(rel).atoms) == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestDirectSum:
