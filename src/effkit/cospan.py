@@ -1,17 +1,17 @@
 """Behavioral equivalence via cospans, and the span construction.
 
 A cospan consists of two portfolios mapped onto a common mediator by
-surjective portfolio morphisms.  For finitely supported portfolios the
-mediator is finitely supported as well, and both legs push the per-state
-supports onto the same mediator support whenever their images meet; the
-verifier checks exactly these facts.
+surjective portfolio morphisms.  The verifier checks exactly these two
+facts.  For finitely supported portfolios they imply that the mediator is
+finitely supported as well, and that both legs push the per-state supports
+onto the same mediator support whenever their images meet.
 
 The span construction builds the pullback carrier of the two legs, equips
-it with one atom per mediator atom, and transports each state's pushed
-support through the atom correspondence.  Measures on the pullback space
-then match measures on the mediator one-to-one, and both projection squares
-commute by canonical portfolio equality; a failed square on verified input
-is a bug, not an input error.
+it with one atom per mediator atom, and transports the mediator's support at
+each mediator state through the atom correspondence.  Measures on the
+pullback space then match measures on the mediator one-to-one, and both
+projection squares commute by canonical portfolio equality; a failed square
+on verified input is a bug, not an input error.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
     NotFinitelySupportedError,
     SpaceMismatchError,
 )
-from .measure import SubProb, pushforward
+from .measure import SubProb
 from .space import MeasurableMap, Space, compose
 from .upperset import MeasureSet, UpperSet, equals
 
@@ -91,9 +91,11 @@ def _support(p: EffFn, s: str) -> MeasureSet:
 
 
 def verify_cospan(c: Cospan) -> CospanReport:
-    """Check surjectivity and the morphism property of both legs; for
-    finitely supported sides additionally check that the mediator is
-    finitely supported and that pushed supports agree at matched states."""
+    """Check surjectivity and the morphism property of both legs.
+
+    For finitely supported sides nothing more is needed: a surjective
+    morphism makes the mediator finitely supported and the pushed supports
+    of matched states equal (docs/derivations.md, section 11)."""
     failures: list[CheckFailure] = []
     for name, leg in (("f", c.f), ("g", c.g)):
         if not leg.is_surjective:
@@ -104,22 +106,6 @@ def verify_cospan(c: Cospan) -> CospanReport:
             if not equals(c.m(leg(s)), push_upperset(leg, side(s))):
                 failures.append(CheckFailure("morphism_violation", f"{name} at {s}"))
                 break
-    if c.p.is_finitely_supported and c.q.is_finitely_supported and not failures:
-        for u in c.m.space.carrier:
-            if not c.m(u).is_principal:
-                failures.append(CheckFailure("mediator_not_finitely_supported", u))
-        pushed_left = {
-            s: MeasureSet(c.m.space, (pushforward(c.f, mu) for mu in _support(c.p, s)))
-            for s in c.p.space.carrier
-        }
-        pushed_right = {
-            t: MeasureSet(c.m.space, (pushforward(c.g, nu) for nu in _support(c.q, t)))
-            for t in c.q.space.carrier
-        }
-        for s in c.p.space.carrier:
-            for t in c.q.space.carrier:
-                if c.f(s) == c.g(t) and pushed_left[s] != pushed_right[t]:
-                    failures.append(CheckFailure("support_mismatch", f"{s}|{t}"))
     return CospanReport(not failures, tuple(failures))
 
 
@@ -148,16 +134,20 @@ def _preimage_space(leg: MeasurableMap) -> Space:
     on it correspond one-to-one to codomain measures; on discrete spaces it
     is literally the fiber partition.
     """
+    atoms = leg.domain.atoms
     return Space(
         leg.domain.carrier,
-        [leg.preimage(block) for block in leg.codomain.atoms],
+        ([s for i in over for s in atoms[i]] for over in leg.preimage_atoms),
     )
 
 
 def build_span(c: Cospan) -> SpanResult:
     """Construct the pullback span of a verified, finitely supported cospan.
 
-    Both commuting squares are re-checked point by point; a failure raises
+    The dynamics at a pair ``(s, t)`` over a mediator state ``u`` is the
+    mediator's support at ``u`` transported to the pullback, built once per
+    ``u``.  Both commuting squares are re-checked at every state, against
+    the image of that dynamics pushed once per ``u``; a failure raises
     InternalInvariantViolation since it cannot occur on verified input.
     """
     report = verify_cospan(c)
@@ -173,43 +163,31 @@ def build_span(c: Cospan) -> SpanResult:
     p_f = EffFn(sigma_f, {s: restrict_upperset(c.p(s), sigma_f) for s in sigma_f.carrier})
     q_g = EffFn(sigma_g, {t: restrict_upperset(c.q(t), sigma_g) for t in sigma_g.carrier})
 
-    pairs = [
-        (s, t)
-        for s in c.p.space.carrier
-        for t in c.q.space.carrier
-        if c.f(s) == c.g(t)
-    ]
-    name = {pair: f"{pair[0]}|{pair[1]}" for pair in pairs}
-    blocks = [
-        [name[(s, t)] for (s, t) in pairs if c.f(s) in set(block)]
-        for block in c.m.space.atoms
-    ]
-    w = Space([name[p] for p in pairs], blocks)
+    over: dict[str, list[str]] = {}  # per mediator state, g's fiber in carrier order
+    for t in c.q.space.carrier:
+        over.setdefault(c.g(t), []).append(t)
+    pairs = [(s, t) for s in c.p.space.carrier for t in over[c.f(s)]]
+    names = [f"{s}|{t}" for s, t in pairs]
+    blocks: list[list[str]] = [[] for _ in c.m.space.atoms]
+    for (s, _), name in zip(pairs, names):
+        blocks[c.m.space.atom_of(c.f(s))].append(name)
+    w = Space(names, blocks)
     representative = [members[0] for members in blocks]
+    pi_s = MeasurableMap(w, sigma_f, {name: s for name, (s, _) in zip(names, pairs)})
+    pi_t = MeasurableMap(w, sigma_g, {name: t for name, (_, t) in zip(names, pairs)})
 
     # Measures on w correspond to mediator measures atom for atom; transport
-    # each pushed support by reading its mass per mediator atom.
+    # the mediator's support at u by reading its mass per mediator atom.
     def transport(nu: SubProb) -> SubProb:
         return SubProb.of(w, dict(zip(representative, nu.num)), nu.den)
 
-    portfolio = {}
-    for s, t in pairs:
-        pushed = MeasureSet(
-            c.m.space, (pushforward(c.f, mu) for mu in _support(c.p, s))
-        )
-        transported = MeasureSet(w, (transport(nu) for nu in pushed))
-        portfolio[name[(s, t)]] = UpperSet(w, (transported,))
-    tau = EffFn(w, portfolio)
-
-    pi_s = MeasurableMap(w, sigma_f, {name[(s, t)]: s for (s, t) in pairs})
-    pi_t = MeasurableMap(w, sigma_g, {name[(s, t)]: t for (s, t) in pairs})
-
-    for s, t in pairs:
-        at = tau(name[(s, t)])
-        if not equals(push_upperset(pi_s, at), p_f(s)):
-            raise InternalInvariantViolation(f"left square fails at {name[(s, t)]}")
-        if not equals(push_upperset(pi_t, at), q_g(t)):
-            raise InternalInvariantViolation(f"right square fails at {name[(s, t)]}")
+    dynamics = {u: UpperSet(w, (MeasureSet(w, map(transport, _support(c.m, u))),)) for u in over}
+    for side, pi, leg, end in (("left", pi_s, c.f, p_f), ("right", pi_t, c.g, q_g)):
+        pushed = {u: push_upperset(pi, at) for u, at in dynamics.items()}
+        for s in end.space.carrier:
+            if not equals(pushed[leg(s)], end(s)):
+                raise InternalInvariantViolation(f"{side} square fails at {s}")
+    tau = EffFn(w, {name: dynamics[c.f(s)] for name, (s, _) in zip(names, pairs)})
     return SpanResult(w, tau, p_f, q_g, pi_s, pi_t)
 
 

@@ -209,11 +209,8 @@ def unique_preimages(f: MeasurableMap, nu: SubProb) -> list[SubProb] | None:
     none.  Multi-atom preimages with positive mass admit infinitely many
     rational splittings.
     """
-    preimage: list[list[int]] = [[] for _ in f.codomain.atoms]
-    for i, j in enumerate(f.atom_map):
-        preimage[j].append(i)
     num = [0] * len(f.domain.atoms)
-    for idx, weight in zip(preimage, nu.num):
+    for idx, weight in zip(f.preimage_atoms, nu.num):
         if weight:
             if not idx:
                 return []

@@ -162,7 +162,7 @@ def model_from_dict(doc: Mapping[str, Any], file: str | None = None) -> Model:
                 raise _fail("a kernel must map states to measure lists", file, f"kernels.{label}")
             image = {}
             for state, measures in per_state.items():
-                if state not in space.carrier:
+                if state not in space._index:
                     raise _fail(f"unknown state {state!r}", file, f"kernels.{label}.{state}")
                 if not isinstance(measures, list):
                     raise _fail("kernel entries must be lists of measures", file, f"kernels.{label}.{state}")
@@ -176,7 +176,7 @@ def model_from_dict(doc: Mapping[str, Any], file: str | None = None) -> Model:
         raise _fail("'effectivity' must map states to generator lists", file, "effectivity")
     portfolio = {}
     for state, gens in eff_doc.items():
-        if state not in space.carrier:
+        if state not in space._index:
             raise _fail(f"unknown state {state!r}", file, f"effectivity.{state}")
         if not isinstance(gens, list):
             raise _fail("portfolio entries must be lists of generators", file, f"effectivity.{state}")

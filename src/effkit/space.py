@@ -13,7 +13,7 @@ so equal inputs always produce identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -137,11 +137,23 @@ class Space:
         each atom here lies inside one atom of ``coarser``."""
         if self.carrier != coarser.carrier:
             return None
-        index = coarser._atom_index
-        into = tuple(index[block[0]] for block in self.atoms)
-        if any(index[s] != j for block, j in zip(self.atoms, into) for s in block):
-            return None
-        return into
+        into, straddled = _atoms_into(self.atoms, coarser._atom_index)
+        return None if straddled else into
+
+
+def _atoms_into(
+    atoms: tuple[tuple[str, ...], ...], index: Mapping[str, int]
+) -> tuple[tuple[int, ...], set[int]]:
+    """Per atom, the index its first state has under ``index``; and the
+    indices of the states of every atom whose states do not share one."""
+    into = tuple(index[block[0]] for block in atoms)
+    straddled = {
+        index[s]
+        for block, j in zip(atoms, into)
+        if any(index[s] != j for s in block)
+        for s in block
+    }
+    return into, straddled
 
 
 @dataclass(frozen=True)
@@ -149,12 +161,14 @@ class MeasurableMap:
     """A total measurable assignment between two finite spaces.
 
     Measurability requires the preimage of every codomain atom to be a union
-    of domain atoms.
+    of domain atoms, that is, every domain atom to map into one codomain
+    atom; ``atom_map`` lists that atom per domain atom.
     """
 
     domain: Space
     codomain: Space
     assignment: tuple[tuple[str, str], ...]
+    atom_map: tuple[int, ...] = field(compare=False, repr=False)
 
     def __init__(self, domain: Space, codomain: Space, assignment: Mapping[str, str]):
         table = dict(assignment)
@@ -167,16 +181,17 @@ class MeasurableMap:
         if len(table) != len(domain.carrier):
             extra = sorted(set(table) - set(domain.carrier))
             raise ForeignStateError(f"map defined on foreign states {extra}")
-        normalized = tuple((s, table[s]) for s in domain.carrier)
+        index = codomain._atom_index
+        into, straddled = _atoms_into(domain.atoms, {s: index[t] for s, t in table.items()})
+        if straddled:
+            raise SpaceMismatchError(
+                f"not measurable: preimage of atom {codomain.atoms[min(straddled)]} "
+                "is not a union of domain atoms"
+            )
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "assignment", normalized)
-        for block in codomain.atoms:
-            pre = [s for s, t in normalized if t in set(block)]
-            if domain.atoms_of_set(pre) is None:
-                raise SpaceMismatchError(
-                    f"not measurable: preimage of atom {block} is not a union of domain atoms"
-                )
+        object.__setattr__(self, "assignment", tuple((s, table[s]) for s in domain.carrier))
+        object.__setattr__(self, "atom_map", into)
 
     @staticmethod
     def identity(space: Space) -> "MeasurableMap":
@@ -190,11 +205,13 @@ class MeasurableMap:
         return self.mapping[state]
 
     @cached_property
-    def atom_map(self) -> tuple[int, ...]:
-        """Per domain atom, the index of the codomain atom it maps into
-        (one atom, by measurability)."""
-        index, table = self.codomain._atom_index, self.mapping
-        return tuple(index[table[block[0]]] for block in self.domain.atoms)
+    def preimage_atoms(self) -> tuple[tuple[int, ...], ...]:
+        """Per codomain atom, the indices of the domain atoms whose union is
+        its preimage."""
+        over: list[list[int]] = [[] for _ in self.codomain.atoms]
+        for i, j in enumerate(self.atom_map):
+            over[j].append(i)
+        return tuple(map(tuple, over))
 
     @cached_property
     def is_surjective(self) -> bool:
@@ -413,8 +430,10 @@ def is_final_surjection(f: MeasurableMap) -> FinalSurjection:
     if not f.is_surjective:
         raise NotSurjectiveError("finality test requires a surjective map")
     blocks = sigma_r(kernel_of(f)).atom_sets
+    atoms = f.domain.atom_sets
     pairing = tuple(
-        (f.preimage(block), frozenset(block)) for block in f.codomain.atoms
+        (frozenset().union(*(atoms[i] for i in over)), frozenset(block))
+        for over, block in zip(f.preimage_atoms, f.codomain.atoms)
     )
     preimages = {pre for pre, _ in pairing}
     return FinalSurjection(preimages == set(blocks), pairing)

@@ -9,24 +9,34 @@ from fractions import Fraction
 from random import Random
 
 from effkit import (
+    Cospan,
+    CospanReport,
+    CospanVerificationError,
     EffFn,
+    InternalInvariantViolation,
     Kernel,
     MeasurableMap,
     MeasureSet,
     NonSymmetricRelationError,
+    NotFinitelySupportedError,
     NotMeasurableSetError,
     Relation,
     Space,
     SpaceMismatchError,
+    SpanResult,
     SubProb,
     UpperSet,
     contains,
+    equals,
     filter_generate,
+    push_upperset,
+    pushforward,
     restrict,
     restrict_upperset,
     sigma_r,
     unique_preimages,
 )
+from effkit.cospan import CheckFailure
 from effkit.logic import (
     And,
     Box,
@@ -610,3 +620,118 @@ def rand_json_doc(rng: Random, depth: int = 4):
         return {text(): rand_json_doc(rng, depth - 1) for _ in range(rng.randint(0, 4))}
     items = [rand_json_doc(rng, depth - 1) for _ in range(rng.randint(0, 4))]
     return items if kind == 6 else tuple(items)
+
+
+# The measurability scan and the span code as they were before a
+# measurable map was checked through its atom map and the span was built
+# once per mediator state.
+
+
+def measurability_oracle(domain: Space, codomain: Space, table) -> str | None:
+    """Message of the ``SpaceMismatchError`` a total ``table`` between the
+    spaces raises as a map, or None if it is measurable: codomain atoms are
+    scanned in order and the first whose preimage is not a union of domain
+    atoms is named."""
+    for block in codomain.atoms:
+        pre = [s for s in domain.carrier if table[s] in set(block)]
+        if domain.atoms_of_set(pre) is None:
+            return f"not measurable: preimage of atom {block} is not a union of domain atoms"
+    return None
+
+
+def atom_map_oracle(f: MeasurableMap) -> tuple[int, ...]:
+    """Per domain atom, the index of the codomain atom its first state's
+    image lies in."""
+    return tuple(f.codomain.atom_of(f(block[0])) for block in f.domain.atoms)
+
+
+def _support_oracle(p: EffFn, s: str) -> MeasureSet:
+    return p(s).generators[0]
+
+
+def verify_cospan_oracle(c: Cospan) -> CospanReport:
+    """Surjectivity and morphism checks of both legs, then, for finitely
+    supported sides, a principal mediator and equal pushed supports at
+    every matched pair."""
+    failures: list[CheckFailure] = []
+    for name, leg in (("f", c.f), ("g", c.g)):
+        if not leg.is_surjective:
+            missed = sorted(set(leg.codomain.carrier) - {leg(s) for s in leg.domain.carrier})
+            failures.append(CheckFailure("not_surjective", f"{name} misses {missed[0]}"))
+    for name, leg, side in (("f", c.f, c.p), ("g", c.g, c.q)):
+        for s in side.space.carrier:
+            if not equals(c.m(leg(s)), push_upperset(leg, side(s))):
+                failures.append(CheckFailure("morphism_violation", f"{name} at {s}"))
+                break
+    if c.p.is_finitely_supported and c.q.is_finitely_supported and not failures:
+        for u in c.m.space.carrier:
+            if not c.m(u).is_principal:
+                failures.append(CheckFailure("mediator_not_finitely_supported", u))
+        pushed_left = {
+            s: MeasureSet(c.m.space, (pushforward(c.f, mu) for mu in _support_oracle(c.p, s)))
+            for s in c.p.space.carrier
+        }
+        pushed_right = {
+            t: MeasureSet(c.m.space, (pushforward(c.g, nu) for nu in _support_oracle(c.q, t)))
+            for t in c.q.space.carrier
+        }
+        for s in c.p.space.carrier:
+            for t in c.q.space.carrier:
+                if c.f(s) == c.g(t) and pushed_left[s] != pushed_right[t]:
+                    failures.append(CheckFailure("support_mismatch", f"{s}|{t}"))
+    return CospanReport(not failures, tuple(failures))
+
+
+def build_span_oracle(c: Cospan) -> SpanResult:
+    """The pullback span, pair by pair: each pair's dynamics transports the
+    pushed support of its left state, and both squares are checked at every
+    pair."""
+    report = verify_cospan_oracle(c)
+    if not report.ok:
+        raise CospanVerificationError(report)
+    if not (c.p.is_finitely_supported and c.q.is_finitely_supported):
+        raise NotFinitelySupportedError(
+            "span construction requires finitely supported portfolios"
+        )
+
+    def preimage_space(leg: MeasurableMap) -> Space:
+        return Space(leg.domain.carrier, [leg.preimage(block) for block in leg.codomain.atoms])
+
+    sigma_f = preimage_space(c.f)
+    sigma_g = preimage_space(c.g)
+    p_f = EffFn(sigma_f, {s: restrict_upperset(c.p(s), sigma_f) for s in sigma_f.carrier})
+    q_g = EffFn(sigma_g, {t: restrict_upperset(c.q(t), sigma_g) for t in sigma_g.carrier})
+
+    pairs = [
+        (s, t) for s in c.p.space.carrier for t in c.q.space.carrier if c.f(s) == c.g(t)
+    ]
+    name = {pair: f"{pair[0]}|{pair[1]}" for pair in pairs}
+    blocks = [
+        [name[(s, t)] for (s, t) in pairs if c.f(s) in set(block)]
+        for block in c.m.space.atoms
+    ]
+    w = Space([name[p] for p in pairs], blocks)
+    representative = [members[0] for members in blocks]
+
+    def transport(nu: SubProb) -> SubProb:
+        return SubProb.of(w, dict(zip(representative, nu.num)), nu.den)
+
+    portfolio = {}
+    for s, t in pairs:
+        pushed = MeasureSet(
+            c.m.space, (pushforward(c.f, mu) for mu in _support_oracle(c.p, s))
+        )
+        transported = MeasureSet(w, (transport(nu) for nu in pushed))
+        portfolio[name[(s, t)]] = UpperSet(w, (transported,))
+    tau = EffFn(w, portfolio)
+
+    pi_s = MeasurableMap(w, sigma_f, {name[(s, t)]: s for (s, t) in pairs})
+    pi_t = MeasurableMap(w, sigma_g, {name[(s, t)]: t for (s, t) in pairs})
+
+    for s, t in pairs:
+        at = tau(name[(s, t)])
+        if not equals(push_upperset(pi_s, at), p_f(s)):
+            raise InternalInvariantViolation(f"left square fails at {name[(s, t)]}")
+        if not equals(push_upperset(pi_t, at), q_g(t)):
+            raise InternalInvariantViolation(f"right square fails at {name[(s, t)]}")
+    return SpanResult(w, tau, p_f, q_g, pi_s, pi_t)

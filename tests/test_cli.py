@@ -90,6 +90,25 @@ class TestValidate:
         assert diagnostic["file"] == path
         assert diagnostic["location"] == "kernels.a.s0[0]"
 
+    @pytest.mark.parametrize(
+        "doc, location",
+        [
+            (dict(K_A_DOC, kernels={"a": {"s0": [], "s": [{"s2": "2/1"}]}}), "kernels.a.s"),
+            (dict(EF_A_DOC, effectivity={"s0": [], "s01": "bad"}), "effectivity.s01"),
+        ],
+        ids=["kernel", "effectivity"],
+    )
+    def test_unknown_state_is_located_before_its_entry(self, tmp_path, doc, location):
+        path = write(tmp_path, "unknown.json", doc)
+        code, out, err = invoke("validate", path)
+        assert code == 2 and out == ""
+        diagnostic = json.loads(err)["error"]
+        assert diagnostic == {
+            "file": path,
+            "location": location,
+            "message": f"unknown state {location.rsplit('.', 1)[1]!r}",
+        }
+
     def test_bad_rational_format(self, tmp_path):
         doc = dict(K_A_DOC, kernels={"a": {"s0": [{"s2": "0.5"}]}})
         path = write(tmp_path, "float.json", doc)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import fields
 from random import Random
 
 import pytest
@@ -10,6 +12,7 @@ from effkit import (
     Cospan,
     CospanVerificationError,
     EffFn,
+    EffkitError,
     Kernel,
     MeasurableMap,
     MeasureSet,
@@ -19,6 +22,7 @@ from effkit import (
     SubProb,
     UpperSet,
     build_span,
+    canonical_mediator_cospan,
     equals,
     filter_generate,
     filter_of,
@@ -26,11 +30,21 @@ from effkit import (
     intersect,
     is_subsystem,
     quotient,
+    sum_ef,
     support_relations,
     verify_cospan,
 )
+from effkit import cospan
 from effkit.effectivity import push_upperset
-from helpers import rand_fin_supported_ef, rand_space
+from helpers import (
+    atom_map_oracle,
+    build_span_oracle,
+    rand_ef,
+    rand_fin_supported_ef,
+    rand_measure_set,
+    rand_space,
+    verify_cospan_oracle,
+)
 
 S3 = Space.discrete(["s0", "s1", "s2"])
 D2 = SubProb.dirac(S3, "s2")
@@ -133,6 +147,127 @@ class TestBuildSpan:
         span = build_span(canonical_cospan(P_A))
         # every atom of w pairs with exactly one mediator atom
         assert len(span.w.atoms) == len(canonical_cospan(P_A).m.space.atoms)
+
+
+def renamed(p: EffFn, names) -> EffFn:
+    """``p`` on the same atoms with its states renamed in carrier order."""
+    rename = dict(zip(p.space.carrier, names))
+    space = Space(names, ([rename[s] for s in block] for block in p.space.atoms))
+    iso = MeasurableMap(p.space, space, rename)
+    return EffFn(space, {rename[s]: push_upperset(iso, p(s)) for s in p.space.carrier})
+
+
+def random_cospan(rng: Random, kind: str) -> Cospan:
+    """A cospan of the given kind over random, sometimes coarse, spaces:
+    canonical self-cospans and mediators of a renamed copy or of a double,
+    mediators of an unrelated portfolio, perturbed and widened mediators,
+    sides with several generators, and state names whose pair names clash."""
+    space = rand_space(rng, 2, 4, allow_coarse=True)
+    if kind == "plural" or rng.random() < 0.1:
+        p = rand_ef(rng, space, max_gens=2, max_measures=2)
+    else:
+        p = rand_fin_supported_ef(rng, space, allow_empty=True)
+    n = len(space.carrier)
+    if kind == "clash":
+        p = renamed(p, ["x", "x|y", *(f"x{i}" for i in range(2, n))])
+        q = renamed(p, ["y|z", "z", *(f"z{i}" for i in range(2, n))])
+        return canonical_mediator_cospan(p, q)
+    if kind == "copy":
+        return canonical_mediator_cospan(p, renamed(p, [f"t{i}" for i in range(n)]))
+    if kind == "double":
+        return canonical_mediator_cospan(p, sum_ef(p, p)[0])
+    if kind == "other":
+        return canonical_mediator_cospan(p, rand_fin_supported_ef(rng, rand_space(rng, 2, 4)))
+    c = canonical_cospan(p)
+    if kind == "perturbed":
+        table = {u: c.m(u) for u in c.m.space.carrier}
+        gens = [rand_measure_set(rng, c.m.space, 1, 2) for _ in range(rng.randint(0, 2))]
+        table[rng.choice(c.m.space.carrier)] = UpperSet(c.m.space, gens)
+        return Cospan(c.p, c.q, EffFn(c.m.space, table), c.f, c.g)
+    if kind == "wide":
+        wide = Space([*c.m.space.carrier, "extra"], [*c.m.space.atoms, ["extra"]])
+        inject = MeasurableMap(c.m.space, wide, {u: u for u in c.m.space.carrier})
+        table = {u: push_upperset(inject, c.m(u)) for u in c.m.space.carrier}
+        mediator = EffFn(wide, {**table, "extra": UpperSet(wide, ())})
+        f = MeasurableMap(c.p.space, wide, c.f.mapping)
+        return Cospan(c.p, c.q, mediator, f, f)
+    return c
+
+
+KINDS = ("canonical", "copy", "double", "other", "perturbed", "wide", "plural", "clash")
+
+
+class TestAgainstPairOracle:
+    def test_random_cospans(self):
+        """Verification and the span against the per-pair code: equal
+        reports, equal error types and messages, and every SpanResult field
+        and projection atom map equal."""
+        rng = Random(241)
+        seen: Counter = Counter()
+        for case in range(1600):
+            kind = KINDS[case % len(KINDS)]
+            try:
+                c = random_cospan(rng, kind)
+            except EffkitError:
+                seen["unbuilt"] += 1
+                continue
+            report = verify_cospan(c)
+            assert report == verify_cospan_oracle(c), kind
+            both_supported = c.p.is_finitely_supported and c.q.is_finitely_supported
+            seen["reached the support checks"] += report.ok and both_supported
+            outcomes = []
+            for build in (build_span, build_span_oracle):
+                try:
+                    outcomes.append(build(c))
+                except EffkitError as exc:
+                    outcomes.append((type(exc), str(exc)))
+            new, old = outcomes
+            if isinstance(old, tuple):
+                assert new == old, kind
+                seen[old[0].__name__] += 1
+                continue
+            seen["span"] += 1
+            for field in fields(old):
+                assert getattr(new, field.name) == getattr(old, field.name), (kind, field.name)
+            for pi in (new.pi_s, new.pi_t):
+                assert pi.atom_map == atom_map_oracle(pi)
+        assert seen["span"] > 300 and seen["reached the support checks"] > 300
+        for error in ("CospanVerificationError", "NotFinitelySupportedError", "ForeignStateError"):
+            assert seen[error] > 20, seen
+
+
+def one_block_cospan(n: int) -> Cospan:
+    """The canonical cospan of an n-state portfolio whose states each hold
+    one measure of mass 1/2 on a random state: its greatest bisimulation is
+    one block, so every pair of states lies over the one mediator state."""
+    rng = Random(n)
+    space = Space.discrete([f"s{i}" for i in range(n)])
+    p = EffFn(space, {
+        s: filter_of(MeasureSet(space, [SubProb.of(space, {f"s{rng.randrange(n)}": "1/2"})]))
+        for s in space.carrier
+    })
+    return canonical_cospan(p)
+
+
+class TestSpanWork:
+    def test_pushes_grow_with_states_not_pairs(self, monkeypatch):
+        calls: Counter = Counter()
+        for name in ("pushforward", "push_upperset"):
+            if hasattr(cospan, name):
+                def counted(*args, _push=getattr(cospan, name)):
+                    calls["push"] += 1
+                    return _push(*args)
+
+                monkeypatch.setattr(cospan, name, counted)
+        pushes = {}
+        for n in (10, 20, 40):
+            c = one_block_cospan(n)
+            assert len(c.m.space.carrier) == 1
+            before = calls["push"]
+            assert len(build_span(c).w.carrier) == n * n
+            pushes[n] = calls["push"] - before
+        # linear in n: doubling n doubles the increment; n * n pairs would quadruple it
+        assert pushes[40] - pushes[20] == 2 * (pushes[20] - pushes[10]), pushes
 
 
 class TestCanonicalMediator:

@@ -1,0 +1,26 @@
+"""Rules on the layout of the package sources."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "effkit"
+
+
+def test_no_import_inside_a_function():
+    """Every module imports at module level only, so no import cycle hides
+    behind a function body that runs later."""
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 10
+    nested = set()
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested.update(
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                )
+    assert not nested, f"imports inside functions: {sorted(nested)}"

@@ -23,7 +23,10 @@ from effkit import (
 )
 from helpers import (
     PairRelation,
+    atom_map_oracle,
     generated_field,
+    measurability_oracle,
+    rand_measurable_map,
     rand_partition_blocks,
     rand_space,
     rand_surjection,
@@ -72,6 +75,52 @@ class TestMeasurableMap:
     def test_totality(self):
         with pytest.raises(ForeignStateError):
             MeasurableMap(S3, T2, {"s0": "t0", "s1": "t0"})
+
+    def test_atom_map_matches_scan_oracle(self):
+        """Measurability through the atom map: the same verdict, the same
+        lowest straddled codomain atom in the message, and the atom map and
+        per-atom preimages the scan implies."""
+        rng = Random(431)
+        verdicts = {True: 0, False: 0}
+        for _ in range(3000):
+            dom = rand_space(rng, 1, 6)
+            if rng.random() < 0.7:
+                dom = Space(dom.carrier, rand_partition_blocks(rng, list(dom.carrier)))
+            cod = rand_space(rng, 1, 5, allow_coarse=True)
+            if rng.random() < 0.3:
+                table = rand_measurable_map(rng, dom, cod).mapping
+            else:
+                table = {s: rng.choice(cod.carrier) for s in dom.carrier}
+            expected = measurability_oracle(dom, cod, table)
+            verdicts[expected is None] += 1
+            if expected is not None:
+                with pytest.raises(SpaceMismatchError) as exc:
+                    MeasurableMap(dom, cod, table)
+                assert str(exc.value) == expected
+                continue
+            f = MeasurableMap(dom, cod, table)
+            assert f.atom_map == atom_map_oracle(f)
+            for over, block in zip(f.preimage_atoms, cod.atoms):
+                assert {s for i in over for s in dom.atoms[i]} == f.preimage(block)
+            if f.is_surjective:
+                assert is_final_surjection(f).pairing == tuple(
+                    (f.preimage(block), frozenset(block)) for block in cod.atoms
+                )
+        assert min(verdicts.values()) > 500
+
+    def test_space_atom_map_matches_scan_oracle(self):
+        """``Space.atom_map`` shares the routine: a partition of the same
+        carrier coarsens exactly when the identity onto it is measurable."""
+        rng = Random(433)
+        for _ in range(1000):
+            fine = rand_space(rng, 1, 6, allow_coarse=True)
+            other = Space(fine.carrier, rand_partition_blocks(rng, list(fine.carrier)))
+            identity = {s: s for s in fine.carrier}
+            if measurability_oracle(fine, other, identity) is not None:
+                assert fine.atom_map(other) is None
+            else:
+                f = MeasurableMap(fine, other, identity)
+                assert fine.atom_map(other) == atom_map_oracle(f) == f.atom_map
 
 
 class TestSigmaR:
