@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 from .effectivity import (
     EffFn,
+    _first_unmatched,
     greatest_ef_bisim,
     push_upperset,
     quotient,
-    restrict_upperset,
     sum_ef,
 )
 from .errors import (
@@ -102,10 +102,9 @@ def verify_cospan(c: Cospan) -> CospanReport:
             missed = sorted(set(leg.codomain.carrier) - {leg(s) for s in leg.domain.carrier})
             failures.append(CheckFailure("not_surjective", f"{name} misses {missed[0]}"))
     for name, leg, side in (("f", c.f, c.p), ("g", c.g, c.q)):
-        for s in side.space.carrier:
-            if not equals(c.m(leg(s)), push_upperset(leg, side(s))):
-                failures.append(CheckFailure("morphism_violation", f"{name} at {s}"))
-                break
+        s = _first_unmatched(leg, side, c.m)
+        if s is not None:
+            failures.append(CheckFailure("morphism_violation", f"{name} at {s}"))
     return CospanReport(not failures, tuple(failures))
 
 
@@ -126,19 +125,24 @@ class SpanResult:
     pi_t: MeasurableMap
 
 
-def _preimage_space(leg: MeasurableMap) -> Space:
-    """Domain carrier with the atoms pulled back from the codomain.
+def _preimage_portfolio(leg: MeasurableMap, side: EffFn) -> EffFn:
+    """``side`` restricted to its carrier with the atoms pulled back from
+    the codomain of ``leg``.
 
     For the legs of a verified cospan these preimages realize the invariant
     sigma-algebra of the leg's kernel in the exact form that makes measures
     on it correspond one-to-one to codomain measures; on discrete spaces it
-    is literally the fiber partition.
+    is literally the fiber partition.  Restriction is the pushforward along
+    the identity-carrier inclusion, one map and so one atom map per side
+    (docs/derivations.md, section 13).
     """
     atoms = leg.domain.atoms
-    return Space(
+    sigma = Space(
         leg.domain.carrier,
         ([s for i in over for s in atoms[i]] for over in leg.preimage_atoms),
     )
+    inclusion = MeasurableMap(side.space, sigma, {s: s for s in sigma.carrier})
+    return EffFn(sigma, {s: push_upperset(inclusion, u) for s, u in side.portfolio})
 
 
 def build_span(c: Cospan) -> SpanResult:
@@ -158,23 +162,23 @@ def build_span(c: Cospan) -> SpanResult:
             "span construction requires finitely supported portfolios"
         )
 
-    sigma_f = _preimage_space(c.f)
-    sigma_g = _preimage_space(c.g)
-    p_f = EffFn(sigma_f, {s: restrict_upperset(c.p(s), sigma_f) for s in sigma_f.carrier})
-    q_g = EffFn(sigma_g, {t: restrict_upperset(c.q(t), sigma_g) for t in sigma_g.carrier})
+    p_f, q_g = _preimage_portfolio(c.f, c.p), _preimage_portfolio(c.g, c.q)
 
     over: dict[str, list[str]] = {}  # per mediator state, g's fiber in carrier order
     for t in c.q.space.carrier:
         over.setdefault(c.g(t), []).append(t)
     pairs = [(s, t) for s in c.p.space.carrier for t in over[c.f(s)]]
-    names = [f"{s}|{t}" for s, t in pairs]
+    # a backslash escapes each backslash and bar in a state name, so "s|t" names one pair
+    states = (*c.p.space.carrier, *c.q.space.carrier)
+    escaped = {s: s.replace("\\", "\\\\").replace("|", "\\|") for s in states}
+    names = [f"{escaped[s]}|{escaped[t]}" for s, t in pairs]
     blocks: list[list[str]] = [[] for _ in c.m.space.atoms]
     for (s, _), name in zip(pairs, names):
         blocks[c.m.space.atom_of(c.f(s))].append(name)
     w = Space(names, blocks)
     representative = [members[0] for members in blocks]
-    pi_s = MeasurableMap(w, sigma_f, {name: s for name, (s, _) in zip(names, pairs)})
-    pi_t = MeasurableMap(w, sigma_g, {name: t for name, (_, t) in zip(names, pairs)})
+    pi_s = MeasurableMap(w, p_f.space, {name: s for name, (s, _) in zip(names, pairs)})
+    pi_t = MeasurableMap(w, q_g.space, {name: t for name, (_, t) in zip(names, pairs)})
 
     # Measures on w correspond to mediator measures atom for atom; transport
     # the mediator's support at u by reading its mass per mediator atom.

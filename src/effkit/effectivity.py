@@ -199,14 +199,18 @@ def restrict_upperset(u: UpperSet, coarser: Space) -> UpperSet:
     return UpperSet(coarser, gens)
 
 
+def _first_unmatched(f: MeasurableMap, p: EffFn, q: EffFn) -> str | None:
+    """The first state ``s`` whose image family differs from the target
+    portfolio at ``f(s)``, or None when ``f`` is a portfolio morphism."""
+    return next((s for s in p.space.carrier if not equals(q(f(s)), push_upperset(f, p(s)))), None)
+
+
 def is_ef_morphism(f: MeasurableMap, p: EffFn, q: EffFn) -> bool:
     """Whether ``f`` is a portfolio morphism: the target portfolio at
     ``f(s)`` is exactly the image family of the portfolio at ``s``."""
     if f.domain != p.space or f.codomain != q.space:
         raise SpaceMismatchError("map endpoints must match the portfolio spaces")
-    return all(
-        equals(q(f(s)), push_upperset(f, p(s))) for s in p.space.carrier
-    )
+    return _first_unmatched(f, p, q) is None
 
 
 def _preimage_set(f: MeasurableMap, h: MeasureSet) -> MeasureSet | None:
@@ -236,6 +240,12 @@ def is_strong_morphism(f: MeasurableMap, p: EffFn, q: EffFn) -> bool:
         raise SpaceMismatchError("map endpoints must match the portfolio spaces")
     if not f.is_surjective:
         raise NotSurjectiveError("a strong morphism must be surjective")
+    return _mutually_dominate(f, p, q)
+
+
+def _mutually_dominate(f: MeasurableMap, p: EffFn, q: EffFn) -> bool:
+    """The generator test of ``is_strong_morphism`` without surjectivity; on
+    principal filters, the kernel-morphism test (docs/derivations.md, section 9)."""
     for s in p.space.carrier:
         source, target = p(s), q(f(s))
         for h in target.generators:

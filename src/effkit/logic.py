@@ -13,7 +13,11 @@ Concrete syntax::
 
 ``&`` binds tighter than ``|``; the prefix modalities bind tightest and take
 a single measure unit, so composite measure formulas under a modality are
-bracketed: ``[][ [T<1/3] | [T>2/3] ]``.
+bracketed: ``[][ [T<1/3] | [T>2/3] ]``.  After ``[``, the first token past
+any ``(`` decides: ``T``, ``<>`` or ``[]`` opens a threshold, anything else a
+group.  A measure formula never starts with those tokens and a state formula
+never starts with ``[``, so nothing is read twice and an error is reported
+where it occurs.
 
 Logical equivalence runs the signature refinement that also computes the
 greatest bisimulation, and keeps next to its partition a conjunction-closed
@@ -22,6 +26,8 @@ Every split is backed by a synthesized, evaluator-confirmed formula, and the
 family's partition is checked against the refinement's every round.  The
 procedure is therefore not independent of the relational computation; the
 tests keep an independent pair-pruning oracle to compare both against.
+The evaluator's memos are keyed by node identity, so no lookup hashes a
+subtree; each entry holds its node, so its id is not reused while it lives.
 """
 
 from __future__ import annotations
@@ -175,16 +181,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 _MAX_NESTING = 100
 
 
-class _TooDeep(FormulaSyntaxError):
-    """Nesting beyond ``_MAX_NESTING``; never retried as another reading."""
-
-
 class _Parser:
     """Recursive descent; every parse method returns the formula and the
     height of its syntax tree."""
 
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         depth = 0
@@ -194,7 +195,7 @@ class _Parser:
 
     def nested(self, height: int, pos: int) -> int:
         if height > _MAX_NESTING:
-            raise _TooDeep(f"formula nested deeper than {_MAX_NESTING} levels", pos)
+            raise FormulaSyntaxError(f"formula nested deeper than {_MAX_NESTING} levels", pos)
         return height
 
     def peek(self) -> tuple[str, str, int]:
@@ -205,10 +206,11 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> tuple[str, str, int]:
+    def expect(self, kind: str, what: str | None = None) -> tuple[str, str, int]:
         tok = self.next()
         if tok[0] != kind:
-            raise FormulaSyntaxError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
+            found = tok[1] or "end of input"
+            raise FormulaSyntaxError(f"expected {what or repr(kind)}, found {found!r}", tok[2])
         return tok
 
     def parse_state(self) -> tuple[StateFormula, int]:
@@ -255,13 +257,11 @@ class _Parser:
         kind, text, pos = self.peek()
         if kind == "[":
             self.next()
-            mark = self.pos
-            try:
+            ahead = self.pos
+            while self.tokens[ahead][0] == "(":
+                ahead += 1
+            if self.tokens[ahead][0] in ("T", "<>", "[]"):  # a state formula opens a threshold
                 return self._parse_threshold_tail(pos)
-            except _TooDeep:
-                raise
-            except FormulaSyntaxError:
-                self.pos = mark  # brackets group a composite measure formula
             inner = self.parse_measure()
             self.expect("]")
             return inner
@@ -279,12 +279,9 @@ class _Parser:
         kind, text, pos = self.next()
         if kind not in ("<", ">"):
             raise FormulaSyntaxError(f"expected < or > in threshold, found {text!r}", pos)
-        rat = self.expect("RAT")
-        bound = Fraction(rat[1])
-        if bound >= 1:
-            raise ThresholdOutOfRangeError(f"threshold {bound} outside [0, 1)")
+        rat = self.expect("RAT", "a rational")
         self.expect("]")
-        return Threshold(state, kind, bound), self.nested(h + 1, open_pos)
+        return Threshold(state, kind, Fraction(rat[1])), self.nested(h + 1, open_pos)
 
 
 def parse_formula(text: str) -> StateFormula:
@@ -340,22 +337,22 @@ class _Evaluator:
 
     def __init__(self, p: EffFn):
         self.p = p
-        self._ext: dict[StateFormula, frozenset[str]] = {}
-        self._atoms: dict[StateFormula, tuple[int, ...]] = {}
+        self._ext: dict[int, tuple[StateFormula, frozenset[str]]] = {}
+        self._atoms: dict[int, tuple[StateFormula, tuple[int, ...]]] = {}
 
     def numerator(self, mu: SubProb, f: StateFormula) -> int:
         """Mass of the extension of ``f`` under ``mu``, over ``mu.den``; the
         extension is checked measurable once."""
-        idx = self._atoms.get(f)
-        if idx is None:
-            idx = self._atoms[f] = _atoms_of(self.p.space, self.state_ext(f))
+        hit = self._atoms.get(id(f))
+        if hit is None:
+            hit = self._atoms[id(f)] = (f, _atoms_of(self.p.space, self.state_ext(f)))
         num = mu.num
-        return sum([num[i] for i in idx])
+        return sum([num[i] for i in hit[1]])
 
     def state_ext(self, f: StateFormula) -> frozenset[str]:
-        cached = self._ext.get(f)
-        if cached is not None:
-            return cached
+        hit = self._ext.get(id(f))
+        if hit is not None:
+            return hit[1]
         if isinstance(f, Top):
             ext = frozenset(self.p.space.carrier)
         elif isinstance(f, And):
@@ -380,7 +377,7 @@ class _Evaluator:
             )
         else:
             raise TypeError(f"not a state formula: {f!r}")
-        self._ext[f] = ext
+        self._ext[id(f)] = (f, ext)
         return ext
 
     def msat(self, m: MeasureFormula, mu: SubProb) -> bool:

@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .effectivity import EffFn, _greatest_bisim, _is_bisim, _preimage_set, is_subsystem
+from .effectivity import EffFn, _greatest_bisim, _is_bisim, _mutually_dominate, is_subsystem, sum_ef
 from .errors import ForeignStateError, IncompatiblePartitionError, SpaceMismatchError
-from .measure import SubProb, pushforward
-from .space import DirectSum, MeasurableMap, Relation, Space, direct_sum as space_sum
+from .measure import SubProb
+from .space import DirectSum, MeasurableMap, Relation, Space
 from .upperset import MeasureSet, UpperSet
 
 __all__ = [
@@ -137,35 +137,21 @@ def is_nk_morphism(f: MeasurableMap, k: Kernel, k2: Kernel) -> bool:
     measure set under pushforward lands in the target, and the full
     pushforward preimage of the target set equals the source set.
 
-    The preimage of a finite measure set is finite only when each positive-
-    mass codomain atom pulls back to a single domain atom; otherwise the
-    preimage is an infinite polytope and can never equal the finite source.
+    That is the generator test of a strong morphism between the
+    ``filter_generate`` portfolios, without its surjectivity
+    (docs/derivations.md, section 9).
     """
     if f.domain != k.space or f.codomain != k2.space:
         raise SpaceMismatchError("map endpoints must match the kernel spaces")
-    for s in k.space.carrier:
-        source = k(s)
-        target = k2(f(s))
-        if any(pushforward(f, mu) not in target for mu in source):
-            return False
-        if _preimage_set(f, target) != source:
-            return False
-    return True
+    return _mutually_dominate(f, filter_generate(k), filter_generate(k2))
 
 
 def direct_sum(k: Kernel, k2: Kernel) -> tuple[Kernel, DirectSum]:
-    """Piecewise sum kernel on the tagged sum space.
-
-    Measures of each summand are embedded with zero mass on the foreign
-    side (pushforward along the injection).
-    """
-    ds = space_sum(k.space, k2.space)
-    image: dict[str, list[SubProb]] = {}
-    for s in k.space.carrier:
-        image[ds.left(s)] = [pushforward(ds.left, mu) for mu in k(s)]
-    for t in k2.space.carrier:
-        image[ds.right(t)] = [pushforward(ds.right, mu) for mu in k2(t)]
-    return Kernel(ds.space, image), ds
+    """Piecewise sum kernel on the tagged sum space: the sum of the
+    ``filter_generate`` portfolios, each state's single generator read back
+    as its measure set."""
+    summed, ds = sum_ef(filter_generate(k), filter_generate(k2))
+    return Kernel(ds.space, {s: u.generators[0] for s, u in summed.portfolio}), ds
 
 
 def filter_generate(k: Kernel) -> EffFn:

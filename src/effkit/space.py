@@ -47,9 +47,10 @@ class Space:
 
     def __init__(self, carrier: Iterable[str], atoms: Iterable[Iterable[str]] | None = None):
         carrier = tuple(carrier)
-        if len(set(carrier)) != len(carrier):
-            raise ForeignStateError(f"duplicate states in carrier: {carrier}")
         order = {s: i for i, s in enumerate(carrier)}
+        if len(order) != len(carrier):
+            repeated = next(s for i, s in enumerate(carrier) if order[s] != i)
+            raise ForeignStateError(f"duplicate state in carrier: {repeated!r}")
         if atoms is None:
             blocks = tuple((s,) for s in carrier)
         else:

@@ -13,6 +13,7 @@ from effkit import (
     CospanReport,
     CospanVerificationError,
     EffFn,
+    FormulaSyntaxError,
     InternalInvariantViolation,
     Kernel,
     MeasurableMap,
@@ -25,8 +26,10 @@ from effkit import (
     SpaceMismatchError,
     SpanResult,
     SubProb,
+    ThresholdOutOfRangeError,
     UpperSet,
     contains,
+    direct_sum,
     equals,
     filter_generate,
     push_upperset,
@@ -38,14 +41,17 @@ from effkit import (
 )
 from effkit.cospan import CheckFailure
 from effkit.logic import (
+    _MAX_NESTING,
     And,
     Box,
     Diamond,
     MAnd,
+    MeasureFormula,
     MOr,
     StateFormula,
     Threshold,
     Top,
+    _tokenize,
 )
 
 # ---------------------------------------------------------------------------
@@ -705,7 +711,11 @@ def build_span_oracle(c: Cospan) -> SpanResult:
     pairs = [
         (s, t) for s in c.p.space.carrier for t in c.q.space.carrier if c.f(s) == c.g(t)
     ]
-    name = {pair: f"{pair[0]}|{pair[1]}" for pair in pairs}
+
+    def escaped(state: str) -> str:
+        return state.replace("\\", "\\\\").replace("|", "\\|")
+
+    name = {pair: f"{escaped(pair[0])}|{escaped(pair[1])}" for pair in pairs}
     blocks = [
         [name[(s, t)] for (s, t) in pairs if c.f(s) in set(block)]
         for block in c.m.space.atoms
@@ -735,3 +745,158 @@ def build_span_oracle(c: Cospan) -> SpanResult:
         if not equals(push_upperset(pi_t, at), q_g(t)):
             raise InternalInvariantViolation(f"right square fails at {name[(s, t)]}")
     return SpanResult(w, tau, p_f, q_g, pi_s, pi_t)
+
+
+# ---------------------------------------------------------------------------
+# Kernel morphisms and sums on measure sets, and the backtracking parser
+# ---------------------------------------------------------------------------
+
+
+def nk_morphism_oracle(f: MeasurableMap, k: Kernel, k2: Kernel) -> bool:
+    """Every source measure pushes into the target set, and the target
+    set's full pushforward preimage, when finite, is the source set."""
+    if f.domain != k.space or f.codomain != k2.space:
+        raise SpaceMismatchError("map endpoints must match the kernel spaces")
+    for s in k.space.carrier:
+        source, target = k(s), k2(f(s))
+        if any(pushforward(f, mu) not in target for mu in source):
+            return False
+        preimage: list[SubProb] = []
+        for nu in target:
+            sols = unique_preimages(f, nu)
+            if sols is None:
+                return False
+            preimage.extend(sols)
+        if MeasureSet(f.domain, preimage) != source:
+            return False
+    return True
+
+
+def kernel_sum_oracle(k: Kernel, k2: Kernel):
+    """The sum kernel, each measure pushed along its side's injection."""
+    ds = direct_sum(k.space, k2.space)
+    image: dict[str, list[SubProb]] = {}
+    for s in k.space.carrier:
+        image[ds.left(s)] = [pushforward(ds.left, mu) for mu in k(s)]
+    for t in k2.space.carrier:
+        image[ds.right(t)] = [pushforward(ds.right, mu) for mu in k2(t)]
+    return Kernel(ds.space, image), ds
+
+
+class _TooDeep(FormulaSyntaxError):
+    """Nesting beyond ``_MAX_NESTING``; never retried as another reading."""
+
+
+class _BacktrackingParser:
+    """Recursive descent that reads ``[`` as a threshold first and, when
+    that fails, rewinds and reads it as a group."""
+
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        depth = 0
+        for kind, _, pos in self.tokens:
+            depth += (kind in ("(", "[")) - (kind in (")", "]"))
+            self.nested(depth, pos)
+
+    def nested(self, height: int, pos: int) -> int:
+        if height > _MAX_NESTING:
+            raise _TooDeep(f"formula nested deeper than {_MAX_NESTING} levels", pos)
+        return height
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str):
+        tok = self.next()
+        if tok[0] != kind:
+            found = tok[1] or "end of input"
+            raise FormulaSyntaxError(f"expected {kind!r}, found {found!r}", tok[2])
+        return tok
+
+    def parse_state(self) -> tuple[StateFormula, int]:
+        left, height = self.parse_state_unit()
+        while self.peek()[0] == "&":
+            pos = self.next()[2]
+            right, h = self.parse_state_unit()
+            left, height = And(left, right), self.nested(max(height, h) + 1, pos)
+        return left, height
+
+    def parse_state_unit(self) -> tuple[StateFormula, int]:
+        kind, text, pos = self.peek()
+        if kind == "T":
+            self.next()
+            return Top(), 1
+        if kind in ("<>", "[]"):
+            self.next()
+            body, h = self.parse_measure_unit()
+            return (Diamond if kind == "<>" else Box)(body), self.nested(h + 1, pos)
+        if kind == "(":
+            self.next()
+            inner = self.parse_state()
+            self.expect(")")
+            return inner
+        raise FormulaSyntaxError(f"expected a state formula, found {text or 'end of input'!r}", pos)
+
+    def parse_measure(self) -> tuple[MeasureFormula, int]:
+        left, height = self.parse_measure_conj()
+        while self.peek()[0] == "|":
+            pos = self.next()[2]
+            right, h = self.parse_measure_conj()
+            left, height = MOr(left, right), self.nested(max(height, h) + 1, pos)
+        return left, height
+
+    def parse_measure_conj(self) -> tuple[MeasureFormula, int]:
+        left, height = self.parse_measure_unit()
+        while self.peek()[0] == "&":
+            pos = self.next()[2]
+            right, h = self.parse_measure_unit()
+            left, height = MAnd(left, right), self.nested(max(height, h) + 1, pos)
+        return left, height
+
+    def parse_measure_unit(self) -> tuple[MeasureFormula, int]:
+        kind, text, pos = self.peek()
+        if kind == "[":
+            self.next()
+            mark = self.pos
+            try:
+                return self._parse_threshold_tail(pos)
+            except _TooDeep:
+                raise
+            except FormulaSyntaxError:
+                self.pos = mark  # brackets group a composite measure formula
+            inner = self.parse_measure()
+            self.expect("]")
+            return inner
+        if kind == "(":
+            self.next()
+            inner = self.parse_measure()
+            self.expect(")")
+            return inner
+        raise FormulaSyntaxError(
+            f"expected a measure formula, found {text or 'end of input'!r}", pos
+        )
+
+    def _parse_threshold_tail(self, open_pos: int) -> tuple[Threshold, int]:
+        state, h = self.parse_state()
+        kind, text, pos = self.next()
+        if kind not in ("<", ">"):
+            raise FormulaSyntaxError(f"expected < or > in threshold, found {text!r}", pos)
+        rat = self.expect("RAT")
+        bound = Fraction(rat[1])
+        if bound >= 1:
+            raise ThresholdOutOfRangeError(f"threshold {bound} outside [0, 1)")
+        self.expect("]")
+        return Threshold(state, kind, bound), self.nested(h + 1, open_pos)
+
+
+def parse_formula_oracle(text: str) -> StateFormula:
+    parser = _BacktrackingParser(text)
+    formula, _ = parser.parse_state()
+    parser.expect("EOF")
+    return formula

@@ -492,6 +492,22 @@ class TestSpanCommand:
         assert payload["squares"] == "commute"
         assert len(payload["w"]["states"]) == 5
 
+    def test_pair_names_stay_distinct(self, tmp_path):
+        def halves(states):
+            return {"kind": "ef", "states": states,
+                    "effectivity": {s: [[{states[0]: "1/2"}]] for s in states}}
+
+        p = write(tmp_path, "p.json", halves(["x", "x|y"]))
+        q = write(tmp_path, "q.json", halves(["y|z", "z"]))
+        m = write(tmp_path, "m.json", halves(["u"]))
+        f = write(tmp_path, "f.json", {"map": {"x": "u", "x|y": "u"}})
+        g = write(tmp_path, "g.json", {"map": {"y|z": "u", "z": "u"}})
+        code, out, err = invoke("span", p, q, m, "--f", f, "--g", g)
+        assert code == 0, err
+        names = json.loads(out)["w"]["states"]
+        assert names == ["x|y\\|z", "x|z", "x\\|y|y\\|z", "x\\|y|z"]
+        assert len(set(names)) == 4
+
     def test_invalid_cospan_reported(self, efA, tmp_path):
         mpath = write(tmp_path, "m.json", EF_A_DOC)
         mapfile = write(

@@ -222,6 +222,11 @@ class TestAgainstPairOracle:
                 except EffkitError as exc:
                     outcomes.append((type(exc), str(exc)))
             new, old = outcomes
+            if kind == "clash" and both_supported:
+                fibers_f, fibers_g = c.f.fibers(), c.g.fibers()
+                pairs = sum(len(fibers_f[u]) * len(fibers_g[u]) for u in c.m.space.carrier)
+                assert len(set(new.w.carrier)) == pairs, new
+                seen["clash span"] += 1
             if isinstance(old, tuple):
                 assert new == old, kind
                 seen[old[0].__name__] += 1
@@ -232,8 +237,8 @@ class TestAgainstPairOracle:
             for pi in (new.pi_s, new.pi_t):
                 assert pi.atom_map == atom_map_oracle(pi)
         assert seen["span"] > 300 and seen["reached the support checks"] > 300
-        for error in ("CospanVerificationError", "NotFinitelySupportedError", "ForeignStateError"):
-            assert seen[error] > 20, seen
+        for count in ("CospanVerificationError", "NotFinitelySupportedError", "clash span"):
+            assert seen[count] > 20, seen
 
 
 def one_block_cospan(n: int) -> Cospan:
@@ -268,6 +273,23 @@ class TestSpanWork:
             pushes[n] = calls["push"] - before
         # linear in n: doubling n doubles the increment; n * n pairs would quadruple it
         assert pushes[40] - pushes[20] == 2 * (pushes[20] - pushes[10]), pushes
+
+    def test_atom_maps_do_not_grow_with_states(self, monkeypatch):
+        calls: Counter = Counter()
+        atom_map = Space.atom_map
+
+        def counted(space, coarser):
+            calls["atom_map"] += 1
+            return atom_map(space, coarser)
+
+        monkeypatch.setattr(Space, "atom_map", counted)
+        made = {}
+        for n in (10, 20, 40):
+            c = one_block_cospan(n)
+            before = calls["atom_map"]
+            build_span(c)
+            made[n] = calls["atom_map"] - before
+        assert made[10] == made[20] == made[40], made
 
 
 class TestCanonicalMediator:

@@ -24,3 +24,24 @@ def test_no_import_inside_a_function():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 )
     assert not nested, f"imports inside functions: {sorted(nested)}"
+
+
+def test_every_import_is_used():
+    """Every name a module imports is used in that module, so a deletion
+    leaves no dead import behind; ``__init__.py`` re-exports and is exempt."""
+    unused = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused.update(
+                    f"{path.name}:{node.lineno} {name}"
+                    for name in ((a.asname or a.name).split(".")[0] for a in node.names)
+                    if name not in used
+                )
+    assert not unused, f"unused imports: {sorted(unused)}"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -40,8 +41,9 @@ from effkit import (
     parse_formula,
     sigma_r,
 )
-from effkit.logic import _Refiner
+from effkit.logic import _Refiner, _tokenize
 from helpers import (
+    parse_formula_oracle,
     rand_ef,
     rand_kernel,
     rand_space,
@@ -110,6 +112,21 @@ class TestParser:
         with pytest.raises(FormulaSyntaxError):
             parse_formula("[T > 1/2]")  # threshold is not a state formula
 
+    @pytest.mark.parametrize(
+        "text, position, message",
+        [
+            ("<>[T > ]", 7, "expected a rational, found ']'"),
+            ("<>[T & > 1/2]", 7, "expected a state formula, found '>'"),
+            ("<>[ (T & T) < ]", 14, "expected a rational, found ']'"),
+            ("<>[T > 1/2", 10, "expected ']', found 'end of input'"),
+        ],
+    )
+    def test_errors_inside_a_threshold_point_at_the_fault(self, text, position, message):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_formula(text)
+        assert exc.value.position == position
+        assert str(exc.value) == f"{message} (at position {position})"
+
     def test_threshold_range_enforced(self):
         with pytest.raises(ThresholdOutOfRangeError):
             parse_formula("<>[T > 1]")
@@ -135,6 +152,56 @@ class TestParser:
             printed = format_formula(ast)
             assert parse_formula(printed) == ast
             assert format_formula(parse_formula(printed)) == printed
+
+
+_VOCABULARY = ("T", "&", "|", "<>", "[]", "(", ")", "[", "]", "<", ">", "0", "1/2", "1", "3/2")
+
+
+def mutated(rng: Random, text: str) -> str:
+    """``text`` after up to three single-token deletions, insertions or
+    substitutions, tokens separated by spaces."""
+    tokens = [tok for _, tok, _ in _tokenize(text)[:-1]]
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randrange(len(tokens) + 1)
+        move = rng.randrange(3)
+        if move == 1 or i == len(tokens):
+            tokens.insert(i, rng.choice(_VOCABULARY))
+        elif move == 0:
+            del tokens[i]
+        else:
+            tokens[i] = rng.choice(_VOCABULARY)
+    return " ".join(tokens)
+
+
+class TestAgainstBacktrackingParser:
+    def test_random_and_mutated_formulas(self):
+        """The same formula wherever the backtracking parser accepts, a
+        refusal wherever it refuses, of the same type except where a
+        threshold is both out of range and unclosed: the backtracking parser
+        checks the range first, ``parse_formula`` the closing ``]``."""
+        rng = Random(257)
+        seen: Counter = Counter()
+        for _ in range(4000):
+            text = mutated(rng, format_formula(rand_state_formula(rng, depth=rng.randint(1, 4))))
+            outcomes = []
+            for parse in (parse_formula, parse_formula_oracle):
+                try:
+                    outcomes.append(parse(text))
+                except (FormulaSyntaxError, ThresholdOutOfRangeError) as exc:
+                    outcomes.append(exc)
+            new, old = outcomes
+            if not isinstance(old, EffkitError):
+                assert new == old, text
+                seen["accepted"] += 1
+                continue
+            assert isinstance(new, EffkitError), text
+            seen["refused"] += 1
+            out_of_range = isinstance(old, ThresholdOutOfRangeError)
+            if out_of_range != isinstance(new, ThresholdOutOfRangeError):
+                assert out_of_range, text
+                assert "expected ']'" in str(new), text
+                seen["out of range and unclosed"] += 1
+        assert seen["accepted"] > 900 and seen["refused"] > 2000, seen
 
 
 @st.composite
@@ -372,3 +439,29 @@ class TestDistinguish:
                 for s, t in pairs:
                     assert (s in ext) == (t in ext)
         assert tried >= 10
+
+
+def half_chain(n: int) -> EffFn:
+    """States s0 .. s{n-1}: each but the last moves with mass 1/2 to the
+    next, the last has no measure."""
+    space = Space.discrete([f"s{i}" for i in range(n)])
+    image = {f"s{i}": [SubProb.of(space, {f"s{i + 1}": "1/2"})] for i in range(n - 1)}
+    return filter_generate(Kernel(space, image))
+
+
+class TestIdentityMemos:
+    def test_no_formula_node_is_hashed(self, monkeypatch):
+        hashed: Counter = Counter()
+        for cls in (Top, And, Diamond, Box, MAnd, MOr, Threshold):
+            def counted(node, _hash=cls.__hash__):
+                hashed[type(node).__name__] += 1
+                return _hash(node)
+
+            monkeypatch.setattr(cls, "__hash__", counted)
+        assert hash(Top()) is not None and hashed["Top"] == 1
+        hashed.clear()
+        for n in (10, 20, 40):
+            p = half_chain(n)
+            assert len(logical_equivalence(p).classes()) == n
+            assert not distinguish(p, "s0", "s1").equivalent
+        assert not hashed, hashed

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from random import Random
 
 import pytest
@@ -25,15 +26,20 @@ from effkit import (
     kernel_sum,
     pushforward,
     is_ef_state_bisim,
+    unique_preimages,
     UpperSet,
 )
 from helpers import (
     all_partitions,
     all_symmetric_relations,
+    kernel_sum_oracle,
+    nk_morphism_oracle,
     perturb_kernel,
     rand_kernel,
+    rand_measurable_map,
     rand_nk_instance,
     rand_space,
+    rand_subprob_on,
 )
 
 S3 = Space.discrete(["s0", "s1", "s2"])
@@ -288,3 +294,55 @@ class TestPerturbationsDetected:
             if not is_nk_morphism(f, perturb_kernel(rng, k), k2):
                 rejected += 1
         assert rejected > total // 2
+
+
+def rand_kernel_map(rng: Random, kind: str):
+    """A map and two kernels: a constructed morphism, one with a perturbed
+    kernel, a constructed morphism along a random, often non-surjective map
+    of possibly coarse spaces, random kernels along such a map, or empty
+    images on one side."""
+    if kind in ("constructed", "perturbed"):
+        f, k, k2 = rand_nk_instance(rng)
+        if kind == "perturbed":
+            if rng.random() < 0.5:
+                k = perturb_kernel(rng, k)
+            else:
+                k2 = perturb_kernel(rng, k2)
+        return f, k, k2
+    dom = rand_space(rng, 1, 5, allow_coarse=True)
+    cod = rand_space(rng, 1, 4, allow_coarse=True)
+    f = rand_measurable_map(rng, dom, cod)
+    if kind == "random":
+        return f, rand_kernel(rng, dom, max_measures=2), rand_kernel(rng, cod, max_measures=2)
+    # only codomain atoms over one domain atom carry mass: unique preimages
+    single = [cod.atoms[j][0] for j, over in enumerate(f.preimage_atoms) if len(over) == 1]
+    k2 = Kernel(cod, {
+        t: [rand_subprob_on(rng, cod, single) for _ in range(rng.randint(0, 2))]
+        for t in cod.carrier
+        if kind == "coarse" or rng.random() < 0.3
+    })
+    k = Kernel(dom, {
+        s: [mu for nu in k2(f(s)) for mu in unique_preimages(f, nu)] for s in dom.carrier
+    })
+    if rng.random() < 0.3:
+        k = perturb_kernel(rng, k)
+    return (f, k, k2) if rng.random() < 0.8 else (f, Kernel(dom, {}), k2)
+
+
+class TestAgainstMeasureSetOracle:
+    def test_random_kernel_maps(self):
+        """Morphism verdicts and sums equal those computed on measure sets
+        directly, without the filter portfolios."""
+        rng = Random(263)
+        seen: Counter = Counter()
+        kinds = ("constructed", "perturbed", "coarse", "random", "empty")
+        for case in range(3000):
+            f, k, k2 = rand_kernel_map(rng, kinds[case % len(kinds)])
+            holds = nk_morphism_oracle(f, k, k2)
+            assert is_nk_morphism(f, k, k2) == holds, (f, k, k2)
+            assert kernel_sum(k, k2) == kernel_sum_oracle(k, k2)
+            seen["holds"] += holds
+            seen["fails"] += not holds
+            seen["not surjective"] += not f.is_surjective
+            seen["empty image"] += any(not ms for _, ms in (*k.image, *k2.image))
+        assert min(seen.values()) > 500, seen

@@ -56,6 +56,11 @@ class TestSpace:
         with pytest.raises(ForeignStateError):
             Space(["a"], [["a", "zz"]])
 
+    def test_duplicate_error_names_the_first_repeated_state(self):
+        with pytest.raises(ForeignStateError) as exc:
+            Space(["a", "b", "c", "b", "a"])
+        assert str(exc.value) == "duplicate state in carrier: 'a'"
+
     def test_atom_union_detection(self):
         sp = Space(["a", "b", "c"], [["a", "b"], ["c"]])
         assert sp.atoms_of_set(["a", "b"]) == (0,)
