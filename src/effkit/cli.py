@@ -42,6 +42,21 @@ from .space import Relation
 HELP = "finite-state stochastic nondeterminism toolkit"
 
 
+class _UsageError(EffkitError):
+    """A command line the parser refuses: a missing or unknown argument, an
+    unknown subcommand or an unknown option value."""
+
+    location = "argv"
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a refused command line as a :class:`_UsageError`, which ``run``
+    reports like any input error; ``--help`` still prints and exits."""
+
+    def error(self, message: str):
+        raise _UsageError(message)
+
+
 def _partition_payload(rel: Relation) -> list[list[str]]:
     return [list(block) for block in rel.classes()]
 
@@ -277,7 +292,7 @@ def _render_text(payload: dict[str, Any], out) -> None:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="effkit", description=HELP)
+    parser = _Parser(prog="effkit", description=HELP)
     parser.add_argument("--format", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -358,9 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code, payload = args.handler(args)
     except EffkitError as exc:
         diagnostic = {

@@ -14,7 +14,9 @@ finite generator antichains; the reductions are spelled out per operation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd
+from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -93,11 +95,11 @@ def _refine(
     a class id: its nonzero numerators are summed per closure block over its
     denominator and reduced, so no ``Fraction`` is built.  A state's
     signature is, per portfolio, the minimal antichain of its generators'
-    class-id sets; equal signatures are exactly the two-sided generator
-    transfer (docs/derivations.md, section 6).  Every round yields the class
-    id of a measure and, per block, its signature classes; the next round's
-    blocks are those classes.  The rounds stop after the first that splits
-    no block.
+    class-id sets, each held as a mask; equal signatures are exactly the
+    two-sided generator transfer (docs/derivations.md, section 6).  Every
+    round yields the class id of a measure and, per block, its signature
+    classes; the next round's blocks are those classes.  The rounds stop
+    after the first that splits no block.
     """
     number: dict[SubProb, int] = {}
     support: list[tuple[int, tuple[tuple[int, int], ...]]] = []
@@ -124,9 +126,10 @@ def _refine(
             g = gcd(den, *vec.values())
             key = (den // g, *sorted((b, n // g) for b, n in vec.items()))
             cid.append(vectors.setdefault(key, len(vectors)))
+        bit = [1 << c for c in cid]
         signature = {
             s: tuple(
-                frozenset(_minimal(frozenset(cid[m] for m in g) for g in gens[i]))
+                frozenset(_minimal([reduce(or_, [bit[m] for m in g], 0) for g in gens[i]]))
                 for gens in generators
             )
             for i, s in enumerate(space.carrier)

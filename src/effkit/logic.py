@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,7 +46,7 @@ from .errors import (
     ThresholdOutOfRangeError,
 )
 from .measure import SubProb, _atoms_of
-from .space import Relation, Space
+from .space import Relation
 
 __all__ = [
     "StateFormula",
@@ -181,6 +182,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 _MAX_NESTING = 100
 
 
+def _shown(tok: tuple[str, str, int]) -> str:
+    """A token as an error message names it."""
+    return "end of input" if tok[0] == "EOF" else repr(tok[1])
+
+
 class _Parser:
     """Recursive descent; every parse method returns the formula and the
     height of its syntax tree."""
@@ -209,8 +215,7 @@ class _Parser:
     def expect(self, kind: str, what: str | None = None) -> tuple[str, str, int]:
         tok = self.next()
         if tok[0] != kind:
-            found = tok[1] or "end of input"
-            raise FormulaSyntaxError(f"expected {what or repr(kind)}, found {found!r}", tok[2])
+            raise FormulaSyntaxError(f"expected {what or repr(kind)}, found {_shown(tok)}", tok[2])
         return tok
 
     def parse_state(self) -> tuple[StateFormula, int]:
@@ -222,7 +227,7 @@ class _Parser:
         return left, height
 
     def parse_state_unit(self) -> tuple[StateFormula, int]:
-        kind, text, pos = self.peek()
+        kind, _, pos = self.peek()
         if kind == "T":
             self.next()
             return Top(), 1
@@ -235,7 +240,7 @@ class _Parser:
             inner = self.parse_state()
             self.expect(")")
             return inner
-        raise FormulaSyntaxError(f"expected a state formula, found {text or 'end of input'!r}", pos)
+        raise FormulaSyntaxError(f"expected a state formula, found {_shown(self.peek())}", pos)
 
     def parse_measure(self) -> tuple[MeasureFormula, int]:
         left, height = self.parse_measure_conj()
@@ -254,7 +259,7 @@ class _Parser:
         return left, height
 
     def parse_measure_unit(self) -> tuple[MeasureFormula, int]:
-        kind, text, pos = self.peek()
+        kind, _, pos = self.peek()
         if kind == "[":
             self.next()
             ahead = self.pos
@@ -270,15 +275,14 @@ class _Parser:
             inner = self.parse_measure()
             self.expect(")")
             return inner
-        raise FormulaSyntaxError(
-            f"expected a measure formula, found {text or 'end of input'!r}", pos
-        )
+        raise FormulaSyntaxError(f"expected a measure formula, found {_shown(self.peek())}", pos)
 
     def _parse_threshold_tail(self, open_pos: int) -> tuple[Threshold, int]:
         state, h = self.parse_state()
-        kind, text, pos = self.next()
+        tok = self.next()
+        kind, _, pos = tok
         if kind not in ("<", ">"):
-            raise FormulaSyntaxError(f"expected < or > in threshold, found {text!r}", pos)
+            raise FormulaSyntaxError(f"expected < or > in threshold, found {_shown(tok)}", pos)
         rat = self.expect("RAT", "a rational")
         self.expect("]")
         return Threshold(state, kind, Fraction(rat[1])), self.nested(h + 1, open_pos)
@@ -288,7 +292,7 @@ def parse_formula(text: str) -> StateFormula:
     """Parse a state formula; raises FormulaSyntaxError / ThresholdOutOfRangeError."""
     parser = _Parser(text)
     formula, _ = parser.parse_state()
-    parser.expect("EOF")
+    parser.expect("EOF", "end of input")
     return formula
 
 
@@ -431,52 +435,65 @@ class DistinguishResult:
 _FALSUM = Threshold(Top(), "<", Fraction(0))
 
 
-def _ext_key(space: Space):
-    index = {s: i for i, s in enumerate(space.carrier)}
-
-    def key(ext: frozenset[str]):
-        return (len(ext), tuple(sorted(index[s] for s in ext)))
-
-    return key
-
-
 class _Refiner:
     """Formula synthesis on top of the signature refinement.
 
     Keeps a conjunction-closed formula family whose extensions generate
     exactly the refinement's partition.  Each round, every pair of signature
     classes inside a block gets one separating formula, confirmed by the
-    evaluator before it enters the family.
+    evaluator before it enters the family.  The family's partition and its
+    extensions in ``_ext_key`` order are kept up to date as formulas enter.
     """
 
     def __init__(self, p: EffFn):
         self.p = p
         self.ev = _Evaluator(p)
-        self.key = _ext_key(p.space)
-        self.family: dict[frozenset[str], StateFormula] = {
-            frozenset(p.space.carrier): Top()
-        }
+        self.index = {s: i for i, s in enumerate(p.space.carrier)}
+        top = frozenset(p.space.carrier)
+        self.family: dict[frozenset[str], StateFormula] = {top: Top()}
+        self.order: list[frozenset[str]] = [top]
+        self.keys: list[tuple] = [self._ext_key(top)]
+        self.partition: list[tuple[str, ...]] = [p.space.carrier]
 
     # -- partition bookkeeping ---------------------------------------------
+    def _ext_key(self, ext: frozenset[str]) -> tuple:
+        """Extensions order by size, then by their states' carrier indices."""
+        return (len(ext), sorted(map(self.index.__getitem__, ext)))
+
     def blocks(self) -> tuple[tuple[str, ...], ...]:
-        exts = sorted(self.family, key=self.key)
-        sig: dict[str, tuple[bool, ...]] = {
-            s: tuple(s in e for e in exts) for s in self.p.space.carrier
-        }
-        seen: dict[tuple[bool, ...], list[str]] = {}
-        for s in self.p.space.carrier:
-            seen.setdefault(sig[s], []).append(s)
-        return tuple(tuple(block) for block in seen.values())
+        """The family's partition, blocks in carrier order of their first
+        states."""
+        return tuple(sorted(self.partition, key=lambda b: self.index[b[0]]))
 
     def _add(self, formula: StateFormula, ext: frozenset[str]) -> None:
         """Insert a confirmed formula and its meets with the family, which
         keeps an intersection-closed family closed (docs/derivations.md,
-        section 12)."""
-        if ext not in self.family:
-            old = list(self.family.items())
-            self.family[ext] = formula
-            for e, f in old:
-                self.family.setdefault(e & ext, And(f, formula))
+        section 12).  Only ``ext`` can split a block: every block already
+        lies inside or outside each old extension, so also each meet."""
+        if ext in self.family:
+            return
+        old = list(self.family.items())
+        self._insert(ext, formula)
+        for e, f in old:
+            meet = e & ext
+            if meet not in self.family:
+                self._insert(meet, And(f, formula))
+        split = []
+        for block in self.partition:
+            inside = tuple(s for s in block if s in ext)
+            if 0 < len(inside) < len(block):
+                split.append(inside)
+                split.append(tuple(s for s in block if s not in ext))
+            else:
+                split.append(block)
+        self.partition = split
+
+    def _insert(self, ext: frozenset[str], formula: StateFormula) -> None:
+        key = self._ext_key(ext)
+        at = bisect(self.keys, key)
+        self.keys.insert(at, key)
+        self.order.insert(at, ext)
+        self.family[ext] = formula
 
     def refine(self, watch: tuple[str, str] | None = None):
         """Run refinement to the fixed point.
@@ -547,12 +564,11 @@ class _Refiner:
         raise InternalInvariantViolation("synthesis called on a passing transfer")
 
     def _culprit_body(self, g, culprits) -> MeasureFormula:
-        exts = sorted(self.family, key=self.key)
         disjuncts = []
         for nu in culprits:
             conj = None
             for mu in g:
-                phi, a, b = self._separating_test(mu, nu, exts)
+                phi, a, b = self._separating_test(mu, nu)
                 mid = (a + b) / 2
                 test = Threshold(phi, "<" if a < b else ">", mid)
                 conj = test if conj is None else MAnd(conj, test)
@@ -562,8 +578,8 @@ class _Refiner:
             body = MOr(body, d)
         return body
 
-    def _separating_test(self, mu: SubProb, nu: SubProb, exts):
-        for ext in exts:
+    def _separating_test(self, mu: SubProb, nu: SubProb):
+        for ext in self.order:
             phi = self.family[ext]
             a = Fraction(self.ev.numerator(nu, phi), nu.den)
             b = Fraction(self.ev.numerator(mu, phi), mu.den)

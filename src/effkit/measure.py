@@ -58,12 +58,14 @@ class SubProb:
 
     ``mass`` lists rationals (``Fraction``, ``int`` or strings such as
     ``"1/2"``); with ``den`` given, it lists integer numerators over ``den``,
-    in any terms.
+    in any terms.  ``ident`` is the measure's id in its space object's
+    table: measures equal on one space object share it.
     """
 
     space: Space
     den: int
     num: tuple[int, ...]
+    ident: int
 
     def __init__(self, space: Space, mass: Iterable[RationalLike], den: int | None = None):
         if den is None:
@@ -95,6 +97,16 @@ class SubProb:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "num", num)
+        object.__setattr__(self, "ident", space.measure_id(den, num))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, SubProb):
+            return NotImplemented
+        if self.space is other.space:
+            return self.ident == other.ident
+        return self.den == other.den and self.num == other.num and self.space == other.space
 
     def __hash__(self) -> int:
         return hash((self.den, self.num))

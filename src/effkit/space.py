@@ -13,6 +13,7 @@ so equal inputs always produce identical output.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -36,6 +37,10 @@ __all__ = [
     "is_final_surjection",
     "compose",
 ]
+
+
+# Held while a space hands out a new measure id; looking one up needs no lock.
+_NEW_MEASURE_ID = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,14 @@ class Space:
             blocks = tuple(sorted(raw, key=lambda a: order[a[0]]))
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "atoms", blocks)
+        object.__setattr__(self, "_measure_ids", {})
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Space):
+            return NotImplemented
+        return self.carrier == other.carrier and self.atoms == other.atoms
 
     @staticmethod
     def discrete(states: Iterable[str]) -> "Space":
@@ -90,6 +103,20 @@ class Space:
     @cached_property
     def _atom_index(self) -> dict[str, int]:
         return {s: i for i, block in enumerate(self.atoms) for s in block}
+
+    def measure_id(self, den: int, num: tuple[int, ...]) -> int:
+        """The id on this space object of the measure ``num / den``, given in
+        lowest terms: dense, in order of first use, and shared by equal
+        measures.  The table belongs to the object, not to its value, and
+        holds numbers only, never a measure (docs/derivations.md, section
+        13).  New ids are handed out under a lock, so two threads never give
+        one id to two measures."""
+        key = (den, num)
+        ident = self._measure_ids.get(key)
+        if ident is None:
+            with _NEW_MEASURE_ID:
+                ident = self._measure_ids.setdefault(key, len(self._measure_ids))
+        return ident
 
     @cached_property
     def atom_sets(self) -> tuple[frozenset[str], ...]:

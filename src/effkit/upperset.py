@@ -14,18 +14,22 @@ encodes the full family (the empty set is contained in everything).
 
 A measure set holds its members twice: as a tuple sorted by mass vector
 (and generators sort by their member tuples), which every iteration,
-ordering and emission uses so that output does not depend on hashing (a
-frozenset's iteration order changes with ``PYTHONHASHSEED``), and as a
-frozenset, which answers containment and subset tests without rehashing
-the measures.  One routine, ``_minimal``,
-keeps the minimal members of a family of sets; the ``UpperSet``
-constructor, ``dual`` and the refinement engine's signatures all use it.
+ordering and emission uses, and as ``mask``, an int with one bit per member
+at the member's id on the set's space object (``Space.measure_id``).
+Duplicates are dropped by bit, containment is a bit test and ``A ⊆ B`` is
+``A & ~B == 0``, so no test hashes a measure; a member built on an equal
+but distinct space object is re-keyed into the set's space.  One routine,
+``_minimal``, keeps the minimal members of a family of masks in popcount
+order; the ``UpperSet`` constructor, ``dual`` (whose hitting sets are
+masks until the end) and the refinement engine's signatures all use it
+(docs/derivations.md, sections 8 and 13).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from itertools import islice
+from typing import Collection, Iterable
 
 from .errors import SpaceMismatchError
 from .measure import SubProb, _mass_order
@@ -49,16 +53,33 @@ class MeasureSet:
 
     space: Space
     members: tuple[SubProb, ...]
-    member_set: frozenset[SubProb] = field(repr=False, compare=False)
+    mask: int
 
     def __init__(self, space: Space, members: Iterable[SubProb]):
-        unique = frozenset(members)
-        for mu in unique:
-            if mu.space != space:
-                raise SpaceMismatchError("measure set members must share one space")
+        mask = 0
+        kept = []
+        for mu in members:
+            bit = 1 << mu.ident if mu.space is space else _bit(space, mu)
+            if not mask & bit:
+                mask |= bit
+                kept.append(mu)
+        if len(kept) > 1:
+            kept.sort(key=_mass_order(kept))
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "members", tuple(sorted(unique, key=_mass_order(unique))))
-        object.__setattr__(self, "member_set", unique)
+        object.__setattr__(self, "members", tuple(kept))
+        object.__setattr__(self, "mask", mask)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, MeasureSet):
+            return NotImplemented
+        if self.space is other.space:
+            return self.mask == other.mask
+        return self.space == other.space and self.members == other.members
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.members))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -67,10 +88,14 @@ class MeasureSet:
         return iter(self.members)
 
     def __contains__(self, mu: SubProb) -> bool:
-        return mu in self.member_set
+        if mu.space is not self.space and mu.space != self.space:
+            return False
+        return bool(self.mask & _bit(self.space, mu))
 
     def issubset(self, other: "MeasureSet") -> bool:
-        return self.member_set <= other.member_set
+        if self.space is other.space:
+            return self.mask & ~other.mask == 0
+        return all(mu in other for mu in self.members)
 
     def union(self, other: "MeasureSet") -> "MeasureSet":
         return MeasureSet(self.space, self.members + other.members)
@@ -79,14 +104,48 @@ class MeasureSet:
         return f"MeasureSet({list(self.members)!r})"
 
 
-def _minimal(family: Iterable) -> list:
-    """The minimal members of a finite family of sets (frozensets or measure
-    sets), smallest first and otherwise in input order; a duplicate is
-    dropped as soon as it contains its kept copy."""
-    kept = []
-    for a in sorted(family, key=len):
-        if not any(b.issubset(a) for b in kept):
+def _bit(space: Space, mu: SubProb) -> int:
+    """The bit of ``mu`` in masks over ``space``: its id on ``space`` itself,
+    re-keyed by value when it was built on an equal space object."""
+    if mu.space is space:
+        return 1 << mu.ident
+    if mu.space != space:
+        raise SpaceMismatchError("measure set members must share one space")
+    return 1 << space.measure_id(mu.den, mu.num)
+
+
+def _mask(space: Space, g: MeasureSet) -> int:
+    """The mask of ``g`` over ``space``, which ``g`` lives on or equals."""
+    if g.space is space:
+        return g.mask
+    mask = 0
+    for mu in g.members:
+        mask |= _bit(space, mu)
+    return mask
+
+
+def _minimal(masks: Collection[int]) -> list[int]:
+    """The minimal members of a finite family of sets held as masks, in
+    popcount order and otherwise in input order; a duplicate is dropped as
+    soon as it contains its kept copy.  A proper subset has fewer bits, so
+    it is met, and kept or itself dominated, before any superset; and a
+    kept set with as many bits is contained only if it is equal."""
+    if len(masks) < 2:
+        return list(masks)
+    kept: list[int] = []
+    fewer = 0  # how many kept masks have fewer bits than the current one
+    size, same = -1, set()  # the current bit count, and the kept masks with it
+    for a in sorted(masks, key=int.bit_count):
+        if a.bit_count() != size:
+            fewer, size, same = len(kept), a.bit_count(), set()
+        if a in same:
+            continue
+        for b in islice(kept, fewer):
+            if b & ~a == 0:
+                break
+        else:
             kept.append(a)
+            same.add(a)
     return kept
 
 
@@ -103,13 +162,18 @@ class UpperSet:
 
     def __init__(self, space: Space, generators: Iterable[MeasureSet]):
         gens = list(generators)
-        key = _mass_order(mu for g in gens for mu in g.members)
-        gens.sort(key=lambda g: tuple(map(key, g.members)))
         for g in gens:
-            if g.space != space:
+            if g.space is not space and g.space != space:
                 raise SpaceMismatchError("generators must live on the carrier space")
+        if len(gens) > 1:
+            key = _mass_order(mu for g in gens for mu in g.members)
+            gens.sort(key=lambda g: tuple(map(key, g.members)))
+            first: dict[int, MeasureSet] = {}
+            for g in gens:
+                first.setdefault(_mask(space, g), g)
+            gens = [first[m] for m in _minimal(first)]
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "generators", tuple(_minimal(gens)))
+        object.__setattr__(self, "generators", tuple(gens))
 
     @staticmethod
     def empty(space: Space) -> "UpperSet":
@@ -179,19 +243,35 @@ def dual(u: UpperSet) -> UpperSet:
     every generator, so the dual is generated by the minimal hitting sets of
     the generators (equivalently, the minimal ranges of choice functions
     picking one member per generator).  They are accumulated generator by
-    generator, pruning dominated candidates along the way to keep the
-    choice-function blow-up in check.
+    generator as masks over the measure ids, pruning dominated candidates
+    along the way to keep the choice-function blow-up in check, and turned
+    back into measure sets once, at the end (docs/derivations.md, section 8).
     """
-    partial: list[frozenset[SubProb]] = [frozenset()]
+    space = u.space
+    member: dict[int, SubProb] = {}  # by its bit
+    partial = [0]
     for g in u.generators:
-        grown: list[frozenset[SubProb]] = []
+        bits = [_bit(space, mu) for mu in g.members]
+        member.update(zip(bits, g.members))
+        hit = _mask(space, g)
+        grown: list[int] = []
         for h in partial:
-            if h & g.member_set:
+            if h & hit:
                 grown.append(h)
             else:
-                grown.extend(h | {m} for m in g.members)
+                grown.extend([h | bit for bit in bits])
         partial = _minimal(grown)
-    return UpperSet(u.space, (MeasureSet(u.space, h) for h in partial))
+    return UpperSet(space, (MeasureSet(space, _members(h, member)) for h in partial))
+
+
+def _members(mask: int, member: dict[int, SubProb]) -> list[SubProb]:
+    """The measures whose bits ``mask`` sets, lowest id first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(member[low])
+        mask ^= low
+    return out
 
 
 def equals(u: UpperSet, v: UpperSet) -> bool:

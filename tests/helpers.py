@@ -40,6 +40,8 @@ from effkit import (
     unique_preimages,
 )
 from effkit.cospan import CheckFailure
+from effkit.measure import _mass_order
+from effkit.space import _atom_roots
 from effkit.logic import (
     _MAX_NESTING,
     And,
@@ -900,3 +902,117 @@ def parse_formula_oracle(text: str) -> StateFormula:
     formula, _ = parser.parse_state()
     parser.expect("EOF")
     return formula
+
+
+# ---------------------------------------------------------------------------
+# Frozenset measure sets: the representation before measure ids and masks
+# ---------------------------------------------------------------------------
+
+
+class MeasureSetOracle:
+    """A measure set held as a frozenset beside its members sorted by mass
+    vector; equality and hash are those of ``(space, members)``."""
+
+    def __init__(self, space: Space, members):
+        unique = frozenset(members)
+        for mu in unique:
+            if mu.space != space:
+                raise SpaceMismatchError("measure set members must share one space")
+        self.space = space
+        self.members = tuple(sorted(unique, key=_mass_order(unique)))
+        self.member_set = unique
+
+    def __eq__(self, other) -> bool:
+        return (self.space, self.members) == (other.space, other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.members))
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __contains__(self, mu: SubProb) -> bool:
+        return mu in self.member_set
+
+    def issubset(self, other: "MeasureSetOracle") -> bool:
+        return self.member_set <= other.member_set
+
+
+def minimal_in_order_oracle(family) -> list:
+    """The minimal members of a finite family of frozensets or oracle measure
+    sets, smallest first and otherwise in input order."""
+    kept = []
+    for a in sorted(family, key=len):
+        if not any(b.issubset(a) for b in kept):
+            kept.append(a)
+    return kept
+
+
+def upperset_oracle(space: Space, generators) -> tuple[MeasureSetOracle, ...]:
+    """Canonical antichain of oracle measure sets: sorted by member mass
+    vectors, then the minimal ones."""
+    gens = list(generators)
+    key = _mass_order(mu for g in gens for mu in g.members)
+    gens.sort(key=lambda g: tuple(map(key, g.members)))
+    return tuple(minimal_in_order_oracle(gens))
+
+
+def dual_oracle(space: Space, generators) -> tuple[MeasureSetOracle, ...]:
+    """Minimal hitting sets of the generators, grown as frozensets of
+    measures generator by generator."""
+    partial = [frozenset()]
+    for g in generators:
+        grown = []
+        for h in partial:
+            if h & g.member_set:
+                grown.append(h)
+            else:
+                grown.extend(h | {m} for m in g.members)
+        partial = minimal_in_order_oracle(grown)
+    return upperset_oracle(space, (MeasureSetOracle(space, h) for h in partial))
+
+
+def refine_oracle(space: Space, portfolios, blocks) -> list:
+    """Per round of ``effectivity._refine``, the signature classes per block,
+    with each signature a frozenset of minimal frozensets of class ids."""
+    number: dict[SubProb, int] = {}
+    support = []
+    for p in portfolios:
+        for _, u in p.portfolio:
+            for g in u.generators:
+                for mu in g:
+                    if number.setdefault(mu, len(number)) == len(support):
+                        support.append((mu.den, [(a, n) for a, n in enumerate(mu.num) if n]))
+    rounds = []
+    blocks = tuple(blocks)
+    while True:
+        root = _atom_roots(space, blocks)
+        vectors: dict[tuple, int] = {}
+        cid = []
+        for den, nums in support:
+            vec: dict[int, Fraction] = {}
+            for a, n in nums:
+                vec[root[a]] = vec.get(root[a], 0) + Fraction(n, den)
+            cid.append(vectors.setdefault(tuple(sorted(vec.items())), len(vectors)))
+        signature = {
+            s: tuple(
+                frozenset(
+                    minimal_in_order_oracle(
+                        [frozenset(cid[number[mu]] for mu in g) for g in u.generators]
+                    )
+                )
+                for u in (p(s) for p in portfolios)
+            )
+            for s in space.carrier
+        }
+        classes = []
+        for block in blocks:
+            groups: dict[tuple, list[str]] = {}
+            for s in block:
+                groups.setdefault(signature[s], []).append(s)
+            classes.append(tuple(map(tuple, groups.values())))
+        rounds.append(tuple(classes))
+        split = tuple(c for group in classes for c in group)
+        if len(split) == len(blocks):
+            return rounds
+        blocks = split

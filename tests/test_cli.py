@@ -254,6 +254,40 @@ class TestUnreadableFiles:
         assert json.loads(proc.stdout)["partition"] == [["s0"], ["s1", "\u00e9"]]
 
 
+class TestUsageErrors:
+    """A command line the parser refuses ends with exit 2 and a diagnostic
+    on the given error stream, located at argv; nothing reaches the
+    process's own streams."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bisim"], "the following arguments are required: model"),
+            ([], "the following arguments are required: command"),
+            (["bisim", "m.json", "--pairs"], "argument --pairs: expected one argument"),
+            (["validate", "m.json", "--bogus"], "unrecognized arguments: --bogus"),
+            (["nosuch", "m.json"], "argument command: invalid choice: 'nosuch' (choose from"),
+            (["--format", "xml", "validate", "m.json"], "argument --format: invalid choice: 'xml'"),
+        ],
+        ids=["missing-argument", "no-subcommand", "missing-value", "unknown-argument",
+             "unknown-subcommand", "unknown-format"],
+    )
+    def test_refused_argv_is_a_diagnostic(self, capsys, argv, message):
+        code, out, err = invoke(*argv)
+        assert code == 2 and out == ""
+        diagnostic = json.loads(err)["error"]
+        assert set(diagnostic) == {"file", "location", "message"}
+        assert (diagnostic["file"], diagnostic["location"]) == (None, "argv")
+        assert diagnostic["message"].startswith(message)
+        assert capsys.readouterr() == ("", "")
+
+    def test_help_still_prints_usage_and_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            invoke("--help")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: effkit")
+
+
 class TestBisim:
     def test_partition_and_exit_zero(self, kA):
         code, out, _ = invoke("bisim", kA)

@@ -45,3 +45,22 @@ def test_every_import_is_used():
                     if name not in used
                 )
     assert not unused, f"unused imports: {sorted(unused)}"
+
+
+def test_measure_ids_and_masks_stay_in_their_modules():
+    """A measure's ``ident`` and a measure set's ``mask`` are read only in
+    the modules that define them (``space.py`` holds the id table), so
+    every other module goes through ``MeasureSet``'s methods or
+    ``_minimal``."""
+    owners = {"space.py", "measure.py", "upperset.py"}
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in owners:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        readers.update(
+            f"{path.name}:{node.lineno} .{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("ident", "mask")
+        )
+    assert not readers, f"ids or masks read outside their modules: {sorted(readers)}"

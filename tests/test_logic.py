@@ -118,10 +118,26 @@ class TestParser:
             ("<>[T > ]", 7, "expected a rational, found ']'"),
             ("<>[T & > 1/2]", 7, "expected a state formula, found '>'"),
             ("<>[ (T & T) < ]", 14, "expected a rational, found ']'"),
-            ("<>[T > 1/2", 10, "expected ']', found 'end of input'"),
+            ("<>[T > 1/2", 10, "expected ']', found end of input"),
         ],
     )
     def test_errors_inside_a_threshold_point_at_the_fault(self, text, position, message):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_formula(text)
+        assert exc.value.position == position
+        assert str(exc.value) == f"{message} (at position {position})"
+
+    @pytest.mark.parametrize(
+        "text, position, message",
+        [
+            ("T )", 2, "expected end of input, found ')'"),
+            ("<>[T", 4, "expected < or > in threshold, found end of input"),
+            ("<>[T >", 6, "expected a rational, found end of input"),
+            ("T &", 3, "expected a state formula, found end of input"),
+            ("[](", 3, "expected a measure formula, found end of input"),
+        ],
+    )
+    def test_end_of_input_is_named_without_quotes(self, text, position, message):
         with pytest.raises(FormulaSyntaxError) as exc:
             parse_formula(text)
         assert exc.value.position == position

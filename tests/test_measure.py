@@ -356,3 +356,15 @@ class TestIntegerRepresentation:
             u = UpperSet(space, gens)
             got = [tuple(mu.mass for mu in g.members) for g in u.generators]
             assert got == upperset_order_oracle(gens)
+
+
+class TestMeasureIds:
+    def test_equal_measures_share_an_id_on_one_space_object(self):
+        space = Space.discrete(["a", "b"])
+        twin = Space(["a", "b"])
+        mu = SubProb.of(space, {"a": "1/2"})
+        assert SubProb(space, ["2/4", 0]).ident == mu.ident
+        assert SubProb.of(space, {"b": "1/2"}).ident != mu.ident
+        nu = SubProb.of(twin, {"a": "1/2"})
+        assert nu == mu and hash(nu) == hash(mu)
+        assert nu != SubProb.of(Space(["a", "c"]), {"a": "1/2"})

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from random import Random
 
 import pytest
@@ -19,13 +20,20 @@ from effkit import (
     intersect,
     union,
 )
+from effkit import upperset as upperset_module
+from effkit.effectivity import EffFn, _refine
 from effkit.upperset import _minimal
 from helpers import (
+    MeasureSetOracle,
+    dual_oracle,
     minimal_oracle,
     rand_measure_set,
+    rand_partition_blocks,
     rand_space,
     rand_subprob,
+    refine_oracle,
     upperset_members_oracle,
+    upperset_oracle,
 )
 
 S3 = Space.discrete(["s0", "s1", "s2"])
@@ -83,7 +91,8 @@ class TestMinimal:
                 base = rng.choice(family)
                 family += [base, base | {6}, base | {6, 7}, frozenset()][: rng.randint(1, 4)]
                 rng.shuffle(family)
-            kept = _minimal(family)
+            masks = [sum(1 << i for i in a) for a in family]
+            kept = [frozenset(i for i in range(8) if m >> i & 1) for m in _minimal(masks)]
             assert set(kept) == minimal_oracle(set(family))
             assert len(kept) == len(set(kept))
             assert [len(a) for a in kept] == sorted(len(a) for a in kept)
@@ -262,3 +271,115 @@ class TestEquals:
                 us[1], pool
             )
             assert equals(us[0], us[1]) == same_ext
+
+
+def values(measures) -> list[tuple[int, tuple[int, ...]]]:
+    return [(mu.den, mu.num) for mu in measures]
+
+
+class TestAgainstFrozensetOracle:
+    """Measure sets held as id masks against the frozenset representation
+    they replace (tests/helpers.py).  About half the cases also build
+    measures and sets on a second, equal but distinct space object."""
+
+    def test_seeded_cross_check(self):
+        rng = Random(2718)
+        seen: Counter = Counter()
+        for _ in range(2000):
+            space = rand_space(rng, 2, 4, allow_coarse=True)
+            twin = Space(space.carrier, space.atoms) if rng.random() < 0.5 else space
+            seen["twin spaces"] += twin is not space
+            on = (space, twin)
+            pool = [rand_subprob(rng, rng.choice(on)) for _ in range(rng.randint(2, 6))]
+            pool += [SubProb(twin if mu.space is space else space, mu.num, mu.den) for mu in pool[:2]]
+            drawn = [
+                (rng.choice(on), rng.choices(pool, k=rng.randint(1, 3)))
+                for _ in range(rng.randint(2, 5))
+            ]
+            if rng.random() < 0.05:
+                drawn.append((rng.choice(on), []))
+            new = [MeasureSet(where, members) for where, members in drawn]
+            old = [MeasureSetOracle(where, members) for where, members in drawn]
+            for a, oa in zip(new, old):
+                assert values(a.members) == values(oa.members)
+                assert [mu in a for mu in pool] == [mu in oa for mu in pool]
+                assert hash(a) == hash(oa)
+                for b, ob in zip(new, old):
+                    assert a.issubset(b) == oa.issubset(ob)
+                    assert (a == b) == (oa == ob)
+            u = UpperSet(space, new)
+            gens = upperset_oracle(space, old)
+            assert [values(g.members) for g in u.generators] == [values(g.members) for g in gens]
+            d = dual(u)
+            assert [values(g.members) for g in d.generators] == [
+                values(g.members) for g in dual_oracle(space, gens)
+            ]
+            assert equals(dual(d), u)
+            seen["several generators"] += len(u.generators) > 1
+            seen["several dual generators"] += len(d.generators) > 1
+            seen["members on the twin"] += any(
+                mu.space is twin is not space for g in u.generators for mu in g
+            )
+            portfolios = [
+                EffFn(space, {s: rng.sample(new, rng.randint(0, len(new))) for s in space.carrier})
+                for _ in range(rng.randint(1, 2))
+            ]
+            blocks = rand_partition_blocks(rng, list(space.carrier))
+            for start in ((space.carrier,), blocks):
+                rounds = [classes for _, classes in _refine(space, portfolios, start)]
+                assert rounds == refine_oracle(space, portfolios, start)
+        assert min(seen.values()) > 500, seen
+
+    def test_ids_belong_to_the_space_object(self):
+        twin = Space(S3.carrier, S3.atoms)
+        m1 = SubProb.of(twin, {"s0": "1/2"})
+        assert m1 == M1 and hash(m1) == hash(M1) and twin == S3
+        assert SubProb.of(S3, {"s0": "1/2"}).ident == M1.ident
+        a, b = ms(M1, M2), MeasureSet(twin, [SubProb.of(twin, {"s1": "1/3"}), m1])
+        assert a == b and hash(a) == hash(b)
+        assert a.issubset(b) and b.issubset(a) and m1 in a and M2 in b
+        assert MeasureSet(S3, [m1, M1]).members == (M1,)
+
+
+class TestWork:
+    """Work counters: small sets skip the mass-vector sort, and ``dual``
+    hashes no measure."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls: Counter = Counter()
+
+        def order(measures, _order=upperset_module._mass_order):
+            calls["_mass_order"] += 1
+            return _order(measures)
+
+        def hashed(mu, _hash=SubProb.__hash__):
+            calls["SubProb.__hash__"] += 1
+            return _hash(mu)
+
+        monkeypatch.setattr(upperset_module, "_mass_order", order)
+        monkeypatch.setattr(SubProb, "__hash__", hashed)
+        return calls
+
+    def test_one_member_set_and_one_generator_family_are_not_sorted(self, calls):
+        one = ms(M1)
+        assert calls["_mass_order"] == 0
+        UpperSet(S3, [one])
+        UpperSet(S3, [])
+        assert calls["_mass_order"] == 0
+        ms(M1, M2)
+        assert calls["_mass_order"] == 1
+
+    def test_dual_of_a_disjoint_portfolio_hashes_no_measure(self, calls):
+        space = Space.discrete([f"x{i}" for i in range(12)])
+        u = UpperSet(
+            space,
+            [
+                MeasureSet(space, [SubProb.dirac(space, f"x{3 * i + j}") for j in range(3)])
+                for i in range(4)
+            ],
+        )
+        calls.clear()
+        d = dual(u)
+        assert len(d.generators) == 3**4
+        assert calls["SubProb.__hash__"] == 0
