@@ -37,7 +37,7 @@ from .model_io import (
     nlmp_model,
 )
 from .nlmp import Nlmp
-from .space import Relation
+from .space import Relation, direct_sum
 
 HELP = "finite-state stochastic nondeterminism toolkit"
 
@@ -212,9 +212,8 @@ def cmd_angelize(args) -> tuple[int, dict[str, Any]]:
 def _pick_label(nlmp: Nlmp, label: str | None, where: str) -> str:
     if label is None:
         if len(nlmp.labels) != 1:
-            raise ModelFormatError(
-                "model has several labels; pick one with --label", file=where, location="labels"
-            )
+            message = "several labels; pick one with --label" if nlmp.labels else "no labels"
+            raise ModelFormatError(f"model has {message}", file=where, location="labels")
         return nlmp.labels[0]
     if label not in nlmp.labels:
         raise ModelFormatError(f"unknown label {label!r}", file=where, location="labels")
@@ -234,8 +233,7 @@ def cmd_sum(args) -> tuple[int, dict[str, Any]]:
     kernels = {}
     for label in a.nlmp.labels:
         kernels[label], _ = nlmp_ops.direct_sum(a.nlmp.kernel(label), b.nlmp.kernel(label))
-    space = next(iter(kernels.values())).space
-    return 0, model_to_dict(nlmp_model(Nlmp(space, kernels)))
+    return 0, model_to_dict(nlmp_model(Nlmp(direct_sum(a.space, b.space).space, kernels)))
 
 
 def cmd_quotient(args) -> tuple[int, dict[str, Any]]:

@@ -22,10 +22,10 @@ where it occurs.
 Logical equivalence runs the signature refinement that also computes the
 greatest bisimulation, and keeps next to its partition a conjunction-closed
 family of formulas whose extensions generate exactly the partition's sets.
-Every split is backed by a synthesized, evaluator-confirmed formula, and the
-family's partition is checked against the refinement's every round.  The
-procedure is therefore not independent of the relational computation; the
-tests keep an independent pair-pruning oracle to compare both against.
+Every split is backed by a synthesized, evaluator-confirmed formula, and no
+confirmed formula may cut a signature class of its round.  The procedure is
+therefore not independent of the relational computation; the tests keep
+an independent pair-pruning oracle to compare both against.
 The evaluator's memos are keyed by node identity, so no lookup hashes a
 subtree; each entry holds its node, so its id is not reused while it lives.
 """
@@ -441,8 +441,9 @@ class _Refiner:
     Keeps a conjunction-closed formula family whose extensions generate
     exactly the refinement's partition.  Each round, every pair of signature
     classes inside a block gets one separating formula, confirmed by the
-    evaluator before it enters the family.  The family's partition and its
-    extensions in ``_ext_key`` order are kept up to date as formulas enter.
+    evaluator and checked to cut no class of the round before it enters the
+    family.  The extensions in ``_ext_key`` order are kept up to date as
+    formulas enter.
     """
 
     def __init__(self, p: EffFn):
@@ -453,23 +454,16 @@ class _Refiner:
         self.family: dict[frozenset[str], StateFormula] = {top: Top()}
         self.order: list[frozenset[str]] = [top]
         self.keys: list[tuple] = [self._ext_key(top)]
-        self.partition: list[tuple[str, ...]] = [p.space.carrier]
 
-    # -- partition bookkeeping ---------------------------------------------
+    # -- family bookkeeping --------------------------------------------------
     def _ext_key(self, ext: frozenset[str]) -> tuple:
         """Extensions order by size, then by their states' carrier indices."""
         return (len(ext), sorted(map(self.index.__getitem__, ext)))
 
-    def blocks(self) -> tuple[tuple[str, ...], ...]:
-        """The family's partition, blocks in carrier order of their first
-        states."""
-        return tuple(sorted(self.partition, key=lambda b: self.index[b[0]]))
-
     def _add(self, formula: StateFormula, ext: frozenset[str]) -> None:
         """Insert a confirmed formula and its meets with the family, which
         keeps an intersection-closed family closed (docs/derivations.md,
-        section 12).  Only ``ext`` can split a block: every block already
-        lies inside or outside each old extension, so also each meet."""
+        section 12)."""
         if ext in self.family:
             return
         old = list(self.family.items())
@@ -478,15 +472,6 @@ class _Refiner:
             meet = e & ext
             if meet not in self.family:
                 self._insert(meet, And(f, formula))
-        split = []
-        for block in self.partition:
-            inside = tuple(s for s in block if s in ext)
-            if 0 < len(inside) < len(block):
-                split.append(inside)
-                split.append(tuple(s for s in block if s not in ext))
-            else:
-                split.append(block)
-        self.partition = split
 
     def _insert(self, ext: frozenset[str], formula: StateFormula) -> None:
         key = self._ext_key(ext)
@@ -501,7 +486,10 @@ class _Refiner:
         With ``watch`` set, return the confirmed separating formula for the
         watched pair in the round that splits it, as (formula, satisfier);
         returns None when the fixed point is reached without separating it.
-        Without ``watch``, return the final blocks.
+        Without ``watch``, return the final blocks.  A confirmed formula
+        that cuts a class of its round is an internal bug; by induction over
+        the rounds, no cut means the family's partition is the round's
+        classes (docs/derivations.md, section 12).
         """
         space = self.p.space
         for class_of, classes in _refine(space, (self.p,), (space.carrier,)):
@@ -515,14 +503,12 @@ class _Refiner:
                 for group in classes
                 for left, right in itertools.combinations(group, 2)
             ]
+            split = [c for group in classes for c in group]
             for formula, ext, _ in fresh:
+                if not all(ext.isdisjoint(c) or ext.issuperset(c) for c in split):
+                    raise InternalInvariantViolation("a confirmed formula cuts a signature class")
                 self._add(formula, ext)
-            split = {frozenset(c) for group in classes for c in group}
-            if set(map(frozenset, self.blocks())) != split:
-                raise InternalInvariantViolation(
-                    "formula family and signature refinement disagree on the partition"
-                )
-        return None if watch is not None else self.blocks()
+        return None if watch is not None else split
 
     # -- formula synthesis ---------------------------------------------------
     def _confirmed(self, s: str, t: str, class_of) -> tuple[StateFormula, frozenset[str], str]:

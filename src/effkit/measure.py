@@ -58,8 +58,10 @@ class SubProb:
 
     ``mass`` lists rationals (``Fraction``, ``int`` or strings such as
     ``"1/2"``); with ``den`` given, it lists integer numerators over ``den``,
-    in any terms.  ``ident`` is the measure's id in its space object's
-    table: measures equal on one space object share it.
+    in any terms.  ``ident`` is the measure's id in its space's table:
+    equal measures share it, and as equal spaces are one object, two
+    measures are equal iff they share their space and their id.  A measure
+    pickles and copies by value, so it takes its id on the live space.
     """
 
     space: Space
@@ -100,16 +102,15 @@ class SubProb:
         object.__setattr__(self, "ident", space.measure_id(den, num))
 
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
         if not isinstance(other, SubProb):
             return NotImplemented
-        if self.space is other.space:
-            return self.ident == other.ident
-        return self.den == other.den and self.num == other.num and self.space == other.space
+        return self.ident == other.ident and self.space is other.space
 
     def __hash__(self) -> int:
-        return hash((self.den, self.num))
+        return hash(self.ident)
+
+    def __reduce__(self):
+        return SubProb, (self.space, self.num, self.den)
 
     @staticmethod
     def of(

@@ -9,11 +9,16 @@ immutable and hashable; operations are pure functions.
 States are plain strings.  A space fixes a total order on its carrier which
 every canonical form (atom order, measure vectors, relation listings) reuses,
 so equal inputs always produce identical output.
+
+Spaces are hash-consed: ``Space(carrier, atoms)`` returns the one live
+object for its validated value, so equal spaces are one object and compare
+and hash by identity (docs/derivations.md, section 13).
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -39,18 +44,22 @@ __all__ = [
 ]
 
 
-# Held while a space hands out a new measure id; looking one up needs no lock.
-_NEW_MEASURE_ID = threading.Lock()
+# Held while ``_SPACES`` is read or filled, or a space hands out a new
+# measure id; looking up an id needs no lock.
+_LOCK = threading.Lock()
+# The live space of each validated ``(carrier, atoms)``.
+_SPACES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Space:
-    """A finite carrier with a sigma-algebra given by its atom partition."""
+    """A finite carrier with a sigma-algebra given by its atom partition.
+    It pickles and copies by value, to the live space of that value."""
 
     carrier: tuple[str, ...]
     atoms: tuple[tuple[str, ...], ...]
 
-    def __init__(self, carrier: Iterable[str], atoms: Iterable[Iterable[str]] | None = None):
+    def __new__(cls, carrier: Iterable[str], atoms: Iterable[Iterable[str]] | None = None):
         carrier = tuple(carrier)
         order = {s: i for i, s in enumerate(carrier)}
         if len(order) != len(carrier):
@@ -76,16 +85,17 @@ class Space:
                 missing = sorted(set(carrier) - seen, key=order.__getitem__)
                 raise SpaceMismatchError(f"atoms do not cover carrier; missing {missing}")
             blocks = tuple(sorted(raw, key=lambda a: order[a[0]]))
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "atoms", blocks)
-        object.__setattr__(self, "_measure_ids", {})
+        with _LOCK:
+            space = _SPACES.get((carrier, blocks))
+            if space is None:
+                space = _SPACES[carrier, blocks] = super().__new__(cls)
+                object.__setattr__(space, "carrier", carrier)
+                object.__setattr__(space, "atoms", blocks)
+                object.__setattr__(space, "_measure_ids", {})
+        return space
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Space):
-            return NotImplemented
-        return self.carrier == other.carrier and self.atoms == other.atoms
+    def __reduce__(self):
+        return Space, (self.carrier, self.atoms)
 
     @staticmethod
     def discrete(states: Iterable[str]) -> "Space":
@@ -105,16 +115,15 @@ class Space:
         return {s: i for i, block in enumerate(self.atoms) for s in block}
 
     def measure_id(self, den: int, num: tuple[int, ...]) -> int:
-        """The id on this space object of the measure ``num / den``, given in
-        lowest terms: dense, in order of first use, and shared by equal
-        measures.  The table belongs to the object, not to its value, and
-        holds numbers only, never a measure (docs/derivations.md, section
-        13).  New ids are handed out under a lock, so two threads never give
-        one id to two measures."""
+        """The id on this space of the measure ``num / den``, given in lowest
+        terms: dense, in order of first use, and shared by equal measures.
+        The table holds numbers only, never a measure (docs/derivations.md,
+        section 13).  New ids are handed out under a lock, so two threads
+        never give one id to two measures."""
         key = (den, num)
         ident = self._measure_ids.get(key)
         if ident is None:
-            with _NEW_MEASURE_ID:
+            with _LOCK:
                 ident = self._measure_ids.setdefault(key, len(self._measure_ids))
         return ident
 

@@ -15,10 +15,10 @@ encodes the full family (the empty set is contained in everything).
 A measure set holds its members twice: as a tuple sorted by mass vector
 (and generators sort by their member tuples), which every iteration,
 ordering and emission uses, and as ``mask``, an int with one bit per member
-at the member's id on the set's space object (``Space.measure_id``).
-Duplicates are dropped by bit, containment is a bit test and ``A ⊆ B`` is
-``A & ~B == 0``, so no test hashes a measure; a member built on an equal
-but distinct space object is re-keyed into the set's space.  One routine,
+at the member's id on the set's space (``Space.measure_id``).  Equal spaces
+are one object, so a bit means one measure wherever it is read.  Duplicates
+are dropped by bit, containment is a bit test and ``A ⊆ B`` is
+``A & ~B == 0``, so no test hashes a measure.  One routine,
 ``_minimal``, keeps the minimal members of a family of masks in popcount
 order; the ``UpperSet`` constructor, ``dual`` (whose hitting sets are
 masks until the end) and the refinement engine's signatures all use it
@@ -49,7 +49,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MeasureSet:
-    """A finite, canonically ordered set of measures on one space."""
+    """A finite, canonically ordered set of measures on one space.  It
+    pickles and copies by value, so its mask is rebuilt on the live space."""
 
     space: Space
     members: tuple[SubProb, ...]
@@ -59,7 +60,9 @@ class MeasureSet:
         mask = 0
         kept = []
         for mu in members:
-            bit = 1 << mu.ident if mu.space is space else _bit(space, mu)
+            if mu.space is not space:
+                raise SpaceMismatchError("measure set members must share one space")
+            bit = 1 << mu.ident
             if not mask & bit:
                 mask |= bit
                 kept.append(mu)
@@ -70,16 +73,15 @@ class MeasureSet:
         object.__setattr__(self, "mask", mask)
 
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
         if not isinstance(other, MeasureSet):
             return NotImplemented
-        if self.space is other.space:
-            return self.mask == other.mask
-        return self.space == other.space and self.members == other.members
+        return self.mask == other.mask and self.space is other.space
 
     def __hash__(self) -> int:
         return hash((self.space, self.members))
+
+    def __reduce__(self):
+        return MeasureSet, (self.space, self.members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -88,40 +90,19 @@ class MeasureSet:
         return iter(self.members)
 
     def __contains__(self, mu: SubProb) -> bool:
-        if mu.space is not self.space and mu.space != self.space:
-            return False
-        return bool(self.mask & _bit(self.space, mu))
+        return mu.space is self.space and bool(self.mask & 1 << mu.ident)
 
     def issubset(self, other: "MeasureSet") -> bool:
-        if self.space is other.space:
-            return self.mask & ~other.mask == 0
-        return all(mu in other for mu in self.members)
+        """``self ⊆ other``; sets on different spaces are not compared."""
+        if other.space is not self.space:
+            raise SpaceMismatchError("subset test across different spaces")
+        return self.mask & ~other.mask == 0
 
     def union(self, other: "MeasureSet") -> "MeasureSet":
         return MeasureSet(self.space, self.members + other.members)
 
     def __repr__(self) -> str:
         return f"MeasureSet({list(self.members)!r})"
-
-
-def _bit(space: Space, mu: SubProb) -> int:
-    """The bit of ``mu`` in masks over ``space``: its id on ``space`` itself,
-    re-keyed by value when it was built on an equal space object."""
-    if mu.space is space:
-        return 1 << mu.ident
-    if mu.space != space:
-        raise SpaceMismatchError("measure set members must share one space")
-    return 1 << space.measure_id(mu.den, mu.num)
-
-
-def _mask(space: Space, g: MeasureSet) -> int:
-    """The mask of ``g`` over ``space``, which ``g`` lives on or equals."""
-    if g.space is space:
-        return g.mask
-    mask = 0
-    for mu in g.members:
-        mask |= _bit(space, mu)
-    return mask
 
 
 def _minimal(masks: Collection[int]) -> list[int]:
@@ -163,14 +144,14 @@ class UpperSet:
     def __init__(self, space: Space, generators: Iterable[MeasureSet]):
         gens = list(generators)
         for g in gens:
-            if g.space is not space and g.space != space:
+            if g.space is not space:
                 raise SpaceMismatchError("generators must live on the carrier space")
         if len(gens) > 1:
             key = _mass_order(mu for g in gens for mu in g.members)
             gens.sort(key=lambda g: tuple(map(key, g.members)))
             first: dict[int, MeasureSet] = {}
             for g in gens:
-                first.setdefault(_mask(space, g), g)
+                first.setdefault(g.mask, g)
             gens = [first[m] for m in _minimal(first)]
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "generators", tuple(gens))
@@ -251,9 +232,9 @@ def dual(u: UpperSet) -> UpperSet:
     member: dict[int, SubProb] = {}  # by its bit
     partial = [0]
     for g in u.generators:
-        bits = [_bit(space, mu) for mu in g.members]
+        bits = [1 << mu.ident for mu in g.members]
         member.update(zip(bits, g.members))
-        hit = _mask(space, g)
+        hit = g.mask
         grown: list[int] = []
         for h in partial:
             if h & hit:

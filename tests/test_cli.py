@@ -402,6 +402,27 @@ class TestEvalDistinguish:
         assert json.loads(out)["equivalent"] is True
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lequiv"],
+            ["dual"],
+            ["demonize"],
+            ["angelize"],
+            ["distinguish", "x", "y"],
+            ["eval", "--formula", "T"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_label_free_nlmp_is_said_to_have_no_labels(self, tmp_path, argv):
+        doc = {"kind": "nlmp", "states": ["x", "y"], "labels": [], "kernels": {}}
+        model = write(tmp_path, "m.json", doc)
+        code, out, err = invoke(argv[0], model, *argv[1:])
+        assert code == 2 and out == ""
+        diagnostic = json.loads(err)["error"]
+        assert diagnostic == {"file": model, "location": "labels", "message": "model has no labels"}
+
+
 class TestMorphism:
     def test_nlmp_identity(self, kA, tmp_path):
         mapfile = write(
@@ -499,6 +520,16 @@ class TestEmittingCommands:
         assert doc["states"][:3] == ["L:s0", "L:s1", "L:s2"]
         model = model_from_dict(doc)
         assert model.kind == "nlmp"
+
+    def test_sum_of_label_free_nlmps(self, tmp_path):
+        bare = {"kind": "nlmp", "labels": [], "kernels": {}}
+        a = write(tmp_path, "a.json", {**bare, "states": ["x", "y"]})
+        b = write(tmp_path, "b.json", {**bare, "states": ["y"]})
+        code, out, err = invoke("sum", a, b)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["labels"] == [] and doc["kernels"] == {}
+        assert doc["states"] == ["L:x", "L:y", "R:y"]
 
     def test_dual_twice_is_identity(self, efA, tmp_path):
         code, once, _ = invoke("dual", efA)

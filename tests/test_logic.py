@@ -17,6 +17,7 @@ from effkit import (
     EffFn,
     EffkitError,
     FormulaSyntaxError,
+    InternalInvariantViolation,
     Kernel,
     MAnd,
     MOr,
@@ -48,6 +49,7 @@ from helpers import (
     rand_kernel,
     rand_space,
     rand_state_formula,
+    relation_from_family,
 )
 
 S3 = Space.discrete(["s0", "s1", "s2"])
@@ -346,12 +348,26 @@ class TestLogicalEquivalence:
             blocks = refiner.refine()
             # extensions generate exactly the final partition's sets: the
             # signature classes of the family equal the blocks
-            assert set(map(frozenset, blocks)) == set(
-                map(frozenset, refiner.blocks())
-            )
+            family = Relation(space, relation_from_family(space, refiner.family))
+            assert set(map(frozenset, blocks)) == set(map(frozenset, family.classes()))
             for ext in refiner.family:
                 covered = {b for b in blocks if set(b) <= ext}
                 assert frozenset().union(*(set(b) for b in covered)) == ext if covered else not ext
+
+    def test_a_formula_cutting_a_class_raises(self, monkeypatch):
+        space = Space.discrete(["a", "b", "c"])
+        full = [MeasureSet(space, [])]
+        refiner = _Refiner(EffFn(space, {"a": full, "b": full, "c": []}))
+        confirmed = refiner._confirmed
+
+        def cutting(*args):
+            # toggling b parts it from a, its class in the first round
+            formula, ext, satisfier = confirmed(*args)
+            return formula, ext ^ {"b"}, satisfier
+
+        monkeypatch.setattr(refiner, "_confirmed", cutting)
+        with pytest.raises(InternalInvariantViolation, match="cuts a signature class"):
+            refiner.refine()
 
 
 class TestSoundness:

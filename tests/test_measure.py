@@ -362,9 +362,10 @@ class TestMeasureIds:
     def test_equal_measures_share_an_id_on_one_space_object(self):
         space = Space.discrete(["a", "b"])
         twin = Space(["a", "b"])
+        assert twin is space and Space(space.carrier, space.atoms) is space
         mu = SubProb.of(space, {"a": "1/2"})
         assert SubProb(space, ["2/4", 0]).ident == mu.ident
         assert SubProb.of(space, {"b": "1/2"}).ident != mu.ident
         nu = SubProb.of(twin, {"a": "1/2"})
-        assert nu == mu and hash(nu) == hash(mu)
+        assert nu == mu and hash(nu) == hash(mu) and nu.ident == mu.ident
         assert nu != SubProb.of(Space(["a", "c"]), {"a": "1/2"})

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
+import sys
+import threading
 import tracemalloc
+import weakref
 from random import Random
 
 import pytest
@@ -11,11 +17,13 @@ from effkit import (
     EffkitError,
     ForeignStateError,
     MeasurableMap,
+    MeasureSet,
     NonSymmetricRelationError,
     NotSurjectiveError,
     Relation,
     Space,
     SpaceMismatchError,
+    SubProb,
     direct_sum,
     is_final_surjection,
     kernel_of,
@@ -66,6 +74,89 @@ class TestSpace:
         assert sp.atoms_of_set(["a", "b"]) == (0,)
         assert sp.atoms_of_set(["a"]) is None
         assert sp.atoms_of_set([]) == ()
+
+
+class TestInterning:
+    """One live object per space value; measures and measure sets travel
+    by value."""
+
+    def test_equal_values_are_one_object(self):
+        sp = Space(["a", "b", "c"], [["c"], ["b", "a"]])
+        assert Space(("a", "b", "c"), (("a", "b"), ("c",))) is sp
+        assert Space(sp.carrier, sp.atoms) is sp
+        assert Space.discrete(["s0", "s1", "s2"]) is S3
+        assert Space(["a", "b", "c"]) is not sp
+        assert Space(["b", "a", "c"], [["a", "b"], ["c"]]) is not sp
+
+    def test_pickled_measures_compare_by_value(self):
+        carrier = ["pickled-p", "pickled-q", "pickled-r"]
+        atoms = [["pickled-p"], ["pickled-q", "pickled-r"]]
+        space = Space(carrier, atoms)
+        half = SubProb.of(space, {"pickled-p": "1/2"})
+        blob = pickle.dumps(
+            (half, MeasureSet(space, [half, SubProb.of(space, {"pickled-q": "1/4"})]))
+        )
+        gone = weakref.ref(space)
+        del space, half
+        gc.collect()
+        assert gone() is None
+        # the fresh space numbers its measures from 0 again
+        fresh = Space(carrier, atoms)
+        third = SubProb.of(fresh, {"pickled-q": "1/3"})
+        others = MeasureSet(fresh, [third])
+        mu, ms = pickle.loads(blob)
+        assert mu.space is fresh and ms.space is fresh
+        assert mu == SubProb.of(fresh, {"pickled-p": "1/2"}) and mu != third
+        assert mu in ms and third not in ms
+        assert ms == MeasureSet(fresh, [SubProb.of(fresh, {"pickled-q": "1/4"}), mu])
+        assert MeasureSet(fresh, [mu]).issubset(ms)
+        assert not others.issubset(ms) and not ms.issubset(others)
+
+    def test_copies_are_the_canonical_space(self):
+        sp = Space(["a", "b", "c"], [["a", "b"], ["c"]])
+        assert copy.copy(sp) is sp and copy.deepcopy(sp) is sp
+        mu = SubProb.of(sp, {"a": "1/2"})
+        ms = MeasureSet(sp, [mu])
+        for copied in (copy.copy(mu), copy.deepcopy(mu)):
+            assert copied.space is sp and copied == mu
+        for copied in (copy.copy(ms), copy.deepcopy(ms)):
+            assert copied.space is sp and copied == ms and mu in copied
+
+    def test_threads_building_one_value_get_one_object(self):
+        values = [tuple(f"threaded-{i}-{j}" for j in range(6)) for i in range(400)]
+        barrier = threading.Barrier(4, timeout=10)
+        got: list[list[Space]] = []
+
+        def build():
+            barrier.wait()
+            got.append([Space(carrier, [carrier[3:], carrier[:3]]) for carrier in values])
+
+        threads = [threading.Thread(target=build) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(got) == 4
+        for built in zip(*got):
+            assert all(sp is built[0] for sp in built)
+
+    def test_registry_keeps_no_space_alive(self):
+        gc.disable()
+        try:
+            sp = Space(["dropped-a", "dropped-b"], [["dropped-a", "dropped-b"]])
+            # fill its id table and its cached properties first
+            SubProb.of(sp, {"dropped-a": "1/2"})
+            sp.atom_sets
+            gone = weakref.ref(sp)
+            del sp
+            assert gone() is None
+        finally:
+            gc.enable()
 
 
 class TestMeasurableMap:
