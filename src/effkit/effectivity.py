@@ -111,7 +111,7 @@ def _refine(
         return i
 
     generators = [
-        [[tuple(map(measure_number, g)) for g in u.generators] for _, u in p.portfolio]
+        [[tuple(map(measure_number, g)) for g in u] for _, u in p.portfolio]
         for p in portfolios
     ]
     blocks = tuple(blocks)
@@ -188,7 +188,7 @@ def push_upperset(f: MeasurableMap, u: UpperSet) -> UpperSet:
     preimage belongs to ``u``."""
     gens = (
         MeasureSet(f.codomain, (pushforward(f, mu) for mu in g))
-        for g in u.generators
+        for g in u
     )
     return UpperSet(f.codomain, gens)
 
@@ -197,7 +197,7 @@ def restrict_upperset(u: UpperSet, coarser: Space) -> UpperSet:
     """Family of restrictions to a coarser sigma-algebra on the carrier."""
     gens = (
         MeasureSet(coarser, (restrict(mu, coarser) for mu in g))
-        for g in u.generators
+        for g in u
     )
     return UpperSet(coarser, gens)
 
@@ -251,13 +251,11 @@ def _mutually_dominate(f: MeasurableMap, p: EffFn, q: EffFn) -> bool:
     principal filters, the kernel-morphism test (docs/derivations.md, section 9)."""
     for s in p.space.carrier:
         source, target = p(s), q(f(s))
-        for h in target.generators:
-            if not any(
-                all(pushforward(f, mu) in h for mu in g) for g in source.generators
-            ):
+        for h in target:
+            if not any(all(pushforward(f, mu) in h for mu in g) for g in source):
                 return False
-        preimages = [_preimage_set(f, h) for h in target.generators]
-        for g in source.generators:
+        preimages = [_preimage_set(f, h) for h in target]
+        for g in source:
             if not any(pre is not None and pre.issubset(g) for pre in preimages):
                 return False
     return True

@@ -296,40 +296,52 @@ def parse_formula(text: str) -> StateFormula:
     return formula
 
 
-def _fmt_state(f: StateFormula, prec: int) -> str:
-    if isinstance(f, Top):
-        return "T"
-    if isinstance(f, And):
-        text = f"{_fmt_state(f.left, 1)} & {_fmt_state(f.right, 2)}"
-        return f"({text})" if prec > 1 else text
-    if isinstance(f, Diamond):
-        return "<>" + _fmt_munit(f.body)
-    if isinstance(f, Box):
-        return "[]" + _fmt_munit(f.body)
-    raise TypeError(f"not a state formula: {f!r}")
-
-
-def _fmt_munit(m: MeasureFormula) -> str:
-    if isinstance(m, Threshold):
-        return _fmt_measure(m, 0)
-    return f"[ {_fmt_measure(m, 0)} ]"
-
-
-def _fmt_measure(m: MeasureFormula, prec: int) -> str:
-    if isinstance(m, Threshold):
-        return f"[{_fmt_state(m.state, 0)} {m.cmp} {m.bound!s}]"
-    if isinstance(m, MAnd):
-        text = f"{_fmt_measure(m.left, 2)} & {_fmt_measure(m.right, 3)}"
-        return f"({text})" if prec > 2 else text
-    if isinstance(m, MOr):
-        text = f"{_fmt_measure(m.left, 1)} | {_fmt_measure(m.right, 2)}"
-        return f"({text})" if prec > 1 else text
-    raise TypeError(f"not a measure formula: {m!r}")
+# A binary node's infix, its operands' binding strengths, and the strongest
+# context it needs no parentheses in.
+_INFIX = {
+    And: (" & ", 1, 2, 1),
+    MAnd: (" & ", 2, 3, 2),
+    MOr: (" | ", 1, 2, 1),
+}
+_NODES = (Top, Diamond, Box, Threshold, *_INFIX)
 
 
 def format_formula(f: StateFormula) -> str:
-    """Canonical concrete syntax; ``parse_formula`` inverts it exactly."""
-    return _fmt_state(f, 0)
+    """Canonical concrete syntax; ``parse_formula`` inverts it exactly.
+
+    Written with an explicit stack of pending pieces, each a string or a
+    node with its expected level and its context's binding strength, so
+    any depth of nesting formats."""
+    out: list[str] = []
+    todo: list = [(f, StateFormula, 0)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, level, prec = item
+        if not isinstance(node, level) or not isinstance(node, _NODES):
+            kind = "state" if level is StateFormula else "measure"
+            raise TypeError(f"not a {kind} formula: {node!r}")
+        if isinstance(node, Top):
+            out.append("T")
+        elif isinstance(node, (Diamond, Box)):
+            out.append("<>" if isinstance(node, Diamond) else "[]")
+            if isinstance(node.body, Threshold):
+                todo.append((node.body, MeasureFormula, 0))
+            else:
+                out.append("[ ")
+                todo += [" ]", (node.body, MeasureFormula, 0)]
+        elif isinstance(node, Threshold):
+            out.append("[")
+            todo += [f" {node.cmp} {node.bound!s}]", (node.state, StateFormula, 0)]
+        else:
+            op, left, right, most = next(v for k, v in _INFIX.items() if isinstance(node, k))
+            if prec > most:
+                out.append("(")
+                todo.append(")")
+            todo += [(node.right, level, right), op, (node.left, level, left)]
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +379,7 @@ class _Evaluator:
                 for s in self.p.space.carrier
                 if any(
                     all(self.msat(f.body, mu) for mu in g)
-                    for g in self.p(s).generators
+                    for g in self.p(s)
                 )
             )
         elif isinstance(f, Box):
@@ -376,7 +388,7 @@ class _Evaluator:
                 for s in self.p.space.carrier
                 if all(
                     any(self.msat(f.body, mu) for mu in g)
-                    for g in self.p(s).generators
+                    for g in self.p(s)
                 )
             )
         else:
@@ -542,7 +554,10 @@ class _Refiner:
                 return Diamond(_FALSUM), s
             for g in source.generators:
                 culprits = [
-                    next((nu for nu in h if all(class_of(nu) != class_of(mu) for mu in g)), None)
+                    next(
+                        (nu for nu in h.members if all(class_of(nu) != class_of(mu) for mu in g)),
+                        None,
+                    )
                     for h in target.generators
                 ]
                 if None not in culprits:
@@ -553,7 +568,7 @@ class _Refiner:
         disjuncts = []
         for nu in culprits:
             conj = None
-            for mu in g:
+            for mu in g.members:
                 phi, a, b = self._separating_test(mu, nu)
                 mid = (a + b) / 2
                 test = Threshold(phi, "<" if a < b else ">", mid)

@@ -273,8 +273,18 @@ def _measure_to_dict(mu: SubProb) -> dict[str, str]:
     }
 
 
-def _measures_to_list(ms: MeasureSet) -> list[dict[str, str]]:
-    return [_measure_to_dict(mu) for mu in ms.members]
+def _measures_to_list(
+    ms: MeasureSet, emitted: dict[SubProb, dict[str, str]]
+) -> list[dict[str, str]]:
+    """The members in canonical order, each measure's dict built once per
+    ``emitted`` table."""
+    out = []
+    for mu in ms.members:
+        doc = emitted.get(mu)
+        if doc is None:
+            doc = emitted[mu] = _measure_to_dict(mu)
+        out.append(doc)
+    return out
 
 
 def ef_model(ef: EffFn) -> Model:
@@ -286,6 +296,9 @@ def nlmp_model(nlmp: Nlmp) -> Model:
 
 
 def model_to_dict(model: Model) -> dict[str, Any]:
+    """The model as a JSON document.  A measure that occurs several times
+    is one dict, shared by its occurrences and built once per call."""
+    emitted: dict[SubProb, dict[str, str]] = {}
     doc: dict[str, Any] = {
         "kind": model.kind,
         "states": list(model.space.carrier),
@@ -295,13 +308,13 @@ def model_to_dict(model: Model) -> dict[str, Any]:
         assert model.nlmp is not None
         doc["labels"] = list(model.nlmp.labels)
         doc["kernels"] = {
-            label: {s: _measures_to_list(k(s)) for s in model.space.carrier}
+            label: {s: _measures_to_list(k(s), emitted) for s in model.space.carrier}
             for label, k in model.nlmp.kernels
         }
     else:
         assert model.ef is not None
         doc["effectivity"] = {
-            s: [_measures_to_list(g) for g in model.ef(s).generators]
+            s: [_measures_to_list(g, emitted) for g in model.ef(s).generators]
             for s in model.space.carrier
         }
     return doc

@@ -12,22 +12,29 @@ Degenerate encodings are fixed so that duality is a total involution: no
 generators at all encodes the empty family, and a single empty generator
 encodes the full family (the empty set is contained in everything).
 
-A measure set holds its members twice: as a tuple sorted by mass vector
-(and generators sort by their member tuples), which every iteration,
-ordering and emission uses, and as ``mask``, an int with one bit per member
-at the member's id on the set's space (``Space.measure_id``).  Equal spaces
-are one object, so a bit means one measure wherever it is read.  Duplicates
-are dropped by bit, containment is a bit test and ``A ⊆ B`` is
-``A & ~B == 0``, so no test hashes a measure.  One routine,
-``_minimal``, keeps the minimal members of a family of masks in popcount
-order; the ``UpperSet`` constructor, ``dual`` (whose hitting sets are
-masks until the end) and the refinement engine's signatures all use it
+A measure set holds its members as built, deduplicated and in arrival
+order, beside ``mask``, an int with one bit per member at the member's id
+on the set's space (``Space.measure_id``).  Equal spaces are one object, so
+a bit means one measure wherever it is read.  Duplicates are dropped by
+bit, containment is a bit test and ``A ⊆ B`` is ``A & ~B == 0``, so no test
+hashes a measure.  One routine, ``_minimal``, keeps the minimal members of
+a family of masks in popcount order; the ``UpperSet`` constructor, ``dual``
+(whose hitting sets are masks until the end) and the refinement engine's
+signatures all use it.  Two antichains are equal iff their sets of
+generator masks are.
+
+Iteration, ``len`` and ``in`` read the sets as built.  The canonical order,
+measures by mass vector and generators by size and then by their members,
+is computed on first read of ``MeasureSet.members`` or
+``UpperSet.generators`` and kept; only what must not depend on the order of
+construction reads it: emission, formula synthesis, ``repr`` and pickling
 (docs/derivations.md, sections 8 and 13).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import Collection, Iterable
 
@@ -49,12 +56,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MeasureSet:
-    """A finite, canonically ordered set of measures on one space.  It
-    pickles and copies by value, so its mask is rebuilt on the live space."""
+    """A finite set of measures on one space, kept as built beside its mask;
+    ``members`` is its canonical order.  It pickles and copies by value, so
+    its mask is rebuilt on the live space."""
 
     space: Space
-    members: tuple[SubProb, ...]
     mask: int
+    _kept: tuple[SubProb, ...]  # the members, deduplicated, in arrival order
 
     def __init__(self, space: Space, members: Iterable[SubProb]):
         mask = 0
@@ -66,11 +74,17 @@ class MeasureSet:
             if not mask & bit:
                 mask |= bit
                 kept.append(mu)
-        if len(kept) > 1:
-            kept.sort(key=_mass_order(kept))
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "members", tuple(kept))
         object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "_kept", tuple(kept))
+
+    @cached_property
+    def members(self) -> tuple[SubProb, ...]:
+        """The members in mass-vector order, sorted on first read."""
+        kept = self._kept
+        if len(kept) < 2:
+            return kept
+        return tuple(sorted(kept, key=_mass_order(kept)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MeasureSet):
@@ -84,10 +98,10 @@ class MeasureSet:
         return MeasureSet, (self.space, self.members)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self._kept)
 
     def __iter__(self):
-        return iter(self.members)
+        return iter(self._kept)
 
     def __contains__(self, mu: SubProb) -> bool:
         return mu.space is self.space and bool(self.mask & 1 << mu.ident)
@@ -99,7 +113,7 @@ class MeasureSet:
         return self.mask & ~other.mask == 0
 
     def union(self, other: "MeasureSet") -> "MeasureSet":
-        return MeasureSet(self.space, self.members + other.members)
+        return MeasureSet(self.space, self._kept + other._kept)
 
     def __repr__(self) -> str:
         return f"MeasureSet({list(self.members)!r})"
@@ -136,25 +150,65 @@ class UpperSet:
 
     The constructor builds that form: duplicate generators are removed and any
     generator containing another is dropped (its filter is already covered).
+    The family iterates its generators as built; ``generators`` is their
+    canonical order.  Families compare and hash by their sets of generator
+    masks, and pickle and copy by value, so no mask outlives its space.
     """
 
     space: Space
-    generators: tuple[MeasureSet, ...]
+    _kept: tuple[MeasureSet, ...]  # the minimal generators, as built
 
     def __init__(self, space: Space, generators: Iterable[MeasureSet]):
-        gens = list(generators)
+        gens = tuple(generators)
         for g in gens:
             if g.space is not space:
                 raise SpaceMismatchError("generators must live on the carrier space")
         if len(gens) > 1:
-            key = _mass_order(mu for g in gens for mu in g.members)
-            gens.sort(key=lambda g: tuple(map(key, g.members)))
             first: dict[int, MeasureSet] = {}
             for g in gens:
                 first.setdefault(g.mask, g)
-            gens = [first[m] for m in _minimal(first)]
+            gens = tuple([first[m] for m in _minimal(first)])
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "_kept", gens)
+
+    @cached_property
+    def generators(self) -> tuple[MeasureSet, ...]:
+        """The generators by size, then by their members in mass-vector
+        order, sorted on first read; each generator's ``members`` is filled
+        on the way (docs/derivations.md, section 8)."""
+        gens = self._kept
+        if len(gens) < 2:
+            return gens
+        distinct = list({mu.ident: mu for g in gens for mu in g._kept}.values())
+        distinct.sort(key=_mass_order(distinct))
+        rank = {mu.ident: i for i, mu in enumerate(distinct)}
+        keys = {}
+        for g in gens:
+            ranks = sorted([rank[mu.ident] for mu in g._kept])
+            g.__dict__.setdefault("members", tuple([distinct[i] for i in ranks]))
+            keys[g.mask] = (len(ranks), ranks)
+        return tuple(sorted(gens, key=lambda g: keys[g.mask]))
+
+    @cached_property
+    def _masks(self) -> frozenset[int]:
+        return frozenset([g.mask for g in self._kept])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, UpperSet):
+            return NotImplemented
+        return self.space is other.space and self._masks == other._masks
+
+    def __hash__(self) -> int:
+        return hash((self.space, self._masks))
+
+    def __reduce__(self):
+        return UpperSet, (self.space, self.generators)
+
+    def __len__(self) -> int:
+        return len(self._kept)
+
+    def __iter__(self):
+        return iter(self._kept)
 
     @staticmethod
     def empty(space: Space) -> "UpperSet":
@@ -168,16 +222,16 @@ class UpperSet:
 
     @property
     def is_empty(self) -> bool:
-        return not self.generators
+        return not self._kept
 
     @property
     def is_full(self) -> bool:
-        return len(self.generators) == 1 and len(self.generators[0]) == 0
+        return len(self._kept) == 1 and not self._kept[0].mask
 
     @property
     def is_principal(self) -> bool:
         """True if the family is a single principal filter."""
-        return len(self.generators) == 1
+        return len(self._kept) == 1
 
     def __repr__(self) -> str:
         if self.is_empty:
@@ -196,13 +250,13 @@ def contains(u: UpperSet, a: MeasureSet) -> bool:
     """Membership of a measure set in the represented family."""
     if a.space != u.space:
         raise SpaceMismatchError("membership test across different spaces")
-    return any(g.issubset(a) for g in u.generators)
+    return any(g.issubset(a) for g in u)
 
 
 def union(u: UpperSet, v: UpperSet) -> UpperSet:
     if u.space != v.space:
         raise SpaceMismatchError("union across different spaces")
-    return UpperSet(u.space, u.generators + v.generators)
+    return UpperSet(u.space, u._kept + v._kept)
 
 
 def intersect(u: UpperSet, v: UpperSet) -> UpperSet:
@@ -212,7 +266,7 @@ def intersect(u: UpperSet, v: UpperSet) -> UpperSet:
         raise SpaceMismatchError("intersection across different spaces")
     return UpperSet(
         u.space,
-        (g.union(h) for g in u.generators for h in v.generators),
+        (g.union(h) for g in u for h in v),
     )
 
 
@@ -231,9 +285,9 @@ def dual(u: UpperSet) -> UpperSet:
     space = u.space
     member: dict[int, SubProb] = {}  # by its bit
     partial = [0]
-    for g in u.generators:
-        bits = [1 << mu.ident for mu in g.members]
-        member.update(zip(bits, g.members))
+    for g in u:
+        bits = [1 << mu.ident for mu in g._kept]
+        member.update(zip(bits, g._kept))
         hit = g.mask
         grown: list[int] = []
         for h in partial:
@@ -256,7 +310,8 @@ def _members(mask: int, member: dict[int, SubProb]) -> list[SubProb]:
 
 
 def equals(u: UpperSet, v: UpperSet) -> bool:
-    """Canonical antichain equality; sound and complete for the families."""
+    """Antichain equality, as equal sets of generator masks; sound and
+    complete for the families."""
     if u.space != v.space:
         raise SpaceMismatchError("equality test across different spaces")
-    return u.generators == v.generators
+    return u._masks == v._masks

@@ -904,6 +904,43 @@ def parse_formula_oracle(text: str) -> StateFormula:
     return formula
 
 
+def format_formula_oracle(f: StateFormula) -> str:
+    """The recursive printer ``format_formula`` replaced: a few frames per
+    level of nesting."""
+    return _fmt_state(f, 0)
+
+
+def _fmt_state(f: StateFormula, prec: int) -> str:
+    if isinstance(f, Top):
+        return "T"
+    if isinstance(f, And):
+        text = f"{_fmt_state(f.left, 1)} & {_fmt_state(f.right, 2)}"
+        return f"({text})" if prec > 1 else text
+    if isinstance(f, Diamond):
+        return "<>" + _fmt_munit(f.body)
+    if isinstance(f, Box):
+        return "[]" + _fmt_munit(f.body)
+    raise TypeError(f"not a state formula: {f!r}")
+
+
+def _fmt_munit(m: MeasureFormula) -> str:
+    if isinstance(m, Threshold):
+        return _fmt_measure(m, 0)
+    return f"[ {_fmt_measure(m, 0)} ]"
+
+
+def _fmt_measure(m: MeasureFormula, prec: int) -> str:
+    if isinstance(m, Threshold):
+        return f"[{_fmt_state(m.state, 0)} {m.cmp} {m.bound!s}]"
+    if isinstance(m, MAnd):
+        text = f"{_fmt_measure(m.left, 2)} & {_fmt_measure(m.right, 3)}"
+        return f"({text})" if prec > 2 else text
+    if isinstance(m, MOr):
+        text = f"{_fmt_measure(m.left, 1)} | {_fmt_measure(m.right, 2)}"
+        return f"({text})" if prec > 1 else text
+    raise TypeError(f"not a measure formula: {m!r}")
+
+
 # ---------------------------------------------------------------------------
 # Frozenset measure sets: the representation before measure ids and masks
 # ---------------------------------------------------------------------------

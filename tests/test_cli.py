@@ -25,7 +25,7 @@ from effkit.model_io import (
 )
 from helpers import dumps_oracle, rand_ef, rand_json_doc, rand_kernel, rand_space
 
-from effkit import Nlmp
+from effkit import EffFn, MeasureSet, Nlmp, Space, SubProb, UpperSet, dual_ef, model_io
 
 
 K_A_DOC = {
@@ -396,6 +396,24 @@ class TestEvalDistinguish:
         )
         assert confirm_code == 0
 
+    def test_distinguish_on_a_deep_chain_prints_its_witness(self, tmp_path):
+        """On the 400-state 1/2-chain the witness nests 400 modalities, too
+        deep for a printer that recurses per level."""
+        n = 400
+        states = [f"q{i}" for i in range(n)]
+        doc = {
+            "kind": "ef",
+            "states": states,
+            "effectivity": {
+                s: [[{states[i + 1]: "1/2"} if i + 1 < n else {}]] for i, s in enumerate(states)
+            },
+        }
+        code, out, err = invoke("distinguish", write(tmp_path, "chain.json", doc), "q0", "q1")
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        assert payload["equivalent"] is False and payload["satisfied_by"] in ("q0", "q1")
+        assert payload["formula"].count("[]") + payload["formula"].count("<>") >= n - 1
+
     def test_distinguish_equivalent(self, efA):
         code, out, _ = invoke("distinguish", efA, "s0", "s1")
         assert code == 0
@@ -662,6 +680,35 @@ class TestCanonicalEmitter:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+    def test_each_distinct_measure_is_emitted_once(self, monkeypatch):
+        k = 5
+        space = Space.discrete([f"x{i}" for i in range(3 * k)])
+        triples = [
+            MeasureSet(space, [SubProb.of(space, {f"x{3 * i + j}": "1/2"}) for j in range(3)])
+            for i in range(k)
+        ]
+        ef = dual_ef(EffFn(space, {s: UpperSet(space, triples) for s in space.carrier}))
+        expected = dumps_canonical({
+            "kind": "ef",
+            "states": list(space.carrier),
+            "sigma": [list(block) for block in space.atoms],
+            "effectivity": {
+                s: [[model_io._measure_to_dict(mu) for mu in g.members] for g in ef(s).generators]
+                for s in space.carrier
+            },
+        })
+        calls = []
+
+        def counted(mu, _emit=model_io._measure_to_dict):
+            calls.append(mu)
+            return _emit(mu)
+
+        monkeypatch.setattr(model_io, "_measure_to_dict", counted)
+        assert dumps_canonical(model_to_dict(ef_model(ef))) == expected
+        assert len(ef(space.carrier[0])) == 3**k
+        assert len(calls) == len(set(calls)) == 3 * k
 
 
 class TestModelRoundTrips:

@@ -64,3 +64,27 @@ def test_measure_ids_and_masks_stay_in_their_modules():
             if isinstance(node, ast.Attribute) and node.attr in ("ident", "mask")
         )
     assert not readers, f"ids or masks read outside their modules: {sorted(readers)}"
+
+
+def test_mass_order_is_read_only_for_canonical_order():
+    """Measure sets and families are built unsorted: outside ``measure.py``,
+    which defines it, ``_mass_order`` is named once each in the bodies of
+    ``MeasureSet.members`` and ``UpperSet.generators`` and nowhere else, in
+    no constructor above all."""
+    where = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "measure.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = {
+            id(node): fn.name
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+        }
+        where += [
+            f"{path.name}:{owner.get(id(node), '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "_mass_order"
+        ]
+    assert sorted(where) == ["upperset.py:generators", "upperset.py:members"], where

@@ -44,6 +44,7 @@ from effkit import (
 )
 from effkit.logic import _Refiner, _tokenize
 from helpers import (
+    format_formula_oracle,
     parse_formula_oracle,
     rand_ef,
     rand_kernel,
@@ -226,6 +227,41 @@ class TestAgainstBacktrackingParser:
 def formulas(draw):
     seed = draw(st.integers(min_value=0, max_value=2**31))
     return rand_state_formula(Random(seed), depth=3)
+
+
+class TestPrinter:
+    def test_matches_the_recursive_printer(self):
+        rng = Random(6151)
+        for _ in range(3000):
+            f = rand_state_formula(rng, depth=rng.randint(1, 6))
+            assert format_formula(f) == format_formula_oracle(f)
+
+    def test_any_depth_formats(self):
+        n = 5000
+        low, high = Threshold(Top(), "<", Fraction(1, 3)), Threshold(Top(), ">", Fraction(0))
+        modal, conj, mixed = Top(), Top(), low
+        for _ in range(n):
+            modal = Diamond(Threshold(modal, ">", Fraction(1, 2)))
+            conj = And(Top(), conj)
+            mixed = MOr(high, MAnd(low, mixed))
+        assert format_formula(modal) == "<>[" * n + "T" + " > 1/2]" * n
+        assert format_formula(conj) == "T & (" * (n - 1) + "T & T" + ")" * (n - 1)
+        step = "[T > 0] | [T < 1/3] & "
+        assert format_formula(Box(mixed)) == (
+            "[][ " + (step + "(") * (n - 1) + step + "[T < 1/3]" + ")" * (n - 1) + " ]"
+        )
+        small = mixed
+        for _ in range(n - 3):
+            small = small.right.right
+        assert format_formula(Box(small)) == format_formula_oracle(Box(small))
+
+    def test_refuses_a_node_of_the_wrong_level(self):
+        for bad in (Diamond(Top()), And(Top(), Threshold(Top(), "<", Fraction(1, 2)))):
+            with pytest.raises(TypeError) as exc:
+                format_formula(bad)
+            with pytest.raises(TypeError) as old:
+                format_formula_oracle(bad)
+            assert str(exc.value) == str(old.value)
 
 
 class TestRoundTrip:

@@ -14,6 +14,7 @@ from random import Random
 import pytest
 
 from effkit import (
+    EffFn,
     EffkitError,
     ForeignStateError,
     MeasurableMap,
@@ -24,7 +25,11 @@ from effkit import (
     Space,
     SpaceMismatchError,
     SubProb,
+    UpperSet,
+    contains,
     direct_sum,
+    dual,
+    equals,
     is_final_surjection,
     kernel_of,
     sigma_r,
@@ -111,6 +116,37 @@ class TestInterning:
         assert ms == MeasureSet(fresh, [SubProb.of(fresh, {"pickled-q": "1/4"}), mu])
         assert MeasureSet(fresh, [mu]).issubset(ms)
         assert not others.issubset(ms) and not ms.issubset(others)
+
+    def test_pickled_families_compare_by_value(self):
+        """A family's cached mask set and order are not pickled: both are
+        rebuilt on the live space, whose ids may differ."""
+        carrier = ["family-p", "family-q", "family-r"]
+        masses = {"family-p": "1/2", "family-q": "1/4", "family-r": "1"}
+
+        def build(space, order):
+            mu = {s: SubProb.of(space, {s: masses[s]}) for s in order}
+            pair = MeasureSet(space, [mu["family-q"], mu["family-p"]])
+            u = UpperSet(space, [pair, MeasureSet(space, [mu["family-r"]])])
+            return u, EffFn(space, {"family-p": u, "family-q": dual(u), "family-r": UpperSet.full(space)})
+
+        space = Space(carrier)
+        u, ef = build(space, carrier)
+        assert u == u and ef == ef and u.generators and hash(ef)  # fill every cache
+        blob = pickle.dumps((u, ef))
+        gone = weakref.ref(space)
+        del space, u, ef
+        gc.collect()
+        assert gone() is None
+        fresh = Space(carrier)
+        # the fresh space numbers the same measures in the reverse order
+        want_u, want_ef = build(fresh, carrier[::-1])
+        u, ef = pickle.loads(blob)
+        assert u.space is fresh and ef.space is fresh
+        assert u == want_u and hash(u) == hash(want_u) and equals(u, want_u)
+        assert u.generators == want_u.generators
+        assert [g.members for g in u.generators] == [g.members for g in want_u.generators]
+        assert ef == want_ef and hash(ef) == hash(want_ef)
+        assert contains(u, MeasureSet(fresh, [SubProb.of(fresh, {"family-r": "1"})]))
 
     def test_copies_are_the_canonical_space(self):
         sp = Space(["a", "b", "c"], [["a", "b"], ["c"]])

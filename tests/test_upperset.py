@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from collections import Counter
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -20,8 +23,17 @@ from effkit import (
     intersect,
     union,
 )
+from effkit import (
+    Kernel,
+    Nlmp,
+    angelize,
+    distinguish,
+    dual_ef,
+    format_formula,
+)
 from effkit import upperset as upperset_module
 from effkit.effectivity import EffFn, _refine
+from effkit.model_io import dumps_canonical, ef_model, model_to_dict, nlmp_model
 from effkit.upperset import _minimal
 from helpers import (
     MeasureSetOracle,
@@ -352,9 +364,84 @@ class TestAgainstFrozensetOracle:
         assert MeasureSet(S3, [m1, M1]).members == (M1,)
 
 
+def rand_masses(rng: Random, atoms: int, max_den=6) -> list[Fraction]:
+    den = rng.randint(1, max_den)
+    nums = [0] * atoms
+    for _ in range(rng.randint(0, den)):
+        nums[rng.randrange(atoms)] += 1
+    return [Fraction(n, den) for n in nums]
+
+
+class TestOrderInvariance:
+    """The order of construction reaches no output.  Each case is built
+    twice, the second time with its measures created in another order (so
+    with other ids on a fresh space) and every member and generator list
+    shuffled; both builds read the same canonical orders, emit the same
+    bytes and give the same witnesses."""
+
+    @staticmethod
+    def outputs(case, rng: Random | None):
+        carrier, atoms, vectors, portfolio, kernel, pair = case
+
+        def shuffled(items):
+            items = list(items)
+            if rng is not None:
+                rng.shuffle(items)
+            return items
+
+        space = Space(carrier, atoms)
+        measures = {i: SubProb(space, vectors[i]) for i in shuffled(range(len(vectors)))}
+
+        def measure_set(indices):
+            return MeasureSet(space, [measures[i] for i in shuffled(indices)])
+
+        ef = EffFn(
+            space,
+            {s: UpperSet(space, map(measure_set, shuffled(gens))) for s, gens in portfolio.items()},
+        )
+        k = Kernel(space, {s: measure_set(indices) for s, indices in kernel.items()})
+        witnesses = []
+        for p in (ef, angelize(k)):
+            found = distinguish(p, *pair)
+            witnesses.append((found.satisfied_by, found.formula and format_formula(found.formula)))
+        models = (ef_model(ef), ef_model(dual_ef(ef)), nlmp_model(Nlmp(space, {"a": k})))
+        return (
+            [[values(g.members) for g in ef(s).generators] for s in carrier],
+            [values(k(s).members) for s in carrier],
+            [dumps_canonical(model_to_dict(m)) for m in models],
+            witnesses,
+        ), weakref.ref(space)
+
+    def test_shuffled_builds_agree(self):
+        rng = Random(1729)
+        seen: Counter = Counter()
+        for case_no in range(100):
+            carrier = [f"order-{case_no}-{i}" for i in range(rng.randint(2, 5))]
+            atoms = rand_partition_blocks(rng, carrier) if rng.random() < 0.4 else None
+            width = len(atoms) if atoms else len(carrier)
+            vectors = [rand_masses(rng, width) for _ in range(rng.randint(3, 6))]
+            draw = range(len(vectors))
+            portfolio = {
+                s: [rng.sample(draw, rng.randint(0, 3)) for _ in range(rng.randint(0, 4))]
+                for s in carrier
+            }
+            kernel = {s: rng.sample(draw, rng.randint(0, 3)) for s in carrier}
+            case = (carrier, atoms, vectors, portfolio, kernel, tuple(rng.sample(carrier, 2)))
+            first, space = self.outputs(case, None)
+            gc.collect()
+            assert space() is None
+            second, _ = self.outputs(case, Random(case_no))
+            assert first == second
+            generators, members, _, witnesses = first
+            seen["several generators"] += any(len(gens) > 1 for gens in generators)
+            seen["several members"] += any(len(m) > 1 for m in members)
+            seen["witnesses"] += sum(w[1] is not None for w in witnesses)
+        assert min(seen.values()) > 30, seen
+
+
 class TestWork:
-    """Work counters: small sets skip the mass-vector sort, and ``dual``
-    hashes no measure."""
+    """Work counters: construction never sorts, the canonical order is
+    computed once on first read, and ``dual`` hashes no measure."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -372,13 +459,30 @@ class TestWork:
         monkeypatch.setattr(SubProb, "__hash__", hashed)
         return calls
 
-    def test_one_member_set_and_one_generator_family_are_not_sorted(self, calls):
-        one = ms(M1)
-        assert calls["_mass_order"] == 0
-        UpperSet(S3, [one])
-        UpperSet(S3, [])
-        assert calls["_mass_order"] == 0
-        ms(M1, M2)
+    def test_building_never_sorts_and_the_first_read_sorts_once(self, calls):
+        rng = Random(31)
+        for size in range(6):
+            pool = [rand_subprob(rng, S3) for _ in range(2 * size + 2)]
+            sets = [MeasureSet(S3, rng.sample(pool, size)) for _ in range(size)]
+            u = UpperSet(S3, sets)
+            assert calls["_mass_order"] == 0
+            for a in sets:
+                expected = 1 if len(a) > 1 else 0
+                a.members
+                assert calls["_mass_order"] == expected
+                a.members
+                assert calls["_mass_order"] == expected
+                calls.clear()
+            expected = 1 if len(u) > 1 else 0
+            u.generators
+            assert calls["_mass_order"] == expected
+            u.generators
+            assert calls["_mass_order"] == expected
+            calls.clear()
+
+    def test_reading_generators_orders_their_members(self, calls):
+        u = UpperSet(S3, [ms(M3, M1), ms(M2, M3), ms(D0, D1)])
+        assert [g.members for g in u.generators] == [(M3, M2), (M3, M1), (D1, D0)]
         assert calls["_mass_order"] == 1
 
     def test_dual_of_a_disjoint_portfolio_hashes_no_measure(self, calls):
