@@ -251,9 +251,9 @@ def _mutually_dominate(f: MeasurableMap, p: EffFn, q: EffFn) -> bool:
     principal filters, the kernel-morphism test (docs/derivations.md, section 9)."""
     for s in p.space.carrier:
         source, target = p(s), q(f(s))
-        for h in target:
-            if not any(all(pushforward(f, mu) in h for mu in g) for g in source):
-                return False
+        pushed = [MeasureSet(f.codomain, [pushforward(f, mu) for mu in g]) for g in source]
+        if not all(any(image.issubset(h) for image in pushed) for h in target):
+            return False
         preimages = [_preimage_set(f, h) for h in target]
         for g in source:
             if not any(pre is not None and pre.issubset(g) for pre in preimages):

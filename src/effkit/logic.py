@@ -28,6 +28,10 @@ therefore not independent of the relational computation; the tests keep
 an independent pair-pruning oracle to compare both against.
 The evaluator's memos are keyed by node identity, so no lookup hashes a
 subtree; each entry holds its node, so its id is not reused while it lives.
+Parsing, printing and evaluation run on explicit stacks, so formulas of any
+depth work, in time linear in their nodes (at most one per character).  The
+structural ``==``, ``hash`` and ``repr`` of nodes still recurse, a few
+frames per level; neither the CLI nor the evaluator uses them.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import re
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .effectivity import EffFn, _refine
 from .errors import (
@@ -138,162 +143,115 @@ class Threshold(MeasureFormula):
 # Concrete syntax
 # ---------------------------------------------------------------------------
 
-_TOKENS = ("<>", "[]", "&", "|", "(", ")", "[", "]", "<", ">", "T")
-_RATIONAL = re.compile(r"[0-9]+(/[0-9]*)?")  # ASCII digits only
+_TOKEN = re.compile(r"(<>|\[\]|[&|()\[\]<>T])|[0-9]+(/[0-9]*)?")  # ASCII digits only
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     out = []
     i, n = 0, len(text)
     while i < n:
-        ch = text[i]
-        if ch.isspace():
+        if text[i].isspace():
             i += 1
             continue
-        matched = False
-        for tok in _TOKENS:
-            if text.startswith(tok, i):
-                out.append((tok, tok, i))
-                i += len(tok)
-                matched = True
-                break
-        if matched:
-            continue
-        rat = _RATIONAL.match(text, i)
-        if rat is not None:
-            if rat.group().endswith("/"):
-                raise FormulaSyntaxError("missing denominator", rat.end())
+        tok = _TOKEN.match(text, i)
+        if tok is None:
+            raise FormulaSyntaxError(f"unexpected character {text[i]!r}", i)
+        word = tok.group()
+        if tok.group(1) is None:  # a rational
+            if word.endswith("/"):
+                raise FormulaSyntaxError("missing denominator", tok.end())
             try:
-                Fraction(rat.group())
+                Fraction(word)
             except (ValueError, ZeroDivisionError) as exc:  # too many digits, zero denominator
                 raise FormulaSyntaxError(f"unreadable rational: {exc}", i) from None
-            out.append(("RAT", rat.group(), i))
-            i = rat.end()
-            continue
-        raise FormulaSyntaxError(f"unexpected character {ch!r}", i)
+        out.append((word if tok.group(1) else "RAT", word, i))
+        i = tok.end()
     out.append(("EOF", "", n))
     return out
 
 
-# Deepest accepted nesting, both of brackets and of the syntax tree.
-# Parsing, printing, hashing and evaluating recurse at most about four frames
-# per level, so every formula the parser accepts stays well under the
-# interpreter's default recursion limit of 1000.
-_MAX_NESTING = 100
+def _unexpected(wanted: str, tok: tuple[str, str, int]) -> FormulaSyntaxError:
+    found = "end of input" if tok[0] == "EOF" else repr(tok[1])
+    return FormulaSyntaxError(f"expected {wanted}, found {found}", tok[2])
 
 
-def _shown(tok: tuple[str, str, int]) -> str:
-    """A token as an error message names it."""
-    return "end of input" if tok[0] == "EOF" else repr(tok[1])
+def _expect(tok: tuple[str, str, int], kind: str) -> None:
+    if tok[0] != kind:
+        raise _unexpected({"EOF": "end of input", "RAT": "a rational"}.get(kind, repr(kind)), tok)
 
 
-class _Parser:
-    """Recursive descent; every parse method returns the formula and the
-    height of its syntax tree."""
-
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        depth = 0
-        for kind, _, pos in self.tokens:
-            depth += (kind in ("(", "[")) - (kind in (")", "]"))
-            self.nested(depth, pos)
-
-    def nested(self, height: int, pos: int) -> int:
-        if height > _MAX_NESTING:
-            raise FormulaSyntaxError(f"formula nested deeper than {_MAX_NESTING} levels", pos)
-        return height
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str | None = None) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != kind:
-            raise FormulaSyntaxError(f"expected {what or repr(kind)}, found {_shown(tok)}", tok[2])
-        return tok
-
-    def parse_state(self) -> tuple[StateFormula, int]:
-        left, height = self.parse_state_unit()
-        while self.peek()[0] == "&":
-            pos = self.next()[2]
-            right, h = self.parse_state_unit()
-            left, height = And(left, right), self.nested(max(height, h) + 1, pos)
-        return left, height
-
-    def parse_state_unit(self) -> tuple[StateFormula, int]:
-        kind, _, pos = self.peek()
-        if kind == "T":
-            self.next()
-            return Top(), 1
-        if kind in ("<>", "[]"):
-            self.next()
-            body, h = self.parse_measure_unit()
-            return (Diamond if kind == "<>" else Box)(body), self.nested(h + 1, pos)
-        if kind == "(":
-            self.next()
-            inner = self.parse_state()
-            self.expect(")")
-            return inner
-        raise FormulaSyntaxError(f"expected a state formula, found {_shown(self.peek())}", pos)
-
-    def parse_measure(self) -> tuple[MeasureFormula, int]:
-        left, height = self.parse_measure_conj()
-        while self.peek()[0] == "|":
-            pos = self.next()[2]
-            right, h = self.parse_measure_conj()
-            left, height = MOr(left, right), self.nested(max(height, h) + 1, pos)
-        return left, height
-
-    def parse_measure_conj(self) -> tuple[MeasureFormula, int]:
-        left, height = self.parse_measure_unit()
-        while self.peek()[0] == "&":
-            pos = self.next()[2]
-            right, h = self.parse_measure_unit()
-            left, height = MAnd(left, right), self.nested(max(height, h) + 1, pos)
-        return left, height
-
-    def parse_measure_unit(self) -> tuple[MeasureFormula, int]:
-        kind, _, pos = self.peek()
-        if kind == "[":
-            self.next()
-            ahead = self.pos
-            while self.tokens[ahead][0] == "(":
-                ahead += 1
-            if self.tokens[ahead][0] in ("T", "<>", "[]"):  # a state formula opens a threshold
-                return self._parse_threshold_tail(pos)
-            inner = self.parse_measure()
-            self.expect("]")
-            return inner
-        if kind == "(":
-            self.next()
-            inner = self.parse_measure()
-            self.expect(")")
-            return inner
-        raise FormulaSyntaxError(f"expected a measure formula, found {_shown(self.peek())}", pos)
-
-    def _parse_threshold_tail(self, open_pos: int) -> tuple[Threshold, int]:
-        state, h = self.parse_state()
-        tok = self.next()
-        kind, _, pos = tok
-        if kind not in ("<", ">"):
-            raise FormulaSyntaxError(f"expected < or > in threshold, found {_shown(tok)}", pos)
-        rat = self.expect("RAT", "a rational")
-        self.expect("]")
-        return Threshold(state, kind, Fraction(rat[1])), self.nested(h + 1, open_pos)
+# The grammar's lists: each symbol's separator, the node joining the operands
+# read so far with the next one, and the operand's symbol.
+_LISTS = {
+    "state": ("&", And, "sunit"),
+    "measure": ("|", MOr, "conj"),
+    "conj": ("&", MAnd, "munit"),
+}
 
 
 def parse_formula(text: str) -> StateFormula:
-    """Parse a state formula; raises FormulaSyntaxError / ThresholdOutOfRangeError."""
-    parser = _Parser(text)
-    formula, _ = parser.parse_state()
-    parser.expect("EOF", "end of input")
-    return formula
+    """Parse a state formula; raises FormulaSyntaxError / ThresholdOutOfRangeError.
+
+    Recursive descent on an explicit stack of pending goals, so any depth of
+    nesting parses.  A goal is a symbol to read (a list of ``_LISTS``, the
+    rest of one, ``"sunit"``, ``"munit"``, or the ``"threshold"`` tail after
+    its state formula), a node class to build from the formulas read last,
+    or a token kind to expect.  Goals are pushed last first.
+    """
+    tokens = _tokenize(text)
+    pos = 0
+    done: list = []  # formulas read and not yet built into their parents
+    goals: list = ["EOF", "state"]
+    while goals:
+        goal = goals.pop()
+        tok = tokens[pos]
+        kind = tok[0]
+        if type(goal) is tuple:  # the rest of a list: one more operand per separator
+            if kind == goal[0]:
+                pos += 1
+                goals += (goal, goal[1], goal[2])
+        elif goal in _LISTS:
+            goals += (_LISTS[goal], _LISTS[goal][2])
+        elif goal == "sunit":
+            pos += 1
+            if kind == "T":
+                done.append(Top())
+            elif kind in ("<>", "[]"):
+                goals += (Diamond if kind == "<>" else Box, "munit")
+            elif kind == "(":
+                goals += (")", "state")
+            else:
+                raise _unexpected("a state formula", tok)
+        elif goal == "munit":
+            pos += 1
+            if kind == "[":
+                ahead = pos
+                while tokens[ahead][0] == "(":
+                    ahead += 1
+                if tokens[ahead][0] in ("T", "<>", "[]"):  # a state formula opens a threshold
+                    goals += ("threshold", "state")
+                else:
+                    goals += ("]", "measure")
+            elif kind == "(":
+                goals += (")", "measure")
+            else:
+                raise _unexpected("a measure formula", tok)
+        elif goal == "threshold":
+            if kind not in ("<", ">"):
+                raise _unexpected("< or > in threshold", tok)
+            _expect(tokens[pos + 1], "RAT")
+            _expect(tokens[pos + 2], "]")
+            done[-1] = Threshold(done[-1], kind, Fraction(tokens[pos + 1][1]))
+            pos += 3
+        elif goal in (Diamond, Box):
+            done[-1] = goal(done[-1])
+        elif goal in (And, MAnd, MOr):
+            right = done.pop()
+            done[-1] = goal(done[-1], right)
+        else:
+            _expect(tok, goal)
+            pos += 1
+    return done[0]
 
 
 # A binary node's infix, its operands' binding strengths, and the strongest
@@ -349,7 +307,11 @@ def format_formula(f: StateFormula) -> str:
 # ---------------------------------------------------------------------------
 
 class _Evaluator:
-    """Extension computation with memoization over shared subformulas."""
+    """Extension computation with memoization over shared subformulas, on
+    an explicit stack of frames: a frame computing a node yields each part
+    whose extension it needs and is resumed with it.  So every part is
+    computed where the recursive reading first reaches it, as lazily and in
+    the same order, and any depth of nesting evaluates."""
 
     def __init__(self, p: EffFn):
         self.p = p
@@ -366,46 +328,86 @@ class _Evaluator:
         return sum([num[i] for i in hit[1]])
 
     def state_ext(self, f: StateFormula) -> frozenset[str]:
+        frames = [(f, self._frame(f))]
+        ext = None  # what the top frame is resumed with
+        while frames:
+            node, frame = frames[-1]
+            try:
+                part = frame.send(ext)
+            except StopIteration as finished:
+                frames.pop()
+                ext = finished.value
+                self._ext[id(node)] = (node, ext)
+            else:
+                frames.append((part, self._frame(part)))
+                ext = None
+        return ext
+
+    def _frame(self, f: StateFormula):
+        """Generator computing the extension of ``f``: it yields each part
+        whose extension it needs and returns its own."""
         hit = self._ext.get(id(f))
         if hit is not None:
             return hit[1]
         if isinstance(f, Top):
-            ext = frozenset(self.p.space.carrier)
-        elif isinstance(f, And):
-            ext = self.state_ext(f.left) & self.state_ext(f.right)
-        elif isinstance(f, Diamond):
-            ext = frozenset(
-                s
-                for s in self.p.space.carrier
-                if any(
-                    all(self.msat(f.body, mu) for mu in g)
-                    for g in self.p(s)
-                )
-            )
-        elif isinstance(f, Box):
-            ext = frozenset(
-                s
-                for s in self.p.space.carrier
-                if all(
-                    any(self.msat(f.body, mu) for mu in g)
-                    for g in self.p(s)
-                )
-            )
-        else:
+            return frozenset(self.p.space.carrier)
+        if isinstance(f, And):
+            left = yield f.left
+            right = yield f.right
+            return left & right
+        if not isinstance(f, (Diamond, Box)):
             raise TypeError(f"not a state formula: {f!r}")
-        self._ext[id(f)] = (f, ext)
-        return ext
+        box = isinstance(f, Box)
+        ext = []
+        for s in self.p.space.carrier:
+            # A box holds iff every generator has a satisfying measure, a
+            # diamond iff not every generator has a failing one: both read a
+            # generator up to its first measure whose verdict is ``box``.
+            every = True
+            for g in self.p(s):
+                for mu in g:
+                    m, undecided = f.body, []
+                    while not isinstance(sat := self._decide(m, mu, undecided), bool):
+                        yield sat.state
+                        m = sat
+                    if sat is box:
+                        break
+                else:
+                    every = False
+                    break
+            if every is box:
+                ext.append(s)
+        return frozenset(ext)
 
     def msat(self, m: MeasureFormula, mu: SubProb) -> bool:
-        if isinstance(m, MAnd):
-            return self.msat(m.left, mu) and self.msat(m.right, mu)
-        if isinstance(m, MOr):
-            return self.msat(m.left, mu) or self.msat(m.right, mu)
-        if isinstance(m, Threshold):
+        undecided: list = []
+        while not isinstance(sat := self._decide(m, mu, undecided), bool):
+            self.state_ext(sat.state)
+            m = sat
+        return sat
+
+    def _decide(self, m: MeasureFormula, mu: SubProb, undecided: list) -> bool | Threshold:
+        """Read ``m`` under ``mu`` left to right, with the short circuits of
+        ``and``/``or``: ``undecided`` holds the ancestors whose left operand
+        is being read.  Returns the verdict of the outermost ancestor, or
+        the first threshold reached whose state formula has no known
+        extension; called again from that threshold, it resumes."""
+        while True:
+            while isinstance(m, (MAnd, MOr)):
+                undecided.append(m)
+                m = m.left
+            if not isinstance(m, Threshold):
+                raise TypeError(f"not a measure formula: {m!r}")
+            if id(m.state) not in self._atoms and id(m.state) not in self._ext:
+                return m
             mass = self.numerator(mu, m.state) * m.bound.denominator
             bound = m.bound.numerator * mu.den
-            return mass < bound if m.cmp == "<" else mass > bound
-        raise TypeError(f"not a measure formula: {m!r}")
+            sat = mass < bound if m.cmp == "<" else mass > bound
+            while undecided and isinstance(undecided[-1], MOr) is sat:
+                undecided.pop()  # decided: false under an and, true under an or
+            if not undecided:
+                return sat
+            m = undecided.pop().right  # the right operand decides its parent
 
 
 def eval_state(p: EffFn, f: StateFormula) -> frozenset[str]:
@@ -565,27 +567,20 @@ class _Refiner:
         raise InternalInvariantViolation("synthesis called on a passing transfer")
 
     def _culprit_body(self, g, culprits) -> MeasureFormula:
-        disjuncts = []
-        for nu in culprits:
-            conj = None
-            for mu in g.members:
-                phi, a, b = self._separating_test(mu, nu)
-                mid = (a + b) / 2
-                test = Threshold(phi, "<" if a < b else ">", mid)
-                conj = test if conj is None else MAnd(conj, test)
-            disjuncts.append(conj)
-        body = disjuncts[0]
-        for d in disjuncts[1:]:
-            body = MOr(body, d)
-        return body
+        """A disjunction over the culprits of conjunctions over the source
+        generator's measures."""
+        conjunctions = (reduce(MAnd, (self._test(mu, nu) for mu in g.members)) for nu in culprits)
+        return reduce(MOr, conjunctions)
 
-    def _separating_test(self, mu: SubProb, nu: SubProb):
+    def _test(self, mu: SubProb, nu: SubProb) -> Threshold:
+        """A threshold on the first family formula whose masses under the
+        two measures differ, at their midpoint and oriented toward ``nu``."""
         for ext in self.order:
             phi = self.family[ext]
             a = Fraction(self.ev.numerator(nu, phi), nu.den)
             b = Fraction(self.ev.numerator(mu, phi), mu.den)
             if a != b:
-                return phi, a, b
+                return Threshold(phi, "<" if a < b else ">", (a + b) / 2)
         raise InternalInvariantViolation(
             "measures disagree on the partition but on no family extension"
         )

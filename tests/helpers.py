@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from fractions import Fraction
 from random import Random
+
+from hypothesis import strategies as st
 
 from effkit import (
     Cospan,
@@ -43,7 +46,6 @@ from effkit.cospan import CheckFailure
 from effkit.measure import _mass_order
 from effkit.space import _atom_roots
 from effkit.logic import (
-    _MAX_NESTING,
     And,
     Box,
     Diamond,
@@ -55,6 +57,7 @@ from effkit.logic import (
     Top,
     _tokenize,
 )
+from effkit.measure import _atoms_of
 
 # ---------------------------------------------------------------------------
 # Random generators (all deterministic under a seeded Random)
@@ -785,8 +788,14 @@ def kernel_sum_oracle(k: Kernel, k2: Kernel):
     return Kernel(ds.space, image), ds
 
 
+# Deepest nesting the recursive oracles accept, both of brackets and of the
+# syntax tree: they recurse a few frames per level, so every formula they
+# accept stays well under the interpreter's default recursion limit.
+ORACLE_NESTING = 100
+
+
 class _TooDeep(FormulaSyntaxError):
-    """Nesting beyond ``_MAX_NESTING``; never retried as another reading."""
+    """Nesting beyond ``ORACLE_NESTING``; never retried as another reading."""
 
 
 class _BacktrackingParser:
@@ -802,8 +811,8 @@ class _BacktrackingParser:
             self.nested(depth, pos)
 
     def nested(self, height: int, pos: int) -> int:
-        if height > _MAX_NESTING:
-            raise _TooDeep(f"formula nested deeper than {_MAX_NESTING} levels", pos)
+        if height > ORACLE_NESTING:
+            raise _TooDeep(f"formula nested deeper than {ORACLE_NESTING} levels", pos)
         return height
 
     def peek(self):
@@ -902,6 +911,234 @@ def parse_formula_oracle(text: str) -> StateFormula:
     formula, _ = parser.parse_state()
     parser.expect("EOF")
     return formula
+
+
+_TOKENS = ("<>", "[]", "&", "|", "(", ")", "[", "]", "<", ">", "T")
+_RATIONAL = re.compile(r"[0-9]+(/[0-9]*)?")  # ASCII digits only
+
+
+def tokenize_oracle(text: str) -> list[tuple[str, str, int]]:
+    """The tokenizer that tried each token in turn, then a rational."""
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        matched = False
+        for tok in _TOKENS:
+            if text.startswith(tok, i):
+                out.append((tok, tok, i))
+                i += len(tok)
+                matched = True
+                break
+        if matched:
+            continue
+        rat = _RATIONAL.match(text, i)
+        if rat is not None:
+            if rat.group().endswith("/"):
+                raise FormulaSyntaxError("missing denominator", rat.end())
+            try:
+                Fraction(rat.group())
+            except (ValueError, ZeroDivisionError) as exc:  # too many digits, zero denominator
+                raise FormulaSyntaxError(f"unreadable rational: {exc}", i) from None
+            out.append(("RAT", rat.group(), i))
+            i = rat.end()
+            continue
+        raise FormulaSyntaxError(f"unexpected character {ch!r}", i)
+    out.append(("EOF", "", n))
+    return out
+
+
+def _shown(tok: tuple[str, str, int]) -> str:
+    return "end of input" if tok[0] == "EOF" else repr(tok[1])
+
+
+class RecursiveParser:
+    """The recursive-descent parser ``parse_formula`` replaced: every parse
+    method returns the formula and the height of its syntax tree, and
+    nesting beyond ``ORACLE_NESTING`` is refused."""
+
+    def __init__(self, text: str):
+        self.tokens = tokenize_oracle(text)
+        self.pos = 0
+        depth = 0
+        for kind, _, pos in self.tokens:
+            depth += (kind in ("(", "[")) - (kind in (")", "]"))
+            self.nested(depth, pos)
+
+    def nested(self, height: int, pos: int) -> int:
+        if height > ORACLE_NESTING:
+            raise FormulaSyntaxError(f"formula nested deeper than {ORACLE_NESTING} levels", pos)
+        return height
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def next(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str, what: str | None = None) -> tuple[str, str, int]:
+        tok = self.next()
+        if tok[0] != kind:
+            raise FormulaSyntaxError(f"expected {what or repr(kind)}, found {_shown(tok)}", tok[2])
+        return tok
+
+    def parse_state(self) -> tuple[StateFormula, int]:
+        left, height = self.parse_state_unit()
+        while self.peek()[0] == "&":
+            pos = self.next()[2]
+            right, h = self.parse_state_unit()
+            left, height = And(left, right), self.nested(max(height, h) + 1, pos)
+        return left, height
+
+    def parse_state_unit(self) -> tuple[StateFormula, int]:
+        kind, _, pos = self.peek()
+        if kind == "T":
+            self.next()
+            return Top(), 1
+        if kind in ("<>", "[]"):
+            self.next()
+            body, h = self.parse_measure_unit()
+            return (Diamond if kind == "<>" else Box)(body), self.nested(h + 1, pos)
+        if kind == "(":
+            self.next()
+            inner = self.parse_state()
+            self.expect(")")
+            return inner
+        raise FormulaSyntaxError(f"expected a state formula, found {_shown(self.peek())}", pos)
+
+    def parse_measure(self) -> tuple[MeasureFormula, int]:
+        left, height = self.parse_measure_conj()
+        while self.peek()[0] == "|":
+            pos = self.next()[2]
+            right, h = self.parse_measure_conj()
+            left, height = MOr(left, right), self.nested(max(height, h) + 1, pos)
+        return left, height
+
+    def parse_measure_conj(self) -> tuple[MeasureFormula, int]:
+        left, height = self.parse_measure_unit()
+        while self.peek()[0] == "&":
+            pos = self.next()[2]
+            right, h = self.parse_measure_unit()
+            left, height = MAnd(left, right), self.nested(max(height, h) + 1, pos)
+        return left, height
+
+    def parse_measure_unit(self) -> tuple[MeasureFormula, int]:
+        kind, _, pos = self.peek()
+        if kind == "[":
+            self.next()
+            ahead = self.pos
+            while self.tokens[ahead][0] == "(":
+                ahead += 1
+            if self.tokens[ahead][0] in ("T", "<>", "[]"):  # a state formula opens a threshold
+                return self._parse_threshold_tail(pos)
+            inner = self.parse_measure()
+            self.expect("]")
+            return inner
+        if kind == "(":
+            self.next()
+            inner = self.parse_measure()
+            self.expect(")")
+            return inner
+        raise FormulaSyntaxError(f"expected a measure formula, found {_shown(self.peek())}", pos)
+
+    def _parse_threshold_tail(self, open_pos: int) -> tuple[Threshold, int]:
+        state, h = self.parse_state()
+        tok = self.next()
+        kind, _, pos = tok
+        if kind not in ("<", ">"):
+            raise FormulaSyntaxError(f"expected < or > in threshold, found {_shown(tok)}", pos)
+        rat = self.expect("RAT", "a rational")
+        self.expect("]")
+        return Threshold(state, kind, Fraction(rat[1])), self.nested(h + 1, open_pos)
+
+
+def parse_formula_recursive(text: str) -> StateFormula:
+    parser = RecursiveParser(text)
+    formula, _ = parser.parse_state()
+    parser.expect("EOF", "end of input")
+    return formula
+
+
+class RecursiveEvaluator:
+    """The recursive evaluator ``logic._Evaluator`` replaced, with the same
+    identity-keyed memos: a state formula's extension is computed when a
+    threshold first reaches it, and ``and``/``or`` short-circuit."""
+
+    def __init__(self, p: EffFn):
+        self.p = p
+        self._ext: dict[int, tuple[StateFormula, frozenset[str]]] = {}
+        self._atoms: dict[int, tuple[StateFormula, tuple[int, ...]]] = {}
+
+    def numerator(self, mu: SubProb, f: StateFormula) -> int:
+        hit = self._atoms.get(id(f))
+        if hit is None:
+            hit = self._atoms[id(f)] = (f, _atoms_of(self.p.space, self.state_ext(f)))
+        num = mu.num
+        return sum([num[i] for i in hit[1]])
+
+    def state_ext(self, f: StateFormula) -> frozenset[str]:
+        hit = self._ext.get(id(f))
+        if hit is not None:
+            return hit[1]
+        if isinstance(f, Top):
+            ext = frozenset(self.p.space.carrier)
+        elif isinstance(f, And):
+            ext = self.state_ext(f.left) & self.state_ext(f.right)
+        elif isinstance(f, Diamond):
+            ext = frozenset(
+                s
+                for s in self.p.space.carrier
+                if any(all(self.msat(f.body, mu) for mu in g) for g in self.p(s))
+            )
+        elif isinstance(f, Box):
+            ext = frozenset(
+                s
+                for s in self.p.space.carrier
+                if all(any(self.msat(f.body, mu) for mu in g) for g in self.p(s))
+            )
+        else:
+            raise TypeError(f"not a state formula: {f!r}")
+        self._ext[id(f)] = (f, ext)
+        return ext
+
+    def msat(self, m: MeasureFormula, mu: SubProb) -> bool:
+        if isinstance(m, MAnd):
+            return self.msat(m.left, mu) and self.msat(m.right, mu)
+        if isinstance(m, MOr):
+            return self.msat(m.left, mu) or self.msat(m.right, mu)
+        if isinstance(m, Threshold):
+            mass = self.numerator(mu, m.state) * m.bound.denominator
+            bound = m.bound.numerator * mu.den
+            return mass < bound if m.cmp == "<" else mass > bound
+        raise TypeError(f"not a measure formula: {m!r}")
+
+
+# Formula text for fuzzing: formula tokens, stray slashes and digits, and
+# arbitrary characters, sometimes inside thousands of levels of openers and
+# closers.
+_FUZZ_PIECES = st.one_of(
+    st.sampled_from(
+        ("T", "&", "|", "<>", "[]", "(", ")", "[", "]", "<", ">", " ", "0", "1/2", "1", "3/2",
+         "/", "1/", "2/0", "1/" + "7" * 5000)
+    ),
+    st.characters(),
+)
+
+
+@st.composite
+def formula_texts(draw) -> str:
+    core = "".join(draw(st.lists(_FUZZ_PIECES, max_size=30)))
+    if draw(st.booleans()):
+        return core
+    opener = draw(st.sampled_from(("(", "[", "<>[", "[][", "[ ", "T & ", "[T > 0] | ", "<>[ (")))
+    closer = draw(st.sampled_from((")", "]", " > 1/2]", " ]", " & T", "")))
+    depth = st.integers(min_value=0, max_value=3000)
+    return opener * draw(depth) + core + closer * draw(depth)
 
 
 def format_formula_oracle(f: StateFormula) -> str:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
 
 from effkit.cli import run
 from effkit.model_io import (
@@ -23,7 +25,14 @@ from effkit.model_io import (
     model_to_dict,
     nlmp_model,
 )
-from helpers import dumps_oracle, rand_ef, rand_json_doc, rand_kernel, rand_space
+from helpers import (
+    dumps_oracle,
+    formula_texts,
+    rand_ef,
+    rand_json_doc,
+    rand_kernel,
+    rand_space,
+)
 
 from effkit import EffFn, MeasureSet, Nlmp, Space, SubProb, UpperSet, dual_ef, model_io
 
@@ -46,6 +55,40 @@ EF_A_DOC = {
 }
 
 
+# a moves to b with mass 1, b to a with mass 1/2: below ``<>[T > 3/4]``,
+# which holds at a only, each ``<>[. > 1/4]`` or ``[][. > 1/4]`` swaps the
+# extension between {a} and {b}.
+SWAP_DOC = {
+    "kind": "ef",
+    "states": ["a", "b"],
+    "effectivity": {"a": [[{"b": "1"}]], "b": [[{"a": "1/2"}]]},
+}
+
+
+def planted_clones(rng: Random, k: int) -> EffFn:
+    """A random portfolio on k classes of two clones each, ``c{i}a`` and
+    ``c{i}b``: both clones move as their class, each measure's class mass
+    split at random between the class's clones, so clones are bisimilar."""
+    classes = Space.discrete([f"c{i}" for i in range(k)])
+    base = rand_ef(rng, classes)
+    space = Space.discrete([f"c{i}{x}" for i in range(k) for x in "ab"])
+
+    def lift(nu: SubProb) -> SubProb:
+        masses = {}
+        for i, m in enumerate(nu.mass):
+            cut = m * Fraction(rng.randint(0, 2), 2)
+            masses[f"c{i}a"], masses[f"c{i}b"] = cut, m - cut
+        return SubProb.of(space, masses)
+
+    return EffFn(
+        space,
+        {
+            s: UpperSet(space, [MeasureSet(space, map(lift, g)) for g in base(s[:-1])])
+            for s in space.carrier
+        },
+    )
+
+
 def invoke(*argv: str):
     out, err = io.StringIO(), io.StringIO()
     code = run(list(argv), out=out, err=err)
@@ -66,6 +109,11 @@ def kA(tmp_path):
 @pytest.fixture
 def efA(tmp_path):
     return write(tmp_path, "efA.json", EF_A_DOC)
+
+
+@pytest.fixture(scope="module")
+def fuzz_model(tmp_path_factory):
+    return write(tmp_path_factory.mktemp("fuzz"), "efA.json", EF_A_DOC)
 
 
 class TestValidate:
@@ -362,12 +410,36 @@ class TestEvalDistinguish:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "formula", ["<>[" * 400 + "T" + " > 0]" * 400, "(" * 3000], ids=["modal", "parens"]
+        "doc, formula, state, code, states",
+        [
+            (EF_A_DOC, "<>[" * 3000 + "T" + " > 0]" * 3000, "s0", 1, []),
+            (EF_A_DOC, " & ".join(["T"] * 20_000), "s2", 0, ["s0", "s1", "s2"]),
+            (SWAP_DOC, "<>[" * 3000 + "<>[T > 3/4]" + " > 1/4]" * 3000, "a", 0, ["a"]),
+            (SWAP_DOC, "[][" * 3001 + "<>[T > 3/4]" + " > 1/4]" * 3001, "a", 1, ["b"]),
+        ],
+        ids=["modal", "conjunction", "swap-even", "swap-odd"],
     )
-    def test_eval_too_deep_is_a_syntax_error(self, efA, formula):
-        code, out, err = invoke("eval", efA, "--formula", formula, "--state", "s0")
+    def test_eval_at_any_depth(self, tmp_path, doc, formula, state, code, states):
+        model = write(tmp_path, "model.json", doc)
+        got, out, err = invoke("eval", model, "--formula", formula, "--state", state)
+        assert (got, err) == (code, "")
+        assert json.loads(out)["states"] == states
+
+    def test_eval_of_deep_unclosed_parentheses_is_located(self, efA):
+        code, out, err = invoke("eval", efA, "--formula", "(" * 3000, "--state", "s0")
         assert code == 2 and out == ""
-        assert "nested deeper" in json.loads(err)["error"]["message"]
+        message = "expected a state formula, found end of input (at position 3000)"
+        assert json.loads(err)["error"]["message"] == message
+
+    @given(formula_texts())
+    @settings(max_examples=150)
+    def test_eval_answers_or_refuses_any_text(self, fuzz_model, text):
+        code, out, err = invoke("eval", fuzz_model, "--formula", text)
+        if code == 2:
+            assert out == "" and set(json.loads(err)["error"]) == {"file", "location", "message"}
+        else:
+            assert code in (0, 1) and err == ""
+            assert set(json.loads(out)["states"]) <= set(EF_A_DOC["states"])
 
     @pytest.mark.parametrize(
         "formula",
@@ -397,22 +469,52 @@ class TestEvalDistinguish:
         assert confirm_code == 0
 
     def test_distinguish_on_a_deep_chain_prints_its_witness(self, tmp_path):
-        """On the 400-state 1/2-chain the witness nests 400 modalities, too
-        deep for a printer that recurses per level."""
-        n = 400
-        states = [f"q{i}" for i in range(n)]
-        doc = {
-            "kind": "ef",
-            "states": states,
-            "effectivity": {
-                s: [[{states[i + 1]: "1/2"} if i + 1 < n else {}]] for i, s in enumerate(states)
-            },
-        }
-        code, out, err = invoke("distinguish", write(tmp_path, "chain.json", doc), "q0", "q1")
-        assert (code, err) == (1, "")
-        payload = json.loads(out)
-        assert payload["equivalent"] is False and payload["satisfied_by"] in ("q0", "q1")
-        assert payload["formula"].count("[]") + payload["formula"].count("<>") >= n - 1
+        """On the n-state 1/2-chain the witness nests n modalities, too deep
+        for a printer, parser or evaluator that recurses per level; ``eval``
+        reads it back and confirms it."""
+        for n in (120, 400):
+            states = [f"q{i}" for i in range(n)]
+            doc = {
+                "kind": "ef",
+                "states": states,
+                "effectivity": {
+                    s: [[{states[i + 1]: "1/2"} if i + 1 < n else {}]] for i, s in enumerate(states)
+                },
+            }
+            chain = write(tmp_path, f"chain{n}.json", doc)
+            code, out, err = invoke("distinguish", chain, "q0", "q1")
+            assert (code, err) == (1, "")
+            payload = json.loads(out)
+            assert payload["equivalent"] is False and payload["satisfied_by"] in ("q0", "q1")
+            witness = payload["formula"]
+            assert witness.count("[]") + witness.count("<>") >= n - 1
+            for state in ("q0", "q1"):
+                code, _, err = invoke("eval", chain, "--formula", witness, "--state", state)
+                assert (code, err) == ((0 if state == payload["satisfied_by"] else 1), "")
+
+    def test_distinguish_witnesses_on_planted_portfolios_read_back(self, tmp_path):
+        """Clones of one planted class are equivalent; for every other pair
+        the printed witness, fed to ``eval``, holds at the state named and
+        fails at the other."""
+        rng = Random(2027)
+        split = 0
+        for i in range(20):
+            p = planted_clones(rng, rng.randint(2, 4))
+            model = write(tmp_path, f"p{i}.json", model_to_dict(ef_model(p)))
+            pairs = list(itertools.combinations(p.space.carrier, 2))
+            for s, t in rng.sample(pairs, 4):
+                code, out, err = invoke("distinguish", model, s, t)
+                assert err == ""
+                if s[:-1] == t[:-1]:
+                    assert code == 0
+                if code == 0:
+                    continue
+                witness, satisfier = json.loads(out)["formula"], json.loads(out)["satisfied_by"]
+                for state in (s, t):
+                    code, _, err = invoke("eval", model, "--formula", witness, "--state", state)
+                    assert (code, err) == ((0 if state == satisfier else 1), "")
+                split += 1
+        assert split >= 40, split
 
     def test_distinguish_equivalent(self, efA):
         code, out, _ = invoke("distinguish", efA, "s0", "s1")

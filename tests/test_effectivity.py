@@ -38,6 +38,7 @@ from effkit import (
     sigma_r,
     sum_ef,
 )
+from effkit import effectivity
 from effkit.effectivity import push_upperset
 from helpers import (
     all_partitions,
@@ -239,6 +240,22 @@ class TestStrongMorphism:
         q = EffFn(t2, {t: UpperSet.empty(t2) for t in t2.carrier})
         with pytest.raises(NotSurjectiveError):
             is_strong_morphism(f, P_A, q)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_each_source_measure_is_pushed_once(self, monkeypatch, k):
+        """The generator test pushes every source measure forward once,
+        whatever the number of target generators it is checked against."""
+        space = Space.discrete(["s0", "s1", "s2"])
+        measures = [SubProb.of(space, {"s0": f"{j}/{2 * k + 1}"}) for j in range(1, 2 * k + 1)]
+        family = UpperSet(space, [MeasureSet(space, measures[2 * i: 2 * i + 2]) for i in range(k)])
+        p = EffFn(space, {s: family for s in space.carrier})
+        pushed = []
+        pushforward = effectivity.pushforward
+        monkeypatch.setattr(
+            effectivity, "pushforward", lambda f, mu: pushed.append(mu) or pushforward(f, mu)
+        )
+        assert is_strong_morphism(MeasurableMap.identity(space), p, p)
+        assert len(pushed) == sum(len(g) for s in space.carrier for g in p(s)) == 3 * 2 * k
 
     def test_strong_implies_morphism(self):
         rng = Random(149)

@@ -22,9 +22,11 @@ from effkit import (
     MAnd,
     MOr,
     MeasureSet,
+    NotMeasurableSetError,
     Relation,
     Space,
     SpaceMismatchError,
+    StateFormula,
     SubProb,
     Threshold,
     ThresholdOutOfRangeError,
@@ -42,14 +44,20 @@ from effkit import (
     parse_formula,
     sigma_r,
 )
-from effkit.logic import _Refiner, _tokenize
+from effkit.logic import _Evaluator, _Refiner, _tokenize
 from helpers import (
+    ORACLE_NESTING,
+    RecursiveEvaluator,
     format_formula_oracle,
+    formula_texts,
     parse_formula_oracle,
+    parse_formula_recursive,
     rand_ef,
     rand_kernel,
+    rand_measure_formula,
     rand_space,
     rand_state_formula,
+    rand_subprob,
     relation_from_family,
 )
 
@@ -60,17 +68,38 @@ K_A = Kernel(S3, {"s0": [D2], "s1": [D2], "s2": [ZERO]})
 P_A = filter_generate(K_A)
 
 
-class TestParser:
-    def test_nesting_bound(self):
-        from effkit.logic import _MAX_NESTING
+# a moves to b with mass 1, b to a with mass 1/2: below ``<>[T > 3/4]``,
+# which holds at a only, each ``<>[. > 1/4]`` or ``[][. > 1/4]`` swaps the
+# extension between {a} and {b}.
+SWAP_SPACE = Space.discrete(["a", "b"])
+SWAP = filter_generate(
+    Kernel(
+        SWAP_SPACE,
+        {"a": [SubProb.dirac(SWAP_SPACE, "b")], "b": [SubProb.of(SWAP_SPACE, {"a": "1/2"})]},
+    )
+)
 
-        chain = " & ".join(["T"] * _MAX_NESTING)
-        deepest = parse_formula(chain)
-        assert format_formula(deepest) == chain
-        assert eval_state(P_A, deepest) == frozenset(S3.carrier)
-        with pytest.raises(FormulaSyntaxError) as exc:
-            parse_formula(chain + " & T")
-        assert exc.value.position == len(chain) + 1
+
+class TestParser:
+    def test_any_depth_parses_prints_and_evaluates(self):
+        """Far past the 100 levels the recursive parser accepted: a
+        conjunction chain, modalities, parentheses and brackets, each 3000
+        levels deep, and a 20 000-term measure disjunction."""
+        n = 3000
+        full, fixture = frozenset(S3.carrier), frozenset({"s0", "s1"})
+        cases = [
+            (" & ".join(["T"] * 20_000), P_A, full),
+            ("(" * n + "<>[T > 1/2]" + ")" * n, P_A, fixture),
+            ("<>[" + "[ " * n + "[T > 1/2]" + " ]" * n + "]", P_A, fixture),
+            ("[][ " + " | ".join(["[T < 1/3]"] * 20_000) + " ]", P_A, frozenset({"s2"})),
+            ("<>[" * n + "<>[T > 3/4]" + " > 1/4]" * n, SWAP, frozenset({"a"})),
+            ("[][" * (n + 1) + "<>[T > 3/4]" + " > 1/4]" * (n + 1), SWAP, frozenset({"b"})),
+        ]
+        for text, p, ext in cases:
+            f = parse_formula(text)
+            printed = format_formula(f)
+            assert format_formula(parse_formula(printed)) == printed
+            assert eval_state(p, f) == ext
 
     def test_diamond_threshold(self):
         f = parse_formula("<>[T > 1/2]")
@@ -223,6 +252,81 @@ class TestAgainstBacktrackingParser:
         assert seen["accepted"] > 900 and seen["refused"] > 2000, seen
 
 
+def parsed_or_refused(parse, text: str):
+    try:
+        return parse(text)
+    except (FormulaSyntaxError, ThresholdOutOfRangeError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+class TestAgainstRecursiveParser:
+    def test_random_mutated_and_deep_formulas(self):
+        """The same formula, or the same refusal with the same message and
+        position, wherever the recursive parser, with its own tokenizer, does
+        not hit its nesting cap: random formulas after token mutations,
+        random characters, and nestings up to the cap of each construct."""
+        rng = Random(4099)
+        shapes = ("(", ")", "<>[", "[][", "[ ", " ]", "T & ", " > 1/2]", "[T < 1/3] | ", "& T")
+        characters = "T&|<>[]() /0123456789x\t\u00b2\u0661"
+        seen: Counter = Counter()
+        for i in range(4800):
+            if i % 10 == 0:
+                pieces = [rng.choice(shapes) * rng.randint(0, ORACLE_NESTING) for _ in range(3)]
+                text = pieces[0] + pieces[1] + "T" + pieces[2]
+            elif i % 10 == 1:
+                text = "".join(rng.choices(characters, k=rng.randint(0, 20)))
+            else:
+                formula = rand_state_formula(rng, depth=rng.randint(1, 5))
+                text = mutated(rng, format_formula(formula))
+            old = parsed_or_refused(parse_formula_recursive, text)
+            if isinstance(old, tuple) and "nested deeper" in old[1]:
+                seen["beyond the cap"] += 1
+                continue
+            assert parsed_or_refused(parse_formula, text) == old, text
+            seen["accepted" if isinstance(old, StateFormula) else "refused"] += 1
+        assert seen["accepted"] > 1000 and seen["refused"] > 2000, seen
+
+
+class TestAgainstRecursiveEvaluator:
+    def test_seeded_portfolios_and_formulas(self):
+        """The same extension and measure verdict, or the same refusal, and
+        as many threshold masses weighed, on random portfolios (coarse spaces
+        included, so some extensions are not measurable) and random
+        formulas nesting up to four modalities."""
+        rng = Random(3001)
+        seen: Counter = Counter()
+        for _ in range(3000):
+            p = rand_ef(rng, rand_space(rng, 2, 4, allow_coarse=True), max_gens=2)
+            formula = rand_state_formula(rng, depth=rng.randint(1, 8))
+            measure, mu = rand_measure_formula(rng, depth=3), rand_subprob(rng, p.space)
+            outcomes = []
+            for ev in (_Evaluator(p), RecursiveEvaluator(p)):
+                weighed = Counter()
+                numerator = ev.numerator
+
+                def counted(mu, f, numerator=numerator, weighed=weighed):
+                    weighed["numerator"] += 1
+                    return numerator(mu, f)
+
+                ev.numerator = counted
+                try:
+                    outcome = ev.state_ext(formula)
+                except NotMeasurableSetError as exc:
+                    outcome = str(exc)
+                try:
+                    sat = ev.msat(measure, mu)
+                except NotMeasurableSetError as exc:
+                    sat = str(exc)
+                # a refusal cuts short, in the recursive reading, the calls
+                # that were waiting for the extension it was computing
+                refused = isinstance(outcome, str) or isinstance(sat, str)
+                outcomes.append((outcome, sat, None if refused else weighed["numerator"]))
+            new, old = outcomes
+            assert new == old
+            seen["refused" if isinstance(old[0], str) else "extension"] += 1
+        assert seen["extension"] > 2500 and seen["refused"] > 50, seen
+
+
 @st.composite
 def formulas(draw):
     seed = draw(st.integers(min_value=0, max_value=2**31))
@@ -270,6 +374,18 @@ class TestRoundTrip:
     def test_parse_inverts_print(self, ast):
         printed = format_formula(ast)
         assert parse_formula(printed) == ast
+        assert format_formula(parse_formula(printed)) == printed
+
+
+class TestFuzz:
+    @given(formula_texts())
+    @settings(max_examples=300)
+    def test_parse_returns_a_reprintable_formula_or_refuses(self, text):
+        try:
+            f = parse_formula(text)
+        except (FormulaSyntaxError, ThresholdOutOfRangeError):
+            return
+        printed = format_formula(f)
         assert format_formula(parse_formula(printed)) == printed
 
 
@@ -479,6 +595,16 @@ class TestDistinguish:
             assert parse_formula(format_formula(result.formula)) == result.formula
             confirmed += 1
         assert confirmed >= 200
+
+    def test_deep_witness_evaluates_in_a_fresh_evaluator(self):
+        """The 400-state chain's witness nests about 400 modalities; a
+        fresh evaluator, which shares no memo with the synthesis, confirms
+        it."""
+        p = half_chain(400)
+        result = distinguish(p, "s0", "s1")
+        ext = eval_state(p, result.formula)
+        other = "s1" if result.satisfied_by == "s0" else "s0"
+        assert result.satisfied_by in ext and other not in ext
 
     def test_equivalent_pairs_never_split_by_sampled_formulas(self):
         rng = Random(199)
