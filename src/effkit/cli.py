@@ -62,9 +62,11 @@ def _partition_payload(rel: Relation) -> list[list[str]]:
 
 
 def _require_ef(model: Model, label: str | None, where: str):
-    """An effectivity function from a model: 'ef' models directly, 'nlmp'
-    models label-wise through the principal-filter embedding."""
+    """An effectivity function from a model: 'ef' models directly, with no
+    label; 'nlmp' models label-wise through the principal-filter embedding."""
     if model.kind == "ef":
+        if label is not None:
+            raise ModelFormatError("--label applies to 'nlmp' models", file=where, location="--label")
         return model.ef
     nlmp = model.nlmp
     return nlmp_ops.filter_generate(nlmp.kernel(_pick_label(nlmp, label, where)))
@@ -172,7 +174,7 @@ def cmd_morphism(args) -> tuple[int, dict[str, Any]]:
             raise ModelFormatError(
                 "--strong applies to 'ef' models", file=args.a, location="kind"
             )
-        if a.nlmp.labels != b.nlmp.labels:
+        if set(a.nlmp.labels) != set(b.nlmp.labels):
             raise ModelFormatError("label sets differ", file=args.b, location="labels")
         holds = all(
             nlmp_ops.is_nk_morphism(mapping, a.nlmp.kernel(label), b.nlmp.kernel(label))
@@ -228,7 +230,7 @@ def cmd_sum(args) -> tuple[int, dict[str, Any]]:
     if a.kind == "ef":
         summed, _ = ef_ops.sum_ef(a.ef, b.ef)
         return 0, model_to_dict(ef_model(summed))
-    if a.nlmp.labels != b.nlmp.labels:
+    if set(a.nlmp.labels) != set(b.nlmp.labels):
         raise ModelFormatError("label sets differ", file=args.b, location="labels")
     kernels = {}
     for label in a.nlmp.labels:

@@ -20,8 +20,9 @@ never starts with ``[``, so nothing is read twice and an error is reported
 where it occurs.
 
 Logical equivalence runs the signature refinement that also computes the
-greatest bisimulation, and keeps next to its partition a conjunction-closed
-family of formulas whose extensions generate exactly the partition's sets.
+greatest bisimulation, and keeps for each block of its partition a formula
+for the block's up-set, the meet of the confirmed extensions containing it;
+these extensions generate exactly the partition's sets.
 Every split is backed by a synthesized, evaluator-confirmed formula, and no
 confirmed formula may cut a signature class of its round.  The procedure is
 therefore not independent of the relational computation; the tests keep
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -452,47 +452,21 @@ _FALSUM = Threshold(Top(), "<", Fraction(0))
 class _Refiner:
     """Formula synthesis on top of the signature refinement.
 
-    Keeps a conjunction-closed formula family whose extensions generate
-    exactly the refinement's partition.  Each round, every pair of signature
-    classes inside a block gets one separating formula, confirmed by the
-    evaluator and checked to cut no class of the round before it enters the
-    family.  The extensions in ``_ext_key`` order are kept up to date as
-    formulas enter.
+    Keeps, per block of the refinement's partition, the block's up-set (the
+    meet of the confirmed extensions containing it) and a formula for it.
+    Each round, every pair of signature classes inside a block gets one
+    separating formula, confirmed by the evaluator and checked to cut no
+    class of the round; each class then meets its block's up-set with the
+    round's extensions containing it (docs/derivations.md, section 12).
+    ``upsets`` holds the (extension, formula) records by size, then by
+    their states' carrier indices.
     """
 
     def __init__(self, p: EffFn):
         self.p = p
         self.ev = _Evaluator(p)
         self.index = {s: i for i, s in enumerate(p.space.carrier)}
-        top = frozenset(p.space.carrier)
-        self.family: dict[frozenset[str], StateFormula] = {top: Top()}
-        self.order: list[frozenset[str]] = [top]
-        self.keys: list[tuple] = [self._ext_key(top)]
-
-    # -- family bookkeeping --------------------------------------------------
-    def _ext_key(self, ext: frozenset[str]) -> tuple:
-        """Extensions order by size, then by their states' carrier indices."""
-        return (len(ext), sorted(map(self.index.__getitem__, ext)))
-
-    def _add(self, formula: StateFormula, ext: frozenset[str]) -> None:
-        """Insert a confirmed formula and its meets with the family, which
-        keeps an intersection-closed family closed (docs/derivations.md,
-        section 12)."""
-        if ext in self.family:
-            return
-        old = list(self.family.items())
-        self._insert(ext, formula)
-        for e, f in old:
-            meet = e & ext
-            if meet not in self.family:
-                self._insert(meet, And(f, formula))
-
-    def _insert(self, ext: frozenset[str], formula: StateFormula) -> None:
-        key = self._ext_key(ext)
-        at = bisect(self.keys, key)
-        self.keys.insert(at, key)
-        self.order.insert(at, ext)
-        self.family[ext] = formula
+        self.upsets = [(frozenset(p.space.carrier), Top())]
 
     def refine(self, watch: tuple[str, str] | None = None):
         """Run refinement to the fixed point.
@@ -502,10 +476,11 @@ class _Refiner:
         returns None when the fixed point is reached without separating it.
         Without ``watch``, return the final blocks.  A confirmed formula
         that cuts a class of its round is an internal bug; by induction over
-        the rounds, no cut means the family's partition is the round's
+        the rounds, no cut means the up-sets' partition is the round's
         classes (docs/derivations.md, section 12).
         """
         space = self.p.space
+        records = self.upsets  # in the engine's block order
         for class_of, classes in _refine(space, (self.p,), (space.carrier,)):
             if watch is not None and not any(
                 watch[0] in c and watch[1] in c for group in classes for c in group
@@ -518,11 +493,29 @@ class _Refiner:
                 for left, right in itertools.combinations(group, 2)
             ]
             split = [c for group in classes for c in group]
-            for formula, ext, _ in fresh:
+            for _, ext, _ in fresh:
                 if not all(ext.isdisjoint(c) or ext.issuperset(c) for c in split):
                     raise InternalInvariantViolation("a confirmed formula cuts a signature class")
-                self._add(formula, ext)
+            records = [
+                self._meet(record, c[0], fresh)
+                for record, group in zip(records, classes)
+                for c in group
+            ]
+            self.upsets = sorted(records, key=self._upset_key)
         return None if watch is not None else split
+
+    def _upset_key(self, record: tuple[frozenset[str], StateFormula]) -> tuple:
+        return len(record[0]), sorted(map(self.index.__getitem__, record[0]))
+
+    @staticmethod
+    def _meet(record, s: str, fresh) -> tuple[frozenset[str], StateFormula]:
+        """The up-set record of the class of ``s``: its parent block's,
+        met with each fresh extension containing the class."""
+        up, formula = record
+        for phi, ext, _ in fresh:
+            if s in ext and not ext >= up:
+                up, formula = (ext, phi) if ext < up else (up & ext, And(formula, phi))
+        return up, formula
 
     # -- formula synthesis ---------------------------------------------------
     def _confirmed(self, s: str, t: str, class_of) -> tuple[StateFormula, frozenset[str], str]:
@@ -543,7 +536,7 @@ class _Refiner:
 
         Mirrors the completeness argument: pick an unmatched source
         generator, one culprit measure per target generator, and for every
-        culprit/source pair a family formula whose mass differs; thresholds
+        culprit/source pair an up-set whose mass differs; thresholds
         at the midpoints, oriented toward the culprit, assemble into a box
         over a disjunction of conjunctions satisfied by the target and
         refuted by the source.
@@ -573,16 +566,17 @@ class _Refiner:
         return reduce(MOr, conjunctions)
 
     def _test(self, mu: SubProb, nu: SubProb) -> Threshold:
-        """A threshold on the first family formula whose masses under the
-        two measures differ, at their midpoint and oriented toward ``nu``."""
-        for ext in self.order:
-            phi = self.family[ext]
+        """A threshold on the first up-set whose masses under the two
+        measures differ, at their midpoint and oriented toward ``nu``; it is
+        also the first such set of the confirmed extensions' intersection
+        closure in the same order (docs/derivations.md, section 12)."""
+        for _, phi in self.upsets:
             a = Fraction(self.ev.numerator(nu, phi), nu.den)
             b = Fraction(self.ev.numerator(mu, phi), mu.den)
             if a != b:
                 return Threshold(phi, "<" if a < b else ">", (a + b) / 2)
         raise InternalInvariantViolation(
-            "measures disagree on the partition but on no family extension"
+            "measures disagree on the partition but on no up-set"
         )
 
 

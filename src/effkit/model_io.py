@@ -152,6 +152,8 @@ def model_from_dict(doc: Mapping[str, Any], file: str | None = None) -> Model:
         labels = doc.get("labels")
         if not isinstance(labels, list) or not all(isinstance(a, str) for a in labels):
             raise _fail("'labels' must be a list of strings", file, "labels")
+        if len(set(labels)) != len(labels):
+            raise _fail("duplicate label names", file, "labels")
         kernels_doc = doc.get("kernels")
         if not isinstance(kernels_doc, dict) or set(kernels_doc) != set(labels):
             raise _fail("'kernels' must map every label to a kernel", file, "kernels")

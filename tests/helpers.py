@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+from bisect import bisect
 from fractions import Fraction
 from random import Random
 
@@ -44,6 +45,7 @@ from effkit import (
 )
 from effkit.cospan import CheckFailure
 from effkit.measure import _mass_order
+from effkit.effectivity import _refine
 from effkit.space import _atom_roots
 from effkit.logic import (
     And,
@@ -55,6 +57,7 @@ from effkit.logic import (
     StateFormula,
     Threshold,
     Top,
+    _Refiner,
     _tokenize,
 )
 from effkit.measure import _atoms_of
@@ -1290,3 +1293,68 @@ def refine_oracle(space: Space, portfolios, blocks) -> list:
         if len(split) == len(blocks):
             return rounds
         blocks = split
+
+
+class FamilyRefiner(_Refiner):
+    """The refiner before up-sets: it keeps the intersection closure of
+    every confirmed extension, each with the formula that first named it,
+    and ``_test`` scans the whole closure by size, then carrier indices.
+    Synthesis and confirmation are inherited."""
+
+    def __init__(self, p: EffFn):
+        super().__init__(p)
+        top = frozenset(p.space.carrier)
+        self.family: dict[frozenset[str], StateFormula] = {top: Top()}
+        self.order: list[frozenset[str]] = [top]
+        self.keys: list[tuple] = [self._ext_key(top)]
+
+    def _ext_key(self, ext: frozenset[str]) -> tuple:
+        return (len(ext), sorted(map(self.index.__getitem__, ext)))
+
+    def _add(self, formula: StateFormula, ext: frozenset[str]) -> None:
+        if ext in self.family:
+            return
+        old = list(self.family.items())
+        self._insert(ext, formula)
+        for e, f in old:
+            meet = e & ext
+            if meet not in self.family:
+                self._insert(meet, And(f, formula))
+
+    def _insert(self, ext: frozenset[str], formula: StateFormula) -> None:
+        key = self._ext_key(ext)
+        at = bisect(self.keys, key)
+        self.keys.insert(at, key)
+        self.order.insert(at, ext)
+        self.family[ext] = formula
+
+    def refine(self, watch: tuple[str, str] | None = None):
+        space = self.p.space
+        for class_of, classes in _refine(space, (self.p,), (space.carrier,)):
+            if watch is not None and not any(
+                watch[0] in c and watch[1] in c for group in classes for c in group
+            ):
+                formula, _, satisfier = self._confirmed(*watch, class_of)
+                return formula, satisfier
+            fresh = [
+                self._confirmed(left[0], right[0], class_of)
+                for group in classes
+                for left, right in itertools.combinations(group, 2)
+            ]
+            split = [c for group in classes for c in group]
+            for formula, ext, _ in fresh:
+                if not all(ext.isdisjoint(c) or ext.issuperset(c) for c in split):
+                    raise InternalInvariantViolation("a confirmed formula cuts a signature class")
+                self._add(formula, ext)
+        return None if watch is not None else split
+
+    def _test(self, mu: SubProb, nu: SubProb) -> Threshold:
+        for ext in self.order:
+            phi = self.family[ext]
+            a = Fraction(self.ev.numerator(nu, phi), nu.den)
+            b = Fraction(self.ev.numerator(mu, phi), mu.den)
+            if a != b:
+                return Threshold(phi, "<" if a < b else ">", (a + b) / 2)
+        raise InternalInvariantViolation(
+            "measures disagree on the partition but on no family extension"
+        )

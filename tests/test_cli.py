@@ -15,6 +15,7 @@ from random import Random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effkit.cli import run
 from effkit.model_io import (
@@ -112,6 +113,11 @@ def efA(tmp_path):
 
 
 @pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz-inputs")
+
+
+@pytest.fixture(scope="module")
 def fuzz_model(tmp_path_factory):
     return write(tmp_path_factory.mktemp("fuzz"), "efA.json", EF_A_DOC)
 
@@ -121,6 +127,15 @@ class TestValidate:
         code, out, _ = invoke("validate", kA)
         assert code == 0
         assert json.loads(out)["valid"] is True
+
+    def test_duplicate_labels_are_refused(self, tmp_path):
+        doc = dict(K_A_DOC, labels=["a", "a"])
+        path = write(tmp_path, "twice.json", doc)
+        expected = {"file": path, "location": "labels", "message": "duplicate label names"}
+        for argv in (["validate", path], ["sum", path, path]):
+            code, out, err = invoke(*argv)
+            assert (code, out) == (2, "")
+            assert json.loads(err)["error"] == expected
 
     def test_mass_exceeds_one(self, tmp_path):
         doc = {
@@ -525,6 +540,30 @@ class TestEvalDistinguish:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["eval", "--formula", "T"],
+            ["lequiv"],
+            ["distinguish", "s0", "s2"],
+            ["dual"],
+            ["subsystem", "--partition"],
+            ["quotient", "--partition"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_label_on_an_ef_model_is_refused(self, efA, tmp_path, argv):
+        if argv[-1] == "--partition":
+            argv = [*argv, write(tmp_path, "p.json", [["s0", "s1"], ["s2"]])]
+        code, out, err = invoke(argv[0], efA, *argv[1:], "--label", "zzz")
+        assert (code, out) == (2, "")
+        diagnostic = json.loads(err)["error"]
+        assert diagnostic == {
+            "file": efA,
+            "location": "--label",
+            "message": "--label applies to 'nlmp' models",
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["lequiv"],
             ["dual"],
             ["demonize"],
@@ -565,6 +604,23 @@ class TestMorphism:
         code, out, _ = invoke("morphism", efA, efA, "--map", mapfile, "--strong")
         assert code == 1
         assert json.loads(out)["reason"] == "not_surjective"
+
+    def test_labels_compare_as_sets(self, tmp_path):
+        kernels = {"x": {"s0": [{"s1": "1"}]}, "y": {"s1": [{"s0": "1/2"}]}}
+        doc = {"kind": "nlmp", "states": ["s0", "s1"], "kernels": kernels}
+        a = write(tmp_path, "xy.json", {**doc, "labels": ["x", "y"]})
+        b = write(tmp_path, "yx.json", {**doc, "labels": ["y", "x"]})
+        mapfile = write(tmp_path, "id.json", {"map": {"s0": "s0", "s1": "s1"}})
+        code, out, _ = invoke("morphism", a, b, "--map", mapfile)
+        assert code == 0 and json.loads(out)["holds"] is True
+        for first, second, labels in ((a, b, ["x", "y"]), (b, a, ["y", "x"])):
+            code, out, _ = invoke("sum", first, second)
+            assert code == 0 and json.loads(out)["labels"] == labels
+        renamed = {"x": kernels["x"], "z": kernels["y"]}
+        other = write(tmp_path, "xz.json", {**doc, "labels": ["x", "z"], "kernels": renamed})
+        for argv in (["morphism", a, other, "--map", mapfile], ["sum", a, other]):
+            code, _, err = invoke(*argv)
+            assert code == 2 and json.loads(err)["error"]["message"] == "label sets differ"
 
     def test_non_morphism(self, kA, tmp_path):
         mapfile = write(
@@ -831,3 +887,137 @@ class TestModelRoundTrips:
             assert (reparsed.nlmp or reparsed.ef) == (model.nlmp or model.ef)
             second = dumps_canonical(model_to_dict(reparsed))
             assert second == first
+
+
+# Documents the fuzz below starts from: every model, map and partition is
+# valid, and each command gets inputs that fit each other.
+_CLONES = model_to_dict(ef_model(planted_clones(Random(5), 2)))
+_TWO_LABELS = {
+    "kind": "nlmp",
+    "states": ["s0", "s1", "s2"],
+    "sigma": [["s0"], ["s1", "s2"]],
+    "labels": ["a", "b"],
+    "kernels": {
+        "a": {"s0": [{"s0": "1/3", "s1": "2/3"}], "s1": [{}], "s2": [{}]},
+        "b": {"s0": [], "s1": [{"s0": "1"}, {}], "s2": [{"s0": "1"}, {}]},
+    },
+}
+# Two groups of inputs on the same states each.
+_FUZZ_INPUTS = [
+    {
+        "model": [K_A_DOC, EF_A_DOC, _TWO_LABELS],
+        "map": [
+            {"map": {"s0": "s0", "s1": "s1", "s2": "s2"}},
+            {"map": {"s0": "s1", "s1": "s1", "s2": "s2"}},
+        ],
+        "partition": [[["s0", "s1"], ["s2"]], [["s0"], ["s1", "s2"]]],
+        "state": ["s0", "s1", "s2"],
+    },
+    {
+        "model": [_CLONES],
+        "map": [{"map": {s: s for s in _CLONES["states"]}}],
+        "partition": [[["c0a", "c0b"], ["c1a", "c1b"]]],
+        "state": _CLONES["states"],
+    },
+]
+# Each command's argv, with the roles of its inputs; "--label" takes one
+# of the labels above or none.
+_FUZZ_COMMANDS = [
+    ["validate", "model"],
+    ["bisim", "model", "--pairs", "pair"],
+    ["lequiv", "model", "--label"],
+    ["distinguish", "model", "state", "state", "--label"],
+    ["dual", "model", "--label"],
+    ["demonize", "model", "--label"],
+    ["angelize", "model", "--label"],
+    ["sum", "model", "model"],
+    ["event-bisim", "model", "--partition", "partition"],
+    ["subsystem", "model", "--partition", "partition", "--label"],
+    ["quotient", "model", "--partition", "partition", "--label"],
+    ["morphism", "model", "model", "--map", "map"],
+    ["span", "model", "model", "model", "--f", "map", "--g", "map"],
+]
+_NAMES = st.sampled_from(["s0", "s1", "s2", "c0a", "a", "b", "kind", "map", "sigma", "labels"])
+_JUNK = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(),
+        _NAMES,
+        st.sampled_from(["ef", "nlmp", "1/2", "1", "0", "2/1", "1/0", "-1/2", ""]),
+        st.text(max_size=4),
+    ),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(_NAMES | st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+
+def _slots(holder, key):
+    """Every (container, key) of the JSON tree at ``holder[key]``, its
+    root's included."""
+    yield holder, key
+    child = holder[key]
+    for k in (child if isinstance(child, dict) else range(len(child)) if isinstance(child, list) else ()):
+        yield from _slots(child, k)
+
+
+@st.composite
+def _mutated(draw, doc):
+    """``doc`` with up to two nodes replaced by junk JSON, deleted or
+    duplicated."""
+    holder = [json.loads(json.dumps(doc))]
+    for _ in range(draw(st.integers(0, 2))):
+        parent, key = draw(st.sampled_from(list(_slots(holder, 0))))
+        action = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if action == "replace" or parent is holder:
+            parent[key] = draw(_JUNK)
+        elif action == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, json.loads(json.dumps(parent[key])))
+        else:
+            parent[draw(st.sampled_from(sorted(parent)) | _NAMES)] = json.loads(json.dumps(parent[key]))
+    return holder[0]
+
+
+@st.composite
+def _requests(draw):
+    """A command line over mutated inputs: (argv, {file name: document})."""
+    command = draw(st.sampled_from(_FUZZ_COMMANDS))
+    inputs = draw(st.sampled_from(_FUZZ_INPUTS))
+    argv, files = [], {}
+    for word in command:
+        if word in ("model", "map", "partition"):
+            name = f"{word}{len(files)}.json"
+            files[name] = draw(_mutated(draw(st.sampled_from(inputs[word]))))
+            argv.append(name)
+        elif word in ("state", "pair"):
+            states = [draw(st.sampled_from(inputs["state"])) for _ in range(1 + (word == "pair"))]
+            argv.append(",".join(states))
+        elif word == "--label":
+            argv += draw(st.sampled_from([[], ["--label", "a"], ["--label", "b"]]))
+        else:
+            argv.append(word)
+    return argv, files
+
+
+class TestFuzzFrontEnd:
+    @given(_requests())
+    @settings(max_examples=400)
+    def test_mutated_inputs_answer_or_refuse(self, fuzz_dir, case):
+        """Any model, map or partition file, however mangled, ends in an
+        answer (exit 0 or 1, JSON on stdout) or a located refusal (exit 2,
+        a JSON diagnostic on stderr), never a traceback."""
+        argv, files = case
+        for name, doc in files.items():
+            (fuzz_dir / name).write_text(json.dumps(doc))
+        argv = [str(fuzz_dir / a) if a in files else a for a in argv]
+        code, out, err = invoke(*argv)
+        if code == 2:
+            assert out == "" and set(json.loads(err)["error"]) == {"file", "location", "message"}
+        else:
+            assert code in (0, 1) and err == ""
+            assert isinstance(json.loads(out), dict)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 from random import Random
 
+import helpers
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,9 +46,12 @@ from effkit import (
     parse_formula,
     sigma_r,
 )
+from effkit import logic
+from effkit.effectivity import _refine
 from effkit.logic import _Evaluator, _Refiner, _tokenize
 from helpers import (
     ORACLE_NESTING,
+    FamilyRefiner,
     RecursiveEvaluator,
     format_formula_oracle,
     formula_texts,
@@ -55,6 +60,7 @@ from helpers import (
     rand_ef,
     rand_kernel,
     rand_measure_formula,
+    rand_partition_blocks,
     rand_space,
     rand_state_formula,
     rand_subprob,
@@ -491,20 +497,80 @@ class TestLogicalEquivalence:
             assert le.pairs == gb.pairs
             assert {frozenset(c) for c in gb.classes()} == blockwise_bisim_oracle(p)
 
-    def test_family_invariant_generates_partition_sigma(self):
+    def test_upsets_generate_partition_sigma(self):
         rng = Random(191)
         for _ in range(20):
             space = rand_space(rng, 2, 4)
             p = rand_ef(rng, space)
             refiner = _Refiner(p)
-            blocks = refiner.refine()
-            # extensions generate exactly the final partition's sets: the
-            # signature classes of the family equal the blocks
-            family = Relation(space, relation_from_family(space, refiner.family))
-            assert set(map(frozenset, blocks)) == set(map(frozenset, family.classes()))
-            for ext in refiner.family:
-                covered = {b for b in blocks if set(b) <= ext}
-                assert frozenset().union(*(set(b) for b in covered)) == ext if covered else not ext
+            blocks = set(map(frozenset, refiner.refine()))
+            upsets = [ext for ext, _ in refiner.upsets]
+            # one up-set per block, named by its formula and a union of
+            # blocks; the blocks are the signature classes of the up-sets
+            assert len(set(upsets)) == len(blocks)
+            assert all(eval_state(p, formula) == ext for ext, formula in refiner.upsets)
+            for ext in upsets:
+                assert ext == frozenset().union(*(b for b in blocks if b <= ext))
+            classes = Relation(space, relation_from_family(space, upsets)).classes()
+            assert set(map(frozenset, classes)) == blocks
+
+    def test_upsets_agree_with_the_intersection_closure(self, monkeypatch):
+        """Seeded cross-check against ``FamilyRefiner``, which scans the
+        whole intersection closure of the confirmed extensions: the same
+        partition or the same refusal, and per inequivalent pair a witness
+        with the same satisfier and evaluated extension.  Each run records,
+        in the round that splits a pair, the witness ``distinguish``
+        returns for it, and checks one up-set per block of the round."""
+        hook = {}
+
+        def rounds(*args):
+            for class_of, classes in _refine(*args):
+                hook["round"](class_of, classes)
+                yield class_of, classes
+
+        monkeypatch.setattr(logic, "_refine", rounds)
+        monkeypatch.setattr(helpers, "_refine", rounds)
+
+        def run(refiner):
+            witnesses = {}
+
+            def record(class_of, classes):
+                if type(refiner) is _Refiner:
+                    assert len({ext for ext, _ in refiner.upsets}) == len(classes)
+                for group in classes:
+                    for left, right in itertools.combinations(group, 2):
+                        for s, t in itertools.product(left, right):
+                            s, t = sorted((s, t), key=refiner.index.__getitem__)
+                            try:
+                                _, ext, satisfier = refiner._confirmed(s, t, class_of)
+                            except EffkitError as exc:
+                                ext, satisfier = type(exc), str(exc)
+                            witnesses[s, t] = ext, satisfier
+
+            hook["round"] = record
+            try:
+                return refiner.refine(), witnesses
+            except EffkitError as exc:
+                return (type(exc), str(exc)), None
+
+        refusals = pairs = 0
+        for seed in range(3000):
+            rng = Random(seed)
+            states = [f"s{i}" for i in range(rng.randint(2, 7))]
+            if rng.random() < 0.3:
+                space = Space(states, rand_partition_blocks(rng, states))
+            else:
+                space = Space.discrete(states)
+            p = rand_ef(rng, space, max_den=rng.choice([2, 4, 8]))
+            blocks, witnesses = run(_Refiner(p))
+            assert (blocks, witnesses) == run(FamilyRefiner(p)), seed
+            refusals += witnesses is None
+            pairs += len(witnesses or ())
+            for (s, t), (ext, satisfier) in itertools.islice((witnesses or {}).items(), 1):
+                if isinstance(ext, frozenset):
+                    result = distinguish(p, s, t)
+                    assert (eval_state(p, result.formula), result.satisfied_by) == (ext, satisfier)
+        assert refusals > 50 and pairs > 20000
 
     def test_a_formula_cutting_a_class_raises(self, monkeypatch):
         space = Space.discrete(["a", "b", "c"])
