@@ -183,7 +183,7 @@ def build_span(c: Cospan) -> SpanResult:
     # Measures on w correspond to mediator measures atom for atom; transport
     # the mediator's support at u by reading its mass per mediator atom.
     def transport(nu: SubProb) -> SubProb:
-        return SubProb.of(w, dict(zip(representative, nu.num)), nu.den)
+        return SubProb.of(w, {representative[a]: n for a, n in zip(nu.atoms, nu.nums)}, nu.den)
 
     dynamics = {u: UpperSet(w, (MeasureSet(w, map(transport, _support(c.m, u))),)) for u in over}
     for side, pi, leg, end in (("left", pi_s, c.f, p_f), ("right", pi_t, c.g, q_g)):

@@ -92,7 +92,7 @@ def _refine(
 
     Each round interns every measure's mass vector, restricted to the atom
     closure of the current blocks (the space ``sigma_r`` gives for them), to
-    a class id: its nonzero numerators are summed per closure block over its
+    a class id: its support's numerators are summed per closure block over its
     denominator and reduced, so no ``Fraction`` is built.  A state's
     signature is, per portfolio, the minimal antichain of its generators'
     class-id sets, each held as a mask; equal signatures are exactly the
@@ -101,17 +101,12 @@ def _refine(
     classes; the next round's blocks are those classes.  The rounds stop
     after the first that splits no block.
     """
-    number: dict[SubProb, int] = {}
-    support: list[tuple[int, tuple[tuple[int, int], ...]]] = []
-
-    def measure_number(mu: SubProb) -> int:
-        i = number.setdefault(mu, len(number))
-        if i == len(support):
-            support.append((mu.den, tuple((a, n) for a, n in enumerate(mu.num) if n)))
-        return i
-
+    number: dict[SubProb, int] = {}  # in order of first use
     generators = [
-        [[tuple(map(measure_number, g)) for g in u] for _, u in p.portfolio]
+        [
+            [tuple([number.setdefault(mu, len(number)) for mu in g]) for g in u]
+            for _, u in p.portfolio
+        ]
         for p in portfolios
     ]
     blocks = tuple(blocks)
@@ -119,12 +114,12 @@ def _refine(
         root = _atom_roots(space, blocks)
         vectors: dict[tuple, int] = {}
         cid = []
-        for den, nums in support:
+        for mu in number:
             vec: dict[int, int] = {}
-            for a, n in nums:
+            for a, n in zip(mu.atoms, mu.nums):
                 vec[root[a]] = vec.get(root[a], 0) + n
-            g = gcd(den, *vec.values())
-            key = (den // g, *sorted((b, n // g) for b, n in vec.items()))
+            g = gcd(mu.den, *vec.values())
+            key = (mu.den // g, *sorted((b, n // g) for b, n in vec.items()))
             cid.append(vectors.setdefault(key, len(vectors)))
         bit = [1 << c for c in cid]
         signature = {

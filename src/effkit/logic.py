@@ -42,6 +42,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from operator import itemgetter
 
 from .effectivity import EffFn, _refine
 from .errors import (
@@ -50,7 +51,7 @@ from .errors import (
     SpaceMismatchError,
     ThresholdOutOfRangeError,
 )
-from .measure import SubProb, _atoms_of
+from .measure import SubProb, _atoms_of, _numerator_in
 from .space import Relation
 
 __all__ = [
@@ -316,7 +317,7 @@ class _Evaluator:
     def __init__(self, p: EffFn):
         self.p = p
         self._ext: dict[int, tuple[StateFormula, frozenset[str]]] = {}
-        self._atoms: dict[int, tuple[StateFormula, tuple[int, ...]]] = {}
+        self._atoms: dict[int, tuple[StateFormula, frozenset[int]]] = {}
 
     def numerator(self, mu: SubProb, f: StateFormula) -> int:
         """Mass of the extension of ``f`` under ``mu``, over ``mu.den``; the
@@ -324,8 +325,7 @@ class _Evaluator:
         hit = self._atoms.get(id(f))
         if hit is None:
             hit = self._atoms[id(f)] = (f, _atoms_of(self.p.space, self.state_ext(f)))
-        num = mu.num
-        return sum([num[i] for i in hit[1]])
+        return _numerator_in(mu, hit[1])
 
     def state_ext(self, f: StateFormula) -> frozenset[str]:
         frames = [(f, self._frame(f))]
@@ -458,15 +458,16 @@ class _Refiner:
     separating formula, confirmed by the evaluator and checked to cut no
     class of the round; each class then meets its block's up-set with the
     round's extensions containing it (docs/derivations.md, section 12).
-    ``upsets`` holds the (extension, formula) records by size, then by
-    their states' carrier indices.
+    ``upsets`` holds the (key, extension, formula) records in key order:
+    by size, then by their states' carrier indices.  A record's key is
+    computed once, when its up-set is new.
     """
 
     def __init__(self, p: EffFn):
         self.p = p
         self.ev = _Evaluator(p)
         self.index = {s: i for i, s in enumerate(p.space.carrier)}
-        self.upsets = [(frozenset(p.space.carrier), Top())]
+        self.upsets = [self._record(frozenset(p.space.carrier), Top())]
 
     def refine(self, watch: tuple[str, str] | None = None):
         """Run refinement to the fixed point.
@@ -501,21 +502,20 @@ class _Refiner:
                 for record, group in zip(records, classes)
                 for c in group
             ]
-            self.upsets = sorted(records, key=self._upset_key)
+            self.upsets = sorted(records, key=itemgetter(0))
         return None if watch is not None else split
 
-    def _upset_key(self, record: tuple[frozenset[str], StateFormula]) -> tuple:
-        return len(record[0]), sorted(map(self.index.__getitem__, record[0]))
+    def _record(self, up: frozenset[str], formula: StateFormula) -> tuple:
+        return (len(up), sorted(map(self.index.__getitem__, up))), up, formula
 
-    @staticmethod
-    def _meet(record, s: str, fresh) -> tuple[frozenset[str], StateFormula]:
+    def _meet(self, record, s: str, fresh) -> tuple:
         """The up-set record of the class of ``s``: its parent block's,
         met with each fresh extension containing the class."""
-        up, formula = record
+        _, up, formula = record
         for phi, ext, _ in fresh:
             if s in ext and not ext >= up:
                 up, formula = (ext, phi) if ext < up else (up & ext, And(formula, phi))
-        return up, formula
+        return record if up is record[1] else self._record(up, formula)  # a meet is a new set
 
     # -- formula synthesis ---------------------------------------------------
     def _confirmed(self, s: str, t: str, class_of) -> tuple[StateFormula, frozenset[str], str]:
@@ -570,7 +570,7 @@ class _Refiner:
         measures differ, at their midpoint and oriented toward ``nu``; it is
         also the first such set of the confirmed extensions' intersection
         closure in the same order (docs/derivations.md, section 12)."""
-        for _, phi in self.upsets:
+        for _, _, phi in self.upsets:
             a = Fraction(self.ev.numerator(nu, phi), nu.den)
             b = Fraction(self.ev.numerator(mu, phi), mu.den)
             if a != b:

@@ -1,20 +1,24 @@
 """Exact-rational subprobability measures on finite spaces.
 
-A measure is a vector of nonnegative rationals indexed by the atoms of its
-space, with total mass at most one.  It is held as one positive integer
-denominator ``den`` and a tuple ``num`` of integer numerators, one per
-atom, in lowest terms: ``gcd(den, *num) == 1``.  Equal measures on a space
-therefore have equal ``(den, num)``, so equality, hashing, sums over atoms
-and the mass bound are integer operations.  There is deliberately no
-floating point anywhere, because the bisimulation procedures hinge on exact
-equality of masses and floats would produce false separations; masses are
-read and reported as :class:`fractions.Fraction` (``mass``, ``total``,
+A measure is a finite sum of nonnegative rational masses on the atoms of
+its space, with total mass at most one.  It is held by its support: the
+increasing tuple ``atoms`` of the indices of the atoms with positive mass,
+their integer numerators ``nums``, and one positive integer denominator
+``den``, in lowest terms: ``gcd(den, *nums) == 1``.  Equal measures on a
+space therefore have equal ``(den, atoms, nums)``, so equality, hashing,
+sums over atoms and the mass bound are integer operations, and a measure
+costs its support, not its space.  There is deliberately no floating point
+anywhere, because the bisimulation procedures hinge on exact equality of
+masses and floats would produce false separations; masses are read and
+reported as :class:`fractions.Fraction` (``mass``, ``total``,
 ``evaluate``).  Measures on one space sort by their mass vectors; a
-collection sorts by integer keys, each numerator scaled to the lcm of the
-collection's denominators (docs/derivations.md, section 13).
+collection sorts by integer keys read off the supports, each numerator
+scaled to the lcm of the collection's denominators (docs/derivations.md,
+section 13).
 
-Pushforward and restriction sum numerators along a per-atom index map:
-measurability puts each domain atom inside exactly one codomain atom.
+Pushforward and restriction sum the support's numerators along a per-atom
+index map: measurability puts each domain atom inside exactly one codomain
+atom.
 
 The lifted agreement relation ``agree_mod`` compares two measures on every
 measurable closed set of a symmetric relation.  Under symmetry those closed
@@ -28,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Container, Iterable, Mapping, Sequence
 
 from .errors import (
     IncompatiblePartitionError,
@@ -53,53 +57,58 @@ RationalLike = Fraction | int | str
 
 @dataclass(frozen=True, slots=True)
 class SubProb:
-    """A subprobability mass vector over the atoms of a space: atom ``i``
-    carries ``num[i] / den``, in lowest terms.
+    """A subprobability measure held by its support: the increasing atom
+    indices ``atoms``, the ``k``-th carrying ``nums[k] / den`` > 0, in
+    lowest terms; every other atom carries zero.
 
-    ``mass`` lists rationals (``Fraction``, ``int`` or strings such as
-    ``"1/2"``); with ``den`` given, it lists integer numerators over ``den``,
-    in any terms.  ``ident`` is the measure's id in its space's table:
-    equal measures share it, and as equal spaces are one object, two
-    measures are equal iff they share their space and their id.  A measure
-    pickles and copies by value, so it takes its id on the live space.
+    ``mass`` maps atom indices to rationals (``Fraction``, ``int`` or
+    strings such as ``"1/2"``), or with ``den`` given to integer numerators
+    over ``den``, in any terms; omitted atoms carry zero.  ``ident`` is the
+    measure's id in its space's table: equal measures share it, and as
+    equal spaces are one object, two measures are equal iff they share
+    their space and their id.  A measure pickles and copies by value, so it
+    takes its id on the live space.
     """
 
     space: Space
     den: int
-    num: tuple[int, ...]
+    atoms: tuple[int, ...]
+    nums: tuple[int, ...]
     ident: int
 
-    def __init__(self, space: Space, mass: Iterable[RationalLike], den: int | None = None):
+    def __init__(self, space: Space, mass: Mapping[int, RationalLike], den: int | None = None):
         if den is None:
-            vec = []
-            for m in mass:
-                q = Fraction(m)
+            masses = {}
+            for a, m in mass.items():
+                q = masses[a] = Fraction(m)
                 if q < 0:
                     raise SpaceMismatchError(f"negative mass {m!r}")
-                vec.append(q)
-            # reduced denominators: gcd(den, *num) == 1 (docs/derivations.md, section 13)
-            den = lcm(*(q.denominator for q in vec))
-            num = tuple([q.numerator * (den // q.denominator) for q in vec])
-        else:
-            num = tuple(mass)
-            if den < 1:
-                raise SpaceMismatchError(f"denominator must be positive, got {den!r}")
-            if num and min(num) < 0:
-                raise SpaceMismatchError(f"negative mass {Fraction(min(num), den)!r}")
-            g = gcd(den, *num)
-            if g > 1:
-                den //= g
-                num = tuple([n // g for n in num])
-        if len(num) != len(space.atoms):
-            raise SpaceMismatchError(
-                f"expected {len(space.atoms)} atom masses, got {len(num)}"
-            )
-        if sum(num) > den:
-            raise SpaceMismatchError(f"total mass exceeds 1: {Fraction(sum(num), den)}")
+            # reduced denominators: gcd(den, *nums) == 1 (docs/derivations.md, section 13)
+            den = lcm(*[q.denominator for q in masses.values()])
+            mass = {a: q.numerator * (den // q.denominator) for a, q in masses.items()}
+        elif den < 1:
+            raise SpaceMismatchError(f"denominator must be positive, got {den!r}")
+        atoms, nums = zip(*sorted(mass.items())) if mass else ((), ())
+        if nums and min(nums) < 0:
+            raise SpaceMismatchError(f"negative mass {Fraction(min(nums), den)!r}")
+        size = len(space.atoms)
+        if atoms and (atoms[0] < 0 or atoms[-1] >= size):
+            bad = next(a for a in mass if not 0 <= a < size)
+            raise SpaceMismatchError(f"atom index {bad!r} outside the {size} atoms of the space")
+        if 0 in nums:
+            atoms = tuple([a for a in atoms if mass[a]])
+            nums = tuple([n for n in nums if n])
+        g = gcd(den, *nums)
+        if g > 1:
+            den //= g
+            nums = tuple([n // g for n in nums])
+        if sum(nums) > den:
+            raise SpaceMismatchError(f"total mass exceeds 1: {Fraction(sum(nums), den)}")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "ident", space.measure_id(den, num))
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "ident", space.measure_id(den, atoms, nums))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SubProb):
@@ -110,99 +119,94 @@ class SubProb:
         return hash(self.ident)
 
     def __reduce__(self):
-        return SubProb, (self.space, self.num, self.den)
+        return SubProb, (self.space, dict(zip(self.atoms, self.nums)), self.den)
 
     @staticmethod
-    def of(
-        space: Space, masses: Mapping[str, RationalLike], den: int | None = None
-    ) -> "SubProb":
+    def of(space: Space, masses: Mapping[str, RationalLike], den: int | None = None) -> "SubProb":
         """Build a measure from per-state masses.
 
         Keys are carrier states; omitted states carry mass zero.  At most one
         state per atom may be listed, and it sets its whole atom's mass.
         With ``den`` given, the masses are integer numerators over it.
         """
-        vec: list[RationalLike] = [0] * len(space.atoms)
-        used: dict[int, str] = {}
+        mass: dict[int, RationalLike] = {}
         for state, raw in masses.items():
             idx = space.atom_of(state)
-            if idx in used:
+            if idx in mass:
+                first = next(s for s in masses if space.atom_of(s) == idx)
                 raise SpaceMismatchError(
-                    f"states {used[idx]!r} and {state!r} lie in one atom; "
-                    "give the atom's mass once"
+                    f"states {first!r} and {state!r} lie in one atom; give the atom's mass once"
                 )
-            used[idx] = state
-            vec[idx] = raw
-        return SubProb(space, vec, den)
+            mass[idx] = raw
+        return SubProb(space, mass, den)
 
     @staticmethod
     def zero(space: Space) -> "SubProb":
-        return SubProb(space, [0] * len(space.atoms), 1)
+        return SubProb(space, {}, 1)
 
     @staticmethod
     def dirac(space: Space, state: str) -> "SubProb":
         """Point mass at ``state`` (all mass on the atom containing it)."""
-        vec = [0] * len(space.atoms)
-        vec[space.atom_of(state)] = 1
-        return SubProb(space, vec, 1)
+        return SubProb(space, {space.atom_of(state): 1}, 1)
 
     @property
     def mass(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.den) for n in self.num)
+        """The dense vector: one ``Fraction`` per atom of the space."""
+        vec = [Fraction(0)] * len(self.space.atoms)
+        for a, n in zip(self.atoms, self.nums):
+            vec[a] = Fraction(n, self.den)
+        return tuple(vec)
 
     @property
     def total(self) -> Fraction:
-        return Fraction(sum(self.num), self.den)
-
-    def sort_key(self) -> tuple[Fraction, ...]:
-        return self.mass
+        return Fraction(sum(self.nums), self.den)
 
     def __repr__(self) -> str:
-        masses = {
-            block[0]: str(m)
-            for block, m in zip(self.space.atoms, self.mass)
-            if m != 0
-        }
+        atoms = self.space.atoms
+        masses = {atoms[a][0]: str(Fraction(n, self.den)) for a, n in zip(self.atoms, self.nums)}
         return f"SubProb({masses!r})" if masses else "SubProb(zero)"
 
 
-def _mass_order(measures: Iterable[SubProb]) -> Callable[[SubProb], tuple[int, ...]]:
+def _mass_order(measures: Iterable[SubProb]) -> Callable[[SubProb], tuple]:
     """A sort key ordering the given measures, all on one space, as their
-    mass vectors: integer numerators scaled to the lcm of the measures'
-    denominators."""
+    mass vectors: per support atom ``a`` in increasing order, the pair of
+    ``-a`` and the numerator scaled to the lcm of the measures'
+    denominators (docs/derivations.md, section 13)."""
     den = lcm(*{mu.den for mu in measures})
 
-    def key(mu: SubProb) -> tuple[int, ...]:
+    def key(mu: SubProb) -> tuple[tuple[int, int], ...]:
         scale = den // mu.den
-        return mu.num if scale == 1 else tuple([n * scale for n in mu.num])
+        return tuple([(-a, n * scale) for a, n in zip(mu.atoms, mu.nums)])
 
     return key
 
 
-def _atoms_of(space: Space, states: Iterable[str]) -> tuple[int, ...]:
+def _atoms_of(space: Space, states: Iterable[str]) -> frozenset[int]:
     """Indices of the atoms whose union is ``states``."""
     wanted = frozenset(states)
     idx = space.atoms_of_set(wanted)
     if idx is None:
-        raise NotMeasurableSetError(
-            f"{sorted(wanted)} is not a union of atoms of the space"
-        )
-    return idx
+        raise NotMeasurableSetError(f"{sorted(wanted)} is not a union of atoms of the space")
+    return frozenset(idx)
+
+
+def _numerator_in(mu: SubProb, atoms: Container[int]) -> int:
+    """The mass ``mu`` gives the listed atoms, as a numerator over ``mu.den``."""
+    return sum([n for a, n in zip(mu.atoms, mu.nums) if a in atoms])
 
 
 def evaluate(mu: SubProb, states: Iterable[str]) -> Fraction:
     """Mass of a measurable set given as a union of atoms."""
-    num = mu.num
-    return Fraction(sum([num[i] for i in _atoms_of(mu.space, states)]), mu.den)
+    return Fraction(_numerator_in(mu, _atoms_of(mu.space, states)), mu.den)
 
 
 def _collect(space: Space, into: Sequence[int], mu: SubProb) -> SubProb:
     """The measure on ``space`` whose atom ``j`` carries the mass of the
     atoms ``i`` of ``mu`` with ``into[i] == j``."""
-    num = [0] * len(space.atoms)
-    for j, n in zip(into, mu.num):
-        num[j] += n
-    return SubProb(space, num, mu.den)
+    mass: dict[int, int] = {}
+    for a, n in zip(mu.atoms, mu.nums):
+        mass[into[a]] = mass.get(into[a], 0) + n
+    return SubProb(space, mass, mu.den)
 
 
 def pushforward(f: MeasurableMap, mu: SubProb) -> SubProb:
@@ -222,15 +226,15 @@ def unique_preimages(f: MeasurableMap, nu: SubProb) -> list[SubProb] | None:
     none.  Multi-atom preimages with positive mass admit infinitely many
     rational splittings.
     """
-    num = [0] * len(f.domain.atoms)
-    for idx, weight in zip(f.preimage_atoms, nu.num):
-        if weight:
-            if not idx:
-                return []
-            if len(idx) > 1:
-                return None  # infinitely many splits
-            num[idx[0]] = weight
-    return [SubProb(f.domain, num, nu.den)]
+    mass: dict[int, int] = {}
+    for a, weight in zip(nu.atoms, nu.nums):
+        idx = f.preimage_atoms[a]
+        if not idx:
+            return []
+        if len(idx) > 1:
+            return None  # infinitely many splits
+        mass[idx[0]] = weight
+    return [SubProb(f.domain, mass, nu.den)]
 
 
 def restrict(mu: SubProb, coarser: Space) -> SubProb:
@@ -279,13 +283,13 @@ def invariant_measure_transport(f: MeasurableMap, nu: SubProb) -> SubProb:
     if not f.is_surjective:
         raise NotSurjectiveError("transport requires a surjective map")
     invariant = sigma_r(kernel_of(f))
-    masses = []
-    for block in invariant.atoms:
+    masses = {}
+    for i, block in enumerate(invariant.atoms):
         image = f.image(block)
         if nu.space.atoms_of_set(image) is None:
             raise NotMeasurableSetError(
                 f"image {sorted(image)} of invariant block {list(block)} is not "
                 "measurable in the codomain; the transport is not determined"
             )
-        masses.append(evaluate(nu, image))
+        masses[i] = evaluate(nu, image)
     return SubProb(invariant, masses)

@@ -268,11 +268,8 @@ def _rational_str(n: int, den: int) -> str:
 
 
 def _measure_to_dict(mu: SubProb) -> dict[str, str]:
-    return {
-        block[0]: _rational_str(n, mu.den)
-        for block, n in zip(mu.space.atoms, mu.num)
-        if n
-    }
+    atoms = mu.space.atoms
+    return {atoms[a][0]: _rational_str(n, mu.den) for a, n in zip(mu.atoms, mu.nums)}
 
 
 def _measures_to_list(

@@ -114,13 +114,13 @@ class Space:
     def _atom_index(self) -> dict[str, int]:
         return {s: i for i, block in enumerate(self.atoms) for s in block}
 
-    def measure_id(self, den: int, num: tuple[int, ...]) -> int:
-        """The id on this space of the measure ``num / den``, given in lowest
-        terms: dense, in order of first use, and shared by equal measures.
-        The table holds numbers only, never a measure (docs/derivations.md,
-        section 13).  New ids are handed out under a lock, so two threads
-        never give one id to two measures."""
-        key = (den, num)
+    def measure_id(self, den: int, atoms: tuple[int, ...], nums: tuple[int, ...]) -> int:
+        """The id on this space of the measure ``nums / den`` on the support
+        ``atoms``, in lowest terms: dense, in order of first use, and shared
+        by equal measures.  The table holds numbers only, never a measure
+        (docs/derivations.md, section 13).  New ids are handed out under a
+        lock, so two threads never give one id to two measures."""
+        key = (den, atoms, nums)
         ident = self._measure_ids.get(key)
         if ident is None:
             with _LOCK:

@@ -44,7 +44,6 @@ from effkit import (
     unique_preimages,
 )
 from effkit.cospan import CheckFailure
-from effkit.measure import _mass_order
 from effkit.effectivity import _refine
 from effkit.space import _atom_roots
 from effkit.logic import (
@@ -95,7 +94,18 @@ def rand_subprob(rng: Random, space: Space, max_den=8) -> SubProb:
         take = rng.randint(0, remaining)
         masses[i] = Fraction(take, den)
         remaining -= take
-    return SubProb(space, masses)
+    return SubProb(space, dict(enumerate(masses)))
+
+
+def ring_doc(n: int) -> dict:
+    """The ring model: ``n`` states, each with one measure of two positive
+    masses, 1/4 on the next state and 1/4 or 1/8 on the seventh next."""
+    states = [f"s{i}" for i in range(n)]
+    kernel = {
+        s: [{states[(i + 1) % n]: "1/4", states[(i + 7) % n]: "1/8" if i % 3 else "1/4"}]
+        for i, s in enumerate(states)
+    }
+    return {"kind": "nlmp", "states": states, "labels": ["a"], "kernels": {"a": kernel}}
 
 
 def rand_subprob_on(rng: Random, space: Space, support: list[str], max_den=8) -> SubProb:
@@ -325,19 +335,28 @@ def agree_mod_oracle(rel: Relation, mu: SubProb, nu: SubProb) -> bool:
 
 
 def subprob_oracle(space: Space, masses) -> tuple[Fraction, ...]:
-    """Mass vector of ``SubProb(space, masses)``, one Fraction per entry,
+    """Mass vector of ``SubProb(space, masses)``, one Fraction per atom,
     raising the constructor's errors with its messages."""
-    vec = []
-    for m in masses:
+    vec = [Fraction(0)] * len(space.atoms)
+    for a, m in masses.items():
         q = Fraction(m)
         if q < 0:
             raise SpaceMismatchError(f"negative mass {m!r}")
-        vec.append(q)
-    if len(vec) != len(space.atoms):
-        raise SpaceMismatchError(f"expected {len(space.atoms)} atom masses, got {len(vec)}")
+    for a, m in masses.items():
+        if not 0 <= a < len(vec):
+            raise SpaceMismatchError(
+                f"atom index {a!r} outside the {len(vec)} atoms of the space"
+            )
+        vec[a] = Fraction(m)
     if sum(vec) > 1:
         raise SpaceMismatchError(f"total mass exceeds 1: {sum(vec)}")
     return tuple(vec)
+
+
+def dense_numerators(mu: SubProb) -> tuple[int, ...]:
+    """One integer numerator over ``mu.den`` per atom, zeros included: the
+    dense vector ``SubProb`` held before it held its support."""
+    return tuple(int(m * mu.den) for m in mu.mass)
 
 
 def evaluate_oracle(mu: SubProb, states) -> Fraction:
@@ -360,6 +379,27 @@ def restrict_oracle(mu: SubProb, coarser: Space) -> tuple[Fraction, ...] | None:
     ):
         return None
     return tuple(evaluate_oracle(mu, block) for block in coarser.atoms)
+
+
+def unique_preimages_oracle(f: MeasurableMap, nu: SubProb) -> list[tuple[Fraction, ...]] | None:
+    """``unique_preimages`` read off the dense mass vector: the mass vector
+    of the one preimage, ``[]`` or ``None``, decided at the first atom with
+    positive mass whose preimage is not one domain atom."""
+    vec = [Fraction(0)] * len(f.domain.atoms)
+    for idx, q in zip(f.preimage_atoms, nu.mass):
+        if q:
+            if not idx:
+                return []
+            if len(idx) > 1:
+                return None
+            vec[idx[0]] = q
+    return [tuple(vec)]
+
+
+def measure_dict_oracle(mu: SubProb) -> dict[str, str]:
+    """The emitted form of a measure read off the dense mass vector: each
+    atom with positive mass, named by its first state."""
+    return {block[0]: str(q) for block, q in zip(mu.space.atoms, mu.mass) if q}
 
 
 def upperset_order_oracle(generators) -> list[tuple[tuple[Fraction, ...], ...]]:
@@ -533,7 +573,7 @@ def ef_transfer_oracle(p: EffFn, rel: Relation, agree) -> bool:
     of the (finite stand-ins for the) portfolios, not just generators."""
     pool = sorted(
         {mu for _, u in p.portfolio for g in u.generators for mu in g},
-        key=lambda m: m.sort_key(),
+        key=lambda m: m.mass,
     )
     subsets = [
         MeasureSet(p.space, combo)
@@ -732,7 +772,7 @@ def build_span_oracle(c: Cospan) -> SpanResult:
     representative = [members[0] for members in blocks]
 
     def transport(nu: SubProb) -> SubProb:
-        return SubProb.of(w, dict(zip(representative, nu.num)), nu.den)
+        return SubProb.of(w, dict(zip(representative, dense_numerators(nu))), nu.den)
 
     portfolio = {}
     for s, t in pairs:
@@ -1081,7 +1121,7 @@ class RecursiveEvaluator:
         hit = self._atoms.get(id(f))
         if hit is None:
             hit = self._atoms[id(f)] = (f, _atoms_of(self.p.space, self.state_ext(f)))
-        num = mu.num
+        num = dense_numerators(mu)
         return sum([num[i] for i in hit[1]])
 
     def state_ext(self, f: StateFormula) -> frozenset[str]:
@@ -1196,7 +1236,7 @@ class MeasureSetOracle:
             if mu.space != space:
                 raise SpaceMismatchError("measure set members must share one space")
         self.space = space
-        self.members = tuple(sorted(unique, key=_mass_order(unique)))
+        self.members = tuple(sorted(unique, key=lambda mu: mu.mass))
         self.member_set = unique
 
     def __eq__(self, other) -> bool:
@@ -1229,8 +1269,7 @@ def upperset_oracle(space: Space, generators) -> tuple[MeasureSetOracle, ...]:
     """Canonical antichain of oracle measure sets: sorted by member mass
     vectors, then the minimal ones."""
     gens = list(generators)
-    key = _mass_order(mu for g in gens for mu in g.members)
-    gens.sort(key=lambda g: tuple(map(key, g.members)))
+    gens.sort(key=lambda g: tuple(mu.mass for mu in g.members))
     return tuple(minimal_in_order_oracle(gens))
 
 
@@ -1259,7 +1298,8 @@ def refine_oracle(space: Space, portfolios, blocks) -> list:
             for g in u.generators:
                 for mu in g:
                     if number.setdefault(mu, len(number)) == len(support):
-                        support.append((mu.den, [(a, n) for a, n in enumerate(mu.num) if n]))
+                        dense = enumerate(dense_numerators(mu))
+                        support.append((mu.den, [(a, n) for a, n in dense if n]))
     rounds = []
     blocks = tuple(blocks)
     while True:

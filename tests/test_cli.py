@@ -202,7 +202,7 @@ class TestValidate:
         doc = dict(K_A_DOC, kernels={"a": kernel})
         model = load_model(write(tmp_path, "unreduced.json", doc))
         (mu,) = model.nlmp.kernel("a")("s0")
-        assert (mu.den, mu.num) == (4, (0, 2, 1))
+        assert (mu.den, mu.atoms, mu.nums) == (4, (1, 2), (2, 1))
         emitted = model_to_dict(model)["kernels"]["a"]["s0"]
         assert emitted == [{"s1": "1/2", "s2": "1/4"}]
 

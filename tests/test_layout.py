@@ -88,3 +88,69 @@ def test_mass_order_is_read_only_for_canonical_order():
             if isinstance(node, ast.Name) and node.id == "_mass_order"
         ]
     assert sorted(where) == ["upperset.py:generators", "upperset.py:members"], where
+
+
+def _owners(tree: ast.AST) -> dict[int, str]:
+    """Per node, the name of the innermost function around it."""
+    return {
+        id(node): fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+    }
+
+
+def test_measure_supports_are_read_in_few_places():
+    """A measure's support, its ``atoms`` beside its ``nums``, is read
+    outside ``measure.py`` only by the engine's round (``_refine``), the
+    emitter (``_measure_to_dict``) and the span's ``transport``.  A read
+    of ``.atoms`` counts as a measure's when its object is also read for
+    ``.nums`` in that module, or is named ``mu`` or ``nu``."""
+    allowed = {
+        "effectivity.py:_refine",
+        "model_io.py:_measure_to_dict",
+        "cospan.py:transport",
+    }
+    where = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "measure.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        reads = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+        measures = {"mu", "nu"} | {ast.unparse(n.value) for n in reads if n.attr == "nums"}
+        owner = _owners(tree)
+        where.update(
+            f"{path.name}:{owner.get(id(node), '<module>')}"
+            for node in reads
+            if node.attr == "nums"
+            or (node.attr == "atoms" and ast.unparse(node.value) in measures)
+        )
+    assert where == allowed, sorted(where ^ allowed)
+
+
+def test_one_integer_sum_serves_evaluate_and_the_evaluator():
+    """``measure.evaluate`` and ``logic._Evaluator.numerator`` sum a
+    measure's numerators over a set of atoms through one helper defined in
+    ``measure.py``, and neither reads the support itself."""
+
+    def function(path: Path, name: str, cls: str | None = None) -> ast.FunctionDef:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        scope = tree
+        if cls is not None:
+            scope = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls)
+        return next(n for n in scope.body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+    measure_tree = ast.parse((SRC / "measure.py").read_text(encoding="utf-8"))
+    calls = []
+    for fn in (
+        function(SRC / "measure.py", "evaluate"),
+        function(SRC / "logic.py", "numerator", "_Evaluator"),
+    ):
+        nodes = list(ast.walk(fn))
+        calls.append(
+            {n.func.id for n in nodes if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+        )
+        support = [n for n in nodes if isinstance(n, ast.Attribute) and n.attr in ("atoms", "nums")]
+        assert not support, f"{fn.name} reads a support"
+    defined = {n.name for n in measure_tree.body if isinstance(n, ast.FunctionDef)}
+    assert calls[0] & calls[1] & defined == {"_atoms_of", "_numerator_in"}

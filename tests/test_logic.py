@@ -504,11 +504,11 @@ class TestLogicalEquivalence:
             p = rand_ef(rng, space)
             refiner = _Refiner(p)
             blocks = set(map(frozenset, refiner.refine()))
-            upsets = [ext for ext, _ in refiner.upsets]
+            upsets = [ext for _, ext, _ in refiner.upsets]
             # one up-set per block, named by its formula and a union of
             # blocks; the blocks are the signature classes of the up-sets
             assert len(set(upsets)) == len(blocks)
-            assert all(eval_state(p, formula) == ext for ext, formula in refiner.upsets)
+            assert all(eval_state(p, formula) == ext for _, ext, formula in refiner.upsets)
             for ext in upsets:
                 assert ext == frozenset().union(*(b for b in blocks if b <= ext))
             classes = Relation(space, relation_from_family(space, upsets)).classes()
@@ -536,7 +536,7 @@ class TestLogicalEquivalence:
 
             def record(class_of, classes):
                 if type(refiner) is _Refiner:
-                    assert len({ext for ext, _ in refiner.upsets}) == len(classes)
+                    assert len({ext for _, ext, _ in refiner.upsets}) == len(classes)
                 for group in classes:
                     for left, right in itertools.combinations(group, 2):
                         for s, t in itertools.product(left, right):

@@ -3,6 +3,9 @@ invariant transport."""
 
 from __future__ import annotations
 
+import copy
+import pickle
+import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm
 from random import Random
@@ -30,9 +33,13 @@ from effkit import (
     sigma_r,
     unique_preimages,
 )
+from effkit.measure import _mass_order
+from effkit.model_io import _measure_to_dict, dumps_canonical, model_from_dict
 from helpers import (
     agree_mod_oracle,
+    dumps_oracle,
     evaluate_oracle,
+    measure_dict_oracle,
     pushforward_oracle,
     rand_coarsening,
     rand_measurable_map,
@@ -40,8 +47,10 @@ from helpers import (
     rand_space,
     rand_subprob,
     rand_surjection,
+    ring_doc,
     restrict_oracle,
     subprob_oracle,
+    unique_preimages_oracle,
     upperset_order_oracle,
 )
 
@@ -56,7 +65,7 @@ class TestSubProb:
         with pytest.raises(SpaceMismatchError):
             SubProb.of(S3, {"s0": "3/4", "s1": "1/2"})
         with pytest.raises(SpaceMismatchError):
-            SubProb(S3, [Fraction(-1, 2), 0, 0])
+            SubProb(S3, {0: Fraction(-1, 2)})
 
     def test_dirac_and_zero(self):
         assert SubProb.dirac(S3, "s1").mass == (0, 1, 0)
@@ -256,13 +265,17 @@ class TestInvariantTransport:
             assert back == restrict(mu0, invariant)
 
 
-def _rand_masses(rng: Random, n: int) -> list:
-    """Atom masses as a mix of int, Fraction and non-reduced strings; now and
-    then a negative entry, a wrong count or a total above one."""
+def _rand_masses(rng: Random, n: int) -> dict:
+    """Masses by atom index as a mix of int, Fraction and non-reduced
+    strings, some atoms omitted; now and then a negative entry, an index
+    outside the ``n`` atoms or a total above one."""
     den = rng.randint(1, 12)
     remaining = den + (rng.random() < 0.1)
-    masses = []
-    for _ in range(n + rng.choice([0] * 18 + [-1, 1])):
+    indices = [i for i in range(n) if rng.random() < 0.8]
+    if rng.random() < 0.1:
+        indices.insert(rng.randint(0, len(indices)), rng.choice([-1, n, n + 2]))
+    masses = {}
+    for i in indices:
         take = rng.randint(0, remaining) if rng.random() < 0.7 else 0
         remaining -= take
         q = Fraction(take, den)
@@ -271,17 +284,37 @@ def _rand_masses(rng: Random, n: int) -> list:
         k = rng.randint(1, 4)
         kind = rng.random()
         if q.denominator == 1 and kind < 0.3:
-            masses.append(int(q))
+            masses[i] = int(q)
         elif kind < 0.6:
-            masses.append(q)
+            masses[i] = q
         else:
-            masses.append(f"{q.numerator * k}/{q.denominator * k}")
+            masses[i] = f"{q.numerator * k}/{q.denominator * k}"
+    return masses
+
+
+def _rand_sparse(rng: Random, n: int, max_den=12) -> dict[int, Fraction]:
+    """Positive masses on 0 to 3 of ``n`` atoms, in random index order."""
+    k = rng.randint(0, min(3, n))
+    den = rng.randint(max(k, 1), max(k, max_den))
+    remaining = den
+    masses = {}
+    for j, a in enumerate(rng.sample(range(n), k)):
+        take = rng.randint(1, remaining - (k - j - 1))
+        masses[a] = Fraction(take, den)
+        remaining -= take
     return masses
 
 
 class TestIntegerRepresentation:
-    """SubProb holds integer numerators over one denominator; every result
+    """SubProb holds integer numerators over its support; every result
     is checked against one-Fraction-per-atom arithmetic (helpers)."""
+
+    def test_index_outside_the_space_is_refused(self):
+        for index in (-1, 3, 7):
+            with pytest.raises(SpaceMismatchError, match=f"atom index {index} outside the 3 atoms"):
+                SubProb(S3, {0: "1/2", index: 0})
+            with pytest.raises(SpaceMismatchError, match="outside"):
+                SubProb(S3, {index: 1}, 4)
 
     def test_construction_matches_fraction_oracle(self):
         rng = Random(43)
@@ -300,11 +333,14 @@ class TestIntegerRepresentation:
             mu = SubProb(space, masses)
             assert mu.mass == vec and mu.total == sum(vec)
             assert mu.den == lcm(*(q.denominator for q in vec))
-            assert gcd(mu.den, *mu.num) == 1
+            assert gcd(mu.den, *mu.nums) == 1
+            assert mu.atoms == tuple(i for i, q in enumerate(vec) if q)
+            assert all(Fraction(n, mu.den) == vec[a] for a, n in zip(mu.atoms, mu.nums))
             k = rng.randint(2, 6)
-            for twin in (SubProb(space, vec), SubProb(space, [n * k for n in mu.num], mu.den * k)):
+            scaled = {a: n * k for a, n in zip(mu.atoms, mu.nums)}
+            for twin in (SubProb(space, dict(enumerate(vec))), SubProb(space, scaled, mu.den * k)):
                 assert twin == mu and hash(twin) == hash(mu)
-                assert (twin.den, twin.num) == (mu.den, mu.num)
+                assert (twin.den, twin.atoms, twin.nums) == (mu.den, mu.atoms, mu.nums)
         assert built > 1500
 
     def test_operations_match_fraction_oracle(self):
@@ -345,6 +381,93 @@ class TestIntegerRepresentation:
             other_mu = rand_subprob(rng, space, max_den=12)
             assert agree_mod(rel, mu, other_mu) == agree_mod_oracle(rel, mu, other_mu)
 
+    def test_wide_sparse_measures_match_fraction_oracle(self):
+        """Spaces of up to 40 atoms, coarse ones included, carrying 0 to 3
+        positive masses: every result equals the dense computation."""
+        rng = Random(59)
+        for _ in range(400):
+            space = rand_space(rng, 1, 40, allow_coarse=True)
+            n = len(space.atoms)
+            masses = _rand_sparse(rng, n)
+            vec = subprob_oracle(space, masses)
+            mu = SubProb(space, masses)
+            assert mu.mass == vec and mu.total == sum(vec)
+            assert mu.atoms == tuple(sorted(masses)) and len(mu.nums) == len(mu.atoms)
+            assert mu.den == lcm(*(q.denominator for q in vec)) and gcd(mu.den, *mu.nums) == 1
+            dense = SubProb(space, dict(enumerate(vec)))
+            assert dense == mu and dense.ident == mu.ident
+            other = SubProb(space, _rand_sparse(rng, n))
+            assert (other.ident == mu.ident) == (other.mass == vec)
+
+            for twin in (pickle.loads(pickle.dumps(mu)), copy.deepcopy(mu)):
+                assert twin == mu and twin.ident == mu.ident
+                assert (twin.den, twin.atoms, twin.nums) == (mu.den, mu.atoms, mu.nums)
+
+            expected = measure_dict_oracle(mu)
+            assert _measure_to_dict(mu) == expected
+            assert dumps_canonical({"mu": _measure_to_dict(mu)}) == dumps_oracle({"mu": expected})
+
+            states = [s for block in space.atoms if rng.random() < 0.5 for s in block]
+            if rng.random() < 0.3:
+                states = [s for s in space.carrier if rng.random() < 0.5]
+            try:
+                expected_mass = evaluate_oracle(mu, states)
+            except NotMeasurableSetError:
+                with pytest.raises(NotMeasurableSetError):
+                    evaluate(mu, states)
+            else:
+                assert evaluate(mu, states) == expected_mass
+
+            cod = rand_space(rng, 1, 40, allow_coarse=True)
+            f = rand_measurable_map(rng, space, cod)
+            nu = pushforward(f, mu)
+            assert nu.mass == pushforward_oracle(f, mu)
+            got = unique_preimages(f, nu)
+            want = unique_preimages_oracle(f, nu)
+            assert (got if got is None else [pre.mass for pre in got]) == want
+            coarser = rand_coarsening(rng, space)
+            assert restrict(mu, coarser).mass == restrict_oracle(mu, coarser)
+
+    def test_wide_sparse_order_follows_fraction_vectors(self):
+        """The support keys order measures as their dense vectors, when one
+        support extends another (a prefix) above all."""
+        rng = Random(61)
+        for _ in range(200):
+            space = rand_space(rng, 1, 40, allow_coarse=True)
+            n = len(space.atoms)
+            pool = {SubProb.zero(space)}
+            for _ in range(6):
+                masses = _rand_sparse(rng, n, max_den=rng.choice([2, 6, 12]))
+                pool.add(SubProb(space, masses))
+                top = max(masses, default=-1)
+                if masses and top < n - 1:  # a halved measure, and it extended past its support
+                    halved = {a: q / 2 for a, q in masses.items()}
+                    pool.add(SubProb(space, halved))
+                    past = rng.randint(top + 1, n - 1)
+                    pool.add(SubProb(space, {**halved, past: Fraction(1, 4)}))
+                if len(masses) > 1:  # a prefix of the support
+                    pool.add(SubProb(space, {a: q for a, q in masses.items() if a != top}))
+            pool = list(pool)
+            rng.shuffle(pool)
+            by_vector = sorted(pool, key=lambda mu: mu.mass)
+            assert sorted(pool, key=_mass_order(pool)) == by_vector
+            ms = MeasureSet(space, pool)
+            assert list(ms.members) == by_vector
+
+    def test_ring_loads_in_support_sized_memory(self):
+        """3000 measures of two masses each on a 3000-state space cost their
+        supports: a dense vector per measure would take tens of MB."""
+        doc = ring_doc(3000)
+        tracemalloc.start()
+        try:
+            model = model_from_dict(doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        (mu,) = model.nlmp.kernel("a")("s0")
+        assert mu.atoms == (1, 7) and mu.nums == (1, 1) and mu.den == 4
+        assert peak < 10 * 2**20, f"loading the 3000-state ring peaked at {peak} bytes"
+
     def test_sort_order_follows_fraction_vectors(self):
         rng = Random(53)
         for _ in range(300):
@@ -364,7 +487,7 @@ class TestMeasureIds:
         twin = Space(["a", "b"])
         assert twin is space and Space(space.carrier, space.atoms) is space
         mu = SubProb.of(space, {"a": "1/2"})
-        assert SubProb(space, ["2/4", 0]).ident == mu.ident
+        assert SubProb(space, {0: "2/4", 1: 0}).ident == mu.ident
         assert SubProb.of(space, {"b": "1/2"}).ident != mu.ident
         nu = SubProb.of(twin, {"a": "1/2"})
         assert nu == mu and hash(nu) == hash(mu) and nu.ident == mu.ident

@@ -190,7 +190,7 @@ class TestUnionIntersect:
             space = rand_space(rng, 2, 3)
             pool = sorted(
                 {rand_subprob(rng, space, 4) for _ in range(3)},
-                key=lambda m: m.sort_key(),
+                key=lambda m: m.mass,
             )
 
             def subpool(r: Random):
@@ -227,7 +227,7 @@ class TestDual:
             space = rand_space(rng, 2, 3)
             pool = sorted(
                 {rand_subprob(rng, space, 4) for _ in range(4)},
-                key=lambda m: m.sort_key(),
+                key=lambda m: m.mass,
             )
             gens = [
                 MeasureSet(space, [m for m in pool if rng.random() < 0.5])
@@ -277,7 +277,7 @@ class TestEquals:
             space = rand_space(rng, 2, 3)
             pool = sorted(
                 {rand_subprob(rng, space, 4) for _ in range(3)},
-                key=lambda m: m.sort_key(),
+                key=lambda m: m.mass,
             )
             us = [
                 UpperSet(
@@ -295,8 +295,8 @@ class TestEquals:
             assert equals(us[0], us[1]) == same_ext
 
 
-def values(measures) -> list[tuple[int, tuple[int, ...]]]:
-    return [(mu.den, mu.num) for mu in measures]
+def values(measures) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    return [(mu.den, mu.atoms, mu.nums) for mu in measures]
 
 
 class TestAgainstFrozensetOracle:
@@ -316,7 +316,10 @@ class TestAgainstFrozensetOracle:
             seen["rebuilt spaces"] += rebuilt
             on = (space, twin)
             pool = [rand_subprob(rng, rng.choice(on)) for _ in range(rng.randint(2, 6))]
-            pool += [SubProb(twin if mu.space is space else space, mu.num, mu.den) for mu in pool[:2]]
+            pool += [
+                SubProb(twin if mu.space is space else space, dict(zip(mu.atoms, mu.nums)), mu.den)
+                for mu in pool[:2]
+            ]
             drawn = [
                 (rng.choice(on), rng.choices(pool, k=rng.randint(1, 3)))
                 for _ in range(rng.randint(2, 5))
@@ -390,7 +393,9 @@ class TestOrderInvariance:
             return items
 
         space = Space(carrier, atoms)
-        measures = {i: SubProb(space, vectors[i]) for i in shuffled(range(len(vectors)))}
+        measures = {
+            i: SubProb(space, dict(enumerate(vectors[i]))) for i in shuffled(range(len(vectors)))
+        }
 
         def measure_set(indices):
             return MeasureSet(space, [measures[i] for i in shuffled(indices)])
