@@ -20,6 +20,7 @@ from . import effectivity as ef_ops
 from . import logic as logic_ops
 from . import nlmp as nlmp_ops
 from .cospan import Cospan, CospanVerificationError, build_span
+from .effectivity import EffFn
 from .errors import (
     EffkitError,
     ModelFormatError,
@@ -27,14 +28,12 @@ from .errors import (
     NotSurjectiveError,
 )
 from .model_io import (
-    Model,
+    KINDS,
     dumps_canonical,
-    ef_model,
     load_map,
     load_model,
     load_partition,
     model_to_dict,
-    nlmp_model,
 )
 from .nlmp import Nlmp
 from .space import Relation, direct_sum
@@ -61,29 +60,41 @@ def _partition_payload(rel: Relation) -> list[list[str]]:
     return [list(block) for block in rel.classes()]
 
 
-def _require_ef(model: Model, label: str | None, where: str):
+def _require_ef(model: Nlmp | EffFn, label: str | None, where: str) -> EffFn:
     """An effectivity function from a model: 'ef' models directly, with no
     label; 'nlmp' models label-wise through the principal-filter embedding."""
-    if model.kind == "ef":
+    if isinstance(model, EffFn):
         if label is not None:
             raise ModelFormatError("--label applies to 'nlmp' models", file=where, location="--label")
-        return model.ef
-    nlmp = model.nlmp
-    return nlmp_ops.filter_generate(nlmp.kernel(_pick_label(nlmp, label, where)))
+        return model
+    return nlmp_ops.filter_generate(model.kernel(_pick_label(model, label, where)))
 
 
-def _require_nlmp(model: Model, where: str) -> Nlmp:
-    if model.kind != "nlmp":
+def _require_nlmp(model: Nlmp | EffFn, where: str) -> Nlmp:
+    if not isinstance(model, Nlmp):
         raise ModelFormatError("this command needs an 'nlmp' model", file=where, location="kind")
-    assert model.nlmp is not None
-    return model.nlmp
+    return model
+
+
+def _load_pair(args) -> tuple[Nlmp | EffFn, Nlmp | EffFn]:
+    """The models ``args.a`` and ``args.b``, refused unless of one kind."""
+    a = load_model(args.a)
+    b = load_model(args.b)
+    if type(a) is not type(b):
+        raise ModelFormatError("both models must have the same kind", file=args.b, location="kind")
+    return a, b
+
+
+def _same_labels(a: Nlmp, b: Nlmp, where: str) -> None:
+    if set(a.labels) != set(b.labels):
+        raise ModelFormatError("label sets differ", file=where, location="labels")
 
 
 def cmd_validate(args) -> tuple[int, dict[str, Any]]:
     model = load_model(args.model)
     return 0, {
         "valid": True,
-        "kind": model.kind,
+        "kind": KINDS[type(model)],
         "states": len(model.space.carrier),
         "atoms": len(model.space.atoms),
     }
@@ -91,10 +102,10 @@ def cmd_validate(args) -> tuple[int, dict[str, Any]]:
 
 def cmd_bisim(args) -> tuple[int, dict[str, Any]]:
     model = load_model(args.model)
-    if model.kind == "nlmp":
-        rel = nlmp_ops.greatest_bisim(model.nlmp)
+    if isinstance(model, Nlmp):
+        rel = nlmp_ops.greatest_bisim(model)
     else:
-        rel = ef_ops.greatest_ef_bisim(model.ef)
+        rel = ef_ops.greatest_ef_bisim(model)
     payload: dict[str, Any] = {"partition": _partition_payload(rel)}
     if args.pairs:
         try:
@@ -164,51 +175,46 @@ def cmd_distinguish(args) -> tuple[int, dict[str, Any]]:
 
 
 def cmd_morphism(args) -> tuple[int, dict[str, Any]]:
-    a = load_model(args.a)
-    b = load_model(args.b)
-    if a.kind != b.kind:
-        raise ModelFormatError("both models must have the same kind", file=args.b, location="kind")
+    a, b = _load_pair(args)
     mapping = load_map(args.map, a.space, b.space)
-    if a.kind == "nlmp":
+    if isinstance(a, Nlmp):
         if args.strong:
             raise ModelFormatError(
                 "--strong applies to 'ef' models", file=args.a, location="kind"
             )
-        if set(a.nlmp.labels) != set(b.nlmp.labels):
-            raise ModelFormatError("label sets differ", file=args.b, location="labels")
+        _same_labels(a, b, args.b)
         holds = all(
-            nlmp_ops.is_nk_morphism(mapping, a.nlmp.kernel(label), b.nlmp.kernel(label))
-            for label in a.nlmp.labels
+            nlmp_ops.is_nk_morphism(mapping, a.kernel(label), b.kernel(label))
+            for label in a.labels
         )
         return (0 if holds else 1), {"holds": holds, "strong": False}
     if args.strong:
         try:
-            holds = ef_ops.is_strong_morphism(mapping, a.ef, b.ef)
+            holds = ef_ops.is_strong_morphism(mapping, a, b)
         except NotSurjectiveError:
             return 1, {"holds": False, "strong": True, "reason": "not_surjective"}
         return (0 if holds else 1), {"holds": holds, "strong": True}
-    holds = ef_ops.is_ef_morphism(mapping, a.ef, b.ef)
+    holds = ef_ops.is_ef_morphism(mapping, a, b)
     return (0 if holds else 1), {"holds": holds, "strong": False}
 
 
 def cmd_dual(args) -> tuple[int, dict[str, Any]]:
     model = load_model(args.model)
     ef = _require_ef(model, args.label, args.model)
-    return 0, model_to_dict(ef_model(ef_ops.dual_ef(ef)))
+    return 0, model_to_dict(ef_ops.dual_ef(ef))
 
 
 def cmd_demonize(args) -> tuple[int, dict[str, Any]]:
     model = load_model(args.model)
     nlmp = _require_nlmp(model, args.model)
-    label = _pick_label(nlmp, args.label, args.model)
-    return 0, model_to_dict(ef_model(nlmp_ops.filter_generate(nlmp.kernel(label))))
+    return 0, model_to_dict(_require_ef(nlmp, args.label, args.model))
 
 
 def cmd_angelize(args) -> tuple[int, dict[str, Any]]:
     model = load_model(args.model)
     nlmp = _require_nlmp(model, args.model)
     label = _pick_label(nlmp, args.label, args.model)
-    return 0, model_to_dict(ef_model(nlmp_ops.angelize(nlmp.kernel(label))))
+    return 0, model_to_dict(nlmp_ops.angelize(nlmp.kernel(label)))
 
 
 def _pick_label(nlmp: Nlmp, label: str | None, where: str) -> str:
@@ -223,19 +229,15 @@ def _pick_label(nlmp: Nlmp, label: str | None, where: str) -> str:
 
 
 def cmd_sum(args) -> tuple[int, dict[str, Any]]:
-    a = load_model(args.a)
-    b = load_model(args.b)
-    if a.kind != b.kind:
-        raise ModelFormatError("both models must have the same kind", file=args.b, location="kind")
-    if a.kind == "ef":
-        summed, _ = ef_ops.sum_ef(a.ef, b.ef)
-        return 0, model_to_dict(ef_model(summed))
-    if set(a.nlmp.labels) != set(b.nlmp.labels):
-        raise ModelFormatError("label sets differ", file=args.b, location="labels")
+    a, b = _load_pair(args)
+    if isinstance(a, EffFn):
+        summed, _ = ef_ops.sum_ef(a, b)
+        return 0, model_to_dict(summed)
+    _same_labels(a, b, args.b)
     kernels = {}
-    for label in a.nlmp.labels:
-        kernels[label], _ = nlmp_ops.direct_sum(a.nlmp.kernel(label), b.nlmp.kernel(label))
-    return 0, model_to_dict(nlmp_model(Nlmp(direct_sum(a.space, b.space).space, kernels)))
+    for label in a.labels:
+        kernels[label], _ = nlmp_ops.direct_sum(a.kernel(label), b.kernel(label))
+    return 0, model_to_dict(Nlmp(direct_sum(a.space, b.space).space, kernels))
 
 
 def cmd_quotient(args) -> tuple[int, dict[str, Any]]:
@@ -251,7 +253,7 @@ def cmd_quotient(args) -> tuple[int, dict[str, Any]]:
             "reason": "not_a_congruence",
             "witness": list(exc.witness) if exc.witness else None,
         }
-    return 0, model_to_dict(ef_model(quotiented))
+    return 0, model_to_dict(quotiented)
 
 
 def cmd_span(args) -> tuple[int, dict[str, Any]]:
@@ -259,12 +261,12 @@ def cmd_span(args) -> tuple[int, dict[str, Any]]:
     q = load_model(args.q)
     m = load_model(args.m)
     for model, path in ((p, args.p), (q, args.q), (m, args.m)):
-        if model.kind != "ef":
+        if not isinstance(model, EffFn):
             raise ModelFormatError("span needs 'ef' models", file=path, location="kind")
     f = load_map(args.f, p.space, m.space)
     g = load_map(args.g, q.space, m.space)
     try:
-        span = build_span(Cospan(p.ef, q.ef, m.ef, f, g))
+        span = build_span(Cospan(p, q, m, f, g))
     except CospanVerificationError as exc:
         return 1, {
             "valid": False,

@@ -26,7 +26,7 @@ from .errors import (
     NotSurjectiveError,
     SpaceMismatchError,
 )
-from .measure import SubProb, pushforward, restrict, unique_preimages
+from .measure import SubProb, _coarsening, _collect, pushforward, unique_preimages
 from .space import (
     DirectSum,
     MeasurableMap,
@@ -181,6 +181,8 @@ def push_upperset(f: MeasurableMap, u: UpperSet) -> UpperSet:
     """Image family on the codomain: generated by the pushforward images of
     the generators.  A set belongs to the image family iff its pushforward
     preimage belongs to ``u``."""
+    if u.space != f.domain:
+        raise SpaceMismatchError("measure does not live on the map's domain")
     gens = (
         MeasureSet(f.codomain, (pushforward(f, mu) for mu in g))
         for g in u
@@ -190,8 +192,9 @@ def push_upperset(f: MeasurableMap, u: UpperSet) -> UpperSet:
 
 def restrict_upperset(u: UpperSet, coarser: Space) -> UpperSet:
     """Family of restrictions to a coarser sigma-algebra on the carrier."""
+    into = _coarsening(u.space, coarser)
     gens = (
-        MeasureSet(coarser, (restrict(mu, coarser) for mu in g))
+        MeasureSet(coarser, (_collect(coarser, into, mu) for mu in g))
         for g in u
     )
     return UpperSet(coarser, gens)

@@ -1,8 +1,12 @@
 """Exception types shared across the library.
 
 Every decision procedure distinguishes three failure modes: malformed input
-(these exceptions), a well-formed negative answer (returned as ``False`` or a
-report value), and internal invariant violations that indicate a bug.
+(these exceptions), a well-formed negative answer, and internal invariant
+violations that indicate a bug.  A negative answer is returned as ``False``
+or a report value, but three are raised, each an :class:`EffkitError` that
+the command line answers with exit 1: :class:`NotACongruenceError` from
+``quotient``, ``CospanVerificationError`` from ``build_span`` and
+:class:`NotSurjectiveError` from ``is_strong_morphism``.
 """
 
 from __future__ import annotations

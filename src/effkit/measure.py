@@ -226,6 +226,8 @@ def unique_preimages(f: MeasurableMap, nu: SubProb) -> list[SubProb] | None:
     none.  Multi-atom preimages with positive mass admit infinitely many
     rational splittings.
     """
+    if nu.space != f.codomain:
+        raise SpaceMismatchError("measure does not live on the map's codomain")
     mass: dict[int, int] = {}
     for a, weight in zip(nu.atoms, nu.nums):
         idx = f.preimage_atoms[a]
@@ -243,18 +245,17 @@ def restrict(mu: SubProb, coarser: Space) -> SubProb:
     Equals the pushforward along the identity-carrier inclusion into the
     coarser space.
     """
-    into = mu.space.atom_map(coarser)
-    if into is None:
-        raise _incompatible(mu.space, coarser)
-    return _collect(coarser, into, mu)
+    return _collect(coarser, _coarsening(mu.space, coarser), mu)
 
 
-def _incompatible(fine: Space, coarse: Space):
+def _coarsening(fine: Space, coarse: Space) -> tuple[int, ...]:
+    """``fine.atom_map(coarse)``, refused unless ``coarse`` coarsens ``fine``."""
+    into = fine.atom_map(coarse)
+    if into is not None:
+        return into
     if fine.carrier != coarse.carrier:
-        return IncompatiblePartitionError("partitions live on different carriers")
-    return IncompatiblePartitionError(
-        "partition blocks are not unions of the base atoms"
-    )
+        raise IncompatiblePartitionError("partitions live on different carriers")
+    raise IncompatiblePartitionError("partition blocks are not unions of the base atoms")
 
 
 def agree_mod(rel: Relation, mu: SubProb, nu: SubProb) -> bool:

@@ -2,8 +2,10 @@
 
 Rationals travel as strings ("p/q", "0", "1") so no float ever touches a
 mass.  A model file holds either a labelled process (kind "nlmp") or an
-effectivity function (kind "ef"); measures are objects mapping a state to
-its atom's mass, omitted states carrying mass zero.
+effectivity function (kind "ef"), and loading it returns the :class:`Nlmp`
+or :class:`EffFn` it describes; emission writes ``kind`` from the type of
+the value.  Measures are objects mapping a state to its atom's mass,
+omitted states carrying mass zero.
 
 Files are read as bytes and decoded as UTF-8 (RFC 8259), whatever the
 locale; a file that is not UTF-8 or not JSON, nests too deeply or holds an
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 from pathlib import Path
@@ -37,26 +38,19 @@ from .space import MeasurableMap, Space
 from .upperset import MeasureSet, UpperSet
 
 __all__ = [
-    "Model",
+    "KINDS",
     "load_model",
     "load_map",
     "load_partition",
     "model_from_dict",
     "model_to_dict",
-    "ef_model",
-    "nlmp_model",
     "dumps_canonical",
 ]
 
 _RATIONAL = re.compile(r"([0-9]+)(?:/([1-9][0-9]*))?")
 
-
-@dataclass(frozen=True)
-class Model:
-    kind: str
-    space: Space
-    nlmp: Nlmp | None = None
-    ef: EffFn | None = None
+# A model file's "kind", by the type of the value it holds.
+KINDS: dict[type, str] = {Nlmp: "nlmp", EffFn: "ef"}
 
 
 def _fail(message: str, file: str | None, location: str) -> ModelFormatError:
@@ -140,11 +134,11 @@ def _parse_space(doc: Mapping[str, Any], file: str | None) -> Space:
         raise _fail(str(exc), file, "sigma") from exc
 
 
-def model_from_dict(doc: Mapping[str, Any], file: str | None = None) -> Model:
+def model_from_dict(doc: Mapping[str, Any], file: str | None = None) -> Nlmp | EffFn:
     if not isinstance(doc, Mapping):
         raise _fail("model file must hold a JSON object", file, "$")
     kind = doc.get("kind")
-    if kind not in ("nlmp", "ef"):
+    if kind not in KINDS.values():
         raise _fail("'kind' must be \"nlmp\" or \"ef\"", file, "kind")
     space = _parse_space(doc, file)
     read_measure = _MeasureReader(space, file)
@@ -171,7 +165,7 @@ def model_from_dict(doc: Mapping[str, Any], file: str | None = None) -> Model:
                 where = f"kernels.{label}.{state}"
                 image[state] = [read_measure(m, where, i) for i, m in enumerate(measures)]
             kernels[label] = Kernel(space, image)
-        return Model("nlmp", space, nlmp=Nlmp(space, kernels))
+        return Nlmp(space, kernels)
 
     eff_doc = doc.get("effectivity")
     if not isinstance(eff_doc, dict):
@@ -194,7 +188,7 @@ def model_from_dict(doc: Mapping[str, Any], file: str | None = None) -> Model:
     missing = [s for s in space.carrier if s not in portfolio]
     if missing:
         raise _fail(f"portfolio missing states {missing}", file, "effectivity")
-    return Model("ef", space, ef=EffFn(space, portfolio))
+    return EffFn(space, portfolio)
 
 
 def _read_json(path: str | Path) -> Any:
@@ -222,7 +216,7 @@ def _read_json(path: str | Path) -> Any:
         raise ModelFormatError("invalid JSON: integer too long", file=file, location="$") from exc
 
 
-def load_model(path: str | Path) -> Model:
+def load_model(path: str | Path) -> Nlmp | EffFn:
     return model_from_dict(_read_json(path), file=str(path))
 
 
@@ -286,34 +280,24 @@ def _measures_to_list(
     return out
 
 
-def ef_model(ef: EffFn) -> Model:
-    return Model("ef", ef.space, ef=ef)
-
-
-def nlmp_model(nlmp: Nlmp) -> Model:
-    return Model("nlmp", nlmp.space, nlmp=nlmp)
-
-
-def model_to_dict(model: Model) -> dict[str, Any]:
+def model_to_dict(model: Nlmp | EffFn) -> dict[str, Any]:
     """The model as a JSON document.  A measure that occurs several times
     is one dict, shared by its occurrences and built once per call."""
     emitted: dict[SubProb, dict[str, str]] = {}
     doc: dict[str, Any] = {
-        "kind": model.kind,
+        "kind": KINDS[type(model)],
         "states": list(model.space.carrier),
         "sigma": [list(block) for block in model.space.atoms],
     }
-    if model.kind == "nlmp":
-        assert model.nlmp is not None
-        doc["labels"] = list(model.nlmp.labels)
+    if isinstance(model, Nlmp):
+        doc["labels"] = list(model.labels)
         doc["kernels"] = {
             label: {s: _measures_to_list(k(s), emitted) for s in model.space.carrier}
-            for label, k in model.nlmp.kernels
+            for label, k in model.kernels
         }
     else:
-        assert model.ef is not None
         doc["effectivity"] = {
-            s: [_measures_to_list(g, emitted) for g in model.ef(s).generators]
+            s: [_measures_to_list(g, emitted) for g in model(s).generators]
             for s in model.space.carrier
         }
     return doc

@@ -113,6 +113,8 @@ class MeasureSet:
         return self.mask & ~other.mask == 0
 
     def union(self, other: "MeasureSet") -> "MeasureSet":
+        if other.space is not self.space:
+            raise SpaceMismatchError("measure set members must share one space")
         return MeasureSet(self.space, self._kept + other._kept)
 
     def __repr__(self) -> str:

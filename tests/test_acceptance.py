@@ -45,7 +45,7 @@ from effkit import (
     sigma_r,
     sum_ef,
 )
-from effkit.model_io import dumps_canonical, ef_model, model_from_dict, model_to_dict, nlmp_model
+from effkit.model_io import dumps_canonical, model_from_dict, model_to_dict
 from helpers import (
     all_partitions,
     all_symmetric_relations,
@@ -285,9 +285,9 @@ def test_criterion_10_round_trips():
             from effkit import Nlmp
 
             labels = [f"l{j}" for j in range(rng.randint(1, 3))]
-            model = nlmp_model(Nlmp(space, {a: rand_kernel(rng, space) for a in labels}))
+            model = Nlmp(space, {a: rand_kernel(rng, space) for a in labels})
         else:
-            model = ef_model(rand_ef(rng, space))
+            model = rand_ef(rng, space)
         first = dumps_canonical(model_to_dict(model))
         reparsed = model_from_dict(json.loads(first))
         second = dumps_canonical(model_to_dict(reparsed))

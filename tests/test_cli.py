@@ -18,14 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effkit.cli import run
-from effkit.model_io import (
-    dumps_canonical,
-    ef_model,
-    load_model,
-    model_from_dict,
-    model_to_dict,
-    nlmp_model,
-)
+from effkit.model_io import dumps_canonical, load_model, model_from_dict, model_to_dict
 from helpers import (
     dumps_oracle,
     formula_texts,
@@ -201,7 +194,7 @@ class TestValidate:
         kernel = {"s0": [{"s1": "2/4", "s2": "003/12"}], "s1": [], "s2": []}
         doc = dict(K_A_DOC, kernels={"a": kernel})
         model = load_model(write(tmp_path, "unreduced.json", doc))
-        (mu,) = model.nlmp.kernel("a")("s0")
+        (mu,) = model.kernel("a")("s0")
         assert (mu.den, mu.atoms, mu.nums) == (4, (1, 2), (2, 1))
         emitted = model_to_dict(model)["kernels"]["a"]["s0"]
         assert emitted == [{"s1": "1/2", "s2": "1/4"}]
@@ -218,14 +211,14 @@ class TestValidate:
         }
         doc = dict(K_A_DOC, labels=["a", "b"], kernels=kernels)
         path = write(tmp_path, "k.json", doc)
-        nlmp = load_model(path).nlmp
+        nlmp = load_model(path)
         (mu,) = nlmp.kernel("a")("s0").members
         assert [nu for nu in nlmp.kernel("a")("s1").members if nu == mu][0] is mu
         assert nlmp.kernel("b")("s2").members[0] is mu
         # no measure outlives its load
-        assert load_model(path).nlmp.kernel("a")("s0").members[0] is not mu
+        assert load_model(path).kernel("a")("s0").members[0] is not mu
         effectivity = {"s0": [[half], [half, {}]], "s1": [[{}, half]], "s2": [[{}]]}
-        ef = load_model(write(tmp_path, "ef.json", dict(EF_A_DOC, effectivity=effectivity))).ef
+        ef = load_model(write(tmp_path, "ef.json", dict(EF_A_DOC, effectivity=effectivity)))
         shared = [mu for s in ef.space.carrier for g in ef(s).generators for mu in g.members]
         assert len({id(mu) for mu in shared}) == 2
 
@@ -515,7 +508,7 @@ class TestEvalDistinguish:
         split = 0
         for i in range(20):
             p = planted_clones(rng, rng.randint(2, 4))
-            model = write(tmp_path, f"p{i}.json", model_to_dict(ef_model(p)))
+            model = write(tmp_path, f"p{i}.json", model_to_dict(p))
             pairs = list(itertools.combinations(p.space.carrier, 2))
             for s, t in rng.sample(pairs, 4):
                 code, out, err = invoke("distinguish", model, s, t)
@@ -657,23 +650,23 @@ class TestEmittingCommands:
         from effkit import Relation, angelize, dual_ef, filter_generate, quotient, sum_ef
         from effkit.model_io import load_model
 
-        ef = load_model(efA).ef
-        nlmp = load_model(kA).nlmp
+        ef = load_model(efA)
+        nlmp = load_model(kA)
         kernel = nlmp.kernel("a")
         part = write(tmp_path, "part.json", [["s0", "s1"], ["s2"]])
         alpha = Relation.from_partition(ef.space, [["s0", "s1"], ["s2"]])
         cases = [
-            (("dual", efA), ef_model(dual_ef(ef))),
-            (("demonize", kA), ef_model(filter_generate(kernel))),
-            (("angelize", kA), ef_model(angelize(kernel))),
-            (("sum", efA, efA), ef_model(sum_ef(ef, ef)[0])),
-            (("quotient", efA, "--partition", part), ef_model(quotient(ef, alpha)[0])),
+            (("dual", efA), dual_ef(ef)),
+            (("demonize", kA), filter_generate(kernel)),
+            (("angelize", kA), angelize(kernel)),
+            (("sum", efA, efA), sum_ef(ef, ef)[0]),
+            (("quotient", efA, "--partition", part), quotient(ef, alpha)[0]),
         ]
         for argv, expected in cases:
             code, out, _ = invoke(*argv)
             assert code == 0
             reparsed = model_from_dict(json.loads(out))
-            assert (reparsed.nlmp or reparsed.ef) == (expected.nlmp or expected.ef)
+            assert reparsed == expected
             code2, out2, _ = invoke(*argv)
             assert out2 == out  # byte-identical determinism
 
@@ -682,12 +675,12 @@ class TestEmittingCommands:
         for i in range(10):
             space = rand_space(rng, 2, 4)
             ef = rand_ef(rng, space)
-            path = write(tmp_path, f"m{i}.json", model_to_dict(ef_model(ef)))
+            path = write(tmp_path, f"m{i}.json", model_to_dict(ef))
             code, out, _ = invoke("dual", path)
             assert code == 0
             from effkit import dual_ef
 
-            assert model_from_dict(json.loads(out)).ef == dual_ef(ef)
+            assert model_from_dict(json.loads(out)) == dual_ef(ef)
 
     def test_sum_round_trip(self, kA, tmp_path):
         code, out, _ = invoke("sum", kA, kA)
@@ -695,7 +688,7 @@ class TestEmittingCommands:
         doc = json.loads(out)
         assert doc["states"][:3] == ["L:s0", "L:s1", "L:s2"]
         model = model_from_dict(doc)
-        assert model.kind == "nlmp"
+        assert type(model) is Nlmp
 
     def test_sum_of_label_free_nlmps(self, tmp_path):
         bare = {"kind": "nlmp", "labels": [], "kernels": {}}
@@ -864,7 +857,7 @@ class TestCanonicalEmitter:
             return _emit(mu)
 
         monkeypatch.setattr(model_io, "_measure_to_dict", counted)
-        assert dumps_canonical(model_to_dict(ef_model(ef))) == expected
+        assert dumps_canonical(model_to_dict(ef)) == expected
         assert len(ef(space.carrier[0])) == 3**k
         assert len(calls) == len(set(calls)) == 3 * k
 
@@ -876,22 +869,20 @@ class TestModelRoundTrips:
             space = rand_space(rng, 2, 4, allow_coarse=True)
             if rng.random() < 0.5:
                 labels = [f"l{j}" for j in range(rng.randint(1, 2))]
-                model = nlmp_model(
-                    Nlmp(space, {a: rand_kernel(rng, space) for a in labels})
-                )
+                model = Nlmp(space, {a: rand_kernel(rng, space) for a in labels})
             else:
-                model = ef_model(rand_ef(rng, space))
+                model = rand_ef(rng, space)
             first = dumps_canonical(model_to_dict(model))
             reparsed = model_from_dict(json.loads(first))
-            assert reparsed.kind == model.kind
-            assert (reparsed.nlmp or reparsed.ef) == (model.nlmp or model.ef)
+            assert type(reparsed) is type(model)
+            assert reparsed == model
             second = dumps_canonical(model_to_dict(reparsed))
             assert second == first
 
 
 # Documents the fuzz below starts from: every model, map and partition is
 # valid, and each command gets inputs that fit each other.
-_CLONES = model_to_dict(ef_model(planted_clones(Random(5), 2)))
+_CLONES = model_to_dict(planted_clones(Random(5), 2))
 _TWO_LABELS = {
     "kind": "nlmp",
     "states": ["s0", "s1", "s2"],

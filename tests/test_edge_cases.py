@@ -4,14 +4,20 @@ pushed through the whole pipeline."""
 from __future__ import annotations
 
 import json
+import re
 from random import Random
+
+import pytest
 
 from effkit import (
     Cospan,
     EffFn,
+    IncompatiblePartitionError,
     Kernel,
+    MeasurableMap,
     MeasureSet,
     Space,
+    SpaceMismatchError,
     SubProb,
     UpperSet,
     build_span,
@@ -26,9 +32,13 @@ from effkit import (
     is_ef_morphism,
     logical_equivalence,
     parse_formula,
+    push_upperset,
     quotient,
+    restrict_upperset,
+    unique_preimages,
 )
-from effkit.model_io import dumps_canonical, ef_model, model_from_dict, model_to_dict
+from effkit.upperset import filter_of
+from effkit.model_io import dumps_canonical, model_from_dict, model_to_dict
 from helpers import rand_ef, rand_space
 
 
@@ -118,8 +128,8 @@ class TestCoarseSigmaPipeline:
             assert is_ef_morphism(eta, p, quotiented)
             if p.is_finitely_supported:
                 build_span(Cospan(p, p, quotiented, eta, eta))
-            doc = dumps_canonical(model_to_dict(ef_model(p)))
-            assert model_from_dict(json.loads(doc)).ef == p
+            doc = dumps_canonical(model_to_dict(p))
+            assert model_from_dict(json.loads(doc)) == p
 
     def test_duality_involution_on_coarse_spaces(self):
         rng = Random(269)
@@ -128,3 +138,59 @@ class TestCoarseSigmaPipeline:
             p = rand_ef(rng, space)
             twice = dual_ef(dual_ef(p))
             assert all(equals(twice(s), p(s)) for s in space.carrier)
+
+
+class TestForeignSpaceOnEntry:
+    """Each operation checks its argument's space before it reads a single
+    measure, so an empty or full input from a foreign space is refused with
+    the error a one-measure input gets."""
+
+    TWO = Space.discrete(["a", "b"])
+    FOUR = Space.discrete(["x", "y", "z", "w"])
+    IDENTITY = MeasurableMap(TWO, TWO, {"a": "a", "b": "b"})
+
+    @staticmethod
+    def family(size: str, space: Space) -> UpperSet:
+        if size == "empty":
+            return UpperSet.empty(space)
+        if size == "full":
+            return UpperSet.full(space)
+        return filter_of(MeasureSet(space, [SubProb.dirac(space, space.carrier[0])]))
+
+    @staticmethod
+    def measure(size: str, space: Space) -> SubProb:
+        """The zero measure, a Dirac past the identity's domain, or one in it."""
+        if size == "empty":
+            return SubProb.zero(space)
+        return SubProb.dirac(space, space.carrier[-1 if size == "full" else 0])
+
+    @staticmethod
+    def measure_set(size: str, space: Space) -> MeasureSet:
+        if size == "empty":
+            return MeasureSet(space, ())
+        states = space.carrier if size == "full" else space.carrier[:1]
+        return MeasureSet(space, [SubProb.dirac(space, s) for s in states])
+
+    @pytest.mark.parametrize("size", ["empty", "full", "nonempty"])
+    @pytest.mark.parametrize(
+        "operation, error, message",
+        [
+            ("push_upperset", SpaceMismatchError, "measure does not live on the map's domain"),
+            ("restrict_upperset", IncompatiblePartitionError, "partitions live on different carriers"),
+            ("unique_preimages", SpaceMismatchError, "measure does not live on the map's codomain"),
+            ("MeasureSet.union", SpaceMismatchError, "measure set members must share one space"),
+        ],
+    )
+    def test_foreign_space_is_refused_whatever_the_size(self, operation, error, message, size):
+        calls = {
+            "push_upperset": lambda: push_upperset(self.IDENTITY, self.family(size, self.FOUR)),
+            "restrict_upperset": lambda: restrict_upperset(
+                self.family(size, self.FOUR), Space(["x"], [["x"]])
+            ),
+            "unique_preimages": lambda: unique_preimages(self.IDENTITY, self.measure(size, self.FOUR)),
+            "MeasureSet.union": lambda: self.measure_set("nonempty", self.TWO).union(
+                self.measure_set(size, self.FOUR)
+            ),
+        }
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            calls[operation]()

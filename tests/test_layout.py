@@ -66,6 +66,21 @@ def test_measure_ids_and_masks_stay_in_their_modules():
     assert not readers, f"ids or masks read outside their modules: {sorted(readers)}"
 
 
+def test_a_loaded_model_is_read_as_its_own_type():
+    """``load_model`` returns the ``Nlmp`` or ``EffFn`` a file describes,
+    and ``model_io.KINDS`` maps its type to the file's ``kind``, so no
+    module reads a ``kind``, ``ef`` or ``nlmp`` attribute off a wrapper."""
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        readers.update(
+            f"{path.name}:{node.lineno} .{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("kind", "ef", "nlmp")
+        )
+    assert not readers, f"model kinds read off attributes: {sorted(readers)}"
+
+
 def test_mass_order_is_read_only_for_canonical_order():
     """Measure sets and families are built unsorted: outside ``measure.py``,
     which defines it, ``_mass_order`` is named once each in the bodies of

@@ -464,7 +464,7 @@ class TestIntegerRepresentation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        (mu,) = model.nlmp.kernel("a")("s0")
+        (mu,) = model.kernel("a")("s0")
         assert mu.atoms == (1, 7) and mu.nums == (1, 1) and mu.den == 4
         assert peak < 10 * 2**20, f"loading the 3000-state ring peaked at {peak} bytes"
 

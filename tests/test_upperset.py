@@ -33,7 +33,7 @@ from effkit import (
 )
 from effkit import upperset as upperset_module
 from effkit.effectivity import EffFn, _refine
-from effkit.model_io import dumps_canonical, ef_model, model_to_dict, nlmp_model
+from effkit.model_io import dumps_canonical, model_to_dict
 from effkit.upperset import _minimal
 from helpers import (
     MeasureSetOracle,
@@ -409,7 +409,7 @@ class TestOrderInvariance:
         for p in (ef, angelize(k)):
             found = distinguish(p, *pair)
             witnesses.append((found.satisfied_by, found.formula and format_formula(found.formula)))
-        models = (ef_model(ef), ef_model(dual_ef(ef)), nlmp_model(Nlmp(space, {"a": k})))
+        models = (ef, dual_ef(ef), Nlmp(space, {"a": k}))
         return (
             [[values(g.members) for g in ef(s).generators] for s in carrier],
             [values(k(s).members) for s in carrier],
