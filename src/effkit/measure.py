@@ -5,16 +5,17 @@ its space, with total mass at most one.  It is held by its support: the
 increasing tuple ``atoms`` of the indices of the atoms with positive mass,
 their integer numerators ``nums``, and one positive integer denominator
 ``den``, in lowest terms: ``gcd(den, *nums) == 1``.  Equal measures on a
-space therefore have equal ``(den, atoms, nums)``, so equality, hashing,
-sums over atoms and the mass bound are integer operations, and a measure
-costs its support, not its space.  There is deliberately no floating point
+space therefore have equal ``(den, atoms, nums)``, and the constructor
+returns the one live measure of that key from its space's weak registry,
+so equal measures are one object and compare and hash by identity.  Sums
+over atoms and the mass bound are integer operations, and a measure costs
+its support, not its space.  There is deliberately no floating point
 anywhere, because the bisimulation procedures hinge on exact equality of
 masses and floats would produce false separations; masses are read and
-reported as :class:`fractions.Fraction` (``mass``, ``total``,
-``evaluate``).  Measures on one space sort by their mass vectors; a
-collection sorts by integer keys read off the supports, each numerator
-scaled to the lcm of the collection's denominators (docs/derivations.md,
-section 13).
+reported as :class:`fractions.Fraction` (``total``, ``evaluate``).
+Measures on one space sort by their mass vectors, a collection by integer
+keys read off the supports, each numerator scaled to the lcm of the
+collection's denominators (docs/derivations.md, section 13).
 
 Pushforward and restriction sum the support's numerators along a per-atom
 index map: measurability puts each domain atom inside exactly one codomain
@@ -29,8 +30,12 @@ agreement block by block (see docs/derivations.md).
 
 from __future__ import annotations
 
+import threading
+import weakref
+from _weakref import _remove_dead_weakref  # WeakValueDictionary's atomic removal
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import gcd, lcm
 from typing import Callable, Container, Iterable, Mapping, Sequence
 
@@ -55,7 +60,36 @@ __all__ = [
 RationalLike = Fraction | int | str
 
 
-@dataclass(frozen=True, slots=True)
+# Held while a measure is looked up in or enters its space's registry.
+_LOCK = threading.Lock()
+
+
+class _Registry:
+    """The live measures on one space, held weakly by value, and freed ids."""
+
+    __slots__ = ("refs", "free", "fresh")
+
+    def __init__(self):
+        self.refs: dict[tuple, weakref.ref] = {}
+        self.free: list[int] = []
+        self.fresh = count()
+
+    def add(self, mu: "SubProb", key: tuple) -> None:
+        """Give the new measure ``mu`` an id, a freed one first, and make it
+        the live measure of ``key``.  Its release takes no lock, as it may
+        run inside ``_LOCK`` (docs/derivations.md, section 13)."""
+        refs, free = self.refs, self.free
+        ident = free.pop() if free else next(self.fresh)
+        object.__setattr__(mu, "ident", ident)
+
+        def release(_):
+            _remove_dead_weakref(refs, key)
+            free.append(ident)
+
+        refs[key] = weakref.ref(mu, release)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class SubProb:
     """A subprobability measure held by its support: the increasing atom
     indices ``atoms``, the ``k``-th carrying ``nums[k] / den`` > 0, in
@@ -63,12 +97,15 @@ class SubProb:
 
     ``mass`` maps atom indices to rationals (``Fraction``, ``int`` or
     strings such as ``"1/2"``), or with ``den`` given to integer numerators
-    over ``den``, in any terms; omitted atoms carry zero.  ``ident`` is the
-    measure's id in its space's table: equal measures share it, and as
-    equal spaces are one object, two measures are equal iff they share
-    their space and their id.  A measure pickles and copies by value, so it
-    takes its id on the live space.
+    over ``den``, in any terms; omitted atoms carry zero.  The constructor
+    returns the live measure of its value if there is one.  ``ident`` is
+    the measure's id on its space, unique among the live measures there and
+    reused once the measure dies.  A measure pickles and copies by value, to
+    the live measure of that value.
     """
+
+    # by hand: ``dataclass(weakref_slot=True)`` needs Python 3.11
+    __slots__ = ("space", "den", "atoms", "nums", "ident", "__weakref__")
 
     space: Space
     den: int
@@ -76,7 +113,7 @@ class SubProb:
     nums: tuple[int, ...]
     ident: int
 
-    def __init__(self, space: Space, mass: Mapping[int, RationalLike], den: int | None = None):
+    def __new__(cls, space: Space, mass: Mapping[int, RationalLike], den: int | None = None):
         if den is None:
             masses = {}
             for a, m in mass.items():
@@ -104,19 +141,21 @@ class SubProb:
             nums = tuple([n // g for n in nums])
         if sum(nums) > den:
             raise SpaceMismatchError(f"total mass exceeds 1: {Fraction(sum(nums), den)}")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "ident", space.measure_id(den, atoms, nums))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SubProb):
-            return NotImplemented
-        return self.ident == other.ident and self.space is other.space
-
-    def __hash__(self) -> int:
-        return hash(self.ident)
+        key = (den, atoms, nums)
+        with _LOCK:
+            registry = space.__dict__.get("_measures")
+            if registry is None:  # kept as a cached property is
+                registry = space.__dict__["_measures"] = _Registry()
+            ref = registry.refs.get(key)
+            mu = None if ref is None else ref()
+            if mu is None:
+                mu = object.__new__(cls)
+                object.__setattr__(mu, "space", space)
+                object.__setattr__(mu, "den", den)
+                object.__setattr__(mu, "atoms", atoms)
+                object.__setattr__(mu, "nums", nums)
+                registry.add(mu, key)
+        return mu
 
     def __reduce__(self):
         return SubProb, (self.space, dict(zip(self.atoms, self.nums)), self.den)
@@ -148,14 +187,6 @@ class SubProb:
     def dirac(space: Space, state: str) -> "SubProb":
         """Point mass at ``state`` (all mass on the atom containing it)."""
         return SubProb(space, {space.atom_of(state): 1}, 1)
-
-    @property
-    def mass(self) -> tuple[Fraction, ...]:
-        """The dense vector: one ``Fraction`` per atom of the space."""
-        vec = [Fraction(0)] * len(self.space.atoms)
-        for a, n in zip(self.atoms, self.nums):
-            vec[a] = Fraction(n, self.den)
-        return tuple(vec)
 
     @property
     def total(self) -> Fraction:

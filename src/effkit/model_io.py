@@ -9,10 +9,9 @@ omitted states carrying mass zero.
 
 Files are read as bytes and decoded as UTF-8 (RFC 8259), whatever the
 locale; a file that is not UTF-8 or not JSON, nests too deeply or holds an
-integer too long to convert is a located :class:`ModelFormatError`.  Each
-distinct measure object of one model file is built once, so a measure
-object that repeats in the file becomes one shared :class:`SubProb`; the
-cache lives for one load.
+integer too long to convert is a located :class:`ModelFormatError`.  A
+measure object that repeats in a file loads as one :class:`SubProb`, the
+live measure of its value, and is parsed once per load.
 
 Emission is canonical: states in carrier order, atoms always listed, masses
 in lowest terms, so re-parsing an emitted model yields an equal value and
@@ -25,6 +24,7 @@ from __future__ import annotations
 
 import json
 import re
+from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 from pathlib import Path
@@ -66,52 +66,37 @@ def _rational(raw: str) -> tuple[int, int] | None:
         return None
 
 
-class _MeasureReader:
-    """Reads the measures of one model file.
-
-    Each distinct measure object (the same states and strings in the same
-    order) is built once, so repeats share one :class:`SubProb`.  A reader
-    serves one :func:`model_from_dict` call and is dropped with it.
-    """
-
-    def __init__(self, space: Space, file: str | None):
-        self.space = space
-        self.file = file
-        self.measures: dict[tuple, SubProb] = {}
-
-    def __call__(self, raw: Any, where: str, i: int) -> SubProb:
-        """The measure ``raw``, found at ``where[i]`` in the file."""
-        if not isinstance(raw, dict):
-            raise _fail(
-                f"a measure must be an object, got {type(raw).__name__}", self.file, f"{where}[{i}]"
-            )
-        key = tuple(raw.items())
-        try:
-            mu = self.measures.get(key)
-        except TypeError:  # an unhashable value, which _read reports
-            return self._read(raw, f"{where}[{i}]")
-        if mu is None:
-            mu = self.measures[key] = self._read(raw, f"{where}[{i}]")
+def _read_measure(
+    space: Space, file: str | None, read: dict, raw: Any, where: str, i: int
+) -> SubProb:
+    """The measure ``raw`` on ``space``, found at ``where[i]`` in the file;
+    faults are reported in the order rationals, states, mass.  ``read``
+    maps the items of each measure object read before in the file to its
+    measure, so a repeat is not parsed again (equal measures are one object
+    anyway)."""
+    if not isinstance(raw, dict):
+        raise _fail(f"a measure must be an object, got {type(raw).__name__}", file, f"{where}[{i}]")
+    key = tuple(raw.items())
+    try:
+        mu = read.get(key)
+    except TypeError:  # an unhashable value, which the parse reports
+        mu = None
+    if mu is not None:
         return mu
-
-    def _read(self, raw: dict, location: str) -> SubProb:
-        # faults are reported in the order rationals, states, mass
-        parts = []
-        for state, value in raw.items():
-            pq = _rational(value) if isinstance(value, str) else None
-            if pq is None:
-                raise _fail(
-                    f'rationals must be "p/q", "0" or "1" strings, got {value!r}',
-                    self.file,
-                    f"{location}.{state}",
-                )
-            parts.append(pq)
-        den = lcm(*[q for _, q in parts])
-        nums = [p * (den // q) for p, q in parts]
-        try:
-            return SubProb.of(self.space, dict(zip(raw, nums)), den)
-        except EffkitError as exc:
-            raise _fail(str(exc), self.file, location) from exc
+    parts = []
+    for state, value in raw.items():
+        pq = _rational(value) if isinstance(value, str) else None
+        if pq is None:
+            message = f'rationals must be "p/q", "0" or "1" strings, got {value!r}'
+            raise _fail(message, file, f"{where}[{i}].{state}")
+        parts.append(pq)
+    den = lcm(*[q for _, q in parts])
+    nums = [p * (den // q) for p, q in parts]
+    try:
+        mu = read[key] = SubProb.of(space, dict(zip(raw, nums)), den)
+    except EffkitError as exc:
+        raise _fail(str(exc), file, f"{where}[{i}]") from exc
+    return mu
 
 
 def _parse_space(doc: Mapping[str, Any], file: str | None) -> Space:
@@ -141,7 +126,7 @@ def model_from_dict(doc: Mapping[str, Any], file: str | None = None) -> Nlmp | E
     if kind not in KINDS.values():
         raise _fail("'kind' must be \"nlmp\" or \"ef\"", file, "kind")
     space = _parse_space(doc, file)
-    read_measure = _MeasureReader(space, file)
+    read_measure = partial(_read_measure, space, file, {})
     if kind == "nlmp":
         labels = doc.get("labels")
         if not isinstance(labels, list) or not all(isinstance(a, str) for a in labels):

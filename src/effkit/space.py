@@ -44,8 +44,7 @@ __all__ = [
 ]
 
 
-# Held while ``_SPACES`` is read or filled, or a space hands out a new
-# measure id; looking up an id needs no lock.
+# Held while ``_SPACES`` is read or filled.
 _LOCK = threading.Lock()
 # The live space of each validated ``(carrier, atoms)``.
 _SPACES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
@@ -91,7 +90,6 @@ class Space:
                 space = _SPACES[carrier, blocks] = super().__new__(cls)
                 object.__setattr__(space, "carrier", carrier)
                 object.__setattr__(space, "atoms", blocks)
-                object.__setattr__(space, "_measure_ids", {})
         return space
 
     def __reduce__(self):
@@ -113,19 +111,6 @@ class Space:
     @cached_property
     def _atom_index(self) -> dict[str, int]:
         return {s: i for i, block in enumerate(self.atoms) for s in block}
-
-    def measure_id(self, den: int, atoms: tuple[int, ...], nums: tuple[int, ...]) -> int:
-        """The id on this space of the measure ``nums / den`` on the support
-        ``atoms``, in lowest terms: dense, in order of first use, and shared
-        by equal measures.  The table holds numbers only, never a measure
-        (docs/derivations.md, section 13).  New ids are handed out under a
-        lock, so two threads never give one id to two measures."""
-        key = (den, atoms, nums)
-        ident = self._measure_ids.get(key)
-        if ident is None:
-            with _LOCK:
-                ident = self._measure_ids.setdefault(key, len(self._measure_ids))
-        return ident
 
     @cached_property
     def atom_sets(self) -> tuple[frozenset[str], ...]:
@@ -286,8 +271,7 @@ class Relation:
     of states it relates to.  ``from_partition`` shares one frozenset per
     block, so an equivalence costs O(n) however many pairs it holds.
     ``classes``, ``is_equivalence``, ``is_symmetric`` and ``sigma_r`` work
-    once per distinct related set and never list the pairs; ``pairs``
-    builds them on demand, at O(pairs).
+    once per distinct related set and never list the pairs.
     """
 
     base: Space
@@ -325,17 +309,16 @@ class Relation:
         object.__setattr__(rel, "related", tuple(held.get(s, frozenset()) for s in space.carrier))
         return rel
 
-    @property
-    def pairs(self) -> frozenset[tuple[str, str]]:
-        return frozenset((s, t) for s, ts in zip(self.base.carrier, self.related) for t in ts)
-
     def __contains__(self, pair: tuple[str, str]) -> bool:
         s, t = pair
         i = self.base._index.get(s)
         return i is not None and t in self.related[i]
 
     def __repr__(self) -> str:
-        return f"Relation({sorted(self.pairs)!r})"
+        """One product ``holders x related`` per distinct nonempty related set."""
+        index = self.base._index.__getitem__
+        products = (f"{h!r} x {sorted(ts, key=index)!r}" for ts, h in self._holders.items() if ts)
+        return f"Relation({', '.join(products)})"
 
     @cached_property
     def _holders(self) -> dict[frozenset[str], list[str]]:

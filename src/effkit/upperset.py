@@ -14,14 +14,14 @@ encodes the full family (the empty set is contained in everything).
 
 A measure set holds its members as built, deduplicated and in arrival
 order, beside ``mask``, an int with one bit per member at the member's id
-on the set's space (``Space.measure_id``).  Equal spaces are one object, so
-a bit means one measure wherever it is read.  Duplicates are dropped by
-bit, containment is a bit test and ``A ⊆ B`` is ``A & ~B == 0``, so no test
-hashes a measure.  One routine, ``_minimal``, keeps the minimal members of
-a family of masks in popcount order; the ``UpperSet`` constructor, ``dual``
-(whose hitting sets are masks until the end) and the refinement engine's
-signatures all use it.  Two antichains are equal iff their sets of
-generator masks are.
+on the set's space (``SubProb.ident``).  A set holds its members, so no
+live mask names an id that a dead measure gave back, and a bit means one
+measure wherever it is read.  Duplicates are dropped by bit, containment is
+a bit test and ``A ⊆ B`` is ``A & ~B == 0``.  One routine, ``_minimal``,
+keeps the minimal members of a family of masks in popcount order; the
+``UpperSet`` constructor, ``dual`` (whose hitting sets are masks until the
+end) and the refinement engine's signatures all use it.  Two antichains are
+equal iff their sets of generator masks are.
 
 Iteration, ``len`` and ``in`` read the sets as built.  The canonical order,
 measures by mass vector and generators by size and then by their members,
@@ -92,7 +92,7 @@ class MeasureSet:
         return self.mask == other.mask and self.space is other.space
 
     def __hash__(self) -> int:
-        return hash((self.space, self.members))
+        return hash((self.space, self.mask))
 
     def __reduce__(self):
         return MeasureSet, (self.space, self.members)
@@ -181,12 +181,12 @@ class UpperSet:
         gens = self._kept
         if len(gens) < 2:
             return gens
-        distinct = list({mu.ident: mu for g in gens for mu in g._kept}.values())
+        distinct = list(dict.fromkeys([mu for g in gens for mu in g._kept]))
         distinct.sort(key=_mass_order(distinct))
-        rank = {mu.ident: i for i, mu in enumerate(distinct)}
+        rank = {mu: i for i, mu in enumerate(distinct)}
         keys = {}
         for g in gens:
-            ranks = sorted([rank[mu.ident] for mu in g._kept])
+            ranks = sorted([rank[mu] for mu in g._kept])
             g.__dict__.setdefault("members", tuple([distinct[i] for i in ranks]))
             keys[g.mask] = (len(ranks), ranks)
         return tuple(sorted(gens, key=lambda g: keys[g.mask]))

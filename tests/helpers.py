@@ -61,6 +61,19 @@ from effkit.logic import (
 )
 from effkit.measure import _atoms_of
 
+
+def dense(mu: SubProb) -> tuple[Fraction, ...]:
+    """The dense vector of a measure: one ``Fraction`` per atom of its space."""
+    vec = [Fraction(0)] * len(mu.space.atoms)
+    for a, n in zip(mu.atoms, mu.nums):
+        vec[a] = Fraction(n, mu.den)
+    return tuple(vec)
+
+
+def pairs(rel: Relation) -> frozenset[tuple[str, str]]:
+    """The pairs of a relation, listed from its related sets."""
+    return frozenset((s, t) for s, ts in zip(rel.base.carrier, rel.related) for t in ts)
+
 # ---------------------------------------------------------------------------
 # Random generators (all deterministic under a seeded Random)
 # ---------------------------------------------------------------------------
@@ -306,7 +319,7 @@ def closed_atom_unions(rel: Relation) -> list[frozenset[str]]:
     for bits in itertools.product([0, 1], repeat=len(space.atoms)):
         chosen = [space.atom_sets[i] for i, b in enumerate(bits) if b]
         sset = frozenset().union(*chosen) if chosen else frozenset()
-        if all(t in sset for (s, t) in rel.pairs if s in sset):
+        if all(t in sset for (s, t) in pairs(rel) if s in sset):
             out.append(sset)
     return out
 
@@ -356,14 +369,15 @@ def subprob_oracle(space: Space, masses) -> tuple[Fraction, ...]:
 def dense_numerators(mu: SubProb) -> tuple[int, ...]:
     """One integer numerator over ``mu.den`` per atom, zeros included: the
     dense vector ``SubProb`` held before it held its support."""
-    return tuple(int(m * mu.den) for m in mu.mass)
+    return tuple(int(m * mu.den) for m in dense(mu))
 
 
 def evaluate_oracle(mu: SubProb, states) -> Fraction:
     idx = mu.space.atoms_of_set(states)
     if idx is None:
         raise NotMeasurableSetError("not a union of atoms")
-    return sum((mu.mass[i] for i in idx), Fraction(0))
+    vec = dense(mu)
+    return sum((vec[i] for i in idx), Fraction(0))
 
 
 def pushforward_oracle(f: MeasurableMap, mu: SubProb) -> tuple[Fraction, ...]:
@@ -386,7 +400,7 @@ def unique_preimages_oracle(f: MeasurableMap, nu: SubProb) -> list[tuple[Fractio
     of the one preimage, ``[]`` or ``None``, decided at the first atom with
     positive mass whose preimage is not one domain atom."""
     vec = [Fraction(0)] * len(f.domain.atoms)
-    for idx, q in zip(f.preimage_atoms, nu.mass):
+    for idx, q in zip(f.preimage_atoms, dense(nu)):
         if q:
             if not idx:
                 return []
@@ -399,13 +413,13 @@ def unique_preimages_oracle(f: MeasurableMap, nu: SubProb) -> list[tuple[Fractio
 def measure_dict_oracle(mu: SubProb) -> dict[str, str]:
     """The emitted form of a measure read off the dense mass vector: each
     atom with positive mass, named by its first state."""
-    return {block[0]: str(q) for block, q in zip(mu.space.atoms, mu.mass) if q}
+    return {block[0]: str(q) for block, q in zip(mu.space.atoms, dense(mu)) if q}
 
 
 def upperset_order_oracle(generators) -> list[tuple[tuple[Fraction, ...], ...]]:
     """Generator order of the UpperSet of ``generators``: the minimal
     distinct ones, by size and then by their members' mass vectors."""
-    keys = {tuple(sorted(mu.mass for mu in g.members)) for g in generators}
+    keys = {tuple(sorted(dense(mu) for mu in g.members)) for g in generators}
     kept = minimal_oracle({frozenset(k) for k in keys})
     return sorted(
         (k for k in keys if frozenset(k) in kept), key=lambda k: (len(k), k)
@@ -436,7 +450,16 @@ class PairRelation:
         return pair in self.pairs
 
     def __repr__(self) -> str:
-        return f"Relation({sorted(self.pairs)!r})"
+        """``Relation``'s format, from the pairs: one product per distinct
+        nonempty set of related states, in the carrier order of its first
+        holder."""
+        order = self.base.carrier
+        products: dict[tuple[str, ...], list[str]] = {}
+        for s in order:
+            ts = tuple(t for t in order if (s, t) in self.pairs)
+            if ts:
+                products.setdefault(ts, []).append(s)
+        return f"Relation({', '.join(f'{h!r} x {list(ts)!r}' for ts, h in products.items())})"
 
     @property
     def is_symmetric(self) -> bool:
@@ -573,14 +596,14 @@ def ef_transfer_oracle(p: EffFn, rel: Relation, agree) -> bool:
     of the (finite stand-ins for the) portfolios, not just generators."""
     pool = sorted(
         {mu for _, u in p.portfolio for g in u.generators for mu in g},
-        key=lambda m: m.mass,
+        key=dense,
     )
     subsets = [
         MeasureSet(p.space, combo)
         for r in range(len(pool) + 1)
         for combo in itertools.combinations(pool, r)
     ]
-    for s, t in rel.pairs:
+    for s, t in pairs(rel):
         for a in subsets:
             if not contains(p(s), a):
                 continue
@@ -609,7 +632,7 @@ def _transfer_test(system, quotient: Space):
     label: every successor of ``s`` agrees with a successor of ``t``."""
 
     def restricted(ms):
-        return [restrict(mu, quotient).mass for mu in ms]
+        return [dense(restrict(mu, quotient)) for mu in ms]
 
     carrier = system.space.carrier
     if isinstance(system, EffFn):
@@ -624,7 +647,7 @@ def transfer_oracle(system, rel: Relation) -> bool:
     """State-bisimulation test of a symmetric relation by checking the
     transfer condition pair by pair."""
     holds = _transfer_test(system, sigma_r(rel))
-    return all(holds(s, t) for s, t in rel.pairs)
+    return all(holds(s, t) for s, t in pairs(rel))
 
 
 def pairwise_bisim_oracle(system) -> Relation:
@@ -635,7 +658,7 @@ def pairwise_bisim_oracle(system) -> Relation:
     rel = Relation.full(space)
     while True:
         holds = _transfer_test(system, sigma_r(rel))
-        refined = Relation(space, [(s, t) for s, t in rel.pairs if holds(s, t) and holds(t, s)])
+        refined = Relation(space, [(s, t) for s, t in pairs(rel) if holds(s, t) and holds(t, s)])
         if refined == rel:
             return rel
         rel = refined
@@ -1236,7 +1259,7 @@ class MeasureSetOracle:
             if mu.space != space:
                 raise SpaceMismatchError("measure set members must share one space")
         self.space = space
-        self.members = tuple(sorted(unique, key=lambda mu: mu.mass))
+        self.members = tuple(sorted(unique, key=dense))
         self.member_set = unique
 
     def __eq__(self, other) -> bool:
@@ -1269,7 +1292,7 @@ def upperset_oracle(space: Space, generators) -> tuple[MeasureSetOracle, ...]:
     """Canonical antichain of oracle measure sets: sorted by member mass
     vectors, then the minimal ones."""
     gens = list(generators)
-    gens.sort(key=lambda g: tuple(mu.mass for mu in g.members))
+    gens.sort(key=lambda g: tuple(dense(mu) for mu in g.members))
     return tuple(minimal_in_order_oracle(gens))
 
 

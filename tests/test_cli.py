@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from effkit.cli import run
 from effkit.model_io import dumps_canonical, load_model, model_from_dict, model_to_dict
 from helpers import (
+    dense,
     dumps_oracle,
     formula_texts,
     rand_ef,
@@ -69,7 +71,7 @@ def planted_clones(rng: Random, k: int) -> EffFn:
 
     def lift(nu: SubProb) -> SubProb:
         masses = {}
-        for i, m in enumerate(nu.mass):
+        for i, m in enumerate(dense(nu)):
             cut = m * Fraction(rng.randint(0, 2), 2)
             masses[f"c{i}a"], masses[f"c{i}b"] = cut, m - cut
         return SubProb.of(space, masses)
@@ -215,8 +217,12 @@ class TestValidate:
         (mu,) = nlmp.kernel("a")("s0").members
         assert [nu for nu in nlmp.kernel("a")("s1").members if nu == mu][0] is mu
         assert nlmp.kernel("b")("s2").members[0] is mu
-        # no measure outlives its load
-        assert load_model(path).kernel("a")("s0").members[0] is not mu
+        # a second load finds the live measure, and no load keeps one alive
+        assert load_model(path).kernel("a")("s0").members[0] is mu
+        gone = weakref.ref(mu)
+        del nlmp, mu
+        gc.collect()
+        assert gone() is None
         effectivity = {"s0": [[half], [half, {}]], "s1": [[{}, half]], "s2": [[{}]]}
         ef = load_model(write(tmp_path, "ef.json", dict(EF_A_DOC, effectivity=effectivity)))
         shared = [mu for s in ef.space.carrier for g in ef(s).generators for mu in g.members]

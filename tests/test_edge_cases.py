@@ -123,7 +123,7 @@ class TestCoarseSigmaPipeline:
         for _ in range(100):
             space = rand_space(rng, 1, 5, allow_coarse=True)
             p = constant_per_atom_ef(rng, space)
-            assert logical_equivalence(p).pairs == greatest_ef_bisim(p).pairs
+            assert logical_equivalence(p) == greatest_ef_bisim(p)
             quotiented, eta = quotient(p, greatest_ef_bisim(p))
             assert is_ef_morphism(eta, p, quotiented)
             if p.is_finitely_supported:

@@ -49,10 +49,10 @@ def test_every_import_is_used():
 
 def test_measure_ids_and_masks_stay_in_their_modules():
     """A measure's ``ident`` and a measure set's ``mask`` are read only in
-    the modules that define them (``space.py`` holds the id table), so
+    the modules that define them (``measure.py`` hands out the ids), so
     every other module goes through ``MeasureSet``'s methods or
     ``_minimal``."""
-    owners = {"space.py", "measure.py", "upperset.py"}
+    owners = {"measure.py", "upperset.py"}
     readers = set()
     for path in sorted(SRC.glob("*.py")):
         if path.name in owners:

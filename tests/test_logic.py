@@ -469,7 +469,7 @@ class TestLogicalEquivalence:
         for _ in range(60):
             space = rand_space(rng, 2, 5)
             p = rand_ef(rng, space)
-            assert logical_equivalence(p).pairs == greatest_ef_bisim(p).pairs
+            assert logical_equivalence(p) == greatest_ef_bisim(p)
 
     def test_collision_heavy_portfolios_agree_with_both_oracles(self):
         # low-entropy masses maximize accidental agreements, stressing the
@@ -494,7 +494,7 @@ class TestLogicalEquivalence:
             p = EffFn(space, portfolio)
             le = logical_equivalence(p)
             gb = greatest_ef_bisim(p)
-            assert le.pairs == gb.pairs
+            assert le == gb
             assert {frozenset(c) for c in gb.classes()} == blockwise_bisim_oracle(p)
 
     def test_upsets_generate_partition_sigma(self):

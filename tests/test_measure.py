@@ -4,14 +4,23 @@ invariant transport."""
 from __future__ import annotations
 
 import copy
+import gc
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
+import threading
 import tracemalloc
+import weakref
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import effkit
 from effkit import (
     IncompatiblePartitionError,
     MeasurableMap,
@@ -37,6 +46,7 @@ from effkit.measure import _mass_order
 from effkit.model_io import _measure_to_dict, dumps_canonical, model_from_dict
 from helpers import (
     agree_mod_oracle,
+    dense,
     dumps_oracle,
     evaluate_oracle,
     measure_dict_oracle,
@@ -68,7 +78,7 @@ class TestSubProb:
             SubProb(S3, {0: Fraction(-1, 2)})
 
     def test_dirac_and_zero(self):
-        assert SubProb.dirac(S3, "s1").mass == (0, 1, 0)
+        assert dense(SubProb.dirac(S3, "s1")) == (0, 1, 0)
         assert SubProb.zero(S3).total == 0
 
     def test_one_key_per_atom(self):
@@ -76,7 +86,7 @@ class TestSubProb:
         with pytest.raises(SpaceMismatchError):
             SubProb.of(coarse, {"s0": "1/4", "s1": "1/4"})
         mu = SubProb.of(coarse, {"s1": "1/4"})
-        assert mu.mass == (Fraction(1, 4), 0)
+        assert dense(mu) == (Fraction(1, 4), 0)
 
 
 class TestEvaluate:
@@ -99,7 +109,7 @@ class TestEvaluate:
 class TestPushforward:
     def test_forced_by_definition(self):
         nu = pushforward(F3TO2, MU_A)
-        assert nu.mass == (Fraction(3, 4), 0)
+        assert dense(nu) == (Fraction(3, 4), 0)
 
     def test_identity(self):
         assert pushforward(MeasurableMap.identity(S3), MU_A) == MU_A
@@ -130,13 +140,13 @@ class TestRestrict:
     COARSE = Space(["s0", "s1", "s2"], [["s0", "s1"], ["s2"]])
 
     def test_blocks_summed(self):
-        assert restrict(MU_A, self.COARSE).mass == (Fraction(3, 4), 0)
+        assert dense(restrict(MU_A, self.COARSE)) == (Fraction(3, 4), 0)
 
     def test_same_partition_identity(self):
         assert restrict(MU_A, S3) == MU_A
 
     def test_dirac(self):
-        assert restrict(SubProb.dirac(S3, "s1"), self.COARSE).mass == (1, 0)
+        assert dense(restrict(SubProb.dirac(S3, "s1"), self.COARSE)) == (1, 0)
 
     def test_incompatible(self):
         other = Space(["s0", "s1"], [["s0", "s1"]])
@@ -225,11 +235,11 @@ class TestInvariantTransport:
         nu = SubProb.of(T2, {"t0": "1/2", "t1": "1/2"})
         mu = invariant_measure_transport(F3TO2, nu)
         assert set(mu.space.atom_sets) == {frozenset({"s0", "s1"}), frozenset({"s2"})}
-        assert mu.mass == (Fraction(1, 2), Fraction(1, 2))
+        assert dense(mu) == (Fraction(1, 2), Fraction(1, 2))
 
     def test_identity(self):
         mu = invariant_measure_transport(MeasurableMap.identity(S3), MU_A)
-        assert mu.mass == MU_A.mass
+        assert dense(mu) == dense(MU_A)
 
     def test_zero(self):
         assert invariant_measure_transport(F3TO2, SubProb.zero(T2)).total == 0
@@ -331,7 +341,7 @@ class TestIntegerRepresentation:
                 continue
             built += 1
             mu = SubProb(space, masses)
-            assert mu.mass == vec and mu.total == sum(vec)
+            assert dense(mu) == vec and mu.total == sum(vec)
             assert mu.den == lcm(*(q.denominator for q in vec))
             assert gcd(mu.den, *mu.nums) == 1
             assert mu.atoms == tuple(i for i, q in enumerate(vec) if q)
@@ -360,18 +370,18 @@ class TestIntegerRepresentation:
             cod = rand_space(rng, 1, 4, allow_coarse=True)
             f = rand_measurable_map(rng, space, cod)
             nu = pushforward(f, mu)
-            assert nu.mass == pushforward_oracle(f, mu)
+            assert dense(nu) == pushforward_oracle(f, mu)
             for pre in unique_preimages(f, nu) or ():
                 assert pushforward(f, pre) == nu
 
             coarser = rand_coarsening(rng, space)
-            assert restrict(mu, coarser).mass == restrict_oracle(mu, coarser)
+            assert dense(restrict(mu, coarser)) == restrict_oracle(mu, coarser)
             other = Space(space.carrier, rand_partition_blocks(rng, list(space.carrier)))
             if restrict_oracle(mu, other) is None:
                 with pytest.raises(IncompatiblePartitionError):
                     restrict(mu, other)
             else:
-                assert restrict(mu, other).mass == restrict_oracle(mu, other)
+                assert dense(restrict(mu, other)) == restrict_oracle(mu, other)
 
             pairs = set()
             for _ in range(rng.randint(0, 3)):
@@ -391,16 +401,16 @@ class TestIntegerRepresentation:
             masses = _rand_sparse(rng, n)
             vec = subprob_oracle(space, masses)
             mu = SubProb(space, masses)
-            assert mu.mass == vec and mu.total == sum(vec)
+            assert dense(mu) == vec and mu.total == sum(vec)
             assert mu.atoms == tuple(sorted(masses)) and len(mu.nums) == len(mu.atoms)
             assert mu.den == lcm(*(q.denominator for q in vec)) and gcd(mu.den, *mu.nums) == 1
-            dense = SubProb(space, dict(enumerate(vec)))
-            assert dense == mu and dense.ident == mu.ident
+            full = SubProb(space, dict(enumerate(vec)))
+            assert full == mu and full is mu
             other = SubProb(space, _rand_sparse(rng, n))
-            assert (other.ident == mu.ident) == (other.mass == vec)
+            assert (other is mu) == (dense(other) == vec)
 
             for twin in (pickle.loads(pickle.dumps(mu)), copy.deepcopy(mu)):
-                assert twin == mu and twin.ident == mu.ident
+                assert twin == mu and twin is mu
                 assert (twin.den, twin.atoms, twin.nums) == (mu.den, mu.atoms, mu.nums)
 
             expected = measure_dict_oracle(mu)
@@ -421,12 +431,12 @@ class TestIntegerRepresentation:
             cod = rand_space(rng, 1, 40, allow_coarse=True)
             f = rand_measurable_map(rng, space, cod)
             nu = pushforward(f, mu)
-            assert nu.mass == pushforward_oracle(f, mu)
+            assert dense(nu) == pushforward_oracle(f, mu)
             got = unique_preimages(f, nu)
             want = unique_preimages_oracle(f, nu)
-            assert (got if got is None else [pre.mass for pre in got]) == want
+            assert (got if got is None else [dense(pre) for pre in got]) == want
             coarser = rand_coarsening(rng, space)
-            assert restrict(mu, coarser).mass == restrict_oracle(mu, coarser)
+            assert dense(restrict(mu, coarser)) == restrict_oracle(mu, coarser)
 
     def test_wide_sparse_order_follows_fraction_vectors(self):
         """The support keys order measures as their dense vectors, when one
@@ -449,7 +459,7 @@ class TestIntegerRepresentation:
                     pool.add(SubProb(space, {a: q for a, q in masses.items() if a != top}))
             pool = list(pool)
             rng.shuffle(pool)
-            by_vector = sorted(pool, key=lambda mu: mu.mass)
+            by_vector = sorted(pool, key=dense)
             assert sorted(pool, key=_mass_order(pool)) == by_vector
             ms = MeasureSet(space, pool)
             assert list(ms.members) == by_vector
@@ -474,10 +484,10 @@ class TestIntegerRepresentation:
             space = rand_space(rng, 1, 4, allow_coarse=True)
             pool = [rand_subprob(rng, space, max_den=rng.choice([2, 6, 12])) for _ in range(6)]
             ms = MeasureSet(space, rng.sample(pool, rng.randint(0, 6)))
-            assert [mu.mass for mu in ms.members] == sorted({mu.mass for mu in ms.members})
+            assert [dense(mu) for mu in ms.members] == sorted({dense(mu) for mu in ms.members})
             gens = [MeasureSet(space, rng.sample(pool, rng.randint(0, 3))) for _ in range(5)]
             u = UpperSet(space, gens)
-            got = [tuple(mu.mass for mu in g.members) for g in u.generators]
+            got = [tuple(dense(mu) for mu in g.members) for g in u.generators]
             assert got == upperset_order_oracle(gens)
 
 
@@ -487,8 +497,175 @@ class TestMeasureIds:
         twin = Space(["a", "b"])
         assert twin is space and Space(space.carrier, space.atoms) is space
         mu = SubProb.of(space, {"a": "1/2"})
-        assert SubProb(space, {0: "2/4", 1: 0}).ident == mu.ident
-        assert SubProb.of(space, {"b": "1/2"}).ident != mu.ident
+        assert SubProb(space, {0: "2/4", 1: 0}) is mu
+        other = SubProb.of(space, {"b": "1/2"})
+        assert other is not mu and other.ident != mu.ident
         nu = SubProb.of(twin, {"a": "1/2"})
-        assert nu == mu and hash(nu) == hash(mu) and nu.ident == mu.ident
+        assert nu == mu and hash(nu) == hash(mu) and nu is mu
         assert nu != SubProb.of(Space(["a", "c"]), {"a": "1/2"})
+
+    def test_an_equal_value_is_the_live_measure(self):
+        """Every construction path, pickling and copying give the live
+        measure of a value, also on a space dropped and built again."""
+        carrier = ("idem-a", "idem-b", "idem-c")
+        kept = None
+        for _ in range(2):
+            space = Space(carrier)
+            if kept is not None:  # unpickled after its space was dropped
+                assert pickle.loads(kept) is SubProb.of(space, {"idem-a": "1/3", "idem-c": "1/6"})
+            mu = SubProb.of(space, {"idem-a": "1/3", "idem-c": "1/6"})
+            assert SubProb(space, {2: Fraction(1, 6), 0: "2/6", 1: 0}) is mu
+            assert SubProb.of(space, {"idem-c": 1, "idem-a": 2}, den=6) is mu
+            point = SubProb.dirac(space, "idem-b")
+            assert SubProb.of(space, {"idem-b": 1}) is point and SubProb(space, {1: 3}, 3) is point
+            zero = SubProb.zero(space)
+            assert SubProb(space, {}) is zero and SubProb.of(space, {"idem-a": 0}) is zero
+            for value in (mu, point, zero):
+                assert pickle.loads(pickle.dumps(value)) is value
+                assert copy.deepcopy(value) is value and copy.copy(value) is value
+            assert copy.deepcopy(MeasureSet(space, [mu, zero])).members == (zero, mu)
+            kept = pickle.dumps(mu)
+            gone = weakref.ref(space)
+            del space, mu, point, zero, value
+            gc.collect()
+            assert gone() is None
+
+    @staticmethod
+    def _churn(space: Space, count: int):
+        """Build and drop ``count`` distinct two-mass measures on ``space``,
+        yielding each while it lives: ``1/(i+2)`` on the first atom and
+        ``1/(i+3)`` on the third."""
+        for i in range(count):
+            yield SubProb(space, {0: i + 3, 2: i + 2}, (i + 2) * (i + 3))
+
+    def test_dropped_measures_leave_nothing_behind(self):
+        space = Space.discrete(["leak-a", "leak-b", "leak-c"])
+        live = [SubProb.dirac(space, "leak-b"), SubProb.zero(space)]
+        registry = space._measures
+        before = len(registry.refs)
+        top = 0
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            for mu in self._churn(space, 100_000):
+                top = max(top, mu.ident)
+            del mu
+            grown = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert len(registry.refs) == before == len(live)
+        assert top < 64, f"ids up to {top} for at most {len(live) + 2} live measures"
+        assert grown < 2**20, f"100 000 dropped measures left {grown} bytes behind"
+
+    def test_reused_ids_never_meet_a_live_mask(self):
+        space = Space.discrete(["reuse-a", "reuse-b", "reuse-c"])
+        a, b, c = (SubProb.dirac(space, s) for s in space.carrier)
+        half = SubProb.of(space, {"reuse-a": "1/2"})
+        ab, c_half = MeasureSet(space, [a, b]), MeasureSet(space, [c, half])
+        u = UpperSet(space, [ab, c_half])
+        hashes = hash(ab), hash(c_half), hash(u)
+        held = ab.mask | c_half.mask
+        for mu in self._churn(space, 100_000):
+            assert not held & 1 << mu.ident
+            assert mu not in ab and mu not in c_half
+        del mu
+        gc.collect()
+        assert (hash(ab), hash(c_half), hash(u)) == hashes
+        assert ab == MeasureSet(space, [b, a]) and c_half == MeasureSet(space, [half, c])
+        assert u == UpperSet(space, [MeasureSet(space, [half, c]), MeasureSet(space, [b, a])])
+        assert [mu in ab for mu in (a, b, c, half)] == [True, True, False, False]
+        assert list(u.generators) == [c_half, ab] and ab.members == (b, a)
+
+    def test_threads_building_one_value_get_one_object(self):
+        space = Space.discrete([f"threaded-{i}" for i in range(20)])
+        values = [{i % 20: Fraction(1, i + 2), (i + 7) % 20: Fraction(1, 3)} for i in range(400)]
+        barrier = threading.Barrier(4, timeout=10)
+        got: list[list[SubProb]] = []
+
+        def build():
+            barrier.wait()
+            got.append([SubProb(space, mass) for mass in values])
+
+        threads = [threading.Thread(target=build) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(got) == 4
+        for built in zip(*got):
+            assert all(mu is built[0] for mu in built)
+        assert len({mu.ident for mu in got[0]}) == len(values)
+
+    def test_a_value_built_again_before_its_dead_measure_is_released_stays_live(self):
+        """The collector clears all weak references into a cycle before it
+        runs any of their callbacks.  A callback that builds the value of a
+        dead measure of the cycle gets a new measure, and the dead one's
+        release, before or after it, must leave the new one registered."""
+        space = Space.discrete(["twin-a", "twin-b"])
+        rebuilt = []
+
+        class Holder:
+            pass
+
+        def rebuild(_):
+            rebuilt.append(SubProb(space, {0: 1}, 3))
+
+        gc.disable()
+        try:
+            first, mu, last = Holder(), SubProb(space, {0: 1}, 3), Holder()
+            cycle = [first, mu, last]
+            cycle.append(cycle)
+            hooks = [weakref.ref(first, rebuild), weakref.ref(last, rebuild)]
+            gone = weakref.ref(mu)
+            del first, mu, last, cycle
+            gc.collect()
+        finally:
+            gc.enable()
+        assert gone() is None and len(rebuilt) == len(hooks)
+        assert rebuilt[0] is rebuilt[1] is SubProb.of(space, {"twin-a": "1/3"})
+        assert list(space._measures.refs) == [(3, (0,), (1,))]
+
+    def test_a_measure_freed_in_a_cycle_while_one_is_built_does_not_deadlock(self):
+        """The collector runs inside the constructor's locked region, where
+        a new id is taken, and frees a measure held by a reference cycle;
+        its release must not wait for the lock.  Run apart, so that a
+        deadlock fails the test instead of hanging the suite."""
+        script = textwrap.dedent(
+            """
+            import gc
+            from fractions import Fraction
+            from effkit import Space, SubProb
+
+            space = Space.discrete(["a", "b", "c"])
+            kept = [SubProb.zero(space)]
+            registry = space._measures
+            fresh = registry.fresh
+            freed = []
+
+            def collecting():
+                while True:
+                    freed.append(gc.collect())
+                    yield next(fresh)
+
+            registry.fresh = collecting()
+            for i in range(50):
+                cycle = [SubProb(space, {0: Fraction(1, i + 2)})]
+                cycle.append(cycle)
+                del cycle
+                kept.append(SubProb(space, {1: Fraction(1, i + 2)}))
+            gc.collect()
+            assert len(registry.refs) == len(kept) and sum(map(bool, freed)) >= 40, freed
+            print("done")
+            """
+        )
+        src = str(Path(effkit.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "done\n", "")

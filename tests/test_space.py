@@ -39,6 +39,7 @@ from helpers import (
     atom_map_oracle,
     generated_field,
     measurability_oracle,
+    pairs,
     rand_measurable_map,
     rand_partition_blocks,
     rand_space,
@@ -185,7 +186,7 @@ class TestInterning:
         gc.disable()
         try:
             sp = Space(["dropped-a", "dropped-b"], [["dropped-a", "dropped-b"]])
-            # fill its id table and its cached properties first
+            # fill its measure registry and its cached properties first
             SubProb.of(sp, {"dropped-a": "1/2"})
             sp.atom_sets
             gone = weakref.ref(sp)
@@ -328,7 +329,7 @@ class TestKernelOf:
 
     def test_identity_map_diagonal(self):
         rel = kernel_of(MeasurableMap.identity(S3))
-        assert rel.pairs == frozenset((s, s) for s in S3.carrier)
+        assert pairs(rel) == frozenset((s, s) for s in S3.carrier)
 
     def test_constant_map_full(self):
         one = Space.discrete(["u"])
@@ -382,7 +383,7 @@ class TestRelationAgainstPairOracle:
                 rel = Relation.from_partition(space, data)
                 ref = PairRelation.from_partition(space, data)
             shapes[ref.is_equivalence] += 1
-            assert rel.pairs == ref.pairs
+            assert pairs(rel) == ref.pairs
             assert repr(rel) == repr(ref)
             assert rel.is_symmetric == ref.is_symmetric
             assert rel.is_equivalence == ref.is_equivalence
@@ -427,6 +428,8 @@ class TestRelationAgainstPairOracle:
             assert ("s0", "s1999") in rel and ("s0", "zz") not in rel
             assert rel == kernel_of(const) and hash(rel) == hash(Relation.full(space))
             assert len(sigma_r(rel).atoms) == 1
+            listing = list(space.carrier)
+            assert repr(rel) == f"Relation({listing!r} x {listing!r})"
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
