@@ -7,7 +7,10 @@ their integer numerators ``nums``, and one positive integer denominator
 ``den``, in lowest terms: ``gcd(den, *nums) == 1``.  Equal measures on a
 space therefore have equal ``(den, atoms, nums)``, and the constructor
 returns the one live measure of that key from its space's weak registry,
-so equal measures are one object and compare and hash by identity.  Sums
+so equal measures are one object and compare and hash by identity.  Every
+construction, the constructor's, pushforward's, restriction's and the model
+loader's, ends in one routine, ``_interned``, which reduces an integer
+support and interns it.  Sums
 over atoms and the mass bound are integer operations, and a measure costs
 its support, not its space.  There is deliberately no floating point
 anywhere, because the bisimulation procedures hinge on exact equality of
@@ -125,37 +128,7 @@ class SubProb:
             mass = {a: q.numerator * (den // q.denominator) for a, q in masses.items()}
         elif den < 1:
             raise SpaceMismatchError(f"denominator must be positive, got {den!r}")
-        atoms, nums = zip(*sorted(mass.items())) if mass else ((), ())
-        if nums and min(nums) < 0:
-            raise SpaceMismatchError(f"negative mass {Fraction(min(nums), den)!r}")
-        size = len(space.atoms)
-        if atoms and (atoms[0] < 0 or atoms[-1] >= size):
-            bad = next(a for a in mass if not 0 <= a < size)
-            raise SpaceMismatchError(f"atom index {bad!r} outside the {size} atoms of the space")
-        if 0 in nums:
-            atoms = tuple([a for a in atoms if mass[a]])
-            nums = tuple([n for n in nums if n])
-        g = gcd(den, *nums)
-        if g > 1:
-            den //= g
-            nums = tuple([n // g for n in nums])
-        if sum(nums) > den:
-            raise SpaceMismatchError(f"total mass exceeds 1: {Fraction(sum(nums), den)}")
-        key = (den, atoms, nums)
-        with _LOCK:
-            registry = space.__dict__.get("_measures")
-            if registry is None:  # kept as a cached property is
-                registry = space.__dict__["_measures"] = _Registry()
-            ref = registry.refs.get(key)
-            mu = None if ref is None else ref()
-            if mu is None:
-                mu = object.__new__(cls)
-                object.__setattr__(mu, "space", space)
-                object.__setattr__(mu, "den", den)
-                object.__setattr__(mu, "atoms", atoms)
-                object.__setattr__(mu, "nums", nums)
-                registry.add(mu, key)
-        return mu
+        return _interned(space, mass, den)
 
     def __reduce__(self):
         return SubProb, (self.space, dict(zip(self.atoms, self.nums)), self.den)
@@ -198,6 +171,46 @@ class SubProb:
         return f"SubProb({masses!r})" if masses else "SubProb(zero)"
 
 
+def _interned(space: Space, mass: Mapping[int, int], den: int) -> SubProb:
+    """The live measure on ``space`` whose atom ``a`` carries
+    ``mass[a] / den``, for integer numerators over a positive ``den`` in any
+    terms, built if there is none: the support is sorted, range-checked,
+    stripped of zeros, reduced by its gcd with ``den`` and bounded by one,
+    then looked up in, or entered into, the space's registry
+    (docs/derivations.md, section 13).  Every measure is built here."""
+    atoms, nums = zip(*sorted(mass.items())) if mass else ((), ())
+    if nums and min(nums) < 0:
+        raise SpaceMismatchError(f"negative mass {Fraction(min(nums), den)!r}")
+    size = len(space.atoms)
+    if atoms and (atoms[0] < 0 or atoms[-1] >= size):
+        bad = next(a for a in mass if not 0 <= a < size)
+        raise SpaceMismatchError(f"atom index {bad!r} outside the {size} atoms of the space")
+    if 0 in nums:
+        atoms = tuple([a for a in atoms if mass[a]])
+        nums = tuple([n for n in nums if n])
+    g = gcd(den, *nums)
+    if g > 1:
+        den //= g
+        nums = tuple([n // g for n in nums])
+    if sum(nums) > den:
+        raise SpaceMismatchError(f"total mass exceeds 1: {Fraction(sum(nums), den)}")
+    key = (den, atoms, nums)
+    with _LOCK:
+        registry = space.__dict__.get("_measures")
+        if registry is None:  # kept as a cached property is
+            registry = space.__dict__["_measures"] = _Registry()
+        ref = registry.refs.get(key)
+        mu = None if ref is None else ref()
+        if mu is None:
+            mu = object.__new__(SubProb)
+            object.__setattr__(mu, "space", space)
+            object.__setattr__(mu, "den", den)
+            object.__setattr__(mu, "atoms", atoms)
+            object.__setattr__(mu, "nums", nums)
+            registry.add(mu, key)
+    return mu
+
+
 def _mass_order(measures: Iterable[SubProb]) -> Callable[[SubProb], tuple]:
     """A sort key ordering the given measures, all on one space, as their
     mass vectors: per support atom ``a`` in increasing order, the pair of
@@ -237,7 +250,7 @@ def _collect(space: Space, into: Sequence[int], mu: SubProb) -> SubProb:
     mass: dict[int, int] = {}
     for a, n in zip(mu.atoms, mu.nums):
         mass[into[a]] = mass.get(into[a], 0) + n
-    return SubProb(space, mass, mu.den)
+    return _interned(space, mass, mu.den)
 
 
 def pushforward(f: MeasurableMap, mu: SubProb) -> SubProb:
@@ -267,7 +280,7 @@ def unique_preimages(f: MeasurableMap, nu: SubProb) -> list[SubProb] | None:
         if len(idx) > 1:
             return None  # infinitely many splits
         mass[idx[0]] = weight
-    return [SubProb(f.domain, mass, nu.den)]
+    return [_interned(f.domain, mass, nu.den)]
 
 
 def restrict(mu: SubProb, coarser: Space) -> SubProb:

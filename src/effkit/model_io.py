@@ -10,8 +10,13 @@ omitted states carrying mass zero.
 Files are read as bytes and decoded as UTF-8 (RFC 8259), whatever the
 locale; a file that is not UTF-8 or not JSON, nests too deeply or holds an
 integer too long to convert is a located :class:`ModelFormatError`.  A
-measure object that repeats in a file loads as one :class:`SubProb`, the
-live measure of its value, and is parsed once per load.
+measure object is read straight to integer numerators over the lcm of its
+denominators, each rational string parsed once per load, and handed to the
+routine that reduces and interns every measure
+(docs/derivations.md, section 13); one that repeats in a file loads as one
+:class:`SubProb`, the live measure of its value, and is parsed once per
+load.  A model whose states of one atom have different dynamics is not
+measurable for its ``sigma`` and is refused there (sections 3 and 4).
 
 Emission is canonical: states in carrier order, atoms always listed, masses
 in lowest terms, so re-parsing an emitted model yields an equal value and
@@ -32,7 +37,7 @@ from typing import Any, Mapping
 
 from .effectivity import EffFn
 from .errors import EffkitError, ModelFormatError
-from .measure import SubProb
+from .measure import SubProb, _interned
 from .nlmp import Kernel, Nlmp
 from .space import MeasurableMap, Space
 from .upperset import MeasureSet, UpperSet
@@ -67,13 +72,16 @@ def _rational(raw: str) -> tuple[int, int] | None:
 
 
 def _read_measure(
-    space: Space, file: str | None, read: dict, raw: Any, where: str, i: int
+    space: Space, file: str | None, read: dict, rationals: dict, raw: Any, where: str, i: int
 ) -> SubProb:
-    """The measure ``raw`` on ``space``, found at ``where[i]`` in the file;
-    faults are reported in the order rationals, states, mass.  ``read``
-    maps the items of each measure object read before in the file to its
-    measure, so a repeat is not parsed again (equal measures are one object
-    anyway)."""
+    """The measure ``raw`` on ``space``, found at ``where[i]`` in the file:
+    its values are parsed, then its states resolved to atoms with integer
+    numerators over the lcm of the denominators, which go straight to
+    ``measure._interned``, so faults are reported in the order rationals,
+    states, mass.  ``read`` maps the items of each measure object
+    read before in the file to its measure, so a repeat is not parsed again
+    (equal measures are one object anyway), and ``rationals`` maps each
+    rational string read before to its numerator and denominator."""
     if not isinstance(raw, dict):
         raise _fail(f"a measure must be an object, got {type(raw).__name__}", file, f"{where}[{i}]")
     key = tuple(raw.items())
@@ -83,17 +91,33 @@ def _read_measure(
         mu = None
     if mu is not None:
         return mu
+    den = 1
     parts = []
     for state, value in raw.items():
-        pq = _rational(value) if isinstance(value, str) else None
+        pq = None
+        if isinstance(value, str):
+            pq = rationals.get(value)
+            if pq is None:
+                pq = rationals[value] = _rational(value)
         if pq is None:
             message = f'rationals must be "p/q", "0" or "1" strings, got {value!r}'
             raise _fail(message, file, f"{where}[{i}].{state}")
+        if den % pq[1]:
+            den = lcm(den, pq[1])
         parts.append(pq)
-    den = lcm(*[q for _, q in parts])
-    nums = [p * (den // q) for p, q in parts]
+    index = space._atom_index
+    mass = {}
+    for state, (p, q) in zip(raw, parts):
+        a = index.get(state)
+        if a is None:
+            raise _fail(f"state {state!r} not in carrier", file, f"{where}[{i}]")
+        if a in mass:
+            first = next(s for s in raw if index[s] == a)
+            message = f"states {first!r} and {state!r} lie in one atom; give the atom's mass once"
+            raise _fail(message, file, f"{where}[{i}]")
+        mass[a] = p * (den // q)
     try:
-        mu = read[key] = SubProb.of(space, dict(zip(raw, nums)), den)
+        mu = read[key] = _interned(space, mass, den)
     except EffkitError as exc:
         raise _fail(str(exc), file, f"{where}[{i}]") from exc
     return mu
@@ -126,7 +150,7 @@ def model_from_dict(doc: Mapping[str, Any], file: str | None = None) -> Nlmp | E
     if kind not in KINDS.values():
         raise _fail("'kind' must be \"nlmp\" or \"ef\"", file, "kind")
     space = _parse_space(doc, file)
-    read_measure = partial(_read_measure, space, file, {})
+    read_measure = partial(_read_measure, space, file, {}, {})
     if kind == "nlmp":
         labels = doc.get("labels")
         if not isinstance(labels, list) or not all(isinstance(a, str) for a in labels):
@@ -150,6 +174,8 @@ def model_from_dict(doc: Mapping[str, Any], file: str | None = None) -> Nlmp | E
                 where = f"kernels.{label}.{state}"
                 image[state] = [read_measure(m, where, i) for i, m in enumerate(measures)]
             kernels[label] = Kernel(space, image)
+        for label, k in kernels.items():
+            _check_atoms(space, k.image, file, f"measures under label {label!r}")
         return Nlmp(space, kernels)
 
     eff_doc = doc.get("effectivity")
@@ -173,7 +199,31 @@ def model_from_dict(doc: Mapping[str, Any], file: str | None = None) -> Nlmp | E
     missing = [s for s in space.carrier if s not in portfolio]
     if missing:
         raise _fail(f"portfolio missing states {missing}", file, "effectivity")
-    return EffFn(space, portfolio)
+    ef = EffFn(space, portfolio)
+    _check_atoms(space, ef.portfolio, file, "portfolios")
+    return ef
+
+
+def _check_atoms(
+    space: Space, dynamics: tuple[tuple[str, MeasureSet | UpperSet], ...], file: str | None, what: str
+) -> None:
+    """Refuse a model whose ``dynamics``, a value per state in carrier
+    order, differ between two states of one atom: such a model is not
+    measurable for its sigma-algebra (docs/derivations.md, sections 3 and
+    4).  Measures are one object per value, so the values compare by their
+    masks."""
+    if space.is_discrete:
+        return
+    index = space._index
+    for block in space.atoms:
+        first = dynamics[index[block[0]]][1]
+        for state in block[1:]:
+            if dynamics[index[state]][1] != first:
+                message = (
+                    f"states {block[0]!r} and {state!r} of atom {list(block)} have different "
+                    f"{what}; a model must be constant on each atom of its sigma"
+                )
+                raise _fail(message, file, "sigma")
 
 
 def _read_json(path: str | Path) -> Any:

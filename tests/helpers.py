@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 from bisect import bisect
 from fractions import Fraction
@@ -17,11 +18,13 @@ from effkit import (
     CospanReport,
     CospanVerificationError,
     EffFn,
+    EffkitError,
     FormulaSyntaxError,
     InternalInvariantViolation,
     Kernel,
     MeasurableMap,
     MeasureSet,
+    ModelFormatError,
     NonSymmetricRelationError,
     NotFinitelySupportedError,
     NotMeasurableSetError,
@@ -73,6 +76,19 @@ def dense(mu: SubProb) -> tuple[Fraction, ...]:
 def pairs(rel: Relation) -> frozenset[tuple[str, str]]:
     """The pairs of a relation, listed from its related sets."""
     return frozenset((s, t) for s, ts in zip(rel.base.carrier, rel.related) for t in ts)
+
+def constant_on_atoms_oracle(model) -> bool:
+    """Whether the states of each atom have equal dynamics, compared by
+    value: per label the set of dense measure vectors (an ``Nlmp``), or the
+    set of generators as sets of dense vectors (an ``EffFn``)."""
+
+    def value(s: str):
+        if isinstance(model, EffFn):
+            return frozenset(frozenset(dense(mu) for mu in g) for g in model(s))
+        return tuple(frozenset(dense(mu) for mu in k(s)) for _, k in model.kernels)
+
+    return all(len({value(s) for s in block}) == 1 for block in model.space.atoms)
+
 
 # ---------------------------------------------------------------------------
 # Random generators (all deterministic under a seeded Random)
@@ -414,6 +430,46 @@ def measure_dict_oracle(mu: SubProb) -> dict[str, str]:
     """The emitted form of a measure read off the dense mass vector: each
     atom with positive mass, named by its first state."""
     return {block[0]: str(q) for block, q in zip(mu.space.atoms, dense(mu)) if q}
+
+
+_RATIONAL_ORACLE = re.compile(r"([0-9]+)(?:/([1-9][0-9]*))?")
+
+
+def read_measure_oracle(space: Space, file, read: dict, raw, where: str, i: int) -> SubProb:
+    """The measure object reader that the one-pass loader replaced: each
+    rational string parsed where it stands, the numerators brought over the
+    lcm of the denominators, and the measure built through ``SubProb.of``
+    from a mapping of states to numerators.  Faults come in the order
+    rationals, states, mass; ``read`` maps the items of each object read
+    before to its measure."""
+    if not isinstance(raw, dict):
+        message = f"a measure must be an object, got {type(raw).__name__}"
+        raise ModelFormatError(message, file=file, location=f"{where}[{i}]")
+    key = tuple(raw.items())
+    try:
+        mu = read.get(key)
+    except TypeError:
+        mu = None
+    if mu is not None:
+        return mu
+    parts = []
+    for state, value in raw.items():
+        match = _RATIONAL_ORACLE.fullmatch(value) if isinstance(value, str) else None
+        try:
+            pq = None if match is None else (int(match[1]), int(match[2] or 1))
+        except ValueError:  # more digits than int() converts
+            pq = None
+        if pq is None:
+            message = f'rationals must be "p/q", "0" or "1" strings, got {value!r}'
+            raise ModelFormatError(message, file=file, location=f"{where}[{i}].{state}")
+        parts.append(pq)
+    den = math.lcm(*[q for _, q in parts])
+    nums = [p * (den // q) for p, q in parts]
+    try:
+        mu = read[key] = SubProb.of(space, dict(zip(raw, nums)), den)
+    except EffkitError as exc:
+        raise ModelFormatError(str(exc), file=file, location=f"{where}[{i}]") from exc
+    return mu
 
 
 def upperset_order_oracle(generators) -> list[tuple[tuple[Fraction, ...], ...]]:

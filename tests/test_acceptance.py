@@ -15,6 +15,7 @@ import pytest
 from effkit import (
     Cospan,
     MeasurableMap,
+    ModelFormatError,
     Relation,
     Space,
     angelize,
@@ -49,6 +50,7 @@ from effkit.model_io import dumps_canonical, model_from_dict, model_to_dict
 from helpers import (
     all_partitions,
     all_symmetric_relations,
+    constant_on_atoms_oracle,
     perturb_kernel,
     rand_ef,
     rand_fin_supported_ef,
@@ -279,6 +281,9 @@ def test_criterion_10_round_trips():
         again = parse_formula(first)
         assert again == ast
         assert format_formula(again) == first
+    # A drawn model that is not constant on its atoms is not measurable and
+    # must be refused at "sigma"; every other one must come back unchanged.
+    kept = 0
     for _ in range(1000):
         space = rand_space(rng, 2, 5, allow_coarse=True)
         if rng.random() < 0.5:
@@ -289,7 +294,14 @@ def test_criterion_10_round_trips():
         else:
             model = rand_ef(rng, space)
         first = dumps_canonical(model_to_dict(model))
+        if not constant_on_atoms_oracle(model):
+            with pytest.raises(ModelFormatError) as refused:
+                model_from_dict(json.loads(first))
+            assert refused.value.location == "sigma"
+            continue
         reparsed = model_from_dict(json.loads(first))
         second = dumps_canonical(model_to_dict(reparsed))
         assert second == first
-    report(10, "round-trips", True, "1000 formulas + 1000 models, byte-identical")
+        kept += 1
+    assert 600 <= kept < 1000
+    report(10, "round-trips", True, f"1000 formulas + {kept} of 1000 models byte-identical, the rest refused")

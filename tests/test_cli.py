@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from effkit.cli import run
 from effkit.model_io import dumps_canonical, load_model, model_from_dict, model_to_dict
 from helpers import (
+    constant_on_atoms_oracle,
     dense,
     dumps_oracle,
     formula_texts,
@@ -28,9 +29,20 @@ from helpers import (
     rand_json_doc,
     rand_kernel,
     rand_space,
+    read_measure_oracle,
 )
 
-from effkit import EffFn, MeasureSet, Nlmp, Space, SubProb, UpperSet, dual_ef, model_io
+from effkit import (
+    EffFn,
+    MeasureSet,
+    ModelFormatError,
+    Nlmp,
+    Space,
+    SubProb,
+    UpperSet,
+    dual_ef,
+    model_io,
+)
 
 
 K_A_DOC = {
@@ -166,6 +178,54 @@ class TestValidate:
             "location": location,
             "message": f"unknown state {location.rsplit('.', 1)[1]!r}",
         }
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {
+                    "kind": "nlmp",
+                    "states": ["a", "b", "c"],
+                    "sigma": [["a", "b"], ["c"]],
+                    "labels": ["x", "y"],
+                    "kernels": {
+                        "x": {"a": [{"c": "1"}], "b": [{"c": "1"}], "c": []},
+                        "y": {"a": [{"c": "1"}], "b": [], "c": []},
+                    },
+                },
+                "states 'a' and 'b' of atom ['a', 'b'] have different measures under label 'y'",
+            ),
+            (
+                {
+                    "kind": "ef",
+                    "states": ["s0", "s1", "s2"],
+                    "sigma": [["s0"], ["s2", "s1"]],
+                    "effectivity": {"s0": [], "s1": [[{}]], "s2": [[{"s0": "1"}]]},
+                },
+                "states 's1' and 's2' of atom ['s1', 's2'] have different portfolios",
+            ),
+        ],
+        ids=["nlmp", "ef"],
+    )
+    def test_an_atom_with_split_dynamics_is_refused_at_sigma(self, tmp_path, doc, message):
+        """A model is measurable for its sigma only if the states of each
+        atom have equal dynamics (docs/derivations.md, sections 3 and 4)."""
+        path = write(tmp_path, "split.json", doc)
+        for argv in (["validate", path], ["bisim", path]):
+            code, out, err = invoke(*argv)
+            assert (code, out) == (2, "")
+            diagnostic = json.loads(err)["error"]
+            assert (diagnostic["file"], diagnostic["location"]) == (path, "sigma")
+            assert diagnostic["message"] == (
+                message + "; a model must be constant on each atom of its sigma"
+            )
+        same = json.loads(json.dumps(doc))
+        if doc["kind"] == "nlmp":
+            same["kernels"]["y"]["b"] = [{"c": "1"}]
+        else:
+            same["effectivity"]["s2"] = [[{}]]
+        code, out, _ = invoke("validate", write(tmp_path, "same.json", same))
+        assert (code, json.loads(out)["valid"]) == (0, True)
 
     def test_bad_rational_format(self, tmp_path):
         doc = dict(K_A_DOC, kernels={"a": {"s0": [{"s2": "0.5"}]}})
@@ -870,7 +930,11 @@ class TestCanonicalEmitter:
 
 class TestModelRoundTrips:
     def test_random_models_survive_emit_parse_emit(self):
+        """A model constant on its atoms comes back equal and emits the same
+        bytes; any other drawn model is not measurable and is refused at
+        ``sigma``."""
         rng = Random(229)
+        kept = 0
         for _ in range(30):
             space = rand_space(rng, 2, 4, allow_coarse=True)
             if rng.random() < 0.5:
@@ -879,11 +943,88 @@ class TestModelRoundTrips:
             else:
                 model = rand_ef(rng, space)
             first = dumps_canonical(model_to_dict(model))
+            if not constant_on_atoms_oracle(model):
+                with pytest.raises(ModelFormatError) as refused:
+                    model_from_dict(json.loads(first))
+                assert refused.value.location == "sigma"
+                continue
             reparsed = model_from_dict(json.loads(first))
             assert type(reparsed) is type(model)
             assert reparsed == model
             second = dumps_canonical(model_to_dict(reparsed))
             assert second == first
+            kept += 1
+        assert 18 <= kept < 30
+
+
+# Rational strings for the reader cross-check: valid ones in any terms, and
+# faults the format refuses (signs, decimals, padding, zero or zero-led
+# denominators, digits other than ASCII that int() or str.isdigit accepts,
+# more digits than int() converts, values that are not strings).
+_GOOD_RATIONALS = [
+    "0", "1", "1/2", "2/4", "1/3", "3/8", "01/2", "0/5", "7/7", "5/4", "10/20", "003/12",
+    "1/" + "3" * 40, "12345678901234567890/98765432109876543211",
+]
+_BAD_RATIONALS = [
+    "0.5", "-1/2", "1/0", "1/02", " 1", "+1", "1_0", "1/", "/2", "", "\uff11", "\u0663",
+    "\u00b2", "1" * 5000, "1/" + "7" * 5000, 1, 0.5, None, True, ["1"], {"s0": "1"},
+]
+
+
+class TestMeasureReader:
+    """The one-pass reader of measure objects against the reader it
+    replaced, ``helpers.read_measure_oracle``: the same measure object for
+    a valid measure, the same message, file and location for a faulty one."""
+
+    @staticmethod
+    def outcome(read, *args):
+        try:
+            return read(*args)
+        except ModelFormatError as exc:
+            return str(exc), exc.file, exc.location
+
+    def draw(self, rng: Random, keys: list, seen: list):
+        if seen and rng.random() < 0.2:
+            old = rng.choice(seen)
+            return old if rng.random() < 0.5 else dict(old)
+        if rng.random() < 0.03:
+            return rng.choice(["1/2", 1, ["s0"], None])
+        raw = {}
+        for state in rng.sample(keys, rng.randint(0, min(4, len(keys)))):
+            pool = _BAD_RATIONALS if rng.random() < 0.08 else _GOOD_RATIONALS
+            raw[state] = rng.choice(pool)
+        return raw
+
+    def test_seeded_objects_read_alike(self):
+        rng = Random(1717)
+        kinds = {"measure": 0, "rationals": 0, "states": 0, "mass": 0, "object": 0}
+        for load in range(300):
+            space = rand_space(rng, 1, 5, allow_coarse=True)
+            keys = list(space.carrier) * 3 + ["zz", 7]
+            file = None if load % 2 else "m.json"
+            read, rationals, read_old = {}, {}, {}
+            seen: list = []
+            # each load opens with one faulty rational, so every one is read
+            bad = {space.carrier[0]: _BAD_RATIONALS[load % len(_BAD_RATIONALS)]}
+            for i in range(rng.randint(1, 16)):
+                raw = self.draw(rng, keys, seen) if i else bad
+                old = self.outcome(read_measure_oracle, space, file, read_old, raw, "w", i)
+                new = self.outcome(model_io._read_measure, space, file, read, rationals, raw, "w", i)
+                if isinstance(old, SubProb):
+                    assert new is old, raw
+                    seen.append(raw)
+                    kinds["measure"] += 1
+                    continue
+                assert new == old, raw
+                message, _, location = old
+                if not location.endswith("]"):
+                    kind = "rationals"
+                elif message.startswith("a measure"):
+                    kind = "object"
+                else:
+                    kind = "mass" if message.startswith("total") else "states"
+                kinds[kind] += 1
+        assert min(kinds.values()) >= 50, kinds
 
 
 # Documents the fuzz below starts from: every model, map and partition is

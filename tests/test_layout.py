@@ -169,3 +169,32 @@ def test_one_integer_sum_serves_evaluate_and_the_evaluator():
         assert not support, f"{fn.name} reads a support"
     defined = {n.name for n in measure_tree.body if isinstance(n, ast.FunctionDef)}
     assert calls[0] & calls[1] & defined == {"_atoms_of", "_numerator_in"}
+
+
+def test_one_routine_interns_every_measure():
+    """Every measure is reduced and interned by one routine,
+    ``measure._interned``: no other code names the registry class
+    ``_Registry`` or the space's ``_measures`` entry.  ``model_io`` reads a
+    measure object straight to that routine, naming neither ``SubProb.of``
+    nor ``Fraction``."""
+    where = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = _owners(tree)
+        where.update(
+            f"{path.name}:{owner.get(id(node), '<module>')}"
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == "_Registry")
+            or (isinstance(node, ast.Attribute) and node.attr == "_measures")
+            or (isinstance(node, ast.Constant) and node.value == "_measures")
+        )
+    assert where == {"measure.py:_interned"}, sorted(where)
+    tree = ast.parse((SRC / "model_io.py").read_text(encoding="utf-8"))
+    owner = _owners(tree)
+    named = {
+        f"{owner.get(id(node), '<module>')} {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "of")
+        or (isinstance(node, ast.Name) and node.id in ("Fraction", "_interned"))
+    }
+    assert named == {"_read_measure _interned"}, sorted(named)
