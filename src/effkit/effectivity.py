@@ -2,10 +2,10 @@
 
 An effectivity function assigns each state an upper-closed family of measure
 sets, Angel's portfolio.  Only finitary portfolios (finite unions of
-principal filters of finite measure sets) are representable; on a finite
-discrete space every finitary assignment is t-measurable, so the type
-carries no measurability obligation (docs/derivations.md).  A portfolio is
-finitely supported when every state has exactly one generator.
+principal filters of finite measure sets) are representable.  One is
+t-measurable exactly when it is constant on each atom of its space, and the
+constructor refuses any other (docs/derivations.md, section 4).  A portfolio
+is finitely supported when every state has exactly one generator.
 
 All quantifications over the (infinite) represented families reduce to their
 finite generator antichains; the reductions are spelled out per operation.
@@ -32,7 +32,7 @@ from .space import (
     MeasurableMap,
     Relation,
     Space,
-    _atom_roots,
+    _constant_on_atoms,
     direct_sum as space_sum,
     sigma_r,
 )
@@ -57,7 +57,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EffFn:
-    """A per-state portfolio of upper-closed families over one space."""
+    """A per-state portfolio of upper-closed families, constant on each atom."""
 
     space: Space
     portfolio: tuple[tuple[str, UpperSet], ...]
@@ -73,8 +73,10 @@ class EffFn:
         missing = [s for s in space.carrier if s not in table]
         if missing:
             raise ForeignStateError(f"portfolio missing states {missing}")
+        families = [table[s] for s in space.carrier]
+        _constant_on_atoms(space, families, "portfolios")
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "portfolio", tuple((s, table[s]) for s in space.carrier))
+        object.__setattr__(self, "portfolio", tuple(zip(space.carrier, families)))
 
     def __call__(self, state: str) -> UpperSet:
         return self.portfolio[self.space.index(state)][1]
@@ -87,53 +89,53 @@ class EffFn:
 def _refine(
     space: Space, portfolios: Sequence[EffFn], blocks: Iterable[tuple[str, ...]]
 ) -> Iterator[tuple[Callable[[SubProb], int], tuple[tuple[tuple[str, ...], ...], ...]]]:
-    """Signature refinement of a partition of ``space`` against portfolios
-    on it (a kernel enters as its ``filter_generate`` portfolio).
+    """Signature refinement of a partition of ``space`` into unions of atoms
+    against portfolios on it (a kernel enters as its ``filter_generate``).
 
-    Each round interns every measure's mass vector, restricted to the atom
-    closure of the current blocks (the space ``sigma_r`` gives for them), to
-    a class id: its support's numerators are summed per closure block over its
-    denominator and reduced, so no ``Fraction`` is built.  A state's
-    signature is, per portfolio, the minimal antichain of its generators'
-    class-id sets, each held as a mask; equal signatures are exactly the
-    two-sided generator transfer (docs/derivations.md, section 6).  Every
-    round yields the class id of a measure and, per block, its signature
-    classes; the next round's blocks are those classes.  The rounds stop
-    after the first that splits no block.
-    """
+    A portfolio is constant on each atom, so an atom's states share one
+    signature, and every round's blocks are unions of atoms
+    (docs/derivations.md, sections 6 and 7).  Each round interns every
+    measure's mass vector, its numerators summed per block (looked up per
+    atom) over its denominator and reduced, to a class id.  A signature is,
+    per portfolio, the minimal antichain of the generators' class-id sets,
+    as masks; equal signatures are exactly the two-sided generator
+    transfer.  Every round yields the class id of a measure and, per block,
+    its signature classes, the next round's blocks; the rounds stop after
+    the first that splits no block."""
+    atom_of = space._atom_index
     number: dict[SubProb, int] = {}  # in order of first use
     generators = [
         [
-            [tuple([number.setdefault(mu, len(number)) for mu in g]) for g in u]
-            for _, u in p.portfolio
+            [tuple([number.setdefault(mu, len(number)) for mu in g]) for g in p(block[0])]
+            for block in space.atoms
         ]
         for p in portfolios
     ]
     blocks = tuple(blocks)
     while True:
-        root = _atom_roots(space, blocks)
+        block_of = {atom_of[s]: b for b, block in enumerate(blocks) for s in block}
         vectors: dict[tuple, int] = {}
         cid = []
         for mu in number:
             vec: dict[int, int] = {}
             for a, n in zip(mu.atoms, mu.nums):
-                vec[root[a]] = vec.get(root[a], 0) + n
+                vec[block_of[a]] = vec.get(block_of[a], 0) + n
             g = gcd(mu.den, *vec.values())
             key = (mu.den // g, *sorted((b, n // g) for b, n in vec.items()))
             cid.append(vectors.setdefault(key, len(vectors)))
         bit = [1 << c for c in cid]
-        signature = {
-            s: tuple(
-                frozenset(_minimal([reduce(or_, [bit[m] for m in g], 0) for g in gens[i]]))
+        signature = [
+            tuple(
+                frozenset(_minimal([reduce(or_, [bit[m] for m in g], 0) for g in gens[a]]))
                 for gens in generators
             )
-            for i, s in enumerate(space.carrier)
-        }
+            for a in range(len(space.atoms))
+        ]
         classes = []
         for block in blocks:
             groups: dict[tuple, list[str]] = {}
             for s in block:
-                groups.setdefault(signature[s], []).append(s)
+                groups.setdefault(signature[atom_of[s]], []).append(s)
             classes.append(tuple(map(tuple, groups.values())))
 
         def class_of(mu: SubProb, cid=cid) -> int:
@@ -273,10 +275,7 @@ def quotient_space(space: Space, alpha: Relation) -> tuple[Space, MeasurableMap]
     if not alpha.is_equivalence:
         raise SpaceMismatchError("quotient requires an equivalence relation")
     classes = alpha.classes()
-    name_of = {}
-    for cls in classes:
-        for s in cls:
-            name_of[s] = cls[0]
+    name_of = {s: cls[0] for cls in classes for s in cls}
     carrier = tuple(cls[0] for cls in classes)
     qspace = Space(carrier, ({name_of[s] for s in block} for block in sigma_r(alpha).atoms))
     eta = MeasurableMap(space, qspace, {s: name_of[s] for s in space.carrier})

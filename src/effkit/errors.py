@@ -34,7 +34,8 @@ class NotSurjectiveError(EffkitError):
 
 
 class NotMeasurableSetError(EffkitError):
-    """A set of states is not a union of atoms of the relevant space."""
+    """A set of states is not a union of atoms of its space, or a kernel or
+    a portfolio is not constant on each atom, so not measurable."""
 
 
 class SpaceMismatchError(EffkitError):

@@ -51,7 +51,7 @@ from .errors import (
     SpaceMismatchError,
     ThresholdOutOfRangeError,
 )
-from .measure import SubProb, _atoms_of, _numerator_in
+from .measure import SubProb, _atoms_of, _numerator_in, _rational_str
 from .space import Relation
 
 __all__ = [
@@ -293,7 +293,8 @@ def format_formula(f: StateFormula) -> str:
                 todo += [" ]", (node.body, MeasureFormula, 0)]
         elif isinstance(node, Threshold):
             out.append("[")
-            todo += [f" {node.cmp} {node.bound!s}]", (node.state, StateFormula, 0)]
+            bound = _rational_str(node.bound.numerator, node.bound.denominator, "a threshold")
+            todo += [f" {node.cmp} {bound}]", (node.state, StateFormula, 0)]
         else:
             op, left, right, most = next(v for k, v in _INFIX.items() if isinstance(node, k))
             if prec > most:

@@ -33,6 +33,7 @@ agreement block by block (see docs/derivations.md).
 
 from __future__ import annotations
 
+import sys
 import threading
 import weakref
 from _weakref import _remove_dead_weakref  # WeakValueDictionary's atomic removal
@@ -43,6 +44,7 @@ from math import gcd, lcm
 from typing import Callable, Container, Iterable, Mapping, Sequence
 
 from .errors import (
+    EffkitError,
     IncompatiblePartitionError,
     NotMeasurableSetError,
     NotSurjectiveError,
@@ -193,7 +195,8 @@ def _interned(space: Space, mass: Mapping[int, int], den: int) -> SubProb:
         den //= g
         nums = tuple([n // g for n in nums])
     if sum(nums) > den:
-        raise SpaceMismatchError(f"total mass exceeds 1: {Fraction(sum(nums), den)}")
+        total = _rational_str(sum(nums), den, "the total mass, which exceeds 1,")
+        raise SpaceMismatchError(f"total mass exceeds 1: {total}")
     key = (den, atoms, nums)
     with _LOCK:
         registry = space.__dict__.get("_measures")
@@ -209,6 +212,19 @@ def _interned(space: Space, mass: Mapping[int, int], den: int) -> SubProb:
             object.__setattr__(mu, "nums", nums)
             registry.add(mu, key)
     return mu
+
+
+def _rational_str(n: int, den: int, what: str) -> str:
+    """``n/den`` in lowest terms, ``n`` alone over 1, as files, formulas and
+    messages print it; refused as an input error naming ``what`` when a part
+    has more digits than ``int`` converts to text."""
+    g = gcd(n, den)
+    try:
+        return f"{n // g}/{den // g}" if den != g else str(n // g)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        message = f"its numerator or denominator has more than {limit} digits"
+        raise EffkitError(f"{what} is too long to print: {message}") from None
 
 
 def _mass_order(measures: Iterable[SubProb]) -> Callable[[SubProb], tuple]:

@@ -16,7 +16,7 @@ routine that reduces and interns every measure
 (docs/derivations.md, section 13); one that repeats in a file loads as one
 :class:`SubProb`, the live measure of its value, and is parsed once per
 load.  A model whose states of one atom have different dynamics is not
-measurable for its ``sigma`` and is refused there (sections 3 and 4).
+measurable; the loader reports its constructor's refusal at ``sigma`` (sections 3, 4).
 
 Emission is canonical: states in carrier order, atoms always listed, masses
 in lowest terms, so re-parsing an emitted model yields an equal value and
@@ -31,13 +31,13 @@ import json
 import re
 from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
-from math import gcd, lcm
+from math import lcm
 from pathlib import Path
 from typing import Any, Mapping
 
 from .effectivity import EffFn
-from .errors import EffkitError, ModelFormatError
-from .measure import SubProb, _interned
+from .errors import EffkitError, ModelFormatError, NotMeasurableSetError
+from .measure import SubProb, _interned, _rational_str
 from .nlmp import Kernel, Nlmp
 from .space import MeasurableMap, Space
 from .upperset import MeasureSet, UpperSet
@@ -173,9 +173,11 @@ def model_from_dict(doc: Mapping[str, Any], file: str | None = None) -> Nlmp | E
                     raise _fail("kernel entries must be lists of measures", file, f"kernels.{label}.{state}")
                 where = f"kernels.{label}.{state}"
                 image[state] = [read_measure(m, where, i) for i, m in enumerate(measures)]
-            kernels[label] = Kernel(space, image)
-        for label, k in kernels.items():
-            _check_atoms(space, k.image, file, f"measures under label {label!r}")
+            try:
+                kernels[label] = Kernel(space, image)
+            except NotMeasurableSetError as exc:
+                head, _, rule = str(exc).rpartition("; ")
+                raise _fail(f"{head} under label {label!r}; {rule}", file, "sigma") from exc
         return Nlmp(space, kernels)
 
     eff_doc = doc.get("effectivity")
@@ -199,31 +201,10 @@ def model_from_dict(doc: Mapping[str, Any], file: str | None = None) -> Nlmp | E
     missing = [s for s in space.carrier if s not in portfolio]
     if missing:
         raise _fail(f"portfolio missing states {missing}", file, "effectivity")
-    ef = EffFn(space, portfolio)
-    _check_atoms(space, ef.portfolio, file, "portfolios")
-    return ef
-
-
-def _check_atoms(
-    space: Space, dynamics: tuple[tuple[str, MeasureSet | UpperSet], ...], file: str | None, what: str
-) -> None:
-    """Refuse a model whose ``dynamics``, a value per state in carrier
-    order, differ between two states of one atom: such a model is not
-    measurable for its sigma-algebra (docs/derivations.md, sections 3 and
-    4).  Measures are one object per value, so the values compare by their
-    masks."""
-    if space.is_discrete:
-        return
-    index = space._index
-    for block in space.atoms:
-        first = dynamics[index[block[0]]][1]
-        for state in block[1:]:
-            if dynamics[index[state]][1] != first:
-                message = (
-                    f"states {block[0]!r} and {state!r} of atom {list(block)} have different "
-                    f"{what}; a model must be constant on each atom of its sigma"
-                )
-                raise _fail(message, file, "sigma")
+    try:
+        return EffFn(space, portfolio)
+    except NotMeasurableSetError as exc:
+        raise _fail(str(exc), file, "sigma") from exc
 
 
 def _read_json(path: str | Path) -> Any:
@@ -291,14 +272,9 @@ def load_map(path: str | Path, domain: Space, codomain: Space) -> MeasurableMap:
         raise ModelFormatError(str(exc), file=str(path), location="map") from exc
 
 
-def _rational_str(n: int, den: int) -> str:
-    g = gcd(n, den)
-    return f"{n // g}/{den // g}" if den != g else str(n // g)
-
-
 def _measure_to_dict(mu: SubProb) -> dict[str, str]:
     atoms = mu.space.atoms
-    return {atoms[a][0]: _rational_str(n, mu.den) for a, n in zip(mu.atoms, mu.nums)}
+    return {atoms[a][0]: _rational_str(n, mu.den, "a mass") for a, n in zip(mu.atoms, mu.nums)}
 
 
 def _measures_to_list(

@@ -1,10 +1,10 @@
 """Image-finite nondeterministic kernels and labelled processes.
 
 A kernel assigns each state a finite set of subprobability measures on its
-own space; a labelled process bundles one kernel per label.  On a finite
-discrete space every such map is hit-measurable, so no measurability check
-is needed at construction time; the nontrivial condition against a coarser
-sigma-algebra is exactly the event-bisimulation test (docs/derivations.md).
+own space; a labelled process bundles one kernel per label.  A kernel is
+hit-measurable exactly when it is constant on each atom of its space, and
+the constructor refuses any other (docs/derivations.md, section 3); the
+condition against a coarser sigma-algebra is the event-bisimulation test.
 
 Empty images are admitted.  Their principal filter is the full family, read
 as "Demon is effective for everything": with no moves available for Angel,
@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 from .effectivity import EffFn, _greatest_bisim, _is_bisim, _mutually_dominate, is_subsystem, sum_ef
 from .errors import ForeignStateError, IncompatiblePartitionError, SpaceMismatchError
 from .measure import SubProb
-from .space import DirectSum, MeasurableMap, Relation, Space
+from .space import DirectSum, MeasurableMap, Relation, Space, _constant_on_atoms
 from .upperset import MeasureSet, UpperSet
 
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Kernel:
-    """A per-state finite set of successor measures."""
+    """A per-state finite set of successor measures, constant on each atom."""
 
     space: Space
     image: tuple[tuple[str, MeasureSet], ...]
@@ -51,9 +51,10 @@ class Kernel:
                 raise SpaceMismatchError("kernel measures must live on the kernel space")
             table[state] = ms
         empty = MeasureSet(space, ())
-        normalized = tuple((s, table.get(s, empty)) for s in space.carrier)
+        images = [table.get(s, empty) for s in space.carrier]
+        _constant_on_atoms(space, images, "measures")
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "image", normalized)
+        object.__setattr__(self, "image", tuple(zip(space.carrier, images)))
 
     def __call__(self, state: str) -> MeasureSet:
         return self.image[self.space.index(state)][1]

@@ -21,11 +21,12 @@ import threading
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     ForeignStateError,
     NonSymmetricRelationError,
+    NotMeasurableSetError,
     NotSurjectiveError,
     SpaceMismatchError,
 )
@@ -361,39 +362,43 @@ def sigma_r(rel: Relation) -> Space:
     the smallest closed unions of base atoms; the measurable closed sets are
     exactly the unions of the returned blocks.  The coarsening merges two
     atoms whenever a related pair straddles them, then closes transitively;
-    symmetry makes this a plain connected-components computation.
+    symmetry makes this a union-find over the atoms.
     """
     if not rel.is_symmetric:
         raise NonSymmetricRelationError(
             "closed sets of a non-symmetric relation do not form a field"
         )
     base = rel.base
-    # holders of a nonempty related set are linked to all its members
-    linked = ((*holders, *ts) for ts, holders in rel._holders.items() if ts)
-    groups: dict[int, list[str]] = {}
-    for root, block in zip(_atom_roots(base, linked), base.atoms):
-        groups.setdefault(root, []).extend(block)
-    return Space(base.carrier, groups.values())
-
-
-def _atom_roots(base: Space, groups: Iterable[Iterable[str]]) -> list[int]:
-    """Per atom of ``base``, a representative atom index after merging the
-    atoms that hold the states of each group, transitively (union-find)."""
     parent = list(range(len(base.atoms)))
 
     def find(i: int) -> int:
         while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
+            parent[i] = i = parent[parent[i]]  # path halving
         return i
 
-    for group in groups:
-        atoms = [base.atom_of(s) for s in group]
+    for ts, holders in rel._holders.items():  # holders are linked to all of ts
+        atoms = [base._atom_index[s] for s in (*holders, *ts)] if ts else ()
         for other in atoms[1:]:
-            a, b = find(atoms[0]), find(other)
-            if a != b:
-                parent[b] = a
-    return [find(i) for i in range(len(base.atoms))]
+            parent[find(other)] = find(atoms[0])
+    groups: dict[int, list[str]] = {}
+    for i, block in enumerate(base.atoms):
+        groups.setdefault(find(i), []).extend(block)
+    return Space(base.carrier, groups.values())
+
+
+def _constant_on_atoms(space: Space, values: Sequence, what: str) -> None:
+    """Refuse per-state ``values``, in carrier order, that differ on two
+    states of one atom: a kernel or a portfolio is measurable exactly when
+    it is constant on each atom (docs/derivations.md, sections 3 and 4)."""
+    index = space._index
+    for block in () if space.is_discrete else space.atoms:
+        first = values[index[block[0]]]
+        for state in block[1:]:
+            if values[index[state]] != first:
+                raise NotMeasurableSetError(
+                    f"states {block[0]!r} and {state!r} of atom {list(block)} have different "
+                    f"{what}; a model must be constant on each atom of its sigma"
+                )
 
 
 def kernel_of(f: MeasurableMap) -> Relation:

@@ -48,7 +48,6 @@ from effkit import (
 )
 from effkit.cospan import CheckFailure
 from effkit.effectivity import _refine
-from effkit.space import _atom_roots
 from effkit.logic import (
     And,
     Box,
@@ -77,17 +76,19 @@ def pairs(rel: Relation) -> frozenset[tuple[str, str]]:
     """The pairs of a relation, listed from its related sets."""
     return frozenset((s, t) for s, ts in zip(rel.base.carrier, rel.related) for t in ts)
 
-def constant_on_atoms_oracle(model) -> bool:
-    """Whether the states of each atom have equal dynamics, compared by
-    value: per label the set of dense measure vectors (an ``Nlmp``), or the
-    set of generators as sets of dense vectors (an ``EffFn``)."""
 
-    def value(s: str):
-        if isinstance(model, EffFn):
-            return frozenset(frozenset(dense(mu) for mu in g) for g in model(s))
-        return tuple(frozenset(dense(mu) for mu in k(s)) for _, k in model.kernels)
+def constant_on_atoms_oracle(space: Space, dynamics) -> bool:
+    """Whether per-state dynamics, a mapping from every state to a kernel
+    image (measures) or to a portfolio (an ``UpperSet``), are equal on the
+    states of each atom, compared by value: a set of dense measure vectors,
+    or a set of generators as such sets."""
 
-    return all(len({value(s) for s in block}) == 1 for block in model.space.atoms)
+    def value(x):
+        if isinstance(x, UpperSet):
+            return frozenset(value(g) for g in x)
+        return frozenset(dense(mu) for mu in x)
+
+    return all(len({value(dynamics[s]) for s in block}) == 1 for block in space.atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -156,28 +157,30 @@ def rand_measure_set(rng: Random, space, min_size=0, max_size=3, max_den=8) -> M
     return MeasureSet(space, [rand_subprob(rng, space, max_den) for _ in range(size)])
 
 
+def per_atom(space: Space, draw) -> dict:
+    """A value per state: one ``draw()`` per atom, in atom order (the
+    carrier order on a discrete space), given to each of its states, so the
+    values are constant on each atom."""
+    values = {}
+    for block in space.atoms:
+        values.update(dict.fromkeys(block, draw()))
+    return values
+
+
 def rand_kernel(rng: Random, space, max_measures=3, max_den=8) -> Kernel:
-    return Kernel(
-        space,
-        {
-            s: rand_measure_set(rng, space, 0, max_measures, max_den)
-            for s in space.carrier
-        },
-    )
+    return Kernel(space, per_atom(space, lambda: rand_measure_set(rng, space, 0, max_measures, max_den)))
+
+
+def rand_portfolio(rng: Random, space, max_gens=3, max_measures=3, max_den=8) -> UpperSet:
+    n_gens = rng.randint(0, max_gens)
+    gens = [rand_measure_set(rng, space, 1, max_measures, max_den) for _ in range(n_gens)]
+    if n_gens and rng.random() < 0.05:
+        gens[0] = MeasureSet(space, ())  # occasional full family
+    return UpperSet(space, gens)
 
 
 def rand_ef(rng: Random, space, max_gens=3, max_measures=3, max_den=8) -> EffFn:
-    portfolio = {}
-    for s in space.carrier:
-        n_gens = rng.randint(0, max_gens)
-        gens = [
-            rand_measure_set(rng, space, 1, max_measures, max_den)
-            for _ in range(n_gens)
-        ]
-        if n_gens and rng.random() < 0.05:
-            gens[0] = MeasureSet(space, ())  # occasional full family
-        portfolio[s] = UpperSet(space, gens)
-    return EffFn(space, portfolio)
+    return EffFn(space, per_atom(space, lambda: rand_portfolio(rng, space, max_gens, max_measures, max_den)))
 
 
 def rand_fin_supported_ef(
@@ -256,7 +259,8 @@ def rand_nk_instance(rng: Random, max_dom=5, max_den=8):
 
 
 def perturb_kernel(rng: Random, k: Kernel) -> Kernel:
-    """Randomly add, drop, or replace one measure of one state."""
+    """Randomly add, drop, or replace one measure of one state, and of the
+    other states of its atom."""
     state = rng.choice(k.space.carrier)
     members = list(k(state).members)
     move = rng.random()
@@ -267,7 +271,7 @@ def perturb_kernel(rng: Random, k: Kernel) -> Kernel:
     else:
         members[rng.randrange(len(members))] = rand_subprob(rng, k.space)
     image = {s: k(s) for s in k.space.carrier}
-    image[state] = MeasureSet(k.space, members)
+    image.update(dict.fromkeys(k.space.atoms[k.space.atom_of(state)], MeasureSet(k.space, members)))
     return Kernel(k.space, image)
 
 
@@ -1369,7 +1373,9 @@ def dual_oracle(space: Space, generators) -> tuple[MeasureSetOracle, ...]:
 
 def refine_oracle(space: Space, portfolios, blocks) -> list:
     """Per round of ``effectivity._refine``, the signature classes per block,
-    with each signature a frozenset of minimal frozensets of class ids."""
+    with each signature a frozenset of minimal frozensets of class ids and
+    each measure restricted to the atom closure of the blocks (the space
+    ``sigma_r`` gives for them)."""
     number: dict[SubProb, int] = {}
     support = []
     for p in portfolios:
@@ -1382,7 +1388,8 @@ def refine_oracle(space: Space, portfolios, blocks) -> list:
     rounds = []
     blocks = tuple(blocks)
     while True:
-        root = _atom_roots(space, blocks)
+        closure = sigma_r(Relation.from_partition(space, blocks))
+        root = [closure.atom_of(block[0]) for block in space.atoms]
         vectors: dict[tuple, int] = {}
         cid = []
         for den, nums in support:

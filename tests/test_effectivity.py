@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from random import Random
 
 import pytest
@@ -14,6 +15,7 @@ from effkit import (
     MeasureSet,
     Nlmp,
     NotACongruenceError,
+    NotMeasurableSetError,
     NotSurjectiveError,
     Relation,
     Space,
@@ -43,6 +45,7 @@ from effkit.effectivity import push_upperset
 from helpers import (
     all_partitions,
     all_symmetric_relations,
+    constant_on_atoms_oracle,
     dense,
     ef_transfer_oracle,
     event_bisim_oracle,
@@ -51,7 +54,10 @@ from helpers import (
     rand_coarsening,
     rand_ef,
     rand_kernel,
+    rand_measure_set,
     rand_nk_instance,
+    rand_partition_blocks,
+    rand_portfolio,
     rand_space,
     subsystem_oracle,
     transfer_oracle,
@@ -66,6 +72,66 @@ P_A = filter_generate(K_A)
 
 def principal(space, *measures) -> UpperSet:
     return UpperSet(space, (MeasureSet(space, measures),))
+
+
+class TestMeasurableByConstruction:
+    """A kernel or a portfolio on a finite space is measurable exactly when
+    it is constant on each atom, and the constructors refuse any other
+    (docs/derivations.md, sections 3 and 4)."""
+
+    RULE = "; a model must be constant on each atom of its sigma"
+
+    def test_the_4a_model_is_refused(self):
+        # a moves to c, and b, in a's atom, has no move
+        space = Space(["a", "b", "c"], [["a", "b"], ["c"]])
+        to_c, none = MeasureSet(space, [SubProb.dirac(space, "c")]), MeasureSet(space, [])
+        image = {"a": to_c, "b": none, "c": none}
+        split = "states 'a' and 'b' of atom ['a', 'b'] have different "
+        for build in (Kernel, lambda space, image: Nlmp(space, {"y": Kernel(space, image)})):
+            with pytest.raises(NotMeasurableSetError) as refused:
+                build(space, image)
+            assert str(refused.value) == split + "measures" + self.RULE
+        with pytest.raises(NotMeasurableSetError) as refused:
+            EffFn(space, {s: UpperSet(space, [ms]) for s, ms in image.items()})
+        assert str(refused.value) == split + "portfolios" + self.RULE
+        image["b"] = to_c
+        assert greatest_bisim(Kernel(space, image)).classes() == (("a", "b"), ("c",))
+
+    def test_per_state_draws_are_refused_exactly_when_not_constant_on_atoms(self):
+        """Dynamics drawn per state on coarse spaces, kernels and
+        portfolios by turns: the constructor builds the draws the dense
+        oracle finds constant on each atom, holding them as drawn, and
+        refuses every other, naming two states of one atom that differ."""
+        rng = Random(1804)
+        seen = {"built": 0, "refused": 0}
+        for i in range(1200):
+            states = [f"s{j}" for j in range(rng.randint(2, 5))]
+            space = Space(states, rand_partition_blocks(rng, states))
+            if space.is_discrete:
+                continue
+            if i % 2:
+                build, what = EffFn, "portfolios"
+                dynamics = {s: rand_portfolio(rng, space, 2, 1, 2) for s in states}
+            else:
+                build, what = Kernel, "measures"
+                dynamics = {s: rand_measure_set(rng, space, 0, 1, 2) for s in states}
+            if constant_on_atoms_oracle(space, dynamics):
+                value = build(space, dynamics)
+                assert all(value(s) == dynamics[s] for s in states)
+                seen["built"] += 1
+                continue
+            with pytest.raises(NotMeasurableSetError) as refused:
+                build(space, dynamics)
+            a, b, atom = re.fullmatch(
+                rf"states '(\w+)' and '(\w+)' of atom (\[.*\]) have different {what}"
+                + re.escape(self.RULE),
+                str(refused.value),
+            ).groups()
+            block = space.atoms[space.atom_of(a)]
+            assert atom == str(list(block)) and b in block
+            assert not constant_on_atoms_oracle(Space([a, b], [[a, b]]), dynamics)
+            seen["refused"] += 1
+        assert min(seen.values()) >= 100, seen
 
 
 class TestEfStateBisim:

@@ -198,3 +198,52 @@ def test_one_routine_interns_every_measure():
         or (isinstance(node, ast.Name) and node.id in ("Fraction", "_interned"))
     }
     assert named == {"_read_measure _interned"}, sorted(named)
+
+
+def test_the_atom_rule_is_written_once():
+    """A kernel or a portfolio is measurable exactly when it is constant on
+    each atom, and one routine, ``space._constant_on_atoms``, says so: only
+    the ``Kernel`` and ``EffFn`` constructors call it, and only it words the
+    refusal.  ``model_io`` compares no dynamics across an atom's states: it
+    reads the ``atoms`` of a space or a measure only to emit them.  No
+    module names ``_atom_roots``, and the union-find of the atom closure
+    lives in ``space.sigma_r`` alone."""
+    found: dict[str, set[str]] = {"calls": set(), "words": set(), "atoms": set(), "finds": set()}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = _owners(tree)
+        docs = {
+            id(scope.body[0].value)
+            for scope in ast.walk(tree)
+            if isinstance(scope, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and scope.body
+            and isinstance(scope.body[0], ast.Expr)
+        }
+        for node in ast.walk(tree):
+            where = f"{path.name}:{owner.get(id(node), '<module>')}"
+            if isinstance(node, ast.Name) and node.id in ("_constant_on_atoms", "_atom_roots"):
+                found["calls"].add(f"{where} {node.id}")
+            elif isinstance(node, (ast.alias, ast.FunctionDef)) and node.name == "_atom_roots":
+                found["calls"].add(f"{where} _atom_roots")
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and "constant on each atom" in node.value
+                and id(node) not in docs
+            ):
+                found["words"].add(where)
+            elif isinstance(node, ast.Attribute) and node.attr == "atoms" and path.name == "model_io.py":
+                found["atoms"].add(where)
+        found["finds"].update(
+            f"{path.name}:{outer.name}"
+            for outer in ast.walk(tree)
+            if isinstance(outer, ast.FunctionDef)
+            for inner in ast.walk(outer)
+            if inner is not outer and isinstance(inner, ast.FunctionDef) and inner.name == "find"
+        )
+    assert found == {
+        "calls": {"effectivity.py:__init__ _constant_on_atoms", "nlmp.py:__init__ _constant_on_atoms"},
+        "words": {"space.py:_constant_on_atoms"},
+        "atoms": {"model_io.py:_measure_to_dict", "model_io.py:model_to_dict"},
+        "finds": {"space.py:sigma_r"},
+    }, found

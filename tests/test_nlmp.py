@@ -317,11 +317,12 @@ def rand_kernel_map(rng: Random, kind: str):
         return f, rand_kernel(rng, dom, max_measures=2), rand_kernel(rng, cod, max_measures=2)
     # only codomain atoms over one domain atom carry mass: unique preimages
     single = [cod.atoms[j][0] for j, over in enumerate(f.preimage_atoms) if len(over) == 1]
-    k2 = Kernel(cod, {
-        t: [rand_subprob_on(rng, cod, single) for _ in range(rng.randint(0, 2))]
-        for t in cod.carrier
-        if kind == "coarse" or rng.random() < 0.3
-    })
+    image = {}
+    for block in cod.atoms:  # one draw per atom, as a kernel is constant on it
+        if kind == "coarse" or rng.random() < 0.3:
+            measures = [rand_subprob_on(rng, cod, single) for _ in range(rng.randint(0, 2))]
+            image.update(dict.fromkeys(block, measures))
+    k2 = Kernel(cod, image)
     k = Kernel(dom, {
         s: [mu for nu in k2(f(s)) for mu in unique_preimages(f, nu)] for s in dom.carrier
     })

@@ -40,6 +40,8 @@ from helpers import (
     dense,
     dual_oracle,
     minimal_oracle,
+    per_atom,
+    rand_coarsening,
     rand_measure_set,
     rand_partition_blocks,
     rand_space,
@@ -348,10 +350,10 @@ class TestAgainstFrozensetOracle:
             seen["several generators"] += len(u.generators) > 1
             seen["several dual generators"] += len(d.generators) > 1
             portfolios = [
-                EffFn(space, {s: rng.sample(new, rng.randint(0, len(new))) for s in space.carrier})
+                EffFn(space, per_atom(space, lambda: rng.sample(new, rng.randint(0, len(new)))))
                 for _ in range(rng.randint(1, 2))
             ]
-            blocks = rand_partition_blocks(rng, list(space.carrier))
+            blocks = rand_coarsening(rng, space).atoms  # unions of atoms, as the engine needs
             for start in ((space.carrier,), blocks):
                 rounds = [classes for _, classes in _refine(space, portfolios, start)]
                 assert rounds == refine_oracle(space, portfolios, start)
@@ -428,11 +430,15 @@ class TestOrderInvariance:
             width = len(atoms) if atoms else len(carrier)
             vectors = [rand_masses(rng, width) for _ in range(rng.randint(3, 6))]
             draw = range(len(vectors))
-            portfolio = {
-                s: [rng.sample(draw, rng.randint(0, 3)) for _ in range(rng.randint(0, 4))]
-                for s in carrier
-            }
-            kernel = {s: rng.sample(draw, rng.randint(0, 3)) for s in carrier}
+            # one draw per atom, given to its states
+            blocks = atoms or [[s] for s in carrier]
+            portfolio = {}
+            for block in blocks:
+                gens = [rng.sample(draw, rng.randint(0, 3)) for _ in range(rng.randint(0, 4))]
+                portfolio.update(dict.fromkeys(block, gens))
+            kernel = {}
+            for block in blocks:
+                kernel.update(dict.fromkeys(block, rng.sample(draw, rng.randint(0, 3))))
             case = (carrier, atoms, vectors, portfolio, kernel, tuple(rng.sample(carrier, 2)))
             first, space = self.outputs(case, None)
             gc.collect()
