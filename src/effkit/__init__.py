@@ -9,6 +9,7 @@ behavioral equivalence.
 """
 
 from .cospan import (
+    CheckFailure,
     Cospan,
     CospanReport,
     CospanVerificationError,

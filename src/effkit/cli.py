@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Every decision procedure of the library is exposed as a subcommand working
-on JSON model, map, and partition files.  Exit codes: 0 for success or a
-positive answer, 1 for a well-formed negative answer (not bisimilar, not a
-morphism, distinguishable, not a congruence, invalid cospan), 2 for input
-errors.  Stdout carries the result (JSON by default, ``--format text`` for
-a line-based rendering); diagnostics go to stderr.
+on JSON model, map, and partition files.  A handler reads its operands
+through one helper per operand kind (``_ef``, ``_nlmp``, ``_kernel``,
+``_pair``), checks every argument, and only then computes.  Exit codes: 0
+for success or a positive answer, 1 for a well-formed negative answer (not
+bisimilar, not a morphism, distinguishable, not a congruence, invalid
+cospan), 2 for input errors.  Stdout carries the result (JSON by default,
+``--format text`` for a line-based rendering); diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ from .model_io import (
 from .nlmp import Nlmp
 from .space import Relation, direct_sum
 
-HELP = "finite-state stochastic nondeterminism toolkit"
-
 
 class _UsageError(EffkitError):
     """A command line the parser refuses: a missing or unknown argument, an
@@ -56,38 +56,50 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _partition_payload(rel: Relation) -> list[list[str]]:
-    return [list(block) for block in rel.classes()]
-
-
-def _require_ef(model: Nlmp | EffFn, label: str | None, where: str) -> EffFn:
-    """An effectivity function from a model: 'ef' models directly, with no
-    label; 'nlmp' models label-wise through the principal-filter embedding."""
-    if isinstance(model, EffFn):
-        if label is not None:
-            raise ModelFormatError("--label applies to 'nlmp' models", file=where, location="--label")
-        return model
-    return nlmp_ops.filter_generate(model.kernel(_pick_label(model, label, where)))
-
-
-def _require_nlmp(model: Nlmp | EffFn, where: str) -> Nlmp:
+def _nlmp(args) -> Nlmp:
+    model = load_model(args.model)
     if not isinstance(model, Nlmp):
-        raise ModelFormatError("this command needs an 'nlmp' model", file=where, location="kind")
+        raise ModelFormatError("this command needs an 'nlmp' model", file=args.model, location="kind")
     return model
 
 
-def _load_pair(args) -> tuple[Nlmp | EffFn, Nlmp | EffFn]:
-    """The models ``args.a`` and ``args.b``, refused unless of one kind."""
+def _kernel(args, nlmp: Nlmp) -> nlmp_ops.Kernel:
+    """The kernel of ``nlmp``, read from ``args.model``, that ``--label``
+    picks; without it, the kernel of the model's one label."""
+    if args.label is None and len(nlmp.labels) != 1:
+        message = "several labels; pick one with --label" if nlmp.labels else "no labels"
+        raise ModelFormatError(f"model has {message}", file=args.model, location="labels")
+    label = nlmp.labels[0] if args.label is None else args.label
+    if label not in nlmp.labels:
+        raise ModelFormatError(f"unknown label {label!r}", file=args.model, location="labels")
+    return nlmp.kernel(label)
+
+
+def _ef(args) -> EffFn:
+    """An effectivity function from the model ``args.model``: an 'nlmp' model
+    label-wise through the principal-filter embedding, an 'ef' model as is."""
+    model = load_model(args.model)
+    if isinstance(model, Nlmp):
+        return nlmp_ops.filter_generate(_kernel(args, model))
+    if args.label is not None:
+        raise ModelFormatError("--label applies to 'nlmp' models", file=args.model, location="--label")
+    return model
+
+
+def _pair(args):
+    """The models ``args.a`` and ``args.b`` of one kind, and the ``--map``
+    between them if any; 'nlmp' models need one label set and no ``--strong``."""
     a = load_model(args.a)
     b = load_model(args.b)
     if type(a) is not type(b):
         raise ModelFormatError("both models must have the same kind", file=args.b, location="kind")
-    return a, b
-
-
-def _same_labels(a: Nlmp, b: Nlmp, where: str) -> None:
-    if set(a.labels) != set(b.labels):
-        raise ModelFormatError("label sets differ", file=where, location="labels")
+    mapping = load_map(args.map, a.space, b.space) if "map" in args else None
+    if isinstance(a, Nlmp):
+        if getattr(args, "strong", False):
+            raise ModelFormatError("--strong applies to 'ef' models", file=args.a, location="kind")
+        if set(a.labels) != set(b.labels):
+            raise ModelFormatError("label sets differ", file=args.b, location="labels")
+    return a, b, mapping
 
 
 def cmd_validate(args) -> tuple[int, dict[str, Any]]:
@@ -102,11 +114,6 @@ def cmd_validate(args) -> tuple[int, dict[str, Any]]:
 
 def cmd_bisim(args) -> tuple[int, dict[str, Any]]:
     model = load_model(args.model)
-    if isinstance(model, Nlmp):
-        rel = nlmp_ops.greatest_bisim(model)
-    else:
-        rel = ef_ops.greatest_ef_bisim(model)
-    payload: dict[str, Any] = {"partition": _partition_payload(rel)}
     if args.pairs:
         try:
             s, t = args.pairs.split(",")
@@ -114,57 +121,56 @@ def cmd_bisim(args) -> tuple[int, dict[str, Any]]:
             raise ModelFormatError("--pairs wants 's,t'", location="--pairs") from None
         model.space.index(s)
         model.space.index(t)
-        bisimilar = (s, t) in rel
-        payload["query"] = {"s": s, "t": t, "bisimilar": bisimilar}
-        return (0 if bisimilar else 1), payload
-    return 0, payload
+    if isinstance(model, Nlmp):
+        rel = nlmp_ops.greatest_bisim(model)
+    else:
+        rel = ef_ops.greatest_ef_bisim(model)
+    payload: dict[str, Any] = {"partition": [list(block) for block in rel.classes()]}
+    if not args.pairs:
+        return 0, payload
+    bisimilar = (s, t) in rel
+    payload["query"] = {"s": s, "t": t, "bisimilar": bisimilar}
+    return (0 if bisimilar else 1), payload
 
 
 def cmd_event_bisim(args) -> tuple[int, dict[str, Any]]:
-    model = load_model(args.model)
-    nlmp = _require_nlmp(model, args.model)
-    coarser = load_partition(args.partition, model.space)
+    nlmp = _nlmp(args)
+    coarser = load_partition(args.partition, nlmp.space)
     holds = nlmp_ops.is_event_bisim(nlmp, coarser)
     return (0 if holds else 1), {"holds": holds}
 
 
 def cmd_subsystem(args) -> tuple[int, dict[str, Any]]:
-    model = load_model(args.model)
-    ef = _require_ef(model, args.label, args.model)
-    coarser = load_partition(args.partition, model.space)
+    ef = _ef(args)
+    coarser = load_partition(args.partition, ef.space)
     holds = ef_ops.is_subsystem(ef, coarser)
     return (0 if holds else 1), {"holds": holds}
 
 
 def cmd_eval(args) -> tuple[int, dict[str, Any]]:
-    model = load_model(args.model)
-    ef = _require_ef(model, args.label, args.model)
+    ef = _ef(args)
     formula = logic_ops.parse_formula(args.formula)
+    if args.state is not None:
+        ef.space.index(args.state)
     extension = logic_ops.eval_state(ef, formula)
-    ordered = [s for s in model.space.carrier if s in extension]
     payload: dict[str, Any] = {
         "formula": logic_ops.format_formula(formula),
-        "states": ordered,
+        "states": [s for s in ef.space.carrier if s in extension],
     }
-    if args.state is not None:
-        model.space.index(args.state)
-        satisfied = args.state in extension
-        payload["query"] = {"state": args.state, "satisfied": satisfied}
-        return (0 if satisfied else 1), payload
-    return 0, payload
+    if args.state is None:
+        return 0, payload
+    satisfied = args.state in extension
+    payload["query"] = {"state": args.state, "satisfied": satisfied}
+    return (0 if satisfied else 1), payload
 
 
 def cmd_lequiv(args) -> tuple[int, dict[str, Any]]:
-    model = load_model(args.model)
-    ef = _require_ef(model, args.label, args.model)
-    rel = logic_ops.logical_equivalence(ef)
-    return 0, {"partition": _partition_payload(rel)}
+    rel = logic_ops.logical_equivalence(_ef(args))
+    return 0, {"partition": [list(block) for block in rel.classes()]}
 
 
 def cmd_distinguish(args) -> tuple[int, dict[str, Any]]:
-    model = load_model(args.model)
-    ef = _require_ef(model, args.label, args.model)
-    result = logic_ops.distinguish(ef, args.s, args.t)
+    result = logic_ops.distinguish(_ef(args), args.s, args.t)
     if result.equivalent:
         return 0, {"equivalent": True}
     return 1, {
@@ -175,65 +181,39 @@ def cmd_distinguish(args) -> tuple[int, dict[str, Any]]:
 
 
 def cmd_morphism(args) -> tuple[int, dict[str, Any]]:
-    a, b = _load_pair(args)
-    mapping = load_map(args.map, a.space, b.space)
+    a, b, mapping = _pair(args)
     if isinstance(a, Nlmp):
-        if args.strong:
-            raise ModelFormatError(
-                "--strong applies to 'ef' models", file=args.a, location="kind"
-            )
-        _same_labels(a, b, args.b)
         holds = all(
             nlmp_ops.is_nk_morphism(mapping, a.kernel(label), b.kernel(label))
             for label in a.labels
         )
-        return (0 if holds else 1), {"holds": holds, "strong": False}
-    if args.strong:
+    elif not args.strong:
+        holds = ef_ops.is_ef_morphism(mapping, a, b)
+    else:
         try:
             holds = ef_ops.is_strong_morphism(mapping, a, b)
         except NotSurjectiveError:
             return 1, {"holds": False, "strong": True, "reason": "not_surjective"}
-        return (0 if holds else 1), {"holds": holds, "strong": True}
-    holds = ef_ops.is_ef_morphism(mapping, a, b)
-    return (0 if holds else 1), {"holds": holds, "strong": False}
+    return (0 if holds else 1), {"holds": holds, "strong": args.strong}
 
 
 def cmd_dual(args) -> tuple[int, dict[str, Any]]:
-    model = load_model(args.model)
-    ef = _require_ef(model, args.label, args.model)
-    return 0, model_to_dict(ef_ops.dual_ef(ef))
+    return 0, model_to_dict(ef_ops.dual_ef(_ef(args)))
 
 
 def cmd_demonize(args) -> tuple[int, dict[str, Any]]:
-    model = load_model(args.model)
-    nlmp = _require_nlmp(model, args.model)
-    return 0, model_to_dict(_require_ef(nlmp, args.label, args.model))
+    return 0, model_to_dict(nlmp_ops.filter_generate(_kernel(args, _nlmp(args))))
 
 
 def cmd_angelize(args) -> tuple[int, dict[str, Any]]:
-    model = load_model(args.model)
-    nlmp = _require_nlmp(model, args.model)
-    label = _pick_label(nlmp, args.label, args.model)
-    return 0, model_to_dict(nlmp_ops.angelize(nlmp.kernel(label)))
-
-
-def _pick_label(nlmp: Nlmp, label: str | None, where: str) -> str:
-    if label is None:
-        if len(nlmp.labels) != 1:
-            message = "several labels; pick one with --label" if nlmp.labels else "no labels"
-            raise ModelFormatError(f"model has {message}", file=where, location="labels")
-        return nlmp.labels[0]
-    if label not in nlmp.labels:
-        raise ModelFormatError(f"unknown label {label!r}", file=where, location="labels")
-    return label
+    return 0, model_to_dict(nlmp_ops.angelize(_kernel(args, _nlmp(args))))
 
 
 def cmd_sum(args) -> tuple[int, dict[str, Any]]:
-    a, b = _load_pair(args)
+    a, b, _ = _pair(args)
     if isinstance(a, EffFn):
         summed, _ = ef_ops.sum_ef(a, b)
         return 0, model_to_dict(summed)
-    _same_labels(a, b, args.b)
     kernels = {}
     for label in a.labels:
         kernels[label], _ = nlmp_ops.direct_sum(a.kernel(label), b.kernel(label))
@@ -241,10 +221,9 @@ def cmd_sum(args) -> tuple[int, dict[str, Any]]:
 
 
 def cmd_quotient(args) -> tuple[int, dict[str, Any]]:
-    model = load_model(args.model)
-    ef = _require_ef(model, args.label, args.model)
-    blocks = load_partition(args.partition, model.space)
-    alpha = Relation.from_partition(model.space, blocks.atoms)
+    ef = _ef(args)
+    blocks = load_partition(args.partition, ef.space)
+    alpha = Relation.from_partition(ef.space, blocks.atoms)
     try:
         quotiented, _ = ef_ops.quotient(ef, alpha)
     except NotACongruenceError as exc:
@@ -257,10 +236,9 @@ def cmd_quotient(args) -> tuple[int, dict[str, Any]]:
 
 
 def cmd_span(args) -> tuple[int, dict[str, Any]]:
-    p = load_model(args.p)
-    q = load_model(args.q)
-    m = load_model(args.m)
-    for model, path in ((p, args.p), (q, args.q), (m, args.m)):
+    paths = (args.p, args.q, args.m)
+    p, q, m = models = [load_model(path) for path in paths]
+    for model, path in zip(models, paths):
         if not isinstance(model, EffFn):
             raise ModelFormatError("span needs 'ef' models", file=path, location="kind")
     f = load_map(args.f, p.space, m.space)
@@ -284,91 +262,50 @@ def cmd_span(args) -> tuple[int, dict[str, Any]]:
     }
 
 
-def _render_text(payload: dict[str, Any], out) -> None:
-    for key in sorted(payload):
-        value = payload[key]
-        if isinstance(value, (dict, list)):
-            value = json.dumps(value, sort_keys=True)
-        out.write(f"{key}: {value}\n")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="effkit", description=HELP)
+    parser = _Parser(prog="effkit", description="finite-state stochastic nondeterminism toolkit")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
+    labelled = []
 
-    def add(name, handler, help_text):
+    def add(name, handler, help_text, *positionals, label=False):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
+        for positional in positionals:
+            p.add_argument(positional)
+        if label:
+            labelled.append(p)
         return p
 
-    p = add("validate", cmd_validate, "check a model file against its schema")
-    p.add_argument("model")
-
-    p = add("bisim", cmd_bisim, "greatest state bisimulation of a model")
-    p.add_argument("model")
+    add("validate", cmd_validate, "check a model file against its schema", "model")
+    p = add("bisim", cmd_bisim, "greatest state bisimulation of a model", "model")
     p.add_argument("--pairs", help="s,t: also ask whether the pair is bisimilar")
-
-    p = add("event-bisim", cmd_event_bisim, "test a partition as an event bisimulation")
-    p.add_argument("model")
+    p = add("event-bisim", cmd_event_bisim, "test a partition as an event bisimulation", "model")
     p.add_argument("--partition", required=True)
-
-    p = add("subsystem", cmd_subsystem, "test a partition as a subsystem")
-    p.add_argument("model")
+    p = add("subsystem", cmd_subsystem, "test a partition as a subsystem", "model", label=True)
     p.add_argument("--partition", required=True)
-    p.add_argument("--label")
-
-    p = add("eval", cmd_eval, "evaluate a formula")
-    p.add_argument("model")
+    p = add("eval", cmd_eval, "evaluate a formula", "model", label=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--state")
-    p.add_argument("--label")
-
-    p = add("lequiv", cmd_lequiv, "logical-equivalence partition")
-    p.add_argument("model")
-    p.add_argument("--label")
-
-    p = add("distinguish", cmd_distinguish, "distinguishing formula for a pair")
-    p.add_argument("model")
-    p.add_argument("s")
-    p.add_argument("t")
-    p.add_argument("--label")
-
-    p = add("morphism", cmd_morphism, "test a map as a (strong) morphism")
-    p.add_argument("a")
-    p.add_argument("b")
+    add("lequiv", cmd_lequiv, "logical-equivalence partition", "model", label=True)
+    add("distinguish", cmd_distinguish, "distinguishing formula for a pair", "model", "s", "t",
+        label=True)
+    p = add("morphism", cmd_morphism, "test a map as a (strong) morphism", "a", "b")
     p.add_argument("--map", required=True)
     p.add_argument("--strong", action="store_true")
-
-    p = add("dual", cmd_dual, "dual portfolio model")
-    p.add_argument("model")
-    p.add_argument("--label")
-
-    p = add("demonize", cmd_demonize, "principal-filter portfolio of a kernel")
-    p.add_argument("model")
-    p.add_argument("--label")
-
-    p = add("angelize", cmd_angelize, "singleton-filter portfolio of a kernel")
-    p.add_argument("model")
-    p.add_argument("--label")
-
-    p = add("sum", cmd_sum, "direct sum of two models")
-    p.add_argument("a")
-    p.add_argument("b")
-
-    p = add("quotient", cmd_quotient, "quotient by a congruence partition")
-    p.add_argument("model")
+    add("dual", cmd_dual, "dual portfolio model", "model", label=True)
+    add("demonize", cmd_demonize, "principal-filter portfolio of a kernel", "model", label=True)
+    add("angelize", cmd_angelize, "singleton-filter portfolio of a kernel", "model", label=True)
+    add("sum", cmd_sum, "direct sum of two models", "a", "b")
+    p = add("quotient", cmd_quotient, "quotient by a congruence partition", "model", label=True)
     p.add_argument("--partition", required=True)
-    p.add_argument("--label")
-
-    p = add("span", cmd_span, "verify a cospan and build its span")
-    p.add_argument("p")
-    p.add_argument("q")
-    p.add_argument("m")
+    p = add("span", cmd_span, "verify a cospan and build its span", "p", "q", "m")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-
+    # after each subcommand's own options, where its --help lists it
+    for p in labelled:
+        p.add_argument("--label")
     return parser
 
 
@@ -391,7 +328,11 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
     if args.format == "json":
         out.write(dumps_canonical(payload))
     else:
-        _render_text(payload, out)
+        for key in sorted(payload):
+            value = payload[key]
+            if isinstance(value, (dict, list)):
+                value = json.dumps(value, sort_keys=True)
+            out.write(f"{key}: {value}\n")
     return code
 
 

@@ -44,6 +44,7 @@ __all__ = [
     "SpanResult",
     "verify_cospan",
     "build_span",
+    "canonical_mediator_cospan",
     "support_relations",
 ]
 

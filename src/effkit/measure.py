@@ -124,7 +124,8 @@ class SubProb:
             for a, m in mass.items():
                 q = masses[a] = Fraction(m)
                 if q < 0:
-                    raise SpaceMismatchError(f"negative mass {m!r}")
+                    mass_text = _rational_str(q.numerator, q.denominator, "a negative mass")
+                    raise SpaceMismatchError(f"negative mass {mass_text}")
             # reduced denominators: gcd(den, *nums) == 1 (docs/derivations.md, section 13)
             den = lcm(*[q.denominator for q in masses.values()])
             mass = {a: q.numerator * (den // q.denominator) for a, q in masses.items()}
@@ -168,8 +169,13 @@ class SubProb:
         return Fraction(sum(self.nums), self.den)
 
     def __repr__(self) -> str:
-        atoms = self.space.atoms
-        masses = {atoms[a][0]: str(Fraction(n, self.den)) for a, n in zip(self.atoms, self.nums)}
+        masses = {}
+        for a, n in zip(self.atoms, self.nums):
+            try:
+                text = _rational_str(n, self.den, "a mass")
+            except EffkitError:  # never raised from a repr
+                text = "<too long to print>"
+            masses[self.space.atoms[a][0]] = text
         return f"SubProb({masses!r})" if masses else "SubProb(zero)"
 
 
@@ -182,7 +188,8 @@ def _interned(space: Space, mass: Mapping[int, int], den: int) -> SubProb:
     (docs/derivations.md, section 13).  Every measure is built here."""
     atoms, nums = zip(*sorted(mass.items())) if mass else ((), ())
     if nums and min(nums) < 0:
-        raise SpaceMismatchError(f"negative mass {Fraction(min(nums), den)!r}")
+        mass_text = _rational_str(min(nums), den, "a negative mass")
+        raise SpaceMismatchError(f"negative mass {mass_text}")
     size = len(space.atoms)
     if atoms and (atoms[0] < 0 or atoms[-1] >= size):
         bad = next(a for a in mass if not 0 <= a < size)

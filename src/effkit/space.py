@@ -201,9 +201,6 @@ class MeasurableMap:
         for s, t in table.items():
             domain.index(s)
             codomain.index(t)
-        if len(table) != len(domain.carrier):
-            extra = sorted(set(table) - set(domain.carrier))
-            raise ForeignStateError(f"map defined on foreign states {extra}")
         index = codomain._atom_index
         into, straddled = _atoms_into(domain.atoms, {s: index[t] for s, t in table.items()})
         if straddled:

@@ -374,7 +374,7 @@ def subprob_oracle(space: Space, masses) -> tuple[Fraction, ...]:
     for a, m in masses.items():
         q = Fraction(m)
         if q < 0:
-            raise SpaceMismatchError(f"negative mass {m!r}")
+            raise SpaceMismatchError(f"negative mass {q}")
     for a, m in masses.items():
         if not 0 <= a < len(vec):
             raise SpaceMismatchError(

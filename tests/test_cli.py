@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import gc
 import io
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 import weakref
@@ -18,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effkit.cli import run
+from effkit import effectivity, logic, nlmp
+from effkit.cli import build_parser, run
 from effkit.model_io import dumps_canonical, load_model, model_from_dict, model_to_dict
 from helpers import (
     dense,
@@ -481,6 +484,122 @@ class TestUsageErrors:
             invoke("--help")
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: effkit")
+
+
+# Per subcommand, in the order ``effkit --help`` lists them: its positionals
+# and, per option, whether it is required, optional or a flag.
+SURFACE = {
+    "validate": (["model"], {}),
+    "bisim": (["model"], {"--pairs": "optional"}),
+    "event-bisim": (["model"], {"--partition": "required"}),
+    "subsystem": (["model"], {"--partition": "required", "--label": "optional"}),
+    "eval": (["model"], {"--formula": "required", "--state": "optional", "--label": "optional"}),
+    "lequiv": (["model"], {"--label": "optional"}),
+    "distinguish": (["model", "s", "t"], {"--label": "optional"}),
+    "morphism": (["a", "b"], {"--map": "required", "--strong": "flag"}),
+    "dual": (["model"], {"--label": "optional"}),
+    "demonize": (["model"], {"--label": "optional"}),
+    "angelize": (["model"], {"--label": "optional"}),
+    "sum": (["a", "b"], {}),
+    "quotient": (["model"], {"--partition": "required", "--label": "optional"}),
+    "span": (["p", "q", "m"], {"--f": "required", "--g": "required"}),
+}
+
+
+class TestSurface:
+    """The command line's arguments, pinned in ``SURFACE``: the parser
+    declares exactly these, and README's ``effkit ...`` lines show them."""
+
+    @staticmethod
+    def declared(parser: argparse.ArgumentParser):
+        positionals, options = [], {}
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            if not action.option_strings:
+                positionals.append(action.dest)
+            elif action.nargs == 0:
+                options[action.option_strings[0]] = "flag"
+            else:
+                options[action.option_strings[0]] = "required" if action.required else "optional"
+        return positionals, options
+
+    def test_the_parser_declares_the_surface(self):
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        positionals, options = self.declared(parser)
+        assert positionals == ["command"] and options == {"--format": "optional"}
+        assert [a for a in parser._actions if a.dest == "format"][0].choices == ("json", "text")
+        assert list(commands.choices) == list(SURFACE)
+        for name, sub in commands.choices.items():
+            positionals, options = self.declared(sub)
+            assert (positionals, options) == SURFACE[name], name
+            assert list(options) == list(SURFACE[name][1]), name
+
+    def test_the_readme_shows_the_surface(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        shown = {}
+        for line in readme.splitlines():
+            if not line.startswith("effkit "):
+                continue
+            _, name, *words = shlex.split(line)
+            positionals, options = [], {}
+            words.reverse()
+            while words:
+                word = words.pop()
+                option = word.lstrip("[").rstrip("]")
+                if not option.startswith("--"):
+                    positionals.append(word)
+                elif SURFACE.get(name, ([], {}))[1].get(option) == "flag":
+                    options[option] = "flag"
+                else:
+                    words.pop()
+                    options[option] = "optional" if word.startswith("[") else "required"
+            shown[name] = (len(positionals), options)
+        expected = {name: (len(pos), options) for name, (pos, options) in SURFACE.items()}
+        assert shown == expected
+
+
+class TestArgumentsAreCheckedFirst:
+    """Every argument is read and checked before the library computes: with
+    the computation replaced by a failure, a bad argument is still refused
+    with its diagnostic."""
+
+    @pytest.fixture(autouse=True)
+    def no_computation(self, monkeypatch):
+        def computed(*args, **kwargs):
+            raise AssertionError("the library ran before the arguments were checked")
+
+        for module, name in (
+            (nlmp, "greatest_bisim"),
+            (effectivity, "greatest_ef_bisim"),
+            (logic, "eval_state"),
+        ):
+            monkeypatch.setattr(module, name, computed)
+
+    @pytest.mark.parametrize(
+        "argv, location, message",
+        [
+            (["bisim", "--pairs", "nosuch"], "--pairs", "--pairs wants 's,t'"),
+            (["bisim", "--pairs", "s0,s1,s2"], "--pairs", "--pairs wants 's,t'"),
+            (["bisim", "--pairs", "s0,zz"], None, "state 'zz' not in carrier"),
+            (["bisim", "--pairs", "zz,s0"], None, "state 'zz' not in carrier"),
+            (["eval", "--formula", "T", "--state", "zz"], None, "state 'zz' not in carrier"),
+        ],
+        ids=["pairs-malformed", "pairs-three", "pairs-unknown-t", "pairs-unknown-s", "eval-state"],
+    )
+    @pytest.mark.parametrize("model", ["kA", "efA"])
+    def test_bad_argument_is_refused_before_computing(self, request, model, argv, location, message):
+        path = request.getfixturevalue(model)
+        code, out, err = invoke(argv[0], path, *argv[1:])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {"file": None, "location": location, "message": message}
+
+    def test_a_bad_formula_is_still_reported_before_a_bad_state(self, efA):
+        code, _, err = invoke("eval", efA, "--formula", "<>[T >", "--state", "zz")
+        assert code == 2
+        message = "expected a rational, found end of input (at position 6)"
+        assert json.loads(err)["error"]["message"] == message
 
 
 class TestBisim:

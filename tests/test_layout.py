@@ -247,3 +247,34 @@ def test_the_atom_rule_is_written_once():
         "atoms": {"model_io.py:_measure_to_dict", "model_io.py:model_to_dict"},
         "finds": {"space.py:sigma_r"},
     }, found
+
+
+def test_the_package_exports_each_modules_public_names():
+    """Every module with an ``__all__``, ``model_io`` aside, is exported
+    through ``effkit/__init__.py`` with exactly its ``__all__``, under the
+    same names but one: ``nlmp.direct_sum`` is exported as ``kernel_sum``."""
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exported: dict[str, set[tuple[str, str]]] = {}
+    for node in init.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            exported.setdefault(node.module, set()).update(
+                (a.name, a.asname or a.name) for a in node.names
+            )
+    renamed = {("nlmp", "direct_sum"): "kernel_sum"}
+    checked = []
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        declared = [
+            ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        ]
+        if not declared or module == "model_io":
+            continue
+        (names,) = declared
+        expected = {(name, renamed.get((module, name), name)) for name in names}
+        assert exported.get(module) == expected, (module, exported.get(module, set()) ^ expected)
+        checked.append(module)
+    assert checked == ["cospan", "effectivity", "logic", "measure", "nlmp", "space", "upperset"]

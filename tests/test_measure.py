@@ -77,6 +77,31 @@ class TestSubProb:
         with pytest.raises(SpaceMismatchError):
             SubProb(S3, {0: Fraction(-1, 2)})
 
+    @pytest.mark.parametrize(
+        "mass, den",
+        [({0: Fraction(-1, 2)}, None), ({0: "-2/4"}, None), ({0: -1, 1: 1}, 2)],
+        ids=["fraction", "string", "numerators"],
+    )
+    def test_negative_mass_prints_as_a_rational(self, mass, den):
+        with pytest.raises(SpaceMismatchError) as exc:
+            SubProb(S3, mass, den)
+        assert str(exc.value) == "negative mass -1/2"
+
+    @pytest.mark.parametrize("den", [None, 3])
+    def test_negative_mass_too_long_to_print_is_refused(self, den):
+        with pytest.raises(effkit.EffkitError) as exc:
+            SubProb(Space(["a", "b"]), {0: -(10**5000)}, den)
+        assert str(exc.value).startswith("a negative mass is too long to print: ")
+
+    def test_repr_of_a_mass_too_long_to_print(self):
+        space = Space(["a", "b"])
+        mu = SubProb(space, {0: 1, 1: 1}, 10**5000)
+        shown = "{'a': '<too long to print>', 'b': '<too long to print>'}"
+        assert repr(mu) == f"SubProb({shown})"
+        assert repr(MeasureSet(space, [mu])) == f"MeasureSet([SubProb({shown})])"
+        assert repr(UpperSet(space, [MeasureSet(space, [mu])])) == f"UpperSet([[SubProb({shown})]])"
+        assert repr(SubProb(space, {0: 1, 1: 2}, 4)) == "SubProb({'a': '1/4', 'b': '1/2'})"
+
     def test_dirac_and_zero(self):
         assert dense(SubProb.dirac(S3, "s1")) == (0, 1, 0)
         assert SubProb.zero(S3).total == 0

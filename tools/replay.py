@@ -1,0 +1,187 @@
+"""Record the effkit command's answers to one pass of the benchmark's
+requests, then replay them on other checkouts to show that exit codes,
+stdout and stderr stay byte-identical.
+
+Usage, from the root of a checkout:
+
+    python3 tools/replay.py record DIR
+    python3 tools/replay.py compare DIR CHECKOUT [CHECKOUT ...]
+
+``record`` runs one pass of each workload of ``perfbench/workloads.py``
+(refine, portfolio, query) at each of the seeds 1, 2, 5 and 7, and the
+workloads' known-defect probes at each seed, in process through this
+checkout's ``effkit.cli.run``.  It saves under DIR, which must be new or
+empty, every input file as each request read it (``files/``, by content
+hash) and, per request, its argv, exit code, stdout and stderr
+(``requests.json``).
+
+``compare`` replays the recording on each CHECKOUT in a subprocess of its
+own that imports that checkout's ``src/effkit``.  The requests are sent in
+the recorded order with the same argv, and each request's input files are
+first restored to the bytes it read when recorded.  The argv name those
+files by their absolute paths under DIR, and diagnostics print these paths,
+so a replay must use the recorded files.  It reports, per checkout, the
+first request whose exit code, stdout or stderr differs from the recording.
+Exit status: 0 when every checkout matches on every request, 1 otherwise.
+
+``perfbench/`` is imported read-only; no bytecode is written there.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+sys.dont_write_bytecode = True
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = (1, 2, 5, 7)
+WORKLOADS = ("refine", "portfolio", "query")
+
+
+def _import_cli(checkout: Path):
+    """``effkit.cli`` from ``checkout/src``, refused if another copy loads."""
+    src = (checkout / "src").resolve()
+    sys.path.insert(0, str(src))
+    from effkit import cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(src):
+        raise SystemExit(f"effkit was imported from {cli.__file__}, not from {src}")
+    return cli
+
+
+def _send(run, argv: list[str]) -> dict:
+    """One request through ``run``: its exit code, stdout and stderr, or the
+    exception it raised."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        code = run(argv, out, err)
+    except Exception as exc:  # an answer to compare like any other
+        code = f"raised {type(exc).__name__}: {exc}"
+    return {"code": code, "out": out.getvalue(), "err": err.getvalue()}
+
+
+def _around(recorded: str, replayed: str) -> tuple[str, str]:
+    """Both texts, from 60 characters before their first difference to 60
+    after it."""
+    pairs = enumerate(zip(recorded, replayed))
+    at = next((i for i, (x, y) in pairs if x != y), min(len(recorded), len(replayed)))
+    start = max(at - 60, 0)
+    return recorded[start : at + 60], replayed[start : at + 60]
+
+
+def record(directory: Path) -> int:
+    directory.mkdir(parents=True, exist_ok=True)
+    if any(directory.iterdir()):
+        print(f"error: {directory} is not empty", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    cli = _import_cli(ROOT)
+    blobs = directory / "files"
+    blobs.mkdir()
+    requests: list[dict] = []
+    read: dict[str, str] = {}  # input path -> hash of the bytes it held when last read
+
+    def recorder(argv: list[str], out, err) -> int:
+        files = {}
+        for arg in argv:
+            path = Path(arg)
+            if arg.startswith(str(directory)) and path.is_file():
+                data = path.read_bytes()
+                digest = hashlib.sha256(data).hexdigest()
+                if read.get(arg) != digest:
+                    (blobs / digest).write_bytes(data)
+                    read[arg] = files[arg] = digest
+        answer = _send(cli.run, argv)
+        requests.append({"argv": argv, "files": files, **answer})
+        out.write(answer["out"])
+        err.write(answer["err"])
+        if not isinstance(answer["code"], int):
+            raise RuntimeError(answer["code"])
+        return answer["code"]
+
+    failed = 0
+    for seed in SEEDS:
+        for name in WORKLOADS:
+            workdir = directory / "work" / f"{name}-{seed}"
+            workdir.mkdir(parents=True)
+            client = workloads.Client(recorder, workdir)
+            sent = len(requests)
+            tasks = workloads.WORKLOADS[name](client, seed)
+            if name == "query":
+                tasks += workloads.defect_probes(client, seed).values()
+            for index, task in enumerate(tasks):
+                client.start(index)
+                try:
+                    task(client)
+                except workloads.TaskAborted:
+                    pass
+            failed += sum(client.failures.values())
+            print(f"{name} seed {seed}: {len(requests) - sent} requests")
+    (directory / "requests.json").write_text(json.dumps(requests), encoding="utf-8")
+    print(f"recorded {len(requests)} requests under {directory}; {failed} failed their checks")
+    return 0
+
+
+def replay(directory: Path, checkout: Path) -> int:
+    """Replay the recording on ``checkout`` in this process; print the first
+    difference, or the number of identical requests."""
+    cli = _import_cli(checkout)
+    requests = json.loads((directory / "requests.json").read_text(encoding="utf-8"))
+    for number, req in enumerate(requests):
+        for path, digest in req["files"].items():
+            Path(path).write_bytes((directory / "files" / digest).read_bytes())
+        got = _send(cli.run, req["argv"])
+        for key in ("code", "out", "err"):
+            recorded, replayed = req[key], got[key]
+            if recorded != replayed:
+                print(f"request {number} differs in {key}: {' '.join(req['argv'])}")
+                if isinstance(recorded, str) and isinstance(replayed, str):
+                    recorded, replayed = _around(recorded, replayed)
+                print(f"  recorded: {recorded!r}")
+                print(f"  replayed: {replayed!r}")
+                return 1
+    print(f"all {len(requests)} requests identical")
+    return 0
+
+
+def compare(directory: Path, checkouts: list[Path]) -> int:
+    status = 0
+    for checkout in checkouts:
+        argv = [sys.executable, __file__, "replay", str(directory), str(checkout)]
+        done = subprocess.run(argv, capture_output=True, text=True)
+        print(f"{checkout}: {(done.stdout + done.stderr).strip()}")
+        status = max(status, min(done.returncode, 1))
+    return status
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        description="record the effkit command's answers to the benchmark's requests and replay them"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("record", help="record one pass of every workload").add_argument("dir")
+    p = sub.add_parser("compare", help="replay a recording on each checkout")
+    p.add_argument("dir")
+    p.add_argument("checkouts", nargs="+")
+    p = sub.add_parser("replay", help="replay a recording in this process (used by compare)")
+    p.add_argument("dir")
+    p.add_argument("checkout")
+    args = parser.parse_args(argv)
+    directory = Path(args.dir).resolve()
+    if args.command == "record":
+        return record(directory)
+    if args.command == "compare":
+        return compare(directory, [Path(c).resolve() for c in args.checkouts])
+    return replay(directory, Path(args.checkout).resolve())
+
+
+if __name__ == "__main__":
+    sys.exit(main())
