@@ -3,7 +3,9 @@
 Every decision procedure of the library is exposed as a subcommand working
 on JSON model, map, and partition files.  A handler reads its operands
 through one helper per operand kind (``_ef``, ``_nlmp``, ``_kernel``,
-``_pair``), checks every argument, and only then computes.  Exit codes: 0
+``_pair``), checks every argument, and only then computes; a state or a
+formula the library refuses is reported at the argument that gave it
+(``_located``).  Exit codes: 0
 for success or a positive answer, 1 for a well-formed negative answer (not
 bisimilar, not a morphism, distinguishable, not a congruence, invalid
 cospan), 2 for input errors.  Stdout carries the result (JSON by default,
@@ -54,6 +56,16 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise _UsageError(message)
+
+
+def _located(location: str, read, *args):
+    """``read(*args)``, its input error reported at the command-line
+    argument ``location``."""
+    try:
+        return read(*args)
+    except EffkitError as exc:
+        exc.location = location
+        raise
 
 
 def _nlmp(args) -> Nlmp:
@@ -119,8 +131,8 @@ def cmd_bisim(args) -> tuple[int, dict[str, Any]]:
             s, t = args.pairs.split(",")
         except ValueError:
             raise ModelFormatError("--pairs wants 's,t'", location="--pairs") from None
-        model.space.index(s)
-        model.space.index(t)
+        _located("--pairs", model.space.index, s)
+        _located("--pairs", model.space.index, t)
     if isinstance(model, Nlmp):
         rel = nlmp_ops.greatest_bisim(model)
     else:
@@ -149,9 +161,9 @@ def cmd_subsystem(args) -> tuple[int, dict[str, Any]]:
 
 def cmd_eval(args) -> tuple[int, dict[str, Any]]:
     ef = _ef(args)
-    formula = logic_ops.parse_formula(args.formula)
+    formula = _located("--formula", logic_ops.parse_formula, args.formula)
     if args.state is not None:
-        ef.space.index(args.state)
+        _located("--state", ef.space.index, args.state)
     extension = logic_ops.eval_state(ef, formula)
     payload: dict[str, Any] = {
         "formula": logic_ops.format_formula(formula),
@@ -170,7 +182,10 @@ def cmd_lequiv(args) -> tuple[int, dict[str, Any]]:
 
 
 def cmd_distinguish(args) -> tuple[int, dict[str, Any]]:
-    result = logic_ops.distinguish(_ef(args), args.s, args.t)
+    ef = _ef(args)
+    _located("s", ef.space.index, args.s)
+    _located("t", ef.space.index, args.t)
+    result = logic_ops.distinguish(ef, args.s, args.t)
     if result.equivalent:
         return 0, {"equivalent": True}
     return 1, {

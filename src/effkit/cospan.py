@@ -16,8 +16,6 @@ on verified input is a bug, not an input error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .effectivity import (
     EffFn,
     _first_unmatched,
@@ -33,6 +31,7 @@ from .errors import (
     SpaceMismatchError,
 )
 from .measure import SubProb
+from .record import Record
 from .space import MeasurableMap, Space, compose
 from .upperset import MeasureSet, UpperSet, equals
 
@@ -49,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Cospan:
+class Cospan(Record):
     """Two portfolios with maps into a mediating portfolio."""
 
     p: EffFn
@@ -59,23 +57,34 @@ class Cospan:
     f: MeasurableMap
     g: MeasurableMap
 
-    def __post_init__(self):
-        if self.f.domain != self.p.space or self.f.codomain != self.m.space:
+    def __init__(self, p: EffFn, q: EffFn, m: EffFn, f: MeasurableMap, g: MeasurableMap):
+        if f.domain != p.space or f.codomain != m.space:
             raise SpaceMismatchError("left leg must map the left portfolio onto the mediator")
-        if self.g.domain != self.q.space or self.g.codomain != self.m.space:
+        if g.domain != q.space or g.codomain != m.space:
             raise SpaceMismatchError("right leg must map the right portfolio onto the mediator")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "g", g)
 
 
-@dataclass(frozen=True)
-class CheckFailure:
+class CheckFailure(Record):
     check: str
     witness: str
 
+    def __init__(self, check: str, witness: str):
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "witness", witness)
 
-@dataclass(frozen=True)
-class CospanReport:
+
+class CospanReport(Record):
     ok: bool
     failures: tuple[CheckFailure, ...]
+
+    def __init__(self, ok: bool, failures: tuple[CheckFailure, ...]):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "failures", failures)
 
 
 class CospanVerificationError(EffkitError):
@@ -109,8 +118,7 @@ def verify_cospan(c: Cospan) -> CospanReport:
     return CospanReport(not failures, tuple(failures))
 
 
-@dataclass(frozen=True)
-class SpanResult:
+class SpanResult(Record):
     """Pullback system with its projections and quotiented endpoints.
 
     ``w`` carries one atom per mediator atom; ``tau`` is the transported
@@ -124,6 +132,16 @@ class SpanResult:
     q_g: EffFn
     pi_s: MeasurableMap
     pi_t: MeasurableMap
+
+    def __init__(
+        self, w: Space, tau: EffFn, p_f: EffFn, q_g: EffFn, pi_s: MeasurableMap, pi_t: MeasurableMap
+    ):
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "p_f", p_f)
+        object.__setattr__(self, "q_g", q_g)
+        object.__setattr__(self, "pi_s", pi_s)
+        object.__setattr__(self, "pi_t", pi_t)
 
 
 def _preimage_portfolio(leg: MeasurableMap, side: EffFn) -> EffFn:

@@ -13,7 +13,6 @@ finite generator antichains; the reductions are spelled out per operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from math import gcd
 from operator import or_
@@ -27,6 +26,7 @@ from .errors import (
     SpaceMismatchError,
 )
 from .measure import SubProb, _coarsening, _collect, pushforward, unique_preimages
+from .record import Record
 from .space import (
     DirectSum,
     MeasurableMap,
@@ -55,8 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EffFn:
+class EffFn(Record):
     """A per-state portfolio of upper-closed families, constant on each atom."""
 
     space: Space

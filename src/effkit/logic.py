@@ -30,16 +30,16 @@ an independent pair-pruning oracle to compare both against.
 The evaluator's memos are keyed by node identity, so no lookup hashes a
 subtree; each entry holds its node, so its id is not reused while it lives.
 Parsing, printing and evaluation run on explicit stacks, so formulas of any
-depth work, in time linear in their nodes (at most one per character).  The
-structural ``==``, ``hash`` and ``repr`` of nodes still recurse, a few
-frames per level; neither the CLI nor the evaluator uses them.
+depth work, in time linear in their nodes (at most one per character).  So
+do the structural ``==``, ``hash`` and ``repr`` of nodes, which neither the
+CLI nor the evaluator uses.  Nodes are records (``effkit.record``), each
+class with its own straight-line constructor.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import itemgetter
@@ -52,6 +52,7 @@ from .errors import (
     ThresholdOutOfRangeError,
 )
 from .measure import SubProb, _atoms_of, _numerator_in, _rational_str
+from .record import Record
 from .space import Relation
 
 __all__ = [
@@ -78,66 +79,145 @@ __all__ = [
 # Abstract syntax
 # ---------------------------------------------------------------------------
 
-class StateFormula:
+class _Node(Record):
+    """A formula node.  ``==``, ``hash`` and ``repr`` walk the tree on an
+    explicit stack, so formulas of any depth compare, hash and print, each
+    shared subformula once for ``==`` and ``hash``."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        seen = set()  # the pairs of nodes met; all are alive while this runs
+        while todo:
+            a, b = todo.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            seen.add((id(a), id(b)))
+            for x, y in zip(a._values(), b._values()):
+                if isinstance(x, _Node):
+                    todo.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __hash__(self) -> int:
+        """The hash of the node's fields, each subformula read as its hash."""
+        hashes: dict[int, int] = {}  # by node id; all are alive while this runs
+        todo = [self]
+        while todo:
+            node = todo[-1]
+            values = node._values()
+            parts = [v for v in values if isinstance(v, _Node) and id(v) not in hashes]
+            if parts:
+                todo += parts
+                continue
+            todo.pop()
+            hashes[id(node)] = hash(
+                tuple([hashes[id(v)] if isinstance(v, _Node) else v for v in values])
+            )
+        return hashes[id(self)]
+
+    def __repr__(self) -> str:
+        out: list[str] = []
+        todo: list = [self]  # nodes, and text to print as is
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            pieces = [f"{type(item).__qualname__}("]
+            for i, (name, value) in enumerate(zip(item._fields, item._values())):
+                pieces.append(f"{', ' if i else ''}{name}=")
+                pieces.append(value if isinstance(value, _Node) else repr(value))
+            todo += reversed([*pieces, ")"])
+        return "".join(out)
+
+
+class StateFormula(_Node):
     """Base class of state-level formulas."""
 
     __slots__ = ()
 
 
-class MeasureFormula:
+class MeasureFormula(_Node):
     """Base class of measure-level formulas."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+# Each node class writes its own constructor, which stores the fields
+# through ``_set``, one global lookup per field, as formulas are built by the
+# thousand per request; Top's too, so that building any node is one call of
+# its own class's ``__init__``, where perfbench's tracer counts formula nodes.
+_set = object.__setattr__  # past Record's refusal of assignment
+
+
 class Top(StateFormula):
-    pass
+    def __init__(self):
+        pass
 
 
-@dataclass(frozen=True)
 class And(StateFormula):
     left: StateFormula
     right: StateFormula
 
+    def __init__(self, left: StateFormula, right: StateFormula):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
-@dataclass(frozen=True)
+
 class Diamond(StateFormula):
     body: MeasureFormula
 
+    def __init__(self, body: MeasureFormula):
+        _set(self, "body", body)
 
-@dataclass(frozen=True)
+
 class Box(StateFormula):
     body: MeasureFormula
 
+    def __init__(self, body: MeasureFormula):
+        _set(self, "body", body)
 
-@dataclass(frozen=True)
+
 class MAnd(MeasureFormula):
     left: MeasureFormula
     right: MeasureFormula
 
+    def __init__(self, left: MeasureFormula, right: MeasureFormula):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
-@dataclass(frozen=True)
+
 class MOr(MeasureFormula):
     left: MeasureFormula
     right: MeasureFormula
 
+    def __init__(self, left: MeasureFormula, right: MeasureFormula):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
-@dataclass(frozen=True)
+
 class Threshold(MeasureFormula):
     state: StateFormula
     cmp: str
     bound: Fraction
 
-    def __post_init__(self):
-        if self.cmp not in ("<", ">"):
-            raise FormulaSyntaxError(f"comparison must be < or >, got {self.cmp!r}", 0)
-        if not isinstance(self.bound, Fraction):
-            object.__setattr__(self, "bound", Fraction(self.bound))
-        if not (0 <= self.bound < 1):
-            raise ThresholdOutOfRangeError(
-                f"threshold {self.bound} outside [0, 1)"
-            )
+    def __init__(self, state: StateFormula, cmp: str, bound: Fraction):
+        if cmp not in ("<", ">"):
+            raise FormulaSyntaxError(f"comparison must be < or >, got {cmp!r}", 0)
+        if not isinstance(bound, Fraction):
+            bound = Fraction(bound)
+        if not (0 <= bound < 1):
+            raise ThresholdOutOfRangeError(f"threshold {bound} outside [0, 1)")
+        _set(self, "state", state)
+        _set(self, "cmp", cmp)
+        _set(self, "bound", bound)
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +513,7 @@ def eval_measure(p: EffFn, m: MeasureFormula, mu: SubProb) -> bool:
 # Logical equivalence and distinguishing formulas
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DistinguishResult:
+class DistinguishResult(Record):
     """Outcome of a distinguishing-formula request.
 
     When the pair is inequivalent, ``formula`` is satisfied by exactly
@@ -443,8 +522,15 @@ class DistinguishResult:
     """
 
     equivalent: bool
-    formula: StateFormula | None = None
-    satisfied_by: str | None = None
+    formula: StateFormula | None
+    satisfied_by: str | None
+
+    def __init__(
+        self, equivalent: bool, formula: StateFormula | None = None, satisfied_by: str | None = None
+    ):
+        _set(self, "equivalent", equivalent)
+        _set(self, "formula", formula)
+        _set(self, "satisfied_by", satisfied_by)
 
 
 _FALSUM = Threshold(Top(), "<", Fraction(0))

@@ -7,15 +7,16 @@ their integer numerators ``nums``, and one positive integer denominator
 ``den``, in lowest terms: ``gcd(den, *nums) == 1``.  Equal measures on a
 space therefore have equal ``(den, atoms, nums)``, and the constructor
 returns the one live measure of that key from its space's weak registry,
-so equal measures are one object and compare and hash by identity.  Every
-construction, the constructor's, pushforward's, restriction's and the model
-loader's, ends in one routine, ``_interned``, which reduces an integer
-support and interns it.  Sums
-over atoms and the mass bound are integer operations, and a measure costs
-its support, not its space.  There is deliberately no floating point
-anywhere, because the bisimulation procedures hinge on exact equality of
-masses and floats would produce false separations; masses are read and
-reported as :class:`fractions.Fraction` (``total``, ``evaluate``).
+so equal measures are one object and compare and hash by identity; a
+measure is a slotted record (``effkit.record``).  Every construction, the
+constructor's, pushforward's, restriction's and the model loader's, ends
+in one routine, ``_interned``, which reduces an integer support and
+interns it.  Sums over atoms and the mass bound are integer operations,
+and a measure costs its support, not its space.  There is deliberately no
+floating point anywhere, because the bisimulation procedures hinge on
+exact equality of masses and floats would produce false separations;
+masses are read and reported as :class:`fractions.Fraction` (``total``,
+``evaluate``).
 Measures on one space sort by their mass vectors, a collection by integer
 keys read off the supports, each numerator scaled to the lcm of the
 collection's denominators (docs/derivations.md, section 13).
@@ -37,7 +38,6 @@ import sys
 import threading
 import weakref
 from _weakref import _remove_dead_weakref  # WeakValueDictionary's atomic removal
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
@@ -50,6 +50,7 @@ from .errors import (
     NotSurjectiveError,
     SpaceMismatchError,
 )
+from .record import Record
 from .space import MeasurableMap, Relation, Space, kernel_of, sigma_r
 
 __all__ = [
@@ -94,8 +95,7 @@ class _Registry:
         refs[key] = weakref.ref(mu, release)
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class SubProb:
+class SubProb(Record):
     """A subprobability measure held by its support: the increasing atom
     indices ``atoms``, the ``k``-th carrying ``nums[k] / den`` > 0, in
     lowest terms; every other atom carries zero.
@@ -105,12 +105,14 @@ class SubProb:
     over ``den``, in any terms; omitted atoms carry zero.  The constructor
     returns the live measure of its value if there is one.  ``ident`` is
     the measure's id on its space, unique among the live measures there and
-    reused once the measure dies.  A measure pickles and copies by value, to
-    the live measure of that value.
+    reused once the measure dies.  Hash-consed, a measure compares and
+    hashes by identity; it pickles and copies by value, to the live measure
+    of that value.
     """
 
-    # by hand: ``dataclass(weakref_slot=True)`` needs Python 3.11
     __slots__ = ("space", "den", "atoms", "nums", "ident", "__weakref__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     space: Space
     den: int

@@ -13,12 +13,12 @@ every constraint is met vacuously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .effectivity import EffFn, _greatest_bisim, _is_bisim, _mutually_dominate, is_subsystem, sum_ef
 from .errors import ForeignStateError, IncompatiblePartitionError, SpaceMismatchError
 from .measure import SubProb
+from .record import Record
 from .space import DirectSum, MeasurableMap, Relation, Space, _constant_on_atoms
 from .upperset import MeasureSet, UpperSet
 
@@ -35,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Kernel:
+class Kernel(Record):
     """A per-state finite set of successor measures, constant on each atom."""
 
     space: Space
@@ -60,8 +59,7 @@ class Kernel:
         return self.image[self.space.index(state)][1]
 
 
-@dataclass(frozen=True)
-class Nlmp:
+class Nlmp(Record):
     """A finite labelled family of kernels over one space."""
 
     space: Space

@@ -4,7 +4,8 @@ A finite sigma-algebra is atomic, so a measurable space over a finite carrier
 is represented by the partition of the carrier into the atoms of its
 sigma-algebra; the measurable sets are exactly the unions of atoms.  The
 discrete space has one singleton atom per state.  All values here are
-immutable and hashable; operations are pure functions.
+immutable, hashable records (``effkit.record``), each class with its own
+constructor; operations are pure functions.
 
 States are plain strings.  A space fixes a total order on its carrier which
 every canonical form (atom order, measure vectors, relation listings) reuses,
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -30,6 +30,7 @@ from .errors import (
     NotSurjectiveError,
     SpaceMismatchError,
 )
+from .record import Record
 
 __all__ = [
     "Space",
@@ -51,13 +52,16 @@ _LOCK = threading.Lock()
 _SPACES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class Space:
+class Space(Record):
     """A finite carrier with a sigma-algebra given by its atom partition.
-    It pickles and copies by value, to the live space of that value."""
+    Hash-consed, it compares and hashes by identity; it pickles and copies
+    by value, to the live space of that value."""
 
     carrier: tuple[str, ...]
     atoms: tuple[tuple[str, ...], ...]
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __new__(cls, carrier: Iterable[str], atoms: Iterable[Iterable[str]] | None = None):
         carrier = tuple(carrier)
@@ -179,19 +183,19 @@ def _atoms_into(
     return into, straddled
 
 
-@dataclass(frozen=True)
-class MeasurableMap:
+class MeasurableMap(Record, hidden=("atom_map",)):
     """A total measurable assignment between two finite spaces.
 
     Measurability requires the preimage of every codomain atom to be a union
     of domain atoms, that is, every domain atom to map into one codomain
-    atom; ``atom_map`` lists that atom per domain atom.
+    atom; ``atom_map`` lists that atom per domain atom.  It is read off the
+    other fields, and takes no part in ``==``, ``hash`` and ``repr``.
     """
 
     domain: Space
     codomain: Space
     assignment: tuple[tuple[str, str], ...]
-    atom_map: tuple[int, ...] = field(compare=False, repr=False)
+    atom_map: tuple[int, ...]
 
     def __init__(self, domain: Space, codomain: Space, assignment: Mapping[str, str]):
         table = dict(assignment)
@@ -261,8 +265,7 @@ def compose(outer: MeasurableMap, inner: MeasurableMap) -> MeasurableMap:
     )
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Record):
     """A finite binary relation over the carrier of a space.
 
     Held as ``related``: per carrier state, in carrier order, the frozenset
@@ -403,13 +406,17 @@ def kernel_of(f: MeasurableMap) -> Relation:
     return Relation.from_partition(f.domain, f.fibers().values())
 
 
-@dataclass(frozen=True)
-class DirectSum:
+class DirectSum(Record):
     """A sum space together with the two injections."""
 
     space: Space
     left: MeasurableMap
     right: MeasurableMap
+
+    def __init__(self, space: Space, left: MeasurableMap, right: MeasurableMap):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 def _tag(side: str, state: str) -> str:
@@ -431,8 +438,7 @@ def direct_sum(a: Space, b: Space) -> DirectSum:
     return DirectSum(space, left, right)
 
 
-@dataclass(frozen=True)
-class FinalSurjection:
+class FinalSurjection(Record):
     """Result of the finality test for a surjective map.
 
     ``pairing`` lists, per codomain atom, the preimage as a set of domain
@@ -444,6 +450,10 @@ class FinalSurjection:
 
     is_final: bool
     pairing: tuple[tuple[frozenset[str], frozenset[str]], ...]
+
+    def __init__(self, is_final: bool, pairing: tuple[tuple[frozenset[str], frozenset[str]], ...]):
+        object.__setattr__(self, "is_final", is_final)
+        object.__setattr__(self, "pairing", pairing)
 
 
 def is_final_surjection(f: MeasurableMap) -> FinalSurjection:

@@ -33,13 +33,13 @@ construction reads it: emission, formula synthesis, ``repr`` and pickling
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from typing import Collection, Iterable
 
 from .errors import SpaceMismatchError
 from .measure import SubProb, _mass_order
+from .record import Record
 from .space import Space
 
 __all__ = [
@@ -54,8 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MeasureSet:
+class MeasureSet(Record):
     """A finite set of measures on one space, kept as built beside its mask;
     ``members`` is its canonical order.  It pickles and copies by value, so
     its mask is rebuilt on the live space."""
@@ -146,8 +145,7 @@ def _minimal(masks: Collection[int]) -> list[int]:
     return kept
 
 
-@dataclass(frozen=True)
-class UpperSet:
+class UpperSet(Record):
     """An upper-closed family in canonical antichain form.
 
     The constructor builds that form: duplicate generators are removed and any

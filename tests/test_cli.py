@@ -574,6 +574,7 @@ class TestArgumentsAreCheckedFirst:
             (nlmp, "greatest_bisim"),
             (effectivity, "greatest_ef_bisim"),
             (logic, "eval_state"),
+            (logic, "distinguish"),
         ):
             monkeypatch.setattr(module, name, computed)
 
@@ -582,11 +583,29 @@ class TestArgumentsAreCheckedFirst:
         [
             (["bisim", "--pairs", "nosuch"], "--pairs", "--pairs wants 's,t'"),
             (["bisim", "--pairs", "s0,s1,s2"], "--pairs", "--pairs wants 's,t'"),
-            (["bisim", "--pairs", "s0,zz"], None, "state 'zz' not in carrier"),
-            (["bisim", "--pairs", "zz,s0"], None, "state 'zz' not in carrier"),
-            (["eval", "--formula", "T", "--state", "zz"], None, "state 'zz' not in carrier"),
+            (["bisim", "--pairs", "s0,zz"], "--pairs", "state 'zz' not in carrier"),
+            (["bisim", "--pairs", "zz,s0"], "--pairs", "state 'zz' not in carrier"),
+            (["eval", "--formula", "T", "--state", "zz"], "--state", "state 'zz' not in carrier"),
+            (
+                ["eval", "--formula", "<>[T >"],
+                "--formula",
+                "expected a rational, found end of input (at position 6)",
+            ),
+            (["eval", "--formula", "<>[T > 1]"], "--formula", "threshold 1 outside [0, 1)"),
+            (["distinguish", "zz", "s0"], "s", "state 'zz' not in carrier"),
+            (["distinguish", "s0", "zz"], "t", "state 'zz' not in carrier"),
         ],
-        ids=["pairs-malformed", "pairs-three", "pairs-unknown-t", "pairs-unknown-s", "eval-state"],
+        ids=[
+            "pairs-malformed",
+            "pairs-three",
+            "pairs-unknown-t",
+            "pairs-unknown-s",
+            "eval-state",
+            "eval-syntax",
+            "eval-threshold",
+            "distinguish-s",
+            "distinguish-t",
+        ],
     )
     @pytest.mark.parametrize("model", ["kA", "efA"])
     def test_bad_argument_is_refused_before_computing(self, request, model, argv, location, message):
@@ -599,7 +618,7 @@ class TestArgumentsAreCheckedFirst:
         code, _, err = invoke("eval", efA, "--formula", "<>[T >", "--state", "zz")
         assert code == 2
         message = "expected a rational, found end of input (at position 6)"
-        assert json.loads(err)["error"]["message"] == message
+        assert json.loads(err)["error"] == {"file": None, "location": "--formula", "message": message}
 
 
 class TestBisim:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import fields
 from random import Random
 
 import pytest
@@ -232,8 +231,8 @@ class TestAgainstPairOracle:
                 seen[old[0].__name__] += 1
                 continue
             seen["span"] += 1
-            for field in fields(old):
-                assert getattr(new, field.name) == getattr(old, field.name), (kind, field.name)
+            for field in ("w", "tau", "p_f", "q_g", "pi_s", "pi_t"):
+                assert getattr(new, field) == getattr(old, field), (kind, field)
             for pi in (new.pi_s, new.pi_t):
                 assert pi.atom_map == atom_map_oracle(pi)
         assert seen["span"] > 300 and seen["reached the support checks"] > 300

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "effkit"
@@ -278,3 +280,42 @@ def test_the_package_exports_each_modules_public_names():
         assert exported.get(module) == expected, (module, exported.get(module, set()) ^ expected)
         checked.append(module)
     assert checked == ["cospan", "effectivity", "logic", "measure", "nlmp", "space", "upperset"]
+
+
+def test_no_module_imports_dataclasses():
+    """The value classes derive from ``record.Record``; ``dataclasses``
+    would bring ``inspect``, ``ast``, ``dis``, ``tokenize`` and ``copy`` into
+    every start of the command."""
+    importers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.partition(".")[0] == "dataclasses" for name in names):
+                importers.add(f"{path.name}:{node.lineno}")
+    assert not importers, f"imports of dataclasses: {sorted(importers)}"
+
+
+def _loaded(code: str) -> set[str]:
+    """The modules a fresh isolated interpreter has loaded after ``code``."""
+    script = f"import sys; {code}; print(' '.join(sorted(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", script], capture_output=True, text=True, check=True, timeout=60
+    )
+    return set(done.stdout.split())
+
+
+def test_the_command_starts_without_introspection_modules():
+    """Importing ``effkit.cli`` in a fresh interpreter loads none of
+    ``dataclasses``, ``inspect``, ``ast``, ``dis`` or ``tokenize`` beyond
+    what a bare start loads.  This counts modules, not time."""
+    bare = _loaded("pass")
+    started = _loaded(f"sys.path.insert(0, {str(SRC.parent)!r}); import effkit.cli")
+    assert "effkit.cli" in started
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert (started - bare) & heavy == set()

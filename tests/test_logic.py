@@ -699,3 +699,31 @@ class TestIdentityMemos:
             assert len(logical_equivalence(p).classes()) == n
             assert not distinguish(p, "s0", "s1").equivalent
         assert not hashed, hashed
+
+
+class TestNodesAtAnyDepth:
+    """``==``, ``hash`` and ``repr`` of formula nodes run on an explicit
+    stack, and meet each shared subformula once when comparing and
+    hashing."""
+
+    DEPTH = 10_000
+
+    def nested(self, inner: StateFormula) -> StateFormula:
+        f = inner
+        for _ in range(self.DEPTH):
+            f = Diamond(Threshold(f, ">", Fraction(1, 3)))
+        return f
+
+    def test_deep_twins_compare_hash_and_print(self):
+        a, b = self.nested(Top()), self.nested(Top())
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert a != self.nested(And(Top(), Top()))
+        level = ("Diamond(body=Threshold(state=", ", cmp='>', bound=Fraction(1, 3)))")
+        assert repr(a) == level[0] * self.DEPTH + "Top()" + level[1] * self.DEPTH
+
+    def test_shared_subformulas_are_met_once(self):
+        a, b = Top(), Top()
+        for _ in range(200):  # 2**200 paths from the root
+            a, b = And(a, a), And(b, b)
+        assert a == b and hash(a) == hash(b)
+        assert a != And(a.left, Diamond(Threshold(Top(), "<", Fraction(1, 2))))
