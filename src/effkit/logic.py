@@ -19,14 +19,13 @@ group.  A measure formula never starts with those tokens and a state formula
 never starts with ``[``, so nothing is read twice and an error is reported
 where it occurs.
 
-Logical equivalence runs the signature refinement that also computes the
-greatest bisimulation, and keeps for each block of its partition a formula
-for the block's up-set, the meet of the confirmed extensions containing it;
-these extensions generate exactly the partition's sets.
-Every split is backed by a synthesized, evaluator-confirmed formula, and no
-confirmed formula may cut a signature class of its round.  The procedure is
-therefore not independent of the relational computation; the tests keep
-an independent pair-pruning oracle to compare both against.
+Logical equivalence is the greatest bisimulation's partition, by the
+logical characterization (docs/derivations.md, section 12).  Formulas are
+synthesized only for ``distinguish``: up to the round that splits its pair,
+every split is backed by an evaluator-confirmed formula that cuts no class
+of its round, and each block keeps a formula for its up-set, the meet of
+the confirmed extensions containing it.  The tests run those rounds to the
+fixed point as an oracle for the partition.
 The evaluator's memos are keyed by node identity, so no lookup hashes a
 subtree; each entry holds its node, so its id is not reused while it lives.
 Parsing, printing and evaluation run on explicit stacks, so formulas of any
@@ -44,7 +43,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import itemgetter
 
-from .effectivity import EffFn, _refine
+from .effectivity import EffFn, _greatest_bisim, _refine
 from .errors import (
     FormulaSyntaxError,
     InternalInvariantViolation,
@@ -80,47 +79,49 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 class _Node(Record):
-    """A formula node.  ``==``, ``hash`` and ``repr`` walk the tree on an
-    explicit stack, so formulas of any depth compare, hash and print, each
-    shared subformula once for ``==`` and ``hash``."""
+    """A formula node.  ``==``, ``hash`` and pickling read the table of its
+    shapes (``_number``) and ``repr`` prints it, each on an explicit stack,
+    so formulas of any depth work; only ``repr`` unfolds shared parts."""
 
     __slots__ = ()
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        todo = [(self, other)]
-        seen = set()  # the pairs of nodes met; all are alive while this runs
-        while todo:
-            a, b = todo.pop()
-            if a is b or (id(a), id(b)) in seen:
-                continue
-            if a.__class__ is not b.__class__:
-                return False
-            seen.add((id(a), id(b)))
-            for x, y in zip(a._values(), b._values()):
-                if isinstance(x, _Node):
-                    todo.append((x, y))
-                elif x != y:
-                    return False
-        return True
+        shapes: dict[tuple, tuple[int]] = {}
+        return self is other or self._number(shapes) == other._number(shapes)
 
     def __hash__(self) -> int:
-        """The hash of the node's fields, each subformula read as its hash."""
-        hashes: dict[int, int] = {}  # by node id; all are alive while this runs
+        return hash(self._shapes())
+
+    def __reduce__(self):
+        return _rebuild, (self._shapes(),)
+
+    def _shapes(self) -> tuple[tuple, ...]:
+        """The node's shapes, in the order ``_number`` meets them."""
+        shapes: dict[tuple, tuple[int]] = {}
+        self._number(shapes)
+        return tuple(shapes)
+
+    def _number(self, shapes: dict[tuple, tuple[int]]) -> tuple[int]:
+        """The number of this node's shape, as a 1-tuple.  ``shapes`` numbers
+        each shape met by its class and field values, each part read as its
+        number, so alike trees get one number.  The walk numbers each
+        distinct node once, parts first and right to left; it meets new
+        shapes in one order on alike trees, however they share parts, as a
+        part it skips is alike to one met before."""
+        numbers: dict[int, tuple[int]] = {}  # by node id; all are alive while this runs
         todo = [self]
         while todo:
             node = todo[-1]
             values = node._values()
-            parts = [v for v in values if isinstance(v, _Node) and id(v) not in hashes]
+            parts = [v for v in values if isinstance(v, _Node) and id(v) not in numbers]
             if parts:
                 todo += parts
-                continue
-            todo.pop()
-            hashes[id(node)] = hash(
-                tuple([hashes[id(v)] if isinstance(v, _Node) else v for v in values])
-            )
-        return hashes[id(self)]
+            elif id(todo.pop()) not in numbers:
+                values = [numbers[id(v)] if isinstance(v, _Node) else v for v in values]
+                numbers[id(node)] = shapes.setdefault((type(node), *values), (len(shapes),))
+        return numbers[id(self)]
 
     def __repr__(self) -> str:
         out: list[str] = []
@@ -136,6 +137,13 @@ class _Node(Record):
                 pieces.append(value if isinstance(value, _Node) else repr(value))
             todo += reversed([*pieces, ")"])
         return "".join(out)
+
+
+def _rebuild(shapes: tuple[tuple, ...]) -> _Node:
+    nodes: list[_Node] = []
+    for cls, *values in shapes:
+        nodes.append(cls(*[nodes[v[0]] if type(v) is tuple else v for v in values]))
+    return nodes[-1]
 
 
 class StateFormula(_Node):
@@ -545,52 +553,48 @@ class _Refiner:
     separating formula, confirmed by the evaluator and checked to cut no
     class of the round; each class then meets its block's up-set with the
     round's extensions containing it (docs/derivations.md, section 12).
-    ``upsets`` holds the (key, extension, formula) records in key order:
-    by size, then by their states' carrier indices.  A record's key is
-    computed once, when its up-set is new.
+    ``blocks`` holds the (key, extension, formula) records in the engine's
+    block order, ``upsets`` in key order: by size, then by their states'
+    carrier indices.  A key is computed once, when its up-set is new.
     """
 
     def __init__(self, p: EffFn):
         self.p = p
         self.ev = _Evaluator(p)
         self.index = {s: i for i, s in enumerate(p.space.carrier)}
-        self.upsets = [self._record(frozenset(p.space.carrier), Top())]
+        self.blocks = self.upsets = [self._record(frozenset(p.space.carrier), Top())]
 
-    def refine(self, watch: tuple[str, str] | None = None):
-        """Run refinement to the fixed point.
+    def separate(self, s: str, t: str) -> DistinguishResult:
+        """The verdict on ``s`` and ``t``, with the confirmed formula
+        separating them in the round that splits them, if one does."""
+        for class_of, classes in _refine(self.p.space, (self.p,), (self.p.space.carrier,)):
+            if not any(s in c and t in c for group in classes for c in group):
+                formula, _, satisfier = self._confirmed(s, t, class_of)
+                return DistinguishResult(equivalent=False, formula=formula, satisfied_by=satisfier)
+            self._round(class_of, classes)
+        return DistinguishResult(equivalent=True)
 
-        With ``watch`` set, return the confirmed separating formula for the
-        watched pair in the round that splits it, as (formula, satisfier);
-        returns None when the fixed point is reached without separating it.
-        Without ``watch``, return the final blocks.  A confirmed formula
-        that cuts a class of its round is an internal bug; by induction over
-        the rounds, no cut means the up-sets' partition is the round's
-        classes (docs/derivations.md, section 12).
-        """
-        space = self.p.space
-        records = self.upsets  # in the engine's block order
-        for class_of, classes in _refine(space, (self.p,), (space.carrier,)):
-            if watch is not None and not any(
-                watch[0] in c and watch[1] in c for group in classes for c in group
-            ):
-                formula, _, satisfier = self._confirmed(*watch, class_of)
-                return formula, satisfier
-            fresh = [
-                self._confirmed(left[0], right[0], class_of)
-                for group in classes
-                for left, right in itertools.combinations(group, 2)
-            ]
-            split = [c for group in classes for c in group]
-            for _, ext, _ in fresh:
-                if not all(ext.isdisjoint(c) or ext.issuperset(c) for c in split):
-                    raise InternalInvariantViolation("a confirmed formula cuts a signature class")
-            records = [
-                self._meet(record, c[0], fresh)
-                for record, group in zip(records, classes)
-                for c in group
-            ]
-            self.upsets = sorted(records, key=itemgetter(0))
-        return None if watch is not None else split
+    def _round(self, class_of, classes) -> list[tuple[StateFormula, frozenset[str], str]]:
+        """Confirm a formula per pair of signature classes in a block and
+        meet the up-sets with them; returns their (formula, extension,
+        satisfier).  A formula that cuts a class of its round is a bug: by
+        induction over the rounds, no cut means the up-sets' partition is
+        the round's classes (docs/derivations.md, section 12)."""
+        fresh = [
+            self._confirmed(left[0], right[0], class_of)
+            for group in classes
+            for left, right in itertools.combinations(group, 2)
+        ]
+        for _, ext, _ in fresh:
+            if not all(ext.isdisjoint(c) or ext.issuperset(c) for group in classes for c in group):
+                raise InternalInvariantViolation("a confirmed formula cuts a signature class")
+        self.blocks = [
+            self._meet(record, c[0], fresh)
+            for record, group in zip(self.blocks, classes)
+            for c in group
+        ]
+        self.upsets = sorted(self.blocks, key=itemgetter(0))
+        return fresh
 
     def _record(self, up: frozenset[str], formula: StateFormula) -> tuple:
         return (len(up), sorted(map(self.index.__getitem__, up))), up, formula
@@ -668,12 +672,11 @@ class _Refiner:
 
 
 def logical_equivalence(p: EffFn) -> Relation:
-    """Partition of states by the formulas they satisfy, as an equivalence.
-
-    Computed by signature refinement with a confirmed formula for every
-    split; for finitary portfolios this is the greatest state bisimulation.
-    """
-    return Relation.from_partition(p.space, _Refiner(p).refine())
+    """Partition of states by the formulas they satisfy, as an equivalence:
+    for finitary portfolios the greatest state bisimulation, the engine's
+    partition (docs/derivations.md, section 12).  No formula is synthesized;
+    ``distinguish`` names one for a pair."""
+    return _greatest_bisim(p.space, (p,))
 
 
 def distinguish(p: EffFn, s: str, t: str) -> DistinguishResult:
@@ -682,8 +685,4 @@ def distinguish(p: EffFn, s: str, t: str) -> DistinguishResult:
     p.space.index(t)
     if s == t:
         return DistinguishResult(equivalent=True)
-    hit = _Refiner(p).refine(watch=(s, t))
-    if hit is None:
-        return DistinguishResult(equivalent=True)
-    formula, satisfier = hit
-    return DistinguishResult(equivalent=False, formula=formula, satisfied_by=satisfier)
+    return _Refiner(p).separate(s, t)

@@ -1421,11 +1421,43 @@ def refine_oracle(space: Space, portfolios, blocks) -> list:
         blocks = split
 
 
-class FamilyRefiner(_Refiner):
+class CertifyingRefiner(_Refiner):
+    """The oracle for ``logical_equivalence``: the refiner that certifies
+    every round to the fixed point (docs/derivations.md, section 12).  Each
+    round goes through ``_Refiner._round``, so every split is backed by a
+    synthesized, evaluator-confirmed formula that cuts no class of its
+    round; ``witnesses`` keeps each as ((s, t), (formula, extension,
+    satisfier)) for the pair of class representatives it separates."""
+
+    def __init__(self, p: EffFn):
+        super().__init__(p)
+        self.witnesses: list[tuple] = []
+
+    def run(self) -> tuple[list[tuple[str, ...]], list[tuple]]:
+        """The final blocks, in the engine's order, and the up-set records."""
+        space = self.p.space
+        split = [space.carrier]
+        for class_of, classes in _refine(space, (self.p,), (space.carrier,)):
+            pairs = [
+                (left[0], right[0])
+                for group in classes
+                for left, right in itertools.combinations(group, 2)
+            ]
+            self.witnesses += zip(pairs, self._round(class_of, classes))
+            split = [c for group in classes for c in group]
+        return split, self.upsets
+
+
+def certified_partition(p: EffFn) -> set[frozenset[str]]:
+    """The blocks of ``CertifyingRefiner``'s fixed point, as a set."""
+    return set(map(frozenset, CertifyingRefiner(p).run()[0]))
+
+
+class FamilyRefiner(CertifyingRefiner):
     """The refiner before up-sets: it keeps the intersection closure of
     every confirmed extension, each with the formula that first named it,
     and ``_test`` scans the whole closure by size, then carrier indices.
-    Synthesis and confirmation are inherited."""
+    Synthesis, confirmation and the cut check are inherited."""
 
     def __init__(self, p: EffFn):
         super().__init__(p)
@@ -1454,25 +1486,11 @@ class FamilyRefiner(_Refiner):
         self.order.insert(at, ext)
         self.family[ext] = formula
 
-    def refine(self, watch: tuple[str, str] | None = None):
-        space = self.p.space
-        for class_of, classes in _refine(space, (self.p,), (space.carrier,)):
-            if watch is not None and not any(
-                watch[0] in c and watch[1] in c for group in classes for c in group
-            ):
-                formula, _, satisfier = self._confirmed(*watch, class_of)
-                return formula, satisfier
-            fresh = [
-                self._confirmed(left[0], right[0], class_of)
-                for group in classes
-                for left, right in itertools.combinations(group, 2)
-            ]
-            split = [c for group in classes for c in group]
-            for formula, ext, _ in fresh:
-                if not all(ext.isdisjoint(c) or ext.issuperset(c) for c in split):
-                    raise InternalInvariantViolation("a confirmed formula cuts a signature class")
-                self._add(formula, ext)
-        return None if watch is not None else split
+    def _round(self, class_of, classes) -> list:
+        fresh = super()._round(class_of, classes)
+        for formula, ext, _ in fresh:
+            self._add(formula, ext)
+        return fresh
 
     def _test(self, mu: SubProb, nu: SubProb) -> Threshold:
         for ext in self.order:

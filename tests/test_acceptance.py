@@ -47,6 +47,7 @@ from effkit import (
 )
 from effkit.model_io import dumps_canonical, model_from_dict, model_to_dict
 from helpers import (
+    CertifyingRefiner,
     all_partitions,
     all_symmetric_relations,
     perturb_kernel,
@@ -86,6 +87,12 @@ def test_criterion_1_hennessy_milner(ef_corpus):
         logical = logical_equivalence(p)
         relational = greatest_ef_bisim(p)
         assert logical == relational
+        # the certifying refiner backs every split with a formula
+        oracle = CertifyingRefiner(p)
+        blocks, _ = oracle.run()
+        assert set(map(frozenset, blocks)) == set(map(frozenset, logical.classes()))
+        for (s, t), (formula, ext, satisfier) in oracle.witnesses:
+            assert eval_state(p, formula) == ext and {s, t} & ext == {satisfier}
     elapsed = time.monotonic() - started
     report(1, "hennessy-milner", elapsed < 60.0, f"{len(ef_corpus)} systems in {elapsed:.1f}s")
 

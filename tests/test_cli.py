@@ -24,6 +24,7 @@ from effkit import effectivity, logic, nlmp
 from effkit.cli import build_parser, run
 from effkit.model_io import dumps_canonical, load_model, model_from_dict, model_to_dict
 from helpers import (
+    certified_partition,
     dense,
     dumps_oracle,
     formula_texts,
@@ -741,6 +742,28 @@ class TestEvalDistinguish:
         code, out, _ = invoke("lequiv", efA)
         assert code == 0
         assert json.loads(out)["partition"] == [["s0", "s1"], ["s2"]]
+
+    def test_lequiv_builds_no_formula(self, tmp_path, kA, monkeypatch):
+        """``lequiv`` answers with the engine's partition: it still does when
+        the formula refiner and the evaluator refuse to be built."""
+        p = planted_clones(Random(5), 4)
+        model = write(tmp_path, "clones.json", model_to_dict(p))
+        expected = [list(c) for c in effectivity.greatest_ef_bisim(p).classes()]
+        assert set(map(frozenset, expected)) == certified_partition(p) and len(expected) > 1
+        # efA holds the principal filters of kA's measures
+        on_kA = certified_partition(load_model(write(tmp_path, "efA.json", EF_A_DOC)))
+
+        def refuse(*args):
+            raise AssertionError("lequiv built a formula refiner or an evaluator")
+
+        monkeypatch.setattr(logic, "_Refiner", refuse)
+        monkeypatch.setattr(logic, "_Evaluator", refuse)
+        assert [list(c) for c in logic.logical_equivalence(p).classes()] == expected
+        code, out, err = invoke("lequiv", model)
+        assert (code, json.loads(out)["partition"], err) == (0, expected, "")
+        code, out, err = invoke("lequiv", kA, "--label", "a")
+        assert (code, err) == (0, "")
+        assert set(map(frozenset, json.loads(out)["partition"])) == on_kA
 
     def test_distinguish_splits(self, efA):
         code, out, _ = invoke("distinguish", efA, "s0", "s2")

@@ -39,7 +39,7 @@ from effkit import (
 )
 from effkit.upperset import filter_of
 from effkit.model_io import dumps_canonical, model_from_dict, model_to_dict
-from helpers import rand_ef, rand_space
+from helpers import certified_partition, rand_ef, rand_space
 
 
 class TestSingleState:
@@ -123,7 +123,9 @@ class TestCoarseSigmaPipeline:
         for _ in range(100):
             space = rand_space(rng, 1, 5, allow_coarse=True)
             p = constant_per_atom_ef(rng, space)
-            assert logical_equivalence(p) == greatest_ef_bisim(p)
+            le = logical_equivalence(p)
+            assert le == greatest_ef_bisim(p)
+            assert set(map(frozenset, le.classes())) == certified_partition(p)
             quotiented, eta = quotient(p, greatest_ef_bisim(p))
             assert is_ef_morphism(eta, p, quotiented)
             if p.is_finitely_supported:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 from collections import Counter
 from fractions import Fraction
 from random import Random
@@ -50,8 +52,10 @@ from effkit.effectivity import _refine
 from effkit.logic import _Evaluator, _Refiner, _tokenize
 from helpers import (
     ORACLE_NESTING,
+    CertifyingRefiner,
     FamilyRefiner,
     RecursiveEvaluator,
+    certified_partition,
     constant_on_atoms_oracle,
     format_formula_oracle,
     formula_texts,
@@ -451,7 +455,9 @@ class TestLogicalEquivalence:
         for _ in range(60):
             space = rand_space(rng, 2, 5)
             p = rand_ef(rng, space)
-            assert logical_equivalence(p) == greatest_ef_bisim(p)
+            le = logical_equivalence(p)
+            assert le == greatest_ef_bisim(p)
+            assert set(map(frozenset, le.classes())) == certified_partition(p)
 
     def test_collision_heavy_portfolios_agree_with_both_oracles(self):
         # low-entropy masses maximize accidental agreements, stressing the
@@ -478,14 +484,15 @@ class TestLogicalEquivalence:
             gb = greatest_ef_bisim(p)
             assert le == gb
             assert {frozenset(c) for c in gb.classes()} == blockwise_bisim_oracle(p)
+            assert certified_partition(p) == blockwise_bisim_oracle(p)
 
     def test_upsets_generate_partition_sigma(self):
         rng = Random(191)
         for _ in range(20):
             space = rand_space(rng, 2, 4)
             p = rand_ef(rng, space)
-            refiner = _Refiner(p)
-            blocks = set(map(frozenset, refiner.refine()))
+            refiner = CertifyingRefiner(p)
+            blocks = set(map(frozenset, refiner.run()[0]))
             upsets = [ext for _, ext, _ in refiner.upsets]
             # one up-set per block, named by its formula and a union of
             # blocks; the blocks are the signature classes of the up-sets
@@ -517,7 +524,7 @@ class TestLogicalEquivalence:
             witnesses = {}
 
             def record(class_of, classes):
-                if type(refiner) is _Refiner:
+                if type(refiner) is CertifyingRefiner:
                     assert len({ext for _, ext, _ in refiner.upsets}) == len(classes)
                 for group in classes:
                     for left, right in itertools.combinations(group, 2):
@@ -527,7 +534,7 @@ class TestLogicalEquivalence:
                             witnesses[s, t] = ext, satisfier
 
             hook["round"] = record
-            return refiner.refine(), witnesses
+            return refiner.run()[0], witnesses
 
         pairs = 0
         for seed in range(3000):
@@ -538,7 +545,7 @@ class TestLogicalEquivalence:
             else:
                 space = Space.discrete(states)
             p = rand_ef(rng, space, max_den=rng.choice([2, 4, 8]))
-            blocks, witnesses = run(_Refiner(p))
+            blocks, witnesses = run(CertifyingRefiner(p))
             assert (blocks, witnesses) == run(FamilyRefiner(p)), seed
             pairs += len(witnesses)
             for (s, t), (ext, satisfier) in itertools.islice(witnesses.items(), 1):
@@ -547,19 +554,20 @@ class TestLogicalEquivalence:
         assert pairs > 20000
 
     def test_a_formula_cutting_a_class_raises(self, monkeypatch):
-        space = Space.discrete(["a", "b", "c"])
-        full = [MeasureSet(space, [])]
-        refiner = _Refiner(EffFn(space, {"a": full, "b": full, "c": []}))
-        confirmed = refiner._confirmed
+        # on the 1/2-chain s0 -> s1 -> s2, the first round parts s2 from
+        # {s0, s1}, and the second parts s0 from s1
+        p = half_chain(3)
+        confirmed = _Refiner._confirmed
 
-        def cutting(*args):
-            # toggling b parts it from a, its class in the first round
-            formula, ext, satisfier = confirmed(*args)
-            return formula, ext ^ {"b"}, satisfier
+        def cutting(refiner, *args):
+            # toggling s1 parts it from s0, its class in the first round
+            formula, ext, satisfier = confirmed(refiner, *args)
+            return formula, ext ^ {"s1"}, satisfier
 
-        monkeypatch.setattr(refiner, "_confirmed", cutting)
+        assert not distinguish(p, "s0", "s1").equivalent
+        monkeypatch.setattr(_Refiner, "_confirmed", cutting)
         with pytest.raises(InternalInvariantViolation, match="cuts a signature class"):
-            refiner.refine()
+            distinguish(p, "s0", "s1")
 
 
 class TestSoundness:
@@ -702,9 +710,9 @@ class TestIdentityMemos:
 
 
 class TestNodesAtAnyDepth:
-    """``==``, ``hash`` and ``repr`` of formula nodes run on an explicit
-    stack, and meet each shared subformula once when comparing and
-    hashing."""
+    """``==``, ``hash``, ``repr``, ``pickle`` and ``copy`` of formula nodes
+    run on an explicit stack, and all but ``repr`` meet each shared
+    subformula once."""
 
     DEPTH = 10_000
 
@@ -721,9 +729,27 @@ class TestNodesAtAnyDepth:
         level = ("Diamond(body=Threshold(state=", ", cmp='>', bound=Fraction(1, 3)))")
         assert repr(a) == level[0] * self.DEPTH + "Top()" + level[1] * self.DEPTH
 
+    def test_deep_formulas_pickle_and_copy(self):
+        f = self.nested(And(Top(), Top()))
+        for formula in (f, f.body):  # a state formula and a measure formula
+            twin = pickle.loads(pickle.dumps(formula))
+            assert type(twin) is type(formula) and twin == formula
+            assert copy.deepcopy(formula) == formula
+
     def test_shared_subformulas_are_met_once(self):
         a, b = Top(), Top()
         for _ in range(200):  # 2**200 paths from the root
             a, b = And(a, a), And(b, b)
         assert a == b and hash(a) == hash(b)
         assert a != And(a.left, Diamond(Threshold(Top(), "<", Fraction(1, 2))))
+        for twin in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+            assert twin == a and twin.left is twin.right
+        assert len(pickle.dumps(a)) < 10_000
+
+    def test_sharing_does_not_change_equality_or_hash(self):
+        shared = Diamond(Threshold(Top(), ">", Fraction(1, 3)))
+        for _ in range(10):
+            shared = And(shared, Box(Threshold(shared, "<", Fraction(1, 2))))
+        unshared = parse_formula(format_formula(shared))  # a tree of 2**10 leaves
+        assert unshared == shared and hash(unshared) == hash(shared)
+        assert unshared != And(unshared.left, unshared.left)

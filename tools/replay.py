@@ -20,8 +20,9 @@ own that imports that checkout's ``src/effkit``.  The requests are sent in
 the recorded order with the same argv, and each request's input files are
 first restored to the bytes it read when recorded.  The argv name those
 files by their absolute paths under DIR, and diagnostics print these paths,
-so a replay must use the recorded files.  It reports, per checkout, the
-first request whose exit code, stdout or stderr differs from the recording.
+so a replay must use the recorded files.  It reports, per checkout, how
+many requests of each subcommand have an exit code, stdout or stderr that
+differs from the recording, and the first such request of each subcommand.
 Exit status: 0 when every checkout matches on every request, 1 otherwise.
 
 ``perfbench/`` is imported read-only; no bytecode is written there.
@@ -130,26 +131,45 @@ def record(directory: Path) -> int:
     return 0
 
 
+def _difference(number: int, req: dict, got: dict) -> list[str]:
+    """The lines reporting how request ``number``'s replayed answer ``got``
+    differs from its recording ``req``; none when it does not."""
+    lines = []
+    for key in ("code", "out", "err"):
+        recorded, replayed = req[key], got[key]
+        if recorded != replayed:
+            lines.append(f"request {number} differs in {key}: {' '.join(req['argv'])}")
+            if isinstance(recorded, str) and isinstance(replayed, str):
+                recorded, replayed = _around(recorded, replayed)
+            lines.append(f"  recorded: {recorded!r}")
+            lines.append(f"  replayed: {replayed!r}")
+    return lines
+
+
 def replay(directory: Path, checkout: Path) -> int:
-    """Replay the recording on ``checkout`` in this process; print the first
-    difference, or the number of identical requests."""
+    """Replay the recording on ``checkout`` in this process; print, per
+    subcommand, the number of differing requests and the first difference,
+    or the number of identical requests."""
     cli = _import_cli(checkout)
     requests = json.loads((directory / "requests.json").read_text(encoding="utf-8"))
+    differing: dict[str, int] = {}  # per subcommand, in order of first difference
+    first: dict[str, list[str]] = {}
     for number, req in enumerate(requests):
         for path, digest in req["files"].items():
             Path(path).write_bytes((directory / "files" / digest).read_bytes())
-        got = _send(cli.run, req["argv"])
-        for key in ("code", "out", "err"):
-            recorded, replayed = req[key], got[key]
-            if recorded != replayed:
-                print(f"request {number} differs in {key}: {' '.join(req['argv'])}")
-                if isinstance(recorded, str) and isinstance(replayed, str):
-                    recorded, replayed = _around(recorded, replayed)
-                print(f"  recorded: {recorded!r}")
-                print(f"  replayed: {replayed!r}")
-                return 1
-    print(f"all {len(requests)} requests identical")
-    return 0
+        lines = _difference(number, req, _send(cli.run, req["argv"]))
+        if lines:
+            name = req["argv"][0]
+            differing[name] = differing.get(name, 0) + 1
+            first.setdefault(name, lines)
+    if not differing:
+        print(f"all {len(requests)} requests identical")
+        return 0
+    print(f"{sum(differing.values())} of {len(requests)} requests differ")
+    for name, count in differing.items():
+        print(f"{name}: {count} differ; the first:")
+        print("\n".join(first[name]))
+    return 1
 
 
 def compare(directory: Path, checkouts: list[Path]) -> int:
