@@ -62,29 +62,21 @@ class Cospan(Record):
             raise SpaceMismatchError("left leg must map the left portfolio onto the mediator")
         if g.domain != q.space or g.codomain != m.space:
             raise SpaceMismatchError("right leg must map the right portfolio onto the mediator")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
+        self._store(p, q, m, f, g)
 
 
 class CheckFailure(Record):
     check: str
     witness: str
 
-    def __init__(self, check: str, witness: str):
-        object.__setattr__(self, "check", check)
-        object.__setattr__(self, "witness", witness)
+    __init__ = Record._store
 
 
 class CospanReport(Record):
     ok: bool
     failures: tuple[CheckFailure, ...]
 
-    def __init__(self, ok: bool, failures: tuple[CheckFailure, ...]):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "failures", failures)
+    __init__ = Record._store
 
 
 class CospanVerificationError(EffkitError):
@@ -133,15 +125,7 @@ class SpanResult(Record):
     pi_s: MeasurableMap
     pi_t: MeasurableMap
 
-    def __init__(
-        self, w: Space, tau: EffFn, p_f: EffFn, q_g: EffFn, pi_s: MeasurableMap, pi_t: MeasurableMap
-    ):
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "p_f", p_f)
-        object.__setattr__(self, "q_g", q_g)
-        object.__setattr__(self, "pi_s", pi_s)
-        object.__setattr__(self, "pi_t", pi_t)
+    __init__ = Record._store
 
 
 def _preimage_portfolio(leg: MeasurableMap, side: EffFn) -> EffFn:

@@ -74,8 +74,7 @@ class EffFn(Record):
             raise ForeignStateError(f"portfolio missing states {missing}")
         families = [table[s] for s in space.carrier]
         _constant_on_atoms(space, families, "portfolios")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "portfolio", tuple(zip(space.carrier, families)))
+        self._store(space, tuple(zip(space.carrier, families)))
 
     def __call__(self, state: str) -> UpperSet:
         return self.portfolio[self.space.index(state)][1]
@@ -314,7 +313,7 @@ def is_subsystem(p: EffFn, coarser: Space) -> bool:
     restricted portfolio.  One refinement round from the coarser atoms
     decides it: they are their own atom closure, and equal signatures are
     equal restricted antichains (docs/derivations.md, section 6)."""
-    if not coarser.coarsens(p.space):
+    if p.space.atom_map(coarser) is None:
         raise IncompatiblePartitionError(
             "subsystem test needs a coarsening of the portfolio space's atoms"
         )

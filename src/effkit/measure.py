@@ -70,29 +70,39 @@ RationalLike = Fraction | int | str
 _LOCK = threading.Lock()
 
 
-class _Registry:
-    """The live measures on one space, held weakly by value, and freed ids."""
+class _Held(weakref.ref):
+    """A weak reference to a measure, carrying its key and id in its
+    registry, as ``weakref.KeyedRef`` carries its key."""
 
-    __slots__ = ("refs", "free", "fresh")
+    __slots__ = ("key", "ident")
+
+
+class _Registry:
+    """The live measures on one space, held weakly by value, and freed ids.
+    One callback, ``release``, serves every measure of the registry: when a
+    measure dies it drops the measure's entry and frees its id.  It takes no
+    lock, as it may run inside ``_LOCK`` (docs/derivations.md, section 13)."""
+
+    __slots__ = ("refs", "free", "fresh", "release")
 
     def __init__(self):
-        self.refs: dict[tuple, weakref.ref] = {}
-        self.free: list[int] = []
-        self.fresh = count()
+        refs: dict[tuple, _Held] = {}
+        free: list[int] = []
+
+        def release(held: _Held) -> None:
+            _remove_dead_weakref(refs, held.key)
+            free.append(held.ident)
+
+        self.refs, self.free, self.fresh, self.release = refs, free, count(), release
 
     def add(self, mu: "SubProb", key: tuple) -> None:
         """Give the new measure ``mu`` an id, a freed one first, and make it
-        the live measure of ``key``.  Its release takes no lock, as it may
-        run inside ``_LOCK`` (docs/derivations.md, section 13)."""
-        refs, free = self.refs, self.free
+        the live measure of ``key``."""
+        free = self.free
         ident = free.pop() if free else next(self.fresh)
         object.__setattr__(mu, "ident", ident)
-
-        def release(_):
-            _remove_dead_weakref(refs, key)
-            free.append(ident)
-
-        refs[key] = weakref.ref(mu, release)
+        held = self.refs[key] = _Held(mu, self.release)
+        held.key, held.ident = key, ident
 
 
 class SubProb(Record):

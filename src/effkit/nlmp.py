@@ -52,8 +52,7 @@ class Kernel(Record):
         empty = MeasureSet(space, ())
         images = [table.get(s, empty) for s in space.carrier]
         _constant_on_atoms(space, images, "measures")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "image", tuple(zip(space.carrier, images)))
+        self._store(space, tuple(zip(space.carrier, images)))
 
     def __call__(self, state: str) -> MeasureSet:
         return self.image[self.space.index(state)][1]
@@ -71,9 +70,7 @@ class Nlmp(Record):
         for label, k in kernels.items():
             if k.space != space:
                 raise SpaceMismatchError(f"kernel for label {label!r} lives on another space")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "kernels", tuple((a, kernels[a]) for a in labels))
+        self._store(space, labels, tuple((a, kernels[a]) for a in labels))
 
     def kernel(self, label: str) -> Kernel:
         for a, k in self.kernels:
@@ -82,14 +79,9 @@ class Nlmp(Record):
         raise ForeignStateError(f"no kernel for label {label!r}")
 
 
-def _kernels_of(m: Kernel | Nlmp) -> tuple[Kernel, ...]:
-    if isinstance(m, Kernel):
-        return (m,)
-    return tuple(k for _, k in m.kernels)
-
-
 def _portfolios(m: Kernel | Nlmp) -> tuple[EffFn, ...]:
-    return tuple(filter_generate(k) for k in _kernels_of(m))
+    kernels = (m,) if isinstance(m, Kernel) else (k for _, k in m.kernels)
+    return tuple(filter_generate(k) for k in kernels)
 
 
 def is_state_bisim(m: Kernel | Nlmp, rel: Relation) -> bool:
@@ -124,7 +116,7 @@ def is_event_bisim(m: Kernel | Nlmp, coarser: Space) -> bool:
     restricted measure set is, so each label's ``filter_generate``
     portfolio goes through ``is_subsystem``.
     """
-    if not coarser.coarsens(m.space):  # also when there is no label to test
+    if m.space.atom_map(coarser) is None:  # also when there is no label to test
         raise IncompatiblePartitionError(
             "event test needs a coarsening of the kernel space's atoms"
         )

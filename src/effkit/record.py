@@ -1,19 +1,22 @@
 """The one base of the library's immutable value classes.
 
 A record's fields are the annotations of its class, in order, after those
-of the record classes it derives from; a class passes ``hidden`` to keep
-some of them out of ``==``, ``hash`` and ``repr``.  Each class writes its
-own constructor, which stores the fields with ``object.__setattr__``: the
-base adds nothing to the cost of building a record, and defining a class
-runs no code beyond reading its annotations.  Two records are equal
-when they are of one class and their fields are equal; a record hashes as
-the tuple of its fields and prints as ``Name(field=value, ...)``.
+of the record classes it derives from.  ``_store`` stores values into the
+fields in that order: a class that only holds its fields takes it as its
+constructor (``__init__ = Record._store``), and one that checks or derives
+them ends its constructor in it.  The classes built per measure, per
+measure set or per formula node store their fields one by one with
+``object.__setattr__`` instead, which costs less than the generic loop;
+defining a class runs no code beyond reading its annotations.  Two records
+are equal when they are of one class and their fields are equal; a record
+hashes as the tuple of its fields and prints as ``Name(field=value, ...)``.
 Assigning or deleting an attribute raises ``AttributeError``;
-``functools.cached_property`` still fills the ``__dict__``.  Records
-pickle and copy by their ``__dict__`` unless the class says otherwise.
-Hash-consed classes (``Space``, ``SubProb``) compare and hash by identity
-instead, and formula nodes (``logic``) walk their trees on an explicit
-stack.
+``functools.cached_property`` still fills the ``__dict__``, as does a
+constructor that sets an attribute outside the fields, which then takes no
+part in ``==``, ``hash`` and ``repr``.  Records pickle and copy by their
+``__dict__`` unless the class says otherwise.  Hash-consed classes
+(``Space``, ``SubProb``) compare and hash by identity instead, and formula
+nodes (``logic``) walk their trees on an explicit stack.
 """
 
 from __future__ import annotations
@@ -25,10 +28,19 @@ class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, hidden: tuple[str, ...] = ()):
+    def __init_subclass__(cls):
         super().__init_subclass__()
-        own = cls.__dict__.get("__annotations__", {})
-        cls._fields = (*cls._fields, *(name for name in own if name not in hidden))
+        cls._fields = (*cls._fields, *cls.__dict__.get("__annotations__", {}))
+
+    def _store(self, *values) -> None:
+        """Store ``values`` into the fields, in order."""
+        fields = self._fields
+        if len(values) != len(fields):
+            raise TypeError(
+                f"{type(self).__qualname__} takes {len(fields)} fields, got {len(values)}"
+            )
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

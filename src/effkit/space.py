@@ -4,8 +4,8 @@ A finite sigma-algebra is atomic, so a measurable space over a finite carrier
 is represented by the partition of the carrier into the atoms of its
 sigma-algebra; the measurable sets are exactly the unions of atoms.  The
 discrete space has one singleton atom per state.  All values here are
-immutable, hashable records (``effkit.record``), each class with its own
-constructor; operations are pure functions.
+immutable, hashable records (``effkit.record``); operations are pure
+functions.
 
 States are plain strings.  A space fixes a total order on its carrier which
 every canonical form (atom order, measure vectors, relation listings) reuses,
@@ -72,7 +72,7 @@ class Space(Record):
         if atoms is None:
             blocks = tuple((s,) for s in carrier)
         else:
-            raw = [tuple(sorted(set(a), key=lambda s: order.get(s, -1))) for a in atoms]
+            raw = [tuple(sorted(a, key=lambda s: order.get(s, -1))) for a in atoms]
             for block in raw:
                 if not block:
                     raise SpaceMismatchError("empty atom in partition")
@@ -81,9 +81,10 @@ class Space(Record):
                         raise ForeignStateError(f"atom state {s!r} not in carrier")
             seen: set[str] = set()
             for block in raw:
-                for s in block:
+                for i, s in enumerate(block):
                     if s in seen:
-                        raise SpaceMismatchError(f"state {s!r} appears in two atoms")
+                        where = "twice in one atom" if i and block[i - 1] == s else "in two atoms"
+                        raise SpaceMismatchError(f"state {s!r} appears {where}")
                     seen.add(s)
             if seen != set(carrier):
                 missing = sorted(set(carrier) - seen, key=order.__getitem__)
@@ -152,11 +153,6 @@ class Space(Record):
             return None
         return tuple(hit)
 
-    def coarsens(self, finer: "Space") -> bool:
-        """True if this space has the same carrier and every atom here is a
-        union of atoms of ``finer``."""
-        return finer.atom_map(self) is not None
-
     def atom_map(self, coarser: "Space") -> tuple[int, ...] | None:
         """Per atom here, the index of the atom of ``coarser`` holding it;
         None unless ``coarser`` coarsens this space.  Both partition one
@@ -183,19 +179,19 @@ def _atoms_into(
     return into, straddled
 
 
-class MeasurableMap(Record, hidden=("atom_map",)):
+class MeasurableMap(Record):
     """A total measurable assignment between two finite spaces.
 
     Measurability requires the preimage of every codomain atom to be a union
     of domain atoms, that is, every domain atom to map into one codomain
-    atom; ``atom_map`` lists that atom per domain atom.  It is read off the
-    other fields, and takes no part in ``==``, ``hash`` and ``repr``.
+    atom; the attribute ``atom_map`` lists that atom per domain atom.  It is
+    read off the fields, not one of them: it takes no part in ``==``,
+    ``hash`` and ``repr``, and pickles and copies with the map.
     """
 
     domain: Space
     codomain: Space
     assignment: tuple[tuple[str, str], ...]
-    atom_map: tuple[int, ...]
 
     def __init__(self, domain: Space, codomain: Space, assignment: Mapping[str, str]):
         table = dict(assignment)
@@ -212,9 +208,7 @@ class MeasurableMap(Record, hidden=("atom_map",)):
                 f"not measurable: preimage of atom {codomain.atoms[min(straddled)]} "
                 "is not a union of domain atoms"
             )
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "assignment", tuple((s, table[s]) for s in domain.carrier))
+        self._store(domain, codomain, tuple((s, table[s]) for s in domain.carrier))
         object.__setattr__(self, "atom_map", into)
 
     @staticmethod
@@ -284,8 +278,7 @@ class Relation(Record):
             base.index(s)
             base.index(t)
             related[s].add(t)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "related", tuple(map(frozenset, related.values())))
+        self._store(base, tuple(map(frozenset, related.values())))
 
     @staticmethod
     def full(space: Space) -> "Relation":
@@ -306,8 +299,7 @@ class Relation(Record):
                 space.index(s)
                 held[s] = held[s] | members if s in held else members
         rel = object.__new__(Relation)
-        object.__setattr__(rel, "base", space)
-        object.__setattr__(rel, "related", tuple(held.get(s, frozenset()) for s in space.carrier))
+        rel._store(space, tuple(held.get(s, frozenset()) for s in space.carrier))
         return rel
 
     def __contains__(self, pair: tuple[str, str]) -> bool:
@@ -413,10 +405,7 @@ class DirectSum(Record):
     left: MeasurableMap
     right: MeasurableMap
 
-    def __init__(self, space: Space, left: MeasurableMap, right: MeasurableMap):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+    __init__ = Record._store
 
 
 def _tag(side: str, state: str) -> str:
@@ -451,9 +440,7 @@ class FinalSurjection(Record):
     is_final: bool
     pairing: tuple[tuple[frozenset[str], frozenset[str]], ...]
 
-    def __init__(self, is_final: bool, pairing: tuple[tuple[frozenset[str], frozenset[str]], ...]):
-        object.__setattr__(self, "is_final", is_final)
-        object.__setattr__(self, "pairing", pairing)
+    __init__ = Record._store
 
 
 def is_final_surjection(f: MeasurableMap) -> FinalSurjection:

@@ -147,6 +147,17 @@ class TestValidate:
             assert (code, out) == (2, "")
             assert json.loads(err)["error"] == expected
 
+    def test_a_state_repeated_in_a_sigma_block_is_refused(self, tmp_path):
+        doc = dict(EF_A_DOC, sigma=[["s0", "s1", "s0"], ["s2"]])
+        path = write(tmp_path, "twice.json", doc)
+        code, out, err = invoke("validate", path)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {
+            "file": path,
+            "location": "sigma",
+            "message": "state 's0' appears twice in one atom",
+        }
+
     def test_mass_exceeds_one(self, tmp_path):
         doc = {
             "kind": "nlmp",
@@ -662,6 +673,17 @@ class TestPartitionCommands:
         part = write(tmp_path, "p.json", [["s0"], ["s1"]])
         code, _, err = invoke("event-bisim", kA, "--partition", part)
         assert code == 2
+
+    def test_a_state_repeated_in_a_partition_block_is_refused(self, kA, efA, tmp_path):
+        part = write(tmp_path, "p.json", [["s0", "s1", "s1"], ["s2"]])
+        for command, model in (("event-bisim", kA), ("subsystem", efA)):
+            code, out, err = invoke(command, model, "--partition", part)
+            assert (code, out) == (2, "")
+            assert json.loads(err)["error"] == {
+                "file": part,
+                "location": "$",
+                "message": "state 's1' appears twice in one atom",
+            }
 
     def test_partition_blocks_list_state_names(self, kA, tmp_path):
         part = write(tmp_path, "p.json", [[["s0"]], ["s1", "s2"]])

@@ -8,6 +8,7 @@ from random import Random
 import pytest
 
 from effkit import (
+    CheckFailure,
     Cospan,
     CospanVerificationError,
     EffFn,
@@ -60,6 +61,10 @@ class TestVerify:
     def test_canonical_cospan_valid(self):
         report = verify_cospan(canonical_cospan(P_A))
         assert report.ok and not report.failures
+
+    def test_a_failure_takes_both_fields(self):
+        with pytest.raises(TypeError, match="CheckFailure takes 2 fields, got 1"):
+            CheckFailure("x")
 
     def test_non_surjective_leg(self):
         c = canonical_cospan(P_A)

@@ -319,3 +319,63 @@ def test_the_command_starts_without_introspection_modules():
     assert "effkit.cli" in started
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
     assert (started - bare) & heavy == set()
+
+
+def _scopes(tree: ast.AST) -> dict[int, str]:
+    """Per node, the name of the innermost function around it, led by the
+    classes and functions that hold it (``Class.method``), or ``<module>``."""
+    scopes: dict[int, str] = {}
+
+    def visit(node: ast.AST, prefix: str, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            scopes[id(child)] = scope
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", scope)
+            elif isinstance(child, ast.FunctionDef):
+                visit(child, f"{prefix}{child.name}.", f"{prefix}{child.name}")
+            else:
+                visit(child, prefix, scope)
+
+    visit(tree, "", "<module>")
+    return scopes
+
+
+def test_fields_are_stored_one_by_one_only_in_hot_constructors():
+    """A record stores its fields through ``Record._store``; only the
+    constructors of what is built per measure, per measure set or per
+    formula node name ``object.__setattr__`` (or ``logic._set``), and
+    ``MeasurableMap`` names it only to set ``atom_map``, its one attribute
+    outside the fields.  No class passes a keyword to ``Record``, which
+    takes none."""
+    allowed = {
+        "record.py:Record._store",
+        "space.py:Space.__new__",
+        "space.py:MeasurableMap.__init__",
+        "measure.py:_Registry.add",
+        "measure.py:_interned",
+        "upperset.py:MeasureSet.__init__",
+        "upperset.py:UpperSet.__init__",
+        "logic.py:<module>",
+        *(
+            f"logic.py:{cls}.__init__"
+            for cls in ("And", "Diamond", "Box", "MAnd", "MOr", "Threshold", "DistinguishResult")
+        ),
+    }
+    where, map_fields, keywords = set(), set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        scopes = _scopes(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.keywords:
+                keywords.add(f"{path.name}:{node.name}")
+            if isinstance(node, ast.Call) and scopes[id(node)] == "MeasurableMap.__init__":
+                if ast.unparse(node.func) == "object.__setattr__":
+                    map_fields.add(ast.literal_eval(node.args[1]))
+            stores = (isinstance(node, ast.Attribute) and ast.unparse(node) == "object.__setattr__") or (
+                path.name == "logic.py" and isinstance(node, ast.Name) and node.id == "_set"
+            )
+            if stores:
+                where.add(f"{path.name}:{scopes[id(node)]}")
+    assert where == allowed, sorted(where ^ allowed)
+    assert map_fields == {"atom_map"}
+    assert not keywords, f"class keywords: {sorted(keywords)}"

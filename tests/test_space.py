@@ -22,6 +22,7 @@ from effkit import (
     NonSymmetricRelationError,
     NotSurjectiveError,
     Relation,
+    DirectSum,
     Space,
     SpaceMismatchError,
     SubProb,
@@ -74,6 +75,19 @@ class TestSpace:
         with pytest.raises(ForeignStateError) as exc:
             Space(["a", "b", "c", "b", "a"])
         assert str(exc.value) == "duplicate state in carrier: 'a'"
+
+    @pytest.mark.parametrize(
+        "atoms, message",
+        [
+            ([["a", "a"], ["b", "c"]], "state 'a' appears twice in one atom"),
+            ([["a"], ["b", "c", "b"]], "state 'b' appears twice in one atom"),
+            ([["a", "b"], ["c", "a"]], "state 'a' appears in two atoms"),
+        ],
+    )
+    def test_a_state_listed_twice_in_the_atoms_is_refused(self, atoms, message):
+        with pytest.raises(SpaceMismatchError) as exc:
+            Space(["a", "b", "c"], atoms)
+        assert str(exc.value) == message
 
     def test_atom_union_detection(self):
         sp = Space(["a", "b", "c"], [["a", "b"], ["c"]])
@@ -447,6 +461,11 @@ class TestDirectSum:
     def test_singletons(self):
         ds = direct_sum(Space.discrete(["x"]), Space.discrete(["y"]))
         assert ds.space.carrier == ("L:x", "R:y")
+
+    def test_a_sum_takes_all_three_fields(self):
+        ds = direct_sum(S3, T2)
+        with pytest.raises(TypeError, match="DirectSum takes 3 fields, got 2"):
+            DirectSum(ds.space, ds.left)
 
     def test_coarse_component_atoms(self):
         coarse = Space(["s0", "s1", "s2"], [["s0", "s1"], ["s2"]])
