@@ -252,12 +252,13 @@ def cmd_quotient(args) -> tuple[int, dict[str, Any]]:
 
 def cmd_span(args) -> tuple[int, dict[str, Any]]:
     paths = (args.p, args.q, args.m)
-    p, q, m = models = [load_model(path) for path in paths]
-    for model, path in zip(models, paths):
-        if not isinstance(model, EffFn):
+    models = {path: load_model(path) for path in dict.fromkeys(paths)}  # each file read once
+    for path in paths:
+        if not isinstance(models[path], EffFn):
             raise ModelFormatError("span needs 'ef' models", file=path, location="kind")
+    p, q, m = (models[path] for path in paths)
     f = load_map(args.f, p.space, m.space)
-    g = load_map(args.g, q.space, m.space)
+    g = f if args.g == args.f and q.space is p.space else load_map(args.g, q.space, m.space)
     try:
         span = build_span(Cospan(p, q, m, f, g))
     except CospanVerificationError as exc:
@@ -345,7 +346,7 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
     else:
         for key in sorted(payload):
             value = payload[key]
-            if isinstance(value, (dict, list)):
+            if value is None or isinstance(value, (bool, dict, list)):
                 value = json.dumps(value, sort_keys=True)
             out.write(f"{key}: {value}\n")
     return code

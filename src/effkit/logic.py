@@ -21,11 +21,13 @@ where it occurs.
 
 Logical equivalence is the greatest bisimulation's partition, by the
 logical characterization (docs/derivations.md, section 12).  Formulas are
-synthesized only for ``distinguish``: up to the round that splits its pair,
-every split is backed by an evaluator-confirmed formula that cuts no class
-of its round, and each block keeps a formula for its up-set, the meet of
-the confirmed extensions containing it.  The tests run those rounds to the
-fixed point as an oracle for the partition.
+synthesized only for ``distinguish``, and a round's only once a later round
+splits a block: up to the round that splits its pair, every split is backed
+by an evaluator-confirmed formula that cuts no class of its round, and each
+block keeps a formula for its up-set, the meet of the confirmed extensions
+containing it.  An equivalent pair reaches the fixed point with the last
+splitting round's formulas unbuilt.  The tests run every round to the fixed
+point as an oracle for the partition.
 The evaluator's memos are keyed by node identity, so no lookup hashes a
 subtree; each entry holds its node, so its id is not reused while it lives.
 Parsing, printing and evaluation run on explicit stacks, so formulas of any
@@ -566,12 +568,23 @@ class _Refiner:
 
     def separate(self, s: str, t: str) -> DistinguishResult:
         """The verdict on ``s`` and ``t``, with the confirmed formula
-        separating them in the round that splits them, if one does."""
+        separating them in the round that splits them, if one does.
+
+        A round's ``_round`` waits for the next round, as only a later
+        round reads its records: it runs first thing there when that round
+        splits a block, and is dropped at the engine's fixed point, which
+        the pair reaches together (docs/derivations.md, section 12).  So an
+        equivalent pair builds no formula for the last splitting round."""
+        pending = ()
         for class_of, classes in _refine(self.p.space, (self.p,), (self.p.space.carrier,)):
+            if all(len(group) == 1 for group in classes):
+                break  # the fixed point: no later round reads the pending one
+            if pending:
+                self._round(*pending)
             if not any(s in c and t in c for group in classes for c in group):
                 formula, _, satisfier = self._confirmed(s, t, class_of)
                 return DistinguishResult(equivalent=False, formula=formula, satisfied_by=satisfier)
-            self._round(class_of, classes)
+            pending = class_of, classes
         return DistinguishResult(equivalent=True)
 
     def _round(self, class_of, classes) -> list[tuple[StateFormula, frozenset[str], str]]:
@@ -680,7 +693,12 @@ def logical_equivalence(p: EffFn) -> Relation:
 
 
 def distinguish(p: EffFn, s: str, t: str) -> DistinguishResult:
-    """Separating formula for a pair of states, or the equivalence verdict."""
+    """Separating formula for a pair of states, or the equivalence verdict.
+
+    The refinement runs until it splits the pair or reaches its fixed point;
+    formulas are built for each round that a later round splits, so an
+    equivalent pair costs the refinement plus every splitting round's
+    formulas but the last's."""
     p.space.index(s)
     p.space.index(t)
     if s == t:

@@ -52,6 +52,7 @@ from effkit.logic import (
     And,
     Box,
     Diamond,
+    DistinguishResult,
     MAnd,
     MeasureFormula,
     MOr,
@@ -181,6 +182,22 @@ def rand_portfolio(rng: Random, space, max_gens=3, max_measures=3, max_den=8) ->
 
 def rand_ef(rng: Random, space, max_gens=3, max_measures=3, max_den=8) -> EffFn:
     return EffFn(space, per_atom(space, lambda: rand_portfolio(rng, space, max_gens, max_measures, max_den)))
+
+
+def collision_heavy_ef(rng: Random) -> EffFn:
+    """A portfolio drawing its measures from a pool of zero, the Diracs and
+    one half-mass: low-entropy masses make accidental agreements common."""
+    space = rand_space(rng, 2, 5)
+    pool = [SubProb.zero(space)] + [SubProb.dirac(space, s) for s in space.carrier]
+    pool.append(SubProb.of(space, {space.carrier[0]: "1/2"}))
+    portfolio = {}
+    for s in space.carrier:
+        gens = [
+            MeasureSet(space, [rng.choice(pool) for _ in range(rng.randint(1, 2))])
+            for _ in range(rng.randint(0, 2))
+        ]
+        portfolio[s] = UpperSet(space, gens)
+    return EffFn(space, portfolio)
 
 
 def rand_fin_supported_ef(
@@ -1427,11 +1444,23 @@ class CertifyingRefiner(_Refiner):
     round goes through ``_Refiner._round``, so every split is backed by a
     synthesized, evaluator-confirmed formula that cuts no class of its
     round; ``witnesses`` keeps each as ((s, t), (formula, extension,
-    satisfier)) for the pair of class representatives it separates."""
+    satisfier)) for the pair of class representatives it separates.
+    ``separate`` is the oracle for ``distinguish``."""
 
     def __init__(self, p: EffFn):
         super().__init__(p)
         self.witnesses: list[tuple] = []
+
+    def separate(self, s: str, t: str) -> DistinguishResult:
+        """``_Refiner.separate`` with no round waiting: ``_round`` runs on
+        every round the pair stays together in, the fixed point's included,
+        before the next round is read."""
+        for class_of, classes in _refine(self.p.space, (self.p,), (self.p.space.carrier,)):
+            if not any(s in c and t in c for group in classes for c in group):
+                formula, _, satisfier = self._confirmed(s, t, class_of)
+                return DistinguishResult(equivalent=False, formula=formula, satisfied_by=satisfier)
+            self._round(class_of, classes)
+        return DistinguishResult(equivalent=True)
 
     def run(self) -> tuple[list[tuple[str, ...]], list[tuple]]:
         """The final blocks, in the engine's order, and the up-set records."""

@@ -787,6 +787,31 @@ class TestEvalDistinguish:
         assert (code, err) == (0, "")
         assert set(map(frozenset, json.loads(out)["partition"])) == on_kA
 
+    def test_distinguish_builds_no_formula_for_clones_together_at_the_fixed_point(
+        self, tmp_path, kA, monkeypatch
+    ):
+        """A pair still together when the engine reaches its fixed point at
+        round 2 is equivalent with no formula built: round 1's formulas wait
+        for a round that splits a block, and none comes."""
+        p = planted_clones(Random(5), 4)
+        model = write(tmp_path, "clones.json", model_to_dict(p))
+        on_kA = nlmp.filter_generate(load_model(kA).kernel("a"))
+        for system in (p, on_kA):
+            space = system.space
+            assert len(list(effectivity._refine(space, (system,), (space.carrier,)))) == 2
+
+        def refuse(*args):
+            raise AssertionError("distinguish built a formula for an equivalent pair")
+
+        monkeypatch.setattr(logic._Refiner, "_round", refuse)
+        monkeypatch.setattr(logic._Refiner, "_confirmed", refuse)
+        equivalent = (0, '{\n  "equivalent": true\n}\n', "")
+        for i in range(4):
+            assert logic.distinguish(p, f"c{i}a", f"c{i}b").equivalent
+            assert invoke("distinguish", model, f"c{i}a", f"c{i}b") == equivalent
+        assert logic.distinguish(on_kA, "s0", "s1").equivalent
+        assert invoke("distinguish", kA, "s0", "s1", "--label", "a") == equivalent
+
     def test_distinguish_splits(self, efA):
         code, out, _ = invoke("distinguish", efA, "s0", "s2")
         assert code == 1
@@ -1064,6 +1089,44 @@ class TestSpanCommand:
         assert names == ["x|y\\|z", "x|z", "x\\|y|y\\|z", "x\\|y|z"]
         assert len(set(names)) == 4
 
+    def test_each_named_file_is_read_once(self, efA, tmp_path, monkeypatch):
+        """A file named twice is read once; a map named for both legs is read
+        once when the legs share their endpoint spaces, and per leg when not."""
+        from effkit import cli
+
+        read = []
+
+        def counted(load):
+            def reading(path, *spaces):
+                read.append(path)
+                return load(path, *spaces)
+
+            return reading
+
+        part = write(tmp_path, "p.json", [["s0", "s1"], ["s2"]])
+        mpath = write(tmp_path, "m.json", json.loads(invoke("quotient", efA, "--partition", part)[1]))
+        eta = write(tmp_path, "eta.json", {"map": {"s0": "s0", "s1": "s0", "s2": "s2"}})
+        twin = write(tmp_path, "twin.json", EF_A_DOC)  # another file, the same space
+        other = write(tmp_path, "other.json", SWAP_DOC)
+        argvs = (
+            (efA, efA, mpath, eta, eta),
+            (efA, twin, mpath, eta, eta),
+            (efA, other, mpath, eta, eta),
+        )
+        expected = [invoke("span", p, q, m, "--f", f, "--g", g) for p, q, m, f, g in argvs]
+        monkeypatch.setattr(cli, "load_model", counted(cli.load_model))
+        monkeypatch.setattr(cli, "load_map", counted(cli.load_map))
+        reads = (
+            [efA, mpath, eta],
+            [efA, twin, mpath, eta],
+            [efA, other, mpath, eta, eta],
+        )
+        for (p, q, m, f, g), answer, files in zip(argvs, expected, reads):
+            read.clear()
+            assert invoke("span", p, q, m, "--f", f, "--g", g) == answer
+            assert read == files
+        assert [code for code, _, _ in expected] == [0, 0, 2]
+
     def test_invalid_cospan_reported(self, efA, tmp_path):
         mpath = write(tmp_path, "m.json", EF_A_DOC)
         mapfile = write(
@@ -1081,6 +1144,21 @@ class TestFormatAndDeterminism:
         code, out, _ = invoke("--format", "text", "bisim", kA)
         assert code == 0
         assert out == 'partition: [["s0", "s1"], ["s2"]]\n'
+
+    def test_text_format_prints_booleans_as_json(self, kA, efA, tmp_path):
+        """A top-level boolean reads as in JSON; strings and integers print
+        as they are."""
+        text = ("--format", "text")
+        validated = "atoms: 3\nkind: nlmp\nstates: 3\nvalid: true\n"
+        assert invoke(*text, "validate", kA) == (0, validated, "")
+        assert invoke(*text, "distinguish", efA, "s0", "s1") == (0, "equivalent: true\n", "")
+        split = json.loads(invoke("distinguish", efA, "s0", "s2")[1])
+        lines = f"formula: {split['formula']}\nsatisfied_by: {split['satisfied_by']}\n"
+        assert invoke(*text, "distinguish", efA, "s0", "s2") == (1, "equivalent: false\n" + lines, "")
+        for blocks, answer in (([["s0", "s1"], ["s2"]], (0, "holds: true\n", "")),
+                               ([["s0", "s2"], ["s1"]], (1, "holds: false\n", ""))):
+            part = write(tmp_path, "p.json", blocks)
+            assert invoke(*text, "subsystem", efA, "--partition", part) == answer
 
     def test_json_outputs_end_with_newline(self, kA):
         _, out, _ = invoke("bisim", kA)

@@ -56,6 +56,7 @@ from helpers import (
     FamilyRefiner,
     RecursiveEvaluator,
     certified_partition,
+    collision_heavy_ef,
     constant_on_atoms_oracle,
     format_formula_oracle,
     formula_texts,
@@ -462,24 +463,11 @@ class TestLogicalEquivalence:
     def test_collision_heavy_portfolios_agree_with_both_oracles(self):
         # low-entropy masses maximize accidental agreements, stressing the
         # refinement's tie-breaking and the synthesized-formula path
-        from effkit import MeasureSet, SubProb, UpperSet
         from helpers import blockwise_bisim_oracle
 
         rng = Random(307)
         for _ in range(40):
-            space = rand_space(rng, 2, 5)
-            pool = [SubProb.zero(space)] + [
-                SubProb.dirac(space, s) for s in space.carrier
-            ]
-            pool.append(SubProb.of(space, {space.carrier[0]: "1/2"}))
-            portfolio = {}
-            for s in space.carrier:
-                gens = [
-                    MeasureSet(space, [rng.choice(pool) for _ in range(rng.randint(1, 2))])
-                    for _ in range(rng.randint(0, 2))
-                ]
-                portfolio[s] = UpperSet(space, gens)
-            p = EffFn(space, portfolio)
+            p = collision_heavy_ef(rng)
             le = logical_equivalence(p)
             gb = greatest_ef_bisim(p)
             assert le == gb
@@ -538,13 +526,7 @@ class TestLogicalEquivalence:
 
         pairs = 0
         for seed in range(3000):
-            rng = Random(seed)
-            states = [f"s{i}" for i in range(rng.randint(2, 7))]
-            if rng.random() < 0.3:
-                space = Space(states, rand_partition_blocks(rng, states))
-            else:
-                space = Space.discrete(states)
-            p = rand_ef(rng, space, max_den=rng.choice([2, 4, 8]))
+            p = cross_check_ef(Random(seed))
             blocks, witnesses = run(CertifyingRefiner(p))
             assert (blocks, witnesses) == run(FamilyRefiner(p)), seed
             pairs += len(witnesses)
@@ -683,12 +665,88 @@ class TestDistinguish:
         assert tried >= 10
 
 
-def half_chain(n: int) -> EffFn:
+def cross_check_ef(rng: Random) -> EffFn:
+    """A portfolio on 2 to 7 states, on a coarse space three times in ten."""
+    states = [f"s{i}" for i in range(rng.randint(2, 7))]
+    if rng.random() < 0.3:
+        space = Space(states, rand_partition_blocks(rng, states))
+    else:
+        space = Space.discrete(states)
+    return rand_ef(rng, space, max_den=rng.choice([2, 4, 8]))
+
+
+def half_chain(n: int, clone: bool = False) -> EffFn:
     """States s0 .. s{n-1}: each but the last moves with mass 1/2 to the
-    next, the last has no measure."""
-    space = Space.discrete([f"s{i}" for i in range(n)])
+    next, the last has no measure; with ``clone``, a state c0 moves as s0."""
+    space = Space.discrete([f"s{i}" for i in range(n)] + (["c0"] if clone else []))
     image = {f"s{i}": [SubProb.of(space, {f"s{i + 1}": "1/2"})] for i in range(n - 1)}
+    if clone:
+        image["c0"] = image["s0"]
     return filter_generate(Kernel(space, image))
+
+
+class TestFormulaWorkWaitsForALaterRound:
+    """``distinguish`` builds a round's formulas only when a later round
+    splits a block, and its answers are those of the refiner that builds
+    them every round (``CertifyingRefiner.separate``)."""
+
+    def test_round_runs_once_per_round_a_later_round_follows(self, monkeypatch):
+        built = []
+        round_ = _Refiner._round
+
+        def counted(refiner, *args):
+            built.append(args)
+            return round_(refiner, *args)
+
+        monkeypatch.setattr(_Refiner, "_round", counted)
+        for n in (2, 3, 5, 8):
+            p = half_chain(n, clone=True)
+            rounds = len(list(_refine(p.space, (p,), (p.space.carrier,))))
+            assert rounds == n  # s{n-k} parts in round k < n; round n is the fixed point
+            for i in range(n - 1):  # s{i} and s{i+1} part in round n - 1 - i
+                built.clear()
+                assert not distinguish(p, f"s{i}", f"s{i + 1}").equivalent
+                assert len(built) == n - 2 - i
+            built.clear()
+            assert distinguish(p, "s0", "c0").equivalent
+            assert len(built) == rounds - 2  # every splitting round but the last
+
+    @staticmethod
+    def corpus(name: str):
+        """The systems of the partition tests above, of acceptance criterion
+        1, every tenth seed of the up-set cross-check, and the half chains."""
+        if name == "random":
+            rng = Random(181)
+            return [rand_ef(rng, rand_space(rng, 2, 5)) for _ in range(60)]
+        if name == "collision-heavy":
+            rng = Random(307)
+            return [collision_heavy_ef(rng) for _ in range(40)]
+        if name == "criterion-1":
+            rng = Random(20240)
+            return [
+                rand_ef(rng, rand_space(rng, 2, 5), max_gens=3, max_measures=3, max_den=8)
+                for _ in range(200)
+            ]
+        if name == "coarse":
+            return [cross_check_ef(Random(seed)) for seed in range(0, 3000, 10)]
+        return [half_chain(n, clone) for n in range(2, 8) for clone in (False, True)]
+
+    @pytest.mark.parametrize(
+        "name", ["random", "collision-heavy", "criterion-1", "coarse", "half-chains"]
+    )
+    def test_every_pair_answers_as_the_every_round_oracle(self, name):
+        compared = Counter()
+        for p in self.corpus(name):
+            rel = greatest_ef_bisim(p)
+            for s, t in itertools.permutations(p.space.carrier, 2):
+                new = distinguish(p, s, t)
+                old = CertifyingRefiner(p).separate(s, t)
+                assert new.equivalent == old.equivalent == ((s, t) in rel)
+                assert new.satisfied_by == old.satisfied_by
+                if not new.equivalent:
+                    assert format_formula(new.formula) == format_formula(old.formula)
+                compared[new.equivalent] += 1
+        assert compared[True] > 0 and compared[False] > 0, compared
 
 
 class TestIdentityMemos:
