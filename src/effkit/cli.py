@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from typing import Any
 
@@ -41,6 +42,10 @@ from .model_io import (
 )
 from .nlmp import Nlmp
 from .space import Relation, direct_sum
+
+
+# Unicode's control characters (category Cc), the line breaks among them.
+_CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")
 
 
 class _UsageError(EffkitError):
@@ -212,30 +217,30 @@ def cmd_morphism(args) -> tuple[int, dict[str, Any]]:
     return (0 if holds else 1), {"holds": holds, "strong": args.strong}
 
 
-def cmd_dual(args) -> tuple[int, dict[str, Any]]:
-    return 0, model_to_dict(ef_ops.dual_ef(_ef(args)))
+def cmd_dual(args) -> tuple[int, Any]:
+    return 0, ef_ops.dual_ef(_ef(args))
 
 
-def cmd_demonize(args) -> tuple[int, dict[str, Any]]:
-    return 0, model_to_dict(nlmp_ops.filter_generate(_kernel(args, _nlmp(args))))
+def cmd_demonize(args) -> tuple[int, Any]:
+    return 0, nlmp_ops.filter_generate(_kernel(args, _nlmp(args)))
 
 
-def cmd_angelize(args) -> tuple[int, dict[str, Any]]:
-    return 0, model_to_dict(nlmp_ops.angelize(_kernel(args, _nlmp(args))))
+def cmd_angelize(args) -> tuple[int, Any]:
+    return 0, nlmp_ops.angelize(_kernel(args, _nlmp(args)))
 
 
-def cmd_sum(args) -> tuple[int, dict[str, Any]]:
+def cmd_sum(args) -> tuple[int, Any]:
     a, b, _ = _pair(args)
     if isinstance(a, EffFn):
         summed, _ = ef_ops.sum_ef(a, b)
-        return 0, model_to_dict(summed)
+        return 0, summed
     kernels = {}
     for label in a.labels:
         kernels[label], _ = nlmp_ops.direct_sum(a.kernel(label), b.kernel(label))
-    return 0, model_to_dict(Nlmp(direct_sum(a.space, b.space).space, kernels))
+    return 0, Nlmp(direct_sum(a.space, b.space).space, kernels)
 
 
-def cmd_quotient(args) -> tuple[int, dict[str, Any]]:
+def cmd_quotient(args) -> tuple[int, Any]:
     ef = _ef(args)
     blocks = load_partition(args.partition, ef.space)
     alpha = Relation.from_partition(ef.space, blocks.atoms)
@@ -247,7 +252,7 @@ def cmd_quotient(args) -> tuple[int, dict[str, Any]]:
             "reason": "not_a_congruence",
             "witness": list(exc.witness) if exc.witness else None,
         }
-    return 0, model_to_dict(quotiented)
+    return 0, quotiented
 
 
 def cmd_span(args) -> tuple[int, dict[str, Any]]:
@@ -331,6 +336,10 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         code, payload = args.handler(args)
+        if args.format == "json":
+            dumps_canonical(payload, out)
+        else:
+            out.write(_text(payload))
     except EffkitError as exc:
         diagnostic = {
             "error": {
@@ -339,17 +348,27 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
                 "message": str(exc),
             }
         }
-        err.write(dumps_canonical(diagnostic))
+        dumps_canonical(diagnostic, err)
         return 2
-    if args.format == "json":
-        out.write(dumps_canonical(payload))
-    else:
-        for key in sorted(payload):
-            value = payload[key]
-            if value is None or isinstance(value, (bool, dict, list)):
-                value = json.dumps(value, sort_keys=True)
-            out.write(f"{key}: {value}\n")
     return code
+
+
+def _text(payload: Any) -> str:
+    """The ``--format text`` rendering: one ``key: value`` line per
+    top-level key in key order.  Strings and integers print as they are,
+    but a string holding a control character, which could break or forge a
+    line, prints as JSON, as do booleans, null, lists and objects."""
+    if isinstance(payload, (Nlmp, EffFn)):
+        payload = model_to_dict(payload)
+    lines = []
+    for key in sorted(payload):
+        value = payload[key]
+        if value is None or isinstance(value, (bool, dict, list)) or (
+            isinstance(value, str) and _CONTROL.search(value)
+        ):
+            value = json.dumps(value, sort_keys=True)
+        lines.append(f"{key}: {value}\n")
+    return "".join(lines)
 
 
 def main() -> int:

@@ -198,7 +198,8 @@ def _interned(space: Space, mass: Mapping[int, int], den: int) -> SubProb:
     stripped of zeros, reduced by its gcd with ``den`` and bounded by one,
     then looked up in, or entered into, the space's registry
     (docs/derivations.md, section 13).  Every measure is built here."""
-    atoms, nums = zip(*sorted(mass.items())) if mass else ((), ())
+    atoms = tuple(sorted(mass))
+    nums = tuple([mass[a] for a in atoms])
     if nums and min(nums) < 0:
         mass_text = _rational_str(min(nums), den, "a negative mass")
         raise SpaceMismatchError(f"negative mass {mass_text}")

@@ -22,18 +22,26 @@ Emission is canonical: states in carrier order, atoms always listed, masses
 in lowest terms, so re-parsing an emitted model yields an equal value and
 equal inputs emit byte-identical JSON.  :func:`dumps_canonical` writes
 exactly the bytes of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``
-(ASCII only, keys sorted, two-space indent).
+(ASCII only, keys sorted by their raw text, two-space indent).  Given a
+model, it is the model writer: it writes the file straight from the value,
+rendering each distinct measure's object once (every measure of a model
+file sits at one depth, so one text serves all its occurrences) and
+joining every kernel image and generator from those texts.
+:func:`model_to_dict` is the parse of that text, so the file format has
+one definition.  Given a stream, the text goes out through one buffer of
+fixed size, so a large model is never held as one string.  Every text that
+can fail, a mass too long to print, is rendered before the first write, so
+a refused emit leaves the stream, and the command's stdout, empty.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Iterator, Mapping, TextIO
 
 from .effectivity import EffFn
 from .errors import EffkitError, ModelFormatError, NotMeasurableSetError
@@ -52,8 +60,6 @@ __all__ = [
     "dumps_canonical",
 ]
 
-_RATIONAL = re.compile(r"([0-9]+)(?:/([1-9][0-9]*))?")
-
 # A model file's "kind", by the type of the value it holds.
 KINDS: dict[type, str] = {Nlmp: "nlmp", EffFn: "ef"}
 
@@ -63,10 +69,15 @@ def _fail(message: str, file: str | None, location: str) -> ModelFormatError:
 
 
 def _rational(raw: str) -> tuple[int, int] | None:
-    """Numerator and denominator of a rational string, in any terms."""
-    match = _RATIONAL.fullmatch(raw)
+    """Numerator and denominator of a rational string, in any terms: ASCII
+    digits, then optionally ``/`` and a denominator without a leading zero."""
+    p, slash, q = raw.partition("/")
+    if not (p.isascii() and p.isdigit()):
+        return None
+    if slash and not (q.isascii() and q.isdigit() and q[0] != "0"):
+        return None
     try:
-        return None if match is None else (int(match[1]), int(match[2] or 1))
+        return int(p), int(q) if slash else 1
     except ValueError:  # more digits than int() converts
         return None
 
@@ -272,56 +283,128 @@ def load_map(path: str | Path, domain: Space, codomain: Space) -> MeasurableMap:
         raise ModelFormatError(str(exc), file=str(path), location="map") from exc
 
 
-def _measure_to_dict(mu: SubProb) -> dict[str, str]:
-    atoms = mu.space.atoms
-    return {atoms[a][0]: _rational_str(n, mu.den, "a mass") for a, n in zip(mu.atoms, mu.nums)}
-
-
-def _measures_to_list(
-    ms: MeasureSet, emitted: dict[SubProb, dict[str, str]]
-) -> list[dict[str, str]]:
-    """The members in canonical order, each measure's dict built once per
-    ``emitted`` table."""
-    out = []
-    for mu in ms.members:
-        doc = emitted.get(mu)
-        if doc is None:
-            doc = emitted[mu] = _measure_to_dict(mu)
-        out.append(doc)
-    return out
+# An emitted model holds every measure at one depth, so a measure's JSON
+# object is one text wherever it occurs: its keys 10 spaces in, its closing
+# brace 8 in, and the list that holds it closes 6 in.
+_IN4, _IN6, _IN8, _IN10 = ("\n" + " " * n for n in (4, 6, 8, 10))
+_SEP8 = "," + _IN8
+_BUFFER = 1 << 16  # characters gathered before each write to the stream
 
 
 def model_to_dict(model: Nlmp | EffFn) -> dict[str, Any]:
-    """The model as a JSON document.  A measure that occurs several times
-    is one dict, shared by its occurrences and built once per call."""
-    emitted: dict[SubProb, dict[str, str]] = {}
-    doc: dict[str, Any] = {
+    """The model as a JSON document: the parse of its canonical text."""
+    return json.loads(dumps_canonical(model))
+
+
+def dumps_canonical(doc: Any, out: TextIO | None = None) -> str | None:
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, for an
+    ``Nlmp`` or ``EffFn`` (written as its model file) or a document of dicts
+    with string keys, lists, tuples, strings, ints, booleans and ``None``.
+    Returns the text, or writes it to ``out`` in pieces of about
+    ``_BUFFER`` characters and returns ``None``; every part that can fail is
+    rendered before the first write."""
+    if isinstance(doc, (Nlmp, EffFn)):
+        pieces: Iterable[str] = _model_pieces(doc)
+    else:
+        pieces = []
+        _emit(doc, "\n", pieces)
+        pieces.append("\n")
+    if out is None:
+        return "".join(pieces)
+    buffer: list[str] = []
+    size = 0
+    for piece in pieces:
+        buffer.append(piece)
+        size += len(piece)
+        if size >= _BUFFER:
+            out.write("".join(buffer))
+            buffer.clear()
+            size = 0
+    out.write("".join(buffer))
+    return None
+
+
+def _model_pieces(model: Nlmp | EffFn) -> Iterator[str]:
+    """The canonical text of ``model`` in pieces, keys in the order of their
+    raw names.  Each distinct measure is rendered once, before the first
+    piece, and every measure list is joined from those texts; an ``EffFn``
+    yields one piece per generator."""
+    space = model.space
+    rest: dict[str, Any] = {
         "kind": KINDS[type(model)],
-        "states": list(model.space.carrier),
-        "sigma": [list(block) for block in model.space.atoms],
+        "sigma": [list(block) for block in space.atoms],
+        "states": list(space.carrier),
     }
     if isinstance(model, Nlmp):
-        doc["labels"] = list(model.labels)
-        doc["kernels"] = {
-            label: {s: _measures_to_list(k(s), emitted) for s in model.space.carrier}
-            for label, k in model.kernels
-        }
+        rest["labels"] = list(model.labels)
+        images = {label: dict(k.image) for label, k in model.kernels}
+        texts = _measure_texts(space, [ms for image in images.values() for ms in image.values()])
+        yield '{\n  "kernels": {'
+        sep = _IN4
+        for label in sorted(images):
+            image = images[label]
+            yield f"{sep}{_quote(label)}: {{"
+            inner = _IN6
+            for s in sorted(image):
+                yield f"{inner}{_quote(s)}: {_set_text(image[s], texts)}"
+                inner = "," + _IN6
+            yield _IN4 + "}" if image else "}"
+            sep = "," + _IN4
+        yield "\n  }" if images else "}"
     else:
-        doc["effectivity"] = {
-            s: [_measures_to_list(g, emitted) for g in model(s).generators]
-            for s in model.space.carrier
-        }
-    return doc
+        portfolio = dict(model.portfolio)
+        texts = _measure_texts(space, [g for family in portfolio.values() for g in family])
+        yield '{\n  "effectivity": {'
+        sep = _IN4
+        for s in sorted(portfolio):
+            gens = portfolio[s].generators
+            yield f"{sep}{_quote(s)}: ["
+            inner = _IN6
+            for g in gens:
+                yield inner + _set_text(g, texts)
+                inner = "," + _IN6
+            yield _IN4 + "]" if gens else "]"
+            sep = "," + _IN4
+        yield "\n  }" if portfolio else "}"
+    chunks = []
+    for key in sorted(rest):
+        chunks.append(f',\n  "{key}": ')
+        _emit(rest[key], "\n  ", chunks)
+    chunks.append("\n}\n")
+    yield "".join(chunks)
 
 
-def dumps_canonical(doc: Any) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, for documents
-    of dicts with string keys, lists, tuples, strings, ints, booleans and
-    ``None``."""
-    chunks: list[str] = []
-    _emit(doc, "\n", chunks)
-    chunks.append("\n")
-    return "".join(chunks)
+def _measure_texts(space: Space, sets: list[MeasureSet]) -> dict[SubProb, str]:
+    """Each distinct member of ``sets`` (measure sets on ``space``) rendered
+    once by ``_measure_text``."""
+    names = [block[0] for block in space.atoms]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    keys = [f"{_IN10}{_quote(names[a])}: " for a in order]
+    rank = [0] * len(order)
+    for r, a in enumerate(order):
+        rank[a] = r
+    return {mu: _measure_text(mu, keys, rank) for mu in set().union(*sets)}
+
+
+def _measure_text(mu: SubProb, keys: list[str], rank: list[int]) -> str:
+    """``mu``'s JSON object as a model file holds it: per support atom, the
+    atom's first state and its mass in lowest terms.  Atom ``a``'s key text
+    is ``keys[rank[a]]``, ranked by the raw name, the order of ``sort_keys``."""
+    if not mu.atoms:
+        return "{}"
+    den = mu.den
+    items = sorted([(rank[a], n) for a, n in zip(mu.atoms, mu.nums)])
+    body = ",".join([f'{keys[r]}"{_rational_str(n, den, "a mass")}"' for r, n in items])
+    return f"{{{body}{_IN8}}}"
+
+
+def _set_text(ms: MeasureSet, texts: dict[SubProb, str]) -> str:
+    """The JSON list of ``ms``'s members in canonical order, as a model file
+    holds a kernel's image or a generator."""
+    members = ms.members
+    if not members:
+        return "[]"
+    return f"[{_IN8}{_SEP8.join([texts[mu] for mu in members])}{_IN6}]"
 
 
 def _emit(obj: Any, newline: str, chunks: list[str]) -> None:

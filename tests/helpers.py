@@ -25,6 +25,7 @@ from effkit import (
     MeasurableMap,
     MeasureSet,
     ModelFormatError,
+    Nlmp,
     NonSymmetricRelationError,
     NotFinitelySupportedError,
     NotMeasurableSetError,
@@ -747,6 +748,30 @@ def pairwise_bisim_oracle(system) -> Relation:
 def dumps_oracle(doc) -> str:
     """The bytes ``dumps_canonical`` must write for ``doc``."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def model_doc_oracle(model: Nlmp | EffFn) -> dict:
+    """The model as the JSON document its file holds, built as a nested
+    dict: the dict builder the model writer replaced, with each measure
+    read off its dense mass vector.  ``dumps_oracle`` of it is the text
+    ``dumps_canonical(model)`` must write."""
+    doc: dict = {
+        "kind": "nlmp" if isinstance(model, Nlmp) else "ef",
+        "states": list(model.space.carrier),
+        "sigma": [list(block) for block in model.space.atoms],
+    }
+    if isinstance(model, Nlmp):
+        doc["labels"] = list(model.labels)
+        doc["kernels"] = {
+            label: {s: [measure_dict_oracle(mu) for mu in k(s).members] for s in model.space.carrier}
+            for label, k in model.kernels
+        }
+    else:
+        doc["effectivity"] = {
+            s: [[measure_dict_oracle(mu) for mu in g.members] for g in model(s).generators]
+            for s in model.space.carrier
+        }
+    return doc
 
 
 _JSON_CHARS = "az09 \"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\u4e2d\U0001f600"

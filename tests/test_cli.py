@@ -12,6 +12,7 @@ import shlex
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -28,15 +29,20 @@ from helpers import (
     dense,
     dumps_oracle,
     formula_texts,
+    model_doc_oracle,
+    per_atom,
     rand_ef,
     rand_json_doc,
     rand_kernel,
+    rand_partition_blocks,
     rand_space,
+    rand_subprob,
     read_measure_oracle,
 )
 
 from effkit import (
     EffFn,
+    Kernel,
     MeasureSet,
     ModelFormatError,
     Nlmp,
@@ -449,6 +455,36 @@ class TestNumbersTooLongToPrint:
         code, out, err = invoke("quotient", write(tmp_path, "ef.json", doc), "--partition", partition)
         assert (code, out) == (2, "")
         assert json.loads(err)["error"]["message"].startswith("a mass is too long to print: ")
+
+    def test_a_mass_too_long_to_print_after_a_buffer_of_output(self, tmp_path):
+        """The quotient's last measure in the output cannot be printed, and
+        more than two buffers of output come before it: the writer renders
+        every measure before its first write, so stdout stays empty.  With a
+        printable measure in its place the same output takes several writes."""
+        fillers = [f"a{i:03}" for i in range(2 * model_io._BUFFER // 2000 + 1)]
+        portfolio = {f: [[{f: f"1/{j}"}] for j in range(1, 41)] for f in fillers}
+        heavy = {"s0": "1/" + self.NINES, "s1": "1/" + self.SEVENS}
+        blocks = write(tmp_path, "blocks.json", [["s0", "s1"], ["s2"]] + [[f] for f in fillers])
+        for measure, answer in ((heavy, 2), ({"s0": "1/4", "s1": "1/4"}, 0)):
+            doc = {
+                "kind": "ef",
+                "states": ["s0", "s1", "s2"] + fillers,
+                "effectivity": dict(portfolio, s0=[[measure]], s1=[[measure]], s2=[]),
+            }
+            model = write(tmp_path, "ef.json", doc)
+            writes, err = [], io.StringIO()
+            sink = io.StringIO()
+            sink.write = writes.append
+            assert run(["quotient", model, "--partition", blocks], sink, err) == answer
+            if answer == 2:
+                assert writes == []
+                assert json.loads(err.getvalue())["error"]["message"].startswith(
+                    "a mass is too long to print: "
+                )
+            else:
+                text = "".join(writes)
+                assert err.getvalue() == "" and len(writes) > 2
+                assert text.index('"s0": "1/2"') > 2 * model_io._BUFFER
 
     def test_a_threshold_of_a_distinguishing_formula(self, tmp_path):
         doc = {
@@ -1160,6 +1196,27 @@ class TestFormatAndDeterminism:
             part = write(tmp_path, "p.json", blocks)
             assert invoke(*text, "subsystem", efA, "--partition", part) == answer
 
+    @pytest.mark.parametrize(
+        "name, printed",
+        [
+            ("b\nvalid: true", '"b\\nvalid: true"'),
+            ("b\rc", '"b\\rc"'),
+            ("b\x85c", '"b\\u0085c"'),
+            ("b", "b"),
+            ("b c: d", "b c: d"),
+            ("\u00e9\u2028\"", "\u00e9\u2028\""),
+        ],
+    )
+    def test_text_format_quotes_a_string_that_could_break_a_line(self, tmp_path, name, printed):
+        """A top-level string holding a control character prints as JSON,
+        so a state name cannot forge a line; any other string prints as it
+        is."""
+        doc = {"kind": "ef", "states": ["a", name], "effectivity": {"a": [[{"a": "1"}]], name: []}}
+        model = write(tmp_path, "named.json", doc)
+        code, out, err = invoke("--format", "text", "distinguish", model, "a", name)
+        lines = ["equivalent: false", "formula: [][T < 0]", f"satisfied_by: {printed}"]
+        assert (code, out.split("\n"), err) == (1, lines + [""], "")
+
     def test_json_outputs_end_with_newline(self, kA):
         _, out, _ = invoke("bisim", kA)
         assert out.endswith("\n")
@@ -1234,6 +1291,9 @@ class TestCanonicalEmitter:
 
 
     def test_each_distinct_measure_is_emitted_once(self, monkeypatch):
+        """The writer renders each distinct measure once: the dual of 5
+        disjoint triples has 3**5 generators over 15 measures, and it is
+        written in several pieces of the writer's buffer."""
         k = 5
         space = Space.discrete([f"x{i}" for i in range(3 * k)])
         triples = [
@@ -1241,25 +1301,87 @@ class TestCanonicalEmitter:
             for i in range(k)
         ]
         ef = dual_ef(EffFn(space, {s: UpperSet(space, triples) for s in space.carrier}))
-        expected = dumps_canonical({
-            "kind": "ef",
-            "states": list(space.carrier),
-            "sigma": [list(block) for block in space.atoms],
-            "effectivity": {
-                s: [[model_io._measure_to_dict(mu) for mu in g.members] for g in ef(s).generators]
-                for s in space.carrier
-            },
-        })
+        expected = dumps_oracle(model_doc_oracle(ef))
         calls = []
 
-        def counted(mu, _emit=model_io._measure_to_dict):
+        def counted(mu, *tables, _render=model_io._measure_text):
             calls.append(mu)
-            return _emit(mu)
+            return _render(mu, *tables)
 
-        monkeypatch.setattr(model_io, "_measure_to_dict", counted)
-        assert dumps_canonical(model_to_dict(ef)) == expected
+        monkeypatch.setattr(model_io, "_measure_text", counted)
+        assert dumps_canonical(ef) == expected
         assert len(ef(space.carrier[0])) == 3**k
         assert len(calls) == len(set(calls)) == 3 * k
+        writes = []
+        sink = io.StringIO()
+        sink.write = writes.append
+        assert dumps_canonical(ef, sink) is None
+        assert "".join(writes) == expected and len(writes) > len(expected) // model_io._BUFFER > 1
+        assert len(calls) == 6 * k
+
+    def test_models_match_the_dict_builder(self):
+        """The model writer against the nested-dict builder it replaced:
+        coarse sigmas, empty images, the empty and the full family, measures
+        shared across states and generators, several labels, and state and
+        label names whose raw and quoted orders differ."""
+        rng = Random(4627)
+        seen: Counter = Counter()
+        for _ in range(400):
+            model = rand_named_model(rng)
+            doc = model_doc_oracle(model)
+            text = dumps_canonical(model)
+            assert text == dumps_oracle(doc)
+            sink = io.StringIO()
+            assert dumps_canonical(model, sink) is None and sink.getvalue() == text
+            assert model_to_dict(model) == doc
+            space = model.space
+            seen["coarse"] += len(space.atoms) < len(space.carrier)
+            seen["reordered"] += sorted(space.carrier) != sorted(space.carrier, key=json.dumps)
+            if isinstance(model, Nlmp):
+                sets = [ms for _, k in model.kernels for _, ms in k.image]
+                seen["labels"] += len(model.labels) > 1
+                seen["empty image"] += any(not ms.members for ms in sets)
+            else:
+                sets = [g for _, u in model.portfolio for g in u]
+                seen["empty family"] += any(u.is_empty for _, u in model.portfolio)
+                seen["full family"] += any(u.is_full for _, u in model.portfolio)
+            members = [mu for ms in sets for mu in ms.members]
+            seen["shared"] += len(set(members)) < len(members)
+        assert min(seen.values()) >= 30 and len(seen) == 7, seen
+
+
+# State and label names whose raw order (``sort_keys``) and quoted order
+# differ: a quote, a backslash, control characters and non-ASCII quote as
+# escapes that start with a backslash.
+_AWKWARD_NAMES = [
+    '"', "#", "\\", "]", "\x01", " ", "\n", "a", "b\"c", "~", "\u00e9", "\u4e2d", "\U0001f600",
+]
+
+
+def rand_named_model(rng: Random) -> Nlmp | EffFn:
+    """A random model over awkward names whose measures come from a small
+    pool, so that states and generators share them."""
+    states = rng.sample(_AWKWARD_NAMES, rng.randint(1, 6))
+    coarse = len(states) > 1 and rng.random() < 0.4
+    space = Space(states, rand_partition_blocks(rng, states)) if coarse else Space.discrete(states)
+    pool = [rand_subprob(rng, space) for _ in range(rng.randint(1, 4))]
+
+    def measures(least: int) -> MeasureSet:
+        return MeasureSet(space, rng.sample(pool, rng.randint(least, len(pool))))
+
+    if rng.random() < 0.5:
+        labels = rng.sample(_AWKWARD_NAMES, rng.randint(0, 3))
+        return Nlmp(space, {a: Kernel(space, per_atom(space, lambda: measures(0))) for a in labels})
+
+    def family() -> UpperSet:
+        roll = rng.random()
+        if roll < 0.15:
+            return UpperSet.empty(space)
+        if roll < 0.3:
+            return UpperSet.full(space)
+        return UpperSet(space, [measures(1) for _ in range(rng.randint(1, 4))])
+
+    return EffFn(space, per_atom(space, family))
 
 
 class TestModelRoundTrips:

@@ -120,12 +120,13 @@ def _owners(tree: ast.AST) -> dict[int, str]:
 def test_measure_supports_are_read_in_few_places():
     """A measure's support, its ``atoms`` beside its ``nums``, is read
     outside ``measure.py`` only by the engine's round (``_refine``), the
-    emitter (``_measure_to_dict``) and the span's ``transport``.  A read
+    model writer's measure renderer (``_measure_text``) and the span's
+    ``transport``.  A read
     of ``.atoms`` counts as a measure's when its object is also read for
     ``.nums`` in that module, or is named ``mu`` or ``nu``."""
     allowed = {
         "effectivity.py:_refine",
-        "model_io.py:_measure_to_dict",
+        "model_io.py:_measure_text",
         "cospan.py:transport",
     }
     where = set()
@@ -246,7 +247,11 @@ def test_the_atom_rule_is_written_once():
     assert found == {
         "calls": {"effectivity.py:__init__ _constant_on_atoms", "nlmp.py:__init__ _constant_on_atoms"},
         "words": {"space.py:_constant_on_atoms"},
-        "atoms": {"model_io.py:_measure_to_dict", "model_io.py:model_to_dict"},
+        "atoms": {
+            "model_io.py:_measure_text",
+            "model_io.py:_measure_texts",
+            "model_io.py:_model_pieces",
+        },
         "finds": {"space.py:sigma_r"},
     }, found
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import json
 import os
 import pickle
 import subprocess
@@ -43,7 +44,7 @@ from effkit import (
     unique_preimages,
 )
 from effkit.measure import _mass_order
-from effkit.model_io import _measure_to_dict, dumps_canonical, model_from_dict
+from effkit.model_io import _measure_texts, model_from_dict
 from helpers import (
     agree_mod_oracle,
     dense,
@@ -439,8 +440,9 @@ class TestIntegerRepresentation:
                 assert (twin.den, twin.atoms, twin.nums) == (mu.den, mu.atoms, mu.nums)
 
             expected = measure_dict_oracle(mu)
-            assert _measure_to_dict(mu) == expected
-            assert dumps_canonical({"mu": _measure_to_dict(mu)}) == dumps_oracle({"mu": expected})
+            text = _measure_texts(space, [MeasureSet(space, [mu])])[mu]
+            assert json.loads(text) == expected
+            assert text == dumps_oracle(expected)[:-1].replace("\n", "\n" + " " * 8)
 
             states = [s for block in space.atoms if rng.random() < 0.5 for s in block]
             if rng.random() < 0.3:
