@@ -44,8 +44,10 @@ from .nlmp import Nlmp
 from .space import Relation, direct_sum
 
 
-# Unicode's control characters (category Cc), the line breaks among them.
-_CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")
+# Unicode's control characters (category Cc) and its line and paragraph
+# separators (Zl, Zp), among them every character ``str.splitlines`` breaks
+# a line at.
+_CONTROL = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 
 
 class _UsageError(EffkitError):
@@ -356,8 +358,9 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
 def _text(payload: Any) -> str:
     """The ``--format text`` rendering: one ``key: value`` line per
     top-level key in key order.  Strings and integers print as they are,
-    but a string holding a control character, which could break or forge a
-    line, prints as JSON, as do booleans, null, lists and objects."""
+    but a string holding a control character or a line or paragraph
+    separator, which could break or forge a line, prints as JSON, as do
+    booleans, null, lists and objects."""
     if isinstance(payload, (Nlmp, EffFn)):
         payload = model_to_dict(payload)
     lines = []

@@ -28,8 +28,9 @@ rendering each distinct measure's object once (every measure of a model
 file sits at one depth, so one text serves all its occurrences) and
 joining every kernel image and generator from those texts.
 :func:`model_to_dict` is the parse of that text, so the file format has
-one definition.  Given a stream, the text goes out through one buffer of
-fixed size, so a large model is never held as one string.  Every text that
+one definition.  Given a stream, the text goes out in pieces, one per
+kernel image or generator, and the stream does its own buffering, so a
+large model is never held as one string.  Every text that
 can fail, a mass too long to print, is rendered before the first write, so
 a refused emit leaves the stream, and the command's stdout, empty.
 """
@@ -288,7 +289,6 @@ def load_map(path: str | Path, domain: Space, codomain: Space) -> MeasurableMap:
 # brace 8 in, and the list that holds it closes 6 in.
 _IN4, _IN6, _IN8, _IN10 = ("\n" + " " * n for n in (4, 6, 8, 10))
 _SEP8 = "," + _IN8
-_BUFFER = 1 << 16  # characters gathered before each write to the stream
 
 
 def model_to_dict(model: Nlmp | EffFn) -> dict[str, Any]:
@@ -300,27 +300,19 @@ def dumps_canonical(doc: Any, out: TextIO | None = None) -> str | None:
     """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, for an
     ``Nlmp`` or ``EffFn`` (written as its model file) or a document of dicts
     with string keys, lists, tuples, strings, ints, booleans and ``None``.
-    Returns the text, or writes it to ``out`` in pieces of about
-    ``_BUFFER`` characters and returns ``None``; every part that can fail is
-    rendered before the first write."""
+    Returns the text, or writes it to ``out`` (a model in pieces, one per
+    kernel image or generator) and returns ``None``; every part that can
+    fail is rendered before the first write."""
     if isinstance(doc, (Nlmp, EffFn)):
         pieces: Iterable[str] = _model_pieces(doc)
     else:
-        pieces = []
-        _emit(doc, "\n", pieces)
-        pieces.append("\n")
+        chunks: list[str] = []
+        _emit(doc, "\n", chunks)
+        chunks.append("\n")
+        pieces = ["".join(chunks)]
     if out is None:
         return "".join(pieces)
-    buffer: list[str] = []
-    size = 0
-    for piece in pieces:
-        buffer.append(piece)
-        size += len(piece)
-        if size >= _BUFFER:
-            out.write("".join(buffer))
-            buffer.clear()
-            size = 0
-    out.write("".join(buffer))
+    out.writelines(pieces)
     return None
 
 

@@ -128,9 +128,6 @@ def _minimal(masks: Collection[int]) -> list[int]:
     kept set with as many bits is contained only if it is equal."""
     if len(masks) < 2:
         return list(masks)
-    if len(masks) == 2:  # the commonest family, answered without the scan
-        a, b = sorted(masks, key=int.bit_count)
-        return [a] if a & ~b == 0 else [a, b]
     kept: list[int] = []
     fewer = 0  # how many kept masks have fewer bits than the current one
     size, same = -1, set()  # the current bit count, and the kept masks with it

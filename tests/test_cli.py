@@ -456,12 +456,13 @@ class TestNumbersTooLongToPrint:
         assert (code, out) == (2, "")
         assert json.loads(err)["error"]["message"].startswith("a mass is too long to print: ")
 
-    def test_a_mass_too_long_to_print_after_a_buffer_of_output(self, tmp_path):
+    def test_a_mass_too_long_to_print_after_long_output(self, tmp_path):
         """The quotient's last measure in the output cannot be printed, and
-        more than two buffers of output come before it: the writer renders
-        every measure before its first write, so stdout stays empty.  With a
-        printable measure in its place the same output takes several writes."""
-        fillers = [f"a{i:03}" for i in range(2 * model_io._BUFFER // 2000 + 1)]
+        more than 128 Ki characters of output, written in many pieces, come
+        before it: the writer renders every measure before its first write,
+        so stdout stays empty."""
+        ahead = 1 << 17
+        fillers = [f"a{i:03}" for i in range(ahead // 2000 + 1)]
         portfolio = {f: [[{f: f"1/{j}"}] for j in range(1, 41)] for f in fillers}
         heavy = {"s0": "1/" + self.NINES, "s1": "1/" + self.SEVENS}
         blocks = write(tmp_path, "blocks.json", [["s0", "s1"], ["s2"]] + [[f] for f in fillers])
@@ -484,7 +485,7 @@ class TestNumbersTooLongToPrint:
             else:
                 text = "".join(writes)
                 assert err.getvalue() == "" and len(writes) > 2
-                assert text.index('"s0": "1/2"') > 2 * model_io._BUFFER
+                assert text.index('"s0": "1/2"') > ahead
 
     def test_a_threshold_of_a_distinguishing_formula(self, tmp_path):
         doc = {
@@ -1204,18 +1205,22 @@ class TestFormatAndDeterminism:
             ("b\x85c", '"b\\u0085c"'),
             ("b", "b"),
             ("b c: d", "b c: d"),
-            ("\u00e9\u2028\"", "\u00e9\u2028\""),
+            ("b\u2028valid: true", '"b\\u2028valid: true"'),
+            ("\u00e9\u2029\"", '"\\u00e9\\u2029\\""'),
+            ("\u00e9\"", "\u00e9\""),
         ],
     )
     def test_text_format_quotes_a_string_that_could_break_a_line(self, tmp_path, name, printed):
-        """A top-level string holding a control character prints as JSON,
-        so a state name cannot forge a line; any other string prints as it
-        is."""
+        """A top-level string holding a control character or a line or
+        paragraph separator prints as JSON, so a state name cannot forge a
+        line for any reader that splits lines as ``str.splitlines`` does;
+        any other string prints as it is."""
         doc = {"kind": "ef", "states": ["a", name], "effectivity": {"a": [[{"a": "1"}]], name: []}}
         model = write(tmp_path, "named.json", doc)
         code, out, err = invoke("--format", "text", "distinguish", model, "a", name)
         lines = ["equivalent: false", "formula: [][T < 0]", f"satisfied_by: {printed}"]
         assert (code, out.split("\n"), err) == (1, lines + [""], "")
+        assert out.splitlines() == lines
 
     def test_json_outputs_end_with_newline(self, kA):
         _, out, _ = invoke("bisim", kA)
@@ -1292,8 +1297,8 @@ class TestCanonicalEmitter:
 
     def test_each_distinct_measure_is_emitted_once(self, monkeypatch):
         """The writer renders each distinct measure once: the dual of 5
-        disjoint triples has 3**5 generators over 15 measures, and it is
-        written in several pieces of the writer's buffer."""
+        disjoint triples has 3**5 generators over 15 measures, and the
+        streamed text is written in pieces, never as one string."""
         k = 5
         space = Space.discrete([f"x{i}" for i in range(3 * k)])
         triples = [
@@ -1316,7 +1321,7 @@ class TestCanonicalEmitter:
         sink = io.StringIO()
         sink.write = writes.append
         assert dumps_canonical(ef, sink) is None
-        assert "".join(writes) == expected and len(writes) > len(expected) // model_io._BUFFER > 1
+        assert "".join(writes) == expected and len(writes) > 1
         assert len(calls) == 6 * k
 
     def test_models_match_the_dict_builder(self):
