@@ -85,22 +85,25 @@ class EffFn(Record):
 
 
 def _refine(
-    space: Space, portfolios: Sequence[EffFn], blocks: Iterable[tuple[str, ...]]
-) -> Iterator[tuple[Callable[[SubProb], int], tuple[tuple[tuple[str, ...], ...], ...]]]:
-    """Signature refinement of a partition of ``space`` into unions of atoms
-    against portfolios on it (a kernel enters as its ``filter_generate``).
+    space: Space, portfolios: Sequence[EffFn], block_of: Sequence[int]
+) -> Iterator[tuple[Callable[[SubProb], int], tuple[tuple[tuple[int, ...], ...], ...]]]:
+    """Signature refinement of a partition of the atoms of ``space``, given
+    by a block id per atom (``Space.atom_map``'s form), against portfolios
+    on it (a kernel enters as its ``filter_generate``).
 
-    A portfolio is constant on each atom, so an atom's states share one
-    signature, and every round's blocks are unions of atoms
-    (docs/derivations.md, sections 6 and 7).  Each round interns every
-    measure's mass vector, its numerators summed per block (looked up per
-    atom) over its denominator and reduced, to a class id.  A signature is,
-    per portfolio, the minimal antichain of the generators' class-id sets,
-    as masks; equal signatures are exactly the two-sided generator
-    transfer.  Every round yields the class id of a measure and, per block,
-    its signature classes, the next round's blocks; the rounds stop after
-    the first that splits no block."""
-    atom_of = space._atom_index
+    The engine works on atoms only: a portfolio is constant on each atom,
+    so an atom's states share one signature, and every round's blocks are
+    unions of atoms (docs/derivations.md, sections 6 and 7).  Each round
+    interns every measure's mass vector, its numerators summed per block
+    over its denominator and reduced, to a class id.  A signature is, per
+    portfolio, the minimal antichain of the generators' class-id sets, as
+    masks; equal signatures are exactly the two-sided generator transfer.
+    Every round yields the class id of a measure and, per block, its
+    signature classes as tuples of atom indices, the next round's blocks;
+    the rounds stop after the first that splits no block.  The first
+    round's blocks come in the order of their least atoms, and a block's
+    classes in the order of theirs; atoms are numbered by their least
+    state, so this is the order a reading by states gives."""
     number: dict[SubProb, int] = {}  # in order of first use
     generators = [
         [
@@ -109,9 +112,11 @@ def _refine(
         ]
         for p in portfolios
     ]
-    blocks = tuple(blocks)
+    grouped: dict[int, list[int]] = {}
+    for a, b in enumerate(block_of):
+        grouped.setdefault(b, []).append(a)
+    blocks = list(grouped.values())
     while True:
-        block_of = {atom_of[s]: b for b, block in enumerate(blocks) for s in block}
         vectors: dict[tuple, int] = {}
         cid = []
         for mu in number:
@@ -122,42 +127,44 @@ def _refine(
             key = (mu.den // g, *sorted((b, n // g) for b, n in vec.items()))
             cid.append(vectors.setdefault(key, len(vectors)))
         bit = [1 << c for c in cid]
-        signature = [
-            tuple(
-                frozenset(_minimal([reduce(or_, [bit[m] for m in g], 0) for g in gens[a]]))
-                for gens in generators
-            )
-            for a in range(len(space.atoms))
-        ]
         classes = []
         for block in blocks:
-            groups: dict[tuple, list[str]] = {}
-            for s in block:
-                groups.setdefault(signature[atom_of[s]], []).append(s)
+            groups: dict[tuple, list[int]] = {}
+            for a in block:
+                signature = tuple(
+                    frozenset(_minimal([reduce(or_, [bit[m] for m in g], 0) for g in gens[a]]))
+                    for gens in generators
+                )
+                groups.setdefault(signature, []).append(a)
             classes.append(tuple(map(tuple, groups.values())))
 
         def class_of(mu: SubProb, cid=cid) -> int:
             return cid[number[mu]]
 
         yield class_of, tuple(classes)
-        split = tuple(c for group in classes for c in group)
+        split = [c for group in classes for c in group]
         if len(split) == len(blocks):
             return
         blocks = split
+        block_of = {a: b for b, block in enumerate(blocks) for a in block}
 
 
 def _greatest_bisim(space: Space, portfolios: Sequence[EffFn]) -> Relation:
-    for _, classes in _refine(space, portfolios, (space.carrier,)):
+    for _, classes in _refine(space, portfolios, [0] * len(space.atoms)):
         pass
-    return Relation.from_partition(space, (c for group in classes for c in group))
+    blocks = [[s for a in c for s in space.atoms[a]] for group in classes for c in group]
+    return Relation.from_partition(space, blocks)
 
 
 def _is_bisim(portfolios: Sequence[EffFn], rel: Relation) -> bool:
     """One round under ``sigma_r(rel)``: a pair of the symmetric relation
-    passes the transfer test iff its two signatures are equal."""
-    _, classes = next(_refine(rel.base, portfolios, sigma_r(rel).atoms))
-    number = {s: i for i, c in enumerate(c for group in classes for c in group) for s in c}
-    return all(len({number[s] for s in (*h, *ts)}) == 1 for ts, h in rel._holders.items() if ts)
+    passes the transfer test iff its two atoms have equal signatures."""
+    space = rel.base
+    _, classes = next(_refine(space, portfolios, space.atom_map(sigma_r(rel))))
+    atom_of = space._atom_index
+    number = {a: i for i, c in enumerate(c for group in classes for c in group) for a in c}
+    pairs = rel._holders.items()
+    return all(len({number[atom_of[s]] for s in (*h, *ts)}) == 1 for ts, h in pairs if ts)
 
 
 def is_ef_state_bisim(p: EffFn, rel: Relation) -> bool:
@@ -313,11 +320,12 @@ def is_subsystem(p: EffFn, coarser: Space) -> bool:
     restricted portfolio.  One refinement round from the coarser atoms
     decides it: they are their own atom closure, and equal signatures are
     equal restricted antichains (docs/derivations.md, section 6)."""
-    if p.space.atom_map(coarser) is None:
+    into = p.space.atom_map(coarser)
+    if into is None:
         raise IncompatiblePartitionError(
             "subsystem test needs a coarsening of the portfolio space's atoms"
         )
-    _, classes = next(_refine(p.space, (p,), coarser.atoms))
+    _, classes = next(_refine(p.space, (p,), into))
     return all(len(group) == 1 for group in classes)
 
 

@@ -28,6 +28,9 @@ block keeps a formula for its up-set, the meet of the confirmed extensions
 containing it.  An equivalent pair reaches the fixed point with the last
 splitting round's formulas unbuilt.  The tests run every round to the fixed
 point as an oracle for the partition.
+The evaluator and the refiner work on atoms, a set of states being a mask
+over atom indices; names appear only in ``eval_state``'s result and in
+``distinguish``'s pair and satisfier.
 The evaluator's memos are keyed by node identity, so no lookup hashes a
 subtree; each entry holds its node, so its id is not reused while it lives.
 Parsing, printing and evaluation run on explicit stacks, so formulas of any
@@ -52,7 +55,7 @@ from .errors import (
     SpaceMismatchError,
     ThresholdOutOfRangeError,
 )
-from .measure import SubProb, _atoms_of, _numerator_in, _rational_str
+from .measure import SubProb, _numerator_in, _rational_str
 from .record import Record
 from .space import Relation
 
@@ -403,22 +406,21 @@ class _Evaluator:
     an explicit stack of frames: a frame computing a node yields each part
     whose extension it needs and is resumed with it.  So every part is
     computed where the recursive reading first reaches it, as lazily and in
-    the same order, and any depth of nesting evaluates."""
+    the same order, and any depth of nesting evaluates.  An extension is a
+    mask, bit ``a`` for atom ``a``: a modality reads each atom once."""
 
     def __init__(self, p: EffFn):
         self.p = p
-        self._ext: dict[int, tuple[StateFormula, frozenset[str]]] = {}
-        self._atoms: dict[int, tuple[StateFormula, frozenset[int]]] = {}
+        self.portfolios = [p(block[0]) for block in p.space.atoms]
+        self.top = (1 << len(self.portfolios)) - 1
+        self._ext: dict[int, tuple[StateFormula, int]] = {}
 
     def numerator(self, mu: SubProb, f: StateFormula) -> int:
-        """Mass of the extension of ``f`` under ``mu``, over ``mu.den``; the
-        extension is checked measurable once."""
-        hit = self._atoms.get(id(f))
-        if hit is None:
-            hit = self._atoms[id(f)] = (f, _atoms_of(self.p.space, self.state_ext(f)))
-        return _numerator_in(mu, hit[1])
+        """Mass of the extension of ``f`` under ``mu``, over ``mu.den``."""
+        hit = self._ext.get(id(f))
+        return _numerator_in(mu, self.state_ext(f) if hit is None else hit[1])
 
-    def state_ext(self, f: StateFormula) -> frozenset[str]:
+    def state_ext(self, f: StateFormula) -> int:
         frames = [(f, self._frame(f))]
         ext = None  # what the top frame is resumed with
         while frames:
@@ -441,7 +443,7 @@ class _Evaluator:
         if hit is not None:
             return hit[1]
         if isinstance(f, Top):
-            return frozenset(self.p.space.carrier)
+            return self.top
         if isinstance(f, And):
             left = yield f.left
             right = yield f.right
@@ -449,13 +451,13 @@ class _Evaluator:
         if not isinstance(f, (Diamond, Box)):
             raise TypeError(f"not a state formula: {f!r}")
         box = isinstance(f, Box)
-        ext = []
-        for s in self.p.space.carrier:
+        ext = 0
+        for a, u in enumerate(self.portfolios):
             # A box holds iff every generator has a satisfying measure, a
             # diamond iff not every generator has a failing one: both read a
             # generator up to its first measure whose verdict is ``box``.
             every = True
-            for g in self.p(s):
+            for g in u:
                 for mu in g:
                     m, undecided = f.body, []
                     while not isinstance(sat := self._decide(m, mu, undecided), bool):
@@ -467,8 +469,8 @@ class _Evaluator:
                     every = False
                     break
             if every is box:
-                ext.append(s)
-        return frozenset(ext)
+                ext |= 1 << a
+        return ext
 
     def msat(self, m: MeasureFormula, mu: SubProb) -> bool:
         undecided: list = []
@@ -489,7 +491,7 @@ class _Evaluator:
                 m = m.left
             if not isinstance(m, Threshold):
                 raise TypeError(f"not a measure formula: {m!r}")
-            if id(m.state) not in self._atoms and id(m.state) not in self._ext:
+            if id(m.state) not in self._ext:
                 return m
             mass = self.numerator(mu, m.state) * m.bound.denominator
             bound = m.bound.numerator * mu.den
@@ -508,7 +510,8 @@ def eval_state(p: EffFn, f: StateFormula) -> frozenset[str]:
     of satisfying measures only; it satisfies a box iff every generator
     contains at least one satisfying measure (the dual portfolio reading).
     """
-    return _Evaluator(p).state_ext(f)
+    ext = _Evaluator(p).state_ext(f)
+    return frozenset([s for a, block in enumerate(p.space.atoms) if ext >> a & 1 for s in block])
 
 
 def eval_measure(p: EffFn, m: MeasureFormula, mu: SubProb) -> bool:
@@ -550,21 +553,22 @@ class _Refiner:
     """Formula synthesis on top of the signature refinement.
 
     Keeps, per block of the refinement's partition, the block's up-set (the
-    meet of the confirmed extensions containing it) and a formula for it.
-    Each round, every pair of signature classes inside a block gets one
-    separating formula, confirmed by the evaluator and checked to cut no
+    meet of the confirmed extensions containing it, as a mask) and a formula
+    for it.  Each round, every pair of signature classes inside a block gets
+    one separating formula, confirmed by the evaluator and checked to cut no
     class of the round; each class then meets its block's up-set with the
     round's extensions containing it (docs/derivations.md, section 12).
     ``blocks`` holds the (key, extension, formula) records in the engine's
-    block order, ``upsets`` in key order: by size, then by their states'
-    carrier indices.  A key is computed once, when its up-set is new.
+    block order, ``upsets`` in key order: by number of states, then by atom
+    indices, which orders them as the states' carrier indices would
+    (section 12, step 4).  A key is computed once, when its up-set is new.
     """
 
     def __init__(self, p: EffFn):
         self.p = p
         self.ev = _Evaluator(p)
-        self.index = {s: i for i, s in enumerate(p.space.carrier)}
-        self.blocks = self.upsets = [self._record(frozenset(p.space.carrier), Top())]
+        self.sizes = [len(block) for block in p.space.atoms]
+        self.blocks = self.upsets = [self._record(self.ev.top, Top())]
 
     def separate(self, s: str, t: str) -> DistinguishResult:
         """The verdict on ``s`` and ``t``, with the confirmed formula
@@ -575,31 +579,34 @@ class _Refiner:
         splits a block, and is dropped at the engine's fixed point, which
         the pair reaches together (docs/derivations.md, section 12).  So an
         equivalent pair builds no formula for the last splitting round."""
+        a, b = self.p.space.atom_of(s), self.p.space.atom_of(t)
         pending = ()
-        for class_of, classes in _refine(self.p.space, (self.p,), (self.p.space.carrier,)):
+        for class_of, classes in _refine(self.p.space, (self.p,), [0] * len(self.sizes)):
             if all(len(group) == 1 for group in classes):
                 break  # the fixed point: no later round reads the pending one
             if pending:
                 self._round(*pending)
-            if not any(s in c and t in c for group in classes for c in group):
-                formula, _, satisfier = self._confirmed(s, t, class_of)
+            if not any(a in c and b in c for group in classes for c in group):
+                formula, _, satisfier = self._confirmed(a, b, class_of)
+                satisfier = s if satisfier == a else t
                 return DistinguishResult(equivalent=False, formula=formula, satisfied_by=satisfier)
             pending = class_of, classes
         return DistinguishResult(equivalent=True)
 
-    def _round(self, class_of, classes) -> list[tuple[StateFormula, frozenset[str], str]]:
+    def _round(self, class_of, classes) -> list[tuple[StateFormula, int, int]]:
         """Confirm a formula per pair of signature classes in a block and
         meet the up-sets with them; returns their (formula, extension,
-        satisfier).  A formula that cuts a class of its round is a bug: by
-        induction over the rounds, no cut means the up-sets' partition is
-        the round's classes (docs/derivations.md, section 12)."""
+        satisfier atom).  A formula that cuts a class of its round is a
+        bug: by induction over the rounds, no cut means the up-sets'
+        partition is the round's classes (docs/derivations.md, section 12)."""
         fresh = [
             self._confirmed(left[0], right[0], class_of)
             for group in classes
             for left, right in itertools.combinations(group, 2)
         ]
+        masks = [sum([1 << a for a in c]) for group in classes for c in group]
         for _, ext, _ in fresh:
-            if not all(ext.isdisjoint(c) or ext.issuperset(c) for group in classes for c in group):
+            if not all(ext & c == 0 or c & ~ext == 0 for c in masks):
                 raise InternalInvariantViolation("a confirmed formula cuts a signature class")
         self.blocks = [
             self._meet(record, c[0], fresh)
@@ -609,34 +616,35 @@ class _Refiner:
         self.upsets = sorted(self.blocks, key=itemgetter(0))
         return fresh
 
-    def _record(self, up: frozenset[str], formula: StateFormula) -> tuple:
-        return (len(up), sorted(map(self.index.__getitem__, up))), up, formula
+    def _record(self, up: int, formula: StateFormula) -> tuple:
+        atoms = [a for a in range(len(self.sizes)) if up >> a & 1]
+        return (sum([self.sizes[a] for a in atoms]), atoms), up, formula
 
-    def _meet(self, record, s: str, fresh) -> tuple:
-        """The up-set record of the class of ``s``: its parent block's,
-        met with each fresh extension containing the class."""
+    def _meet(self, record, a: int, fresh) -> tuple:
+        """The up-set record of the class of atom ``a``: its parent
+        block's, met with each fresh extension containing the class."""
         _, up, formula = record
         for phi, ext, _ in fresh:
-            if s in ext and not ext >= up:
-                up, formula = (ext, phi) if ext < up else (up & ext, And(formula, phi))
-        return record if up is record[1] else self._record(up, formula)  # a meet is a new set
+            if ext >> a & 1 and up & ~ext:
+                up, formula = (ext, phi) if ext & ~up == 0 else (up & ext, And(formula, phi))
+        return record if up == record[1] else self._record(up, formula)
 
     # -- formula synthesis ---------------------------------------------------
-    def _confirmed(self, s: str, t: str, class_of) -> tuple[StateFormula, frozenset[str], str]:
-        """Separating formula for two states with different signatures, its
-        extension, and the state satisfying it, checked by the evaluator."""
-        formula, satisfier = self._synthesize(s, t, class_of)
+    def _confirmed(self, a: int, b: int, class_of) -> tuple[StateFormula, int, int]:
+        """Separating formula for two atoms with different signatures, its
+        extension, and the atom satisfying it, checked by the evaluator."""
+        formula, satisfier = self._synthesize(a, b, class_of)
         ext = self.ev.state_ext(formula)
-        refuted = t if satisfier == s else s
-        if satisfier not in ext or refuted in ext:
+        refuted = b if satisfier == a else a
+        if not ext >> satisfier & 1 or ext >> refuted & 1:
             raise InternalInvariantViolation(
                 "synthesized formula failed evaluator confirmation"
             )
         return formula, ext, satisfier
 
-    def _synthesize(self, s: str, t: str, class_of) -> tuple[StateFormula, str]:
-        """Separating formula for a failed transfer between ``s`` and ``t``,
-        in whichever direction fails.
+    def _synthesize(self, a: int, b: int, class_of) -> tuple[StateFormula, int]:
+        """Separating formula for a failed transfer between atoms ``a`` and
+        ``b``, in whichever direction fails.
 
         Mirrors the completeness argument: pick an unmatched source
         generator, one culprit measure per target generator, and for every
@@ -645,12 +653,12 @@ class _Refiner:
         over a disjunction of conjunctions satisfied by the target and
         refuted by the source.
         """
-        for s, t in ((s, t), (t, s)):
-            source, target = self.p(s), self.p(t)
+        for a, b in ((a, b), (b, a)):
+            source, target = self.ev.portfolios[a], self.ev.portfolios[b]
             if target.is_empty and not source.is_empty:
-                return Box(_FALSUM), t
+                return Box(_FALSUM), b
             if source.is_full and not target.is_full:
-                return Diamond(_FALSUM), s
+                return Diamond(_FALSUM), a
             for g in source.generators:
                 culprits = [
                     next(
@@ -660,7 +668,7 @@ class _Refiner:
                     for h in target.generators
                 ]
                 if None not in culprits:
-                    return Box(self._culprit_body(g, culprits)), t
+                    return Box(self._culprit_body(g, culprits)), b
         raise InternalInvariantViolation("synthesis called on a passing transfer")
 
     def _culprit_body(self, g, culprits) -> MeasureFormula:
@@ -674,9 +682,9 @@ class _Refiner:
         measures differ, at their midpoint and oriented toward ``nu``; it is
         also the first such set of the confirmed extensions' intersection
         closure in the same order (docs/derivations.md, section 12)."""
-        for _, _, phi in self.upsets:
-            a = Fraction(self.ev.numerator(nu, phi), nu.den)
-            b = Fraction(self.ev.numerator(mu, phi), mu.den)
+        for _, up, phi in self.upsets:
+            a = Fraction(_numerator_in(nu, up), nu.den)
+            b = Fraction(_numerator_in(mu, up), mu.den)
             if a != b:
                 return Threshold(phi, "<" if a < b else ">", (a + b) / 2)
         raise InternalInvariantViolation(

@@ -41,7 +41,7 @@ from _weakref import _remove_dead_weakref  # WeakValueDictionary's atomic remova
 from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
-from typing import Callable, Container, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     EffkitError,
@@ -261,18 +261,18 @@ def _mass_order(measures: Iterable[SubProb]) -> Callable[[SubProb], tuple]:
     return key
 
 
-def _atoms_of(space: Space, states: Iterable[str]) -> frozenset[int]:
-    """Indices of the atoms whose union is ``states``."""
+def _atoms_of(space: Space, states: Iterable[str]) -> int:
+    """The mask of the atoms whose union is ``states``: bit ``a`` for atom ``a``."""
     wanted = frozenset(states)
     idx = space.atoms_of_set(wanted)
     if idx is None:
         raise NotMeasurableSetError(f"{sorted(wanted)} is not a union of atoms of the space")
-    return frozenset(idx)
+    return sum([1 << a for a in idx])
 
 
-def _numerator_in(mu: SubProb, atoms: Container[int]) -> int:
-    """The mass ``mu`` gives the listed atoms, as a numerator over ``mu.den``."""
-    return sum([n for a, n in zip(mu.atoms, mu.nums) if a in atoms])
+def _numerator_in(mu: SubProb, mask: int) -> int:
+    """The mass ``mu`` gives the atoms set in ``mask``, as a numerator over ``mu.den``."""
+    return sum([n for a, n in zip(mu.atoms, mu.nums) if mask >> a & 1])
 
 
 def evaluate(mu: SubProb, states: Iterable[str]) -> Fraction:

@@ -63,7 +63,6 @@ from effkit.logic import (
     _Refiner,
     _tokenize,
 )
-from effkit.measure import _atoms_of
 
 
 def dense(mu: SubProb) -> tuple[Fraction, ...]:
@@ -1245,7 +1244,10 @@ class RecursiveEvaluator:
     def numerator(self, mu: SubProb, f: StateFormula) -> int:
         hit = self._atoms.get(id(f))
         if hit is None:
-            hit = self._atoms[id(f)] = (f, _atoms_of(self.p.space, self.state_ext(f)))
+            atoms = self.p.space.atoms_of_set(self.state_ext(f))
+            if atoms is None:
+                raise NotMeasurableSetError("an extension is not a union of atoms")
+            hit = self._atoms[id(f)] = (f, atoms)
         num = dense_numerators(mu)
         return sum([num[i] for i in hit[1]])
 
@@ -1463,14 +1465,45 @@ def refine_oracle(space: Space, portfolios, blocks) -> list:
         blocks = split
 
 
+def atom_states(space: Space, atoms) -> tuple[str, ...]:
+    """The states of some atoms of ``space``, in carrier order: ``atoms`` is
+    a mask over atom indices (bit ``a`` for atom ``a``), as the evaluator's
+    extensions and the refiner's up-sets are, or an iterable of atom
+    indices, as the engine's classes are."""
+    if isinstance(atoms, int):
+        atoms = [a for a in range(len(space.atoms)) if atoms >> a & 1]
+    return tuple(sorted((s for a in atoms for s in space.atoms[a]), key=space.index))
+
+
+def atom_twin(p: EffFn) -> tuple[EffFn, MeasurableMap]:
+    """The discrete twin of a portfolio, one state per atom named by the
+    atom's least state, with the map sending each state there; each
+    portfolio is pushed along it.  A discrete portfolio's twin equals it."""
+    space = p.space
+    reps = Space.discrete([block[0] for block in space.atoms])
+    f = MeasurableMap(space, reps, {s: block[0] for block in space.atoms for s in block})
+    return EffFn(reps, {r: push_upperset(f, p(r)) for r in reps.carrier}), f
+
+
+def engine_rounds(space: Space, portfolios, blocks) -> list:
+    """``effectivity._refine``'s rounds from a partition of the carrier into
+    unions of atoms, with each class as its states: the form of
+    ``refine_oracle``."""
+    start = space.atom_map(Space(space.carrier, blocks))
+    return [
+        tuple(tuple(atom_states(space, c) for c in group) for group in classes)
+        for _, classes in _refine(space, portfolios, start)
+    ]
+
+
 class CertifyingRefiner(_Refiner):
     """The oracle for ``logical_equivalence``: the refiner that certifies
     every round to the fixed point (docs/derivations.md, section 12).  Each
     round goes through ``_Refiner._round``, so every split is backed by a
     synthesized, evaluator-confirmed formula that cuts no class of its
     round; ``witnesses`` keeps each as ((s, t), (formula, extension,
-    satisfier)) for the pair of class representatives it separates.
-    ``separate`` is the oracle for ``distinguish``."""
+    satisfier)) for the pair of class representatives it separates, in
+    state names.  ``separate`` is the oracle for ``distinguish``."""
 
     def __init__(self, p: EffFn):
         super().__init__(p)
@@ -1480,26 +1513,32 @@ class CertifyingRefiner(_Refiner):
         """``_Refiner.separate`` with no round waiting: ``_round`` runs on
         every round the pair stays together in, the fixed point's included,
         before the next round is read."""
-        for class_of, classes in _refine(self.p.space, (self.p,), (self.p.space.carrier,)):
-            if not any(s in c and t in c for group in classes for c in group):
-                formula, _, satisfier = self._confirmed(s, t, class_of)
+        space = self.p.space
+        a, b = space.atom_of(s), space.atom_of(t)
+        for class_of, classes in _refine(space, (self.p,), [0] * len(space.atoms)):
+            if not any(a in c and b in c for group in classes for c in group):
+                formula, _, satisfier = self._confirmed(a, b, class_of)
+                satisfier = s if satisfier == a else t
                 return DistinguishResult(equivalent=False, formula=formula, satisfied_by=satisfier)
             self._round(class_of, classes)
         return DistinguishResult(equivalent=True)
 
     def run(self) -> tuple[list[tuple[str, ...]], list[tuple]]:
-        """The final blocks, in the engine's order, and the up-set records."""
+        """The final blocks, in the engine's order, as states, and the
+        up-set records."""
         space = self.p.space
-        split = [space.carrier]
-        for class_of, classes in _refine(space, (self.p,), (space.carrier,)):
+        for class_of, classes in _refine(space, (self.p,), [0] * len(space.atoms)):
             pairs = [
-                (left[0], right[0])
+                (space.atoms[left[0]][0], space.atoms[right[0]][0])
                 for group in classes
                 for left, right in itertools.combinations(group, 2)
             ]
-            self.witnesses += zip(pairs, self._round(class_of, classes))
+            self.witnesses += [
+                (pair, (formula, frozenset(atom_states(space, ext)), space.atoms[satisfier][0]))
+                for pair, (formula, ext, satisfier) in zip(pairs, self._round(class_of, classes))
+            ]
             split = [c for group in classes for c in group]
-        return split, self.upsets
+        return [atom_states(space, c) for c in split], self.upsets
 
 
 def certified_partition(p: EffFn) -> set[frozenset[str]]:
@@ -1515,6 +1554,7 @@ class FamilyRefiner(CertifyingRefiner):
 
     def __init__(self, p: EffFn):
         super().__init__(p)
+        self.index = {s: i for i, s in enumerate(p.space.carrier)}
         top = frozenset(p.space.carrier)
         self.family: dict[frozenset[str], StateFormula] = {top: Top()}
         self.order: list[frozenset[str]] = [top]
@@ -1543,7 +1583,7 @@ class FamilyRefiner(CertifyingRefiner):
     def _round(self, class_of, classes) -> list:
         fresh = super()._round(class_of, classes)
         for formula, ext, _ in fresh:
-            self._add(formula, ext)
+            self._add(formula, frozenset(atom_states(self.p.space, ext)))
         return fresh
 
     def _test(self, mu: SubProb, nu: SubProb) -> Threshold:

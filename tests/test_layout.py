@@ -148,8 +148,10 @@ def test_measure_supports_are_read_in_few_places():
 
 def test_one_integer_sum_serves_evaluate_and_the_evaluator():
     """``measure.evaluate`` and ``logic._Evaluator.numerator`` sum a
-    measure's numerators over a set of atoms through one helper defined in
-    ``measure.py``, and neither reads the support itself."""
+    measure's numerators over a mask of atoms through one helper defined in
+    ``measure.py``, and neither reads the support itself.  Only ``evaluate``
+    checks that a set of states is a union of atoms (``_atoms_of``): the
+    evaluator's extensions are masks of atoms to begin with."""
 
     def function(path: Path, name: str, cls: str | None = None) -> ast.FunctionDef:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -171,7 +173,47 @@ def test_one_integer_sum_serves_evaluate_and_the_evaluator():
         support = [n for n in nodes if isinstance(n, ast.Attribute) and n.attr in ("atoms", "nums")]
         assert not support, f"{fn.name} reads a support"
     defined = {n.name for n in measure_tree.body if isinstance(n, ast.FunctionDef)}
-    assert calls[0] & calls[1] & defined == {"_atoms_of", "_numerator_in"}
+    assert calls[0] & defined == {"_atoms_of", "_numerator_in"}
+    assert calls[1] & defined == {"_numerator_in"}
+
+
+def test_the_engine_and_the_logic_work_on_atoms():
+    """Inside ``effectivity._refine``, ``logic._Evaluator`` and
+    ``logic._Refiner`` a partition is a block id per atom and a set of
+    states is a mask over atom indices.  They read no ``carrier``,
+    ``_index`` or ``_atom_index`` of a space, look up no ``index``, keep no
+    ``_atoms`` table and name no ``frozenset[str]``; the evaluator and the
+    refiner build no ``frozenset`` at all.  ``_Refiner.separate`` alone
+    turns states into atoms, its two, through ``Space.atom_of``.
+    ``logic.py`` does not name ``_atoms_of``."""
+    scopes = {"effectivity.py": {"_refine"}, "logic.py": {"_Evaluator", "_Refiner"}}
+    names = ("carrier", "_index", "_atom_index", "index", "_atoms", "atoms_of_set", "atom_of")
+    found = set()
+    for name, wanted in scopes.items():
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        tops = [n for n in tree.body if getattr(n, "name", None) in wanted]
+        assert {n.name for n in tops} == wanted
+        for top in tops:
+            methods = [top]
+            if isinstance(top, ast.ClassDef):
+                methods = [n for n in top.body if isinstance(n, ast.FunctionDef)]
+            for fn in methods:
+                where = f"{name}:{top.name}" + (f".{fn.name}" if fn is not top else "")
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Attribute) and node.attr in names:
+                        found.add(f"{where} .{node.attr}")
+                    elif isinstance(node, ast.Name) and node.id == "frozenset" and top.name != "_refine":
+                        found.add(f"{where} frozenset")
+                if "frozenset[str]" in ast.unparse(fn):
+                    found.add(f"{where} frozenset[str]")
+        if name == "logic.py":
+            found.update(
+                f"logic.py:{node.lineno} _atoms_of"
+                for node in ast.walk(tree)
+                if (isinstance(node, ast.Name) and node.id == "_atoms_of")
+                or (isinstance(node, ast.alias) and node.name == "_atoms_of")
+            )
+    assert found == {"logic.py:_Refiner.separate .atom_of"}, sorted(found)
 
 
 def test_one_routine_interns_every_measure():

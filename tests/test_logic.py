@@ -45,9 +45,10 @@ from effkit import (
     is_ef_state_bisim,
     logical_equivalence,
     parse_formula,
+    pushforward,
     sigma_r,
 )
-from effkit import logic
+from effkit import logic, measure
 from effkit.effectivity import _refine
 from effkit.logic import _Evaluator, _Refiner, _tokenize
 from helpers import (
@@ -55,9 +56,12 @@ from helpers import (
     CertifyingRefiner,
     FamilyRefiner,
     RecursiveEvaluator,
+    atom_states,
+    atom_twin,
     certified_partition,
     collision_heavy_ef,
     constant_on_atoms_oracle,
+    dense,
     format_formula_oracle,
     formula_texts,
     parse_formula_oracle,
@@ -303,14 +307,21 @@ class TestAgainstRecursiveEvaluator:
     def test_seeded_portfolios_and_formulas(self):
         """The same extension and measure verdict, and as many threshold
         masses weighed, on random portfolios (coarse spaces included) and
-        random formulas nesting up to four modalities."""
+        random formulas nesting up to four modalities.  The evaluator reads
+        each atom once, the recursive one each state, so the masses weighed
+        are compared with the recursive evaluator on the discrete twin, one
+        state per atom (the portfolio itself when it is discrete)."""
         rng = Random(3001)
+        coarse = 0
         for _ in range(3000):
             p = rand_ef(rng, rand_space(rng, 2, 4, allow_coarse=True), max_gens=2)
+            twin, f = atom_twin(p)
+            coarse += not p.space.is_discrete
             formula = rand_state_formula(rng, depth=rng.randint(1, 8))
             measure, mu = rand_measure_formula(rng, depth=3), rand_subprob(rng, p.space)
             outcomes = []
-            for ev in (_Evaluator(p), RecursiveEvaluator(p)):
+            for ev, on in ((_Evaluator(p), mu), (RecursiveEvaluator(p), mu),
+                           (RecursiveEvaluator(twin), pushforward(f, mu))):
                 weighed = Counter()
                 numerator = ev.numerator
 
@@ -319,9 +330,222 @@ class TestAgainstRecursiveEvaluator:
                     return numerator(mu, f)
 
                 ev.numerator = counted
-                outcomes.append((ev.state_ext(formula), ev.msat(measure, mu), weighed["numerator"]))
-            new, old = outcomes
-            assert new == old
+                outcomes.append((ev.state_ext(formula), ev.msat(measure, on), weighed["numerator"]))
+            new, old, old_twin = outcomes
+            assert (frozenset(atom_states(p.space, new[0])), new[1]) == old[:2]
+            assert (f.preimage(old_twin[0]), old_twin[1]) == old[:2]
+            assert new[2] == old_twin[2]
+            if p.space.is_discrete:
+                assert new[2] == old[2]
+        assert coarse > 300, coarse
+
+
+class TestWorkPerAtom:
+    """The evaluator and the refiner work on atoms: a modality reads each
+    atom's portfolio once, and no set of states is checked for being a
+    union of atoms on the way."""
+
+    @staticmethod
+    def inflated(rng: Random, atoms: int, k: int) -> EffFn:
+        """A random portfolio on ``atoms`` atoms of ``k`` states each, the
+        states of an atom spread through the carrier."""
+        states = [f"s{i}" for i in range(atoms * k)]
+        return rand_ef(rng, Space(states, [states[a::atoms] for a in range(atoms)]))
+
+    def test_a_modality_decides_per_atom_not_per_state(self, monkeypatch):
+        calls = Counter()
+        decide = _Evaluator._decide
+
+        def counted(ev, *args):
+            calls[ev.p.space] += 1
+            return decide(ev, *args)
+
+        monkeypatch.setattr(_Evaluator, "_decide", counted)
+        rng = Random(3011)
+        weighed = 0
+        for _ in range(40):
+            p = self.inflated(rng, rng.randint(2, 4), 3)
+            twin, f = atom_twin(p)
+            for text in ("<>[T > 1/2]", "[][T < 1/3]", "<>[ [[][T > 0] > 1/4] | [T < 1/2] ]"):
+                formula = parse_formula(text)
+                calls.clear()
+                assert eval_state(p, formula) == f.preimage(eval_state(twin, formula))
+                assert calls[p.space] == calls[twin.space]
+                weighed += calls[p.space]
+        assert weighed > 500, weighed
+
+    def test_answers_need_no_union_of_atoms_check(self, monkeypatch):
+        """``eval``, ``distinguish`` and ``lequiv`` answer as before on the
+        coarse corpora while the check that a set of states is a union of
+        atoms refuses to run."""
+        corpus = TestFormulaWorkWaitsForALaterRound.corpus("coarse")
+        rng = Random(3019)
+        corpus += [self.inflated(rng, rng.randint(2, 4), rng.randint(2, 3)) for _ in range(20)]
+        texts = [format_formula(rand_state_formula(rng, depth=3)) for _ in range(len(corpus))]
+
+        def answers():
+            out = []
+            for p, text in zip(corpus, texts):
+                out.append(eval_state(p, parse_formula(text)))
+                out.append(logical_equivalence(p))
+                for s, t in itertools.combinations(p.space.carrier, 2):
+                    found = distinguish(p, s, t)
+                    out.append((found.satisfied_by, found.formula and format_formula(found.formula)))
+            return out
+
+        expected = answers()
+
+        def refuse(*args):
+            raise AssertionError("a set of states was checked for being a union of atoms")
+
+        monkeypatch.setattr(Space, "atoms_of_set", refuse)
+        monkeypatch.setattr(measure, "_atoms_of", refuse)
+        assert answers() == expected
+        assert sum(not p.space.is_discrete for p in corpus) > 80
+
+
+GOLDEN_WITNESSES = {
+    "half_chain(6)": [
+        "s0 s1 s1 [][[][[][[][<>[T < 0] > 1/4] > 1/4] > 1/4] > 1/4]",
+        "s0 s2 s2 [][[][[][<>[T < 0] > 1/4] > 1/4] > 1/4]",
+        "s0 s3 s3 [][[][<>[T < 0] > 1/4] > 1/4]",
+        "s0 s4 s4 [][<>[T < 0] > 1/4]",
+        "s0 s5 s5 <>[T < 0]",
+        "s1 s0 s0 [][[][[][[][<>[T < 0] > 1/4] > 1/4] > 1/4] < 1/4]",
+        "s1 s2 s2 [][[][[][<>[T < 0] > 1/4] > 1/4] > 1/4]",
+        "s1 s3 s3 [][[][<>[T < 0] > 1/4] > 1/4]",
+        "s1 s4 s4 [][<>[T < 0] > 1/4]",
+        "s1 s5 s5 <>[T < 0]",
+        "s2 s0 s0 [][[][[][<>[T < 0] > 1/4] > 1/4] < 1/4]",
+        "s2 s1 s1 [][[][[][<>[T < 0] > 1/4] > 1/4] < 1/4]",
+        "s2 s3 s3 [][[][<>[T < 0] > 1/4] > 1/4]",
+        "s2 s4 s4 [][<>[T < 0] > 1/4]",
+        "s2 s5 s5 <>[T < 0]",
+        "s3 s0 s0 [][[][<>[T < 0] > 1/4] < 1/4]",
+        "s3 s1 s1 [][[][<>[T < 0] > 1/4] < 1/4]",
+        "s3 s2 s2 [][[][<>[T < 0] > 1/4] < 1/4]",
+        "s3 s4 s4 [][<>[T < 0] > 1/4]",
+        "s3 s5 s5 <>[T < 0]",
+        "s4 s0 s0 [][<>[T < 0] < 1/4]",
+        "s4 s1 s1 [][<>[T < 0] < 1/4]",
+        "s4 s2 s2 [][<>[T < 0] < 1/4]",
+        "s4 s3 s3 [][<>[T < 0] < 1/4]",
+        "s4 s5 s5 <>[T < 0]",
+        "s5 s0 s5 <>[T < 0]",
+        "s5 s1 s5 <>[T < 0]",
+        "s5 s2 s5 <>[T < 0]",
+        "s5 s3 s5 <>[T < 0]",
+        "s5 s4 s5 <>[T < 0]",
+    ],
+    "planted_coarse_ef(Random(148), 3)": [
+        "s0 s1 s0 [][T < 0]",
+        "s0 s2 equivalent",
+        "s0 s3 s0 [][T < 0]",
+        "s0 s4 equivalent",
+        "s0 s5 s0 [][T < 0]",
+        "s0 s6 s0 [][T < 0]",
+        "s0 s7 s0 [][T < 0]",
+        "s0 s8 s0 [][T < 0]",
+        "s1 s2 s2 [][T < 0]",
+        "s1 s3 s3 [][ [[][T < 0] < 1/8] & [[][T < 0] < 1/2] | [[][T < 0] < 1/8] & [[][T < 0] "
+        "< 1/2] ]",
+        "s1 s4 s4 [][T < 0]",
+        "s1 s5 equivalent",
+        "s1 s6 s6 [][ [[][T < 0] < 1/8] & [[][T < 0] < 1/2] | [[][T < 0] < 1/8] & [[][T < 0] "
+        "< 1/2] ]",
+        "s1 s7 equivalent",
+        "s1 s8 s8 [][ [[][T < 0] < 1/8] & [[][T < 0] < 1/2] | [[][T < 0] < 1/8] & [[][T < 0] "
+        "< 1/2] ]",
+        "s2 s3 s2 [][T < 0]",
+        "s2 s4 equivalent",
+        "s2 s5 s2 [][T < 0]",
+        "s2 s6 s2 [][T < 0]",
+        "s2 s7 s2 [][T < 0]",
+        "s2 s8 s2 [][T < 0]",
+        "s3 s4 s4 [][T < 0]",
+        "s3 s5 s5 [][ [[][T < 0] > 1/8] & [[][T < 0] > 1/8] & [[][T < 0] < 3/8] | [T < 5/6] & "
+        "[T > 7/12] & [[][T < 0] < 1/4] | [T < 13/14] & [T > 19/28] & [[][T < 0] < 1/4] ]",
+        "s3 s6 equivalent",
+        "s3 s7 s7 [][ [[][T < 0] > 1/8] & [[][T < 0] > 1/8] & [[][T < 0] < 3/8] | [T < 5/6] & "
+        "[T > 7/12] & [[][T < 0] < 1/4] | [T < 13/14] & [T > 19/28] & [[][T < 0] < 1/4] ]",
+        "s3 s8 equivalent",
+        "s4 s5 s4 [][T < 0]",
+        "s4 s6 s4 [][T < 0]",
+        "s4 s7 s4 [][T < 0]",
+        "s4 s8 s4 [][T < 0]",
+        "s5 s6 s6 [][ [[][T < 0] < 1/8] & [[][T < 0] < 1/2] | [[][T < 0] < 1/8] & [[][T < 0] "
+        "< 1/2] ]",
+        "s5 s7 equivalent",
+        "s5 s8 s8 [][ [[][T < 0] < 1/8] & [[][T < 0] < 1/2] | [[][T < 0] < 1/8] & [[][T < 0] "
+        "< 1/2] ]",
+        "s6 s7 s7 [][ [[][T < 0] > 1/8] & [[][T < 0] > 1/8] & [[][T < 0] < 3/8] | [T < 5/6] & "
+        "[T > 7/12] & [[][T < 0] < 1/4] | [T < 13/14] & [T > 19/28] & [[][T < 0] < 1/4] ]",
+        "s6 s8 equivalent",
+        "s7 s8 s8 [][ [[][T < 0] < 1/8] & [[][T < 0] < 1/2] | [[][T < 0] < 1/8] & [[][T < 0] "
+        "< 1/2] ]",
+    ],
+    "collision_heavy_ef(Random(9))": [
+        "s0 s1 s1 [][ [T > 3/4] | [T < 1/4] ]",
+        "s0 s2 s2 [][T > 3/4]",
+        "s0 s3 s3 [][T > 3/4]",
+        "s0 s4 s4 [][T > 3/4]",
+        "s1 s2 s2 [][[][ [T > 3/4] | [T < 1/4] ] & [][[][ [T > 3/4] | [T < 1/4] ] < 1/2] > 1/2]",
+        "s1 s3 s3 [][[][ [T > 3/4] | [T < 1/4] ] & [][[][ [T > 3/4] | [T < 1/4] ] < 1/2] > 1/2]",
+        "s1 s4 s4 [][[][ [T > 3/4] | [T < 1/4] ] < 1/2]",
+        "s2 s3 equivalent",
+        "s2 s4 s4 [][[][ [T > 3/4] | [T < 1/4] ] < 1/2]",
+        "s3 s4 s4 [][[][ [T > 3/4] | [T < 1/4] ] < 1/2]",
+    ],
+    "collision_heavy_ef(Random(38))": [
+        "s0 s1 s1 [][T > 1/2]",
+        "s0 s2 s2 [][ [T > 1/2] | [T > 1/2] ]",
+        "s0 s3 s3 [][ [T > 1/2] | [T > 1/2] ]",
+        "s0 s4 s4 [][T > 1/2]",
+        "s1 s2 s1 [][T < 1/2]",
+        "s1 s3 s1 [][ [T < 1/2] & [T < 1/2] ]",
+        "s1 s4 s1 [][T < 1/2]",
+        "s2 s3 s3 [][ [[][T > 1/2] & [][T < 1/2] < 1/2] | [[][T > 1/2] & [][T < 1/2] < 1/2] ]",
+        "s2 s4 s4 [][[][T > 1/2] & [][T < 1/2] < 1/2]",
+        "s3 s4 s4 [][ [[][T > 1/2] & [][ [[][T > 1/2] & [][T < 1/2] < 1/2] | [[][T > 1/2] & "
+        "[][T < 1/2] < 1/2] ] > 1/2] & [[][T < 1/2] < 1/4] ]",
+    ],
+}
+
+
+class TestGoldenWitnesses:
+    """The exact text and satisfier of ``distinguish``'s witnesses, which
+    hang on the order the up-sets are scanned in: every ordered pair of the
+    6-state 1/2-chain, and every pair, in carrier order, of a planted
+    portfolio on a coarse sigma and of two collision-heavy portfolios."""
+
+    CASES = {
+        "half_chain(6)": (lambda: half_chain(6), itertools.permutations),
+        "planted_coarse_ef(Random(148), 3)": (
+            lambda: planted_coarse_ef(Random(148), 3),
+            itertools.combinations,
+        ),
+        "collision_heavy_ef(Random(9))": (
+            lambda: collision_heavy_ef(Random(9)),
+            itertools.combinations,
+        ),
+        "collision_heavy_ef(Random(38))": (
+            lambda: collision_heavy_ef(Random(38)),
+            itertools.combinations,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(GOLDEN_WITNESSES))
+    def test_witness_texts_are_pinned(self, name):
+        build, pairs = self.CASES[name]
+        p = build()
+        found = []
+        for s, t in pairs(p.space.carrier, 2):
+            result = distinguish(p, s, t)
+            if result.equivalent:
+                found.append(f"{s} {t} equivalent")
+            else:
+                found.append(f"{s} {t} {result.satisfied_by} {format_formula(result.formula)}")
+        assert found == GOLDEN_WITNESSES[name]
 
 
 @st.composite
@@ -481,11 +705,12 @@ class TestLogicalEquivalence:
             p = rand_ef(rng, space)
             refiner = CertifyingRefiner(p)
             blocks = set(map(frozenset, refiner.run()[0]))
-            upsets = [ext for _, ext, _ in refiner.upsets]
+            upsets = [frozenset(atom_states(space, ext)) for _, ext, _ in refiner.upsets]
             # one up-set per block, named by its formula and a union of
             # blocks; the blocks are the signature classes of the up-sets
             assert len(set(upsets)) == len(blocks)
-            assert all(eval_state(p, formula) == ext for _, ext, formula in refiner.upsets)
+            formulas = [formula for _, _, formula in refiner.upsets]
+            assert [eval_state(p, formula) for formula in formulas] == upsets
             for ext in upsets:
                 assert ext == frozenset().union(*(b for b in blocks if b <= ext))
             classes = Relation(space, relation_from_family(space, upsets)).classes()
@@ -514,12 +739,16 @@ class TestLogicalEquivalence:
             def record(class_of, classes):
                 if type(refiner) is CertifyingRefiner:
                     assert len({ext for _, ext, _ in refiner.upsets}) == len(classes)
+                space = refiner.p.space
                 for group in classes:
                     for left, right in itertools.combinations(group, 2):
+                        left, right = atom_states(space, left), atom_states(space, right)
                         for s, t in itertools.product(left, right):
-                            s, t = sorted((s, t), key=refiner.index.__getitem__)
-                            _, ext, satisfier = refiner._confirmed(s, t, class_of)
-                            witnesses[s, t] = ext, satisfier
+                            s, t = sorted((s, t), key=space.index)
+                            a, b = space.atom_of(s), space.atom_of(t)
+                            _, ext, satisfier = refiner._confirmed(a, b, class_of)
+                            satisfier = s if satisfier == a else t
+                            witnesses[s, t] = frozenset(atom_states(space, ext)), satisfier
 
             hook["round"] = record
             return refiner.run()[0], witnesses
@@ -542,9 +771,9 @@ class TestLogicalEquivalence:
         confirmed = _Refiner._confirmed
 
         def cutting(refiner, *args):
-            # toggling s1 parts it from s0, its class in the first round
+            # toggling s1's atom parts it from s0, its class in the first round
             formula, ext, satisfier = confirmed(refiner, *args)
-            return formula, ext ^ {"s1"}, satisfier
+            return formula, ext ^ 1 << p.space.atom_of("s1"), satisfier
 
         assert not distinguish(p, "s0", "s1").equivalent
         monkeypatch.setattr(_Refiner, "_confirmed", cutting)
@@ -685,6 +914,33 @@ def half_chain(n: int, clone: bool = False) -> EffFn:
     return filter_generate(Kernel(space, image))
 
 
+def planted_coarse_ef(rng: Random, k: int) -> EffFn:
+    """A portfolio on a coarse sigma with ``k`` planted classes of two
+    atoms, one of two states and one of one, in a shuffled carrier.  Each
+    measure of a random class portfolio is lifted by splitting a class's
+    mass at random between its two atoms, so a class's states are
+    bisimilar."""
+    classes = Space.discrete([f"c{i}" for i in range(k)])
+    base = rand_ef(rng, classes)
+    names = [f"s{n}" for n in rng.sample(range(3 * k), 3 * k)]
+    atoms = [names[3 * i: 3 * i + 2] for i in range(k)]
+    atoms += [names[3 * i + 2: 3 * i + 3] for i in range(k)]
+    space = Space(sorted(names, key=lambda s: int(s[1:])), atoms)
+
+    def lift(nu: SubProb) -> SubProb:
+        masses = {}
+        for i, m in enumerate(dense(nu)):
+            cut = m * Fraction(rng.randint(0, 2), 2)
+            masses[atoms[i][0]], masses[atoms[k + i][0]] = cut, m - cut
+        return SubProb.of(space, masses)
+
+    lifted = [
+        UpperSet(space, [MeasureSet(space, map(lift, g)) for g in base(c)])
+        for c in classes.carrier
+    ]
+    return EffFn(space, {s: lifted[j % k] for j, atom in enumerate(atoms) for s in atom})
+
+
 class TestFormulaWorkWaitsForALaterRound:
     """``distinguish`` builds a round's formulas only when a later round
     splits a block, and its answers are those of the refiner that builds
@@ -701,7 +957,7 @@ class TestFormulaWorkWaitsForALaterRound:
         monkeypatch.setattr(_Refiner, "_round", counted)
         for n in (2, 3, 5, 8):
             p = half_chain(n, clone=True)
-            rounds = len(list(_refine(p.space, (p,), (p.space.carrier,))))
+            rounds = len(list(_refine(p.space, (p,), [0] * len(p.space.atoms))))
             assert rounds == n  # s{n-k} parts in round k < n; round n is the fixed point
             for i in range(n - 1):  # s{i} and s{i+1} part in round n - 1 - i
                 built.clear()

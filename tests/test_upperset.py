@@ -32,13 +32,14 @@ from effkit import (
     format_formula,
 )
 from effkit import upperset as upperset_module
-from effkit.effectivity import EffFn, _refine
+from effkit.effectivity import EffFn
 from effkit.model_io import dumps_canonical, model_to_dict
 from effkit.upperset import _minimal
 from helpers import (
     MeasureSetOracle,
     dense,
     dual_oracle,
+    engine_rounds,
     minimal_oracle,
     per_atom,
     rand_coarsening,
@@ -355,7 +356,7 @@ class TestAgainstFrozensetOracle:
             ]
             blocks = rand_coarsening(rng, space).atoms  # unions of atoms, as the engine needs
             for start in ((space.carrier,), blocks):
-                rounds = [classes for _, classes in _refine(space, portfolios, start)]
+                rounds = engine_rounds(space, portfolios, start)
                 assert rounds == refine_oracle(space, portfolios, start)
         assert min(seen.values()) > 500, seen
 
