@@ -88,10 +88,6 @@ class CospanVerificationError(EffkitError):
         self.report = report
 
 
-def _support(p: EffFn, s: str) -> MeasureSet:
-    return p(s).generators[0]
-
-
 def verify_cospan(c: Cospan) -> CospanReport:
     """Check surjectivity and the morphism property of both legs.
 
@@ -137,7 +133,8 @@ def _preimage_portfolio(leg: MeasurableMap, side: EffFn) -> EffFn:
     on it correspond one-to-one to codomain measures; on discrete spaces it
     is literally the fiber partition.  Restriction is the pushforward along
     the identity-carrier inclusion, one map and so one atom map per side
-    (docs/derivations.md, section 13).
+    (docs/derivations.md, section 13), once per atom of ``side``; the public
+    constructor checks the result constant on each preimage atom (section 11).
     """
     atoms = leg.domain.atoms
     sigma = Space(
@@ -145,16 +142,17 @@ def _preimage_portfolio(leg: MeasurableMap, side: EffFn) -> EffFn:
         ([s for i in over for s in atoms[i]] for over in leg.preimage_atoms),
     )
     inclusion = MeasurableMap(side.space, sigma, {s: s for s in sigma.carrier})
-    return EffFn(sigma, {s: push_upperset(inclusion, u) for s, u in side.portfolio})
+    restricted = [push_upperset(inclusion, u) for u in side.portfolio]
+    return EffFn(sigma, {s: u for block, u in zip(atoms, restricted) for s in block})
 
 
 def build_span(c: Cospan) -> SpanResult:
     """Construct the pullback span of a verified, finitely supported cospan.
 
-    The dynamics at a pair ``(s, t)`` over a mediator state ``u`` is the
-    mediator's support at ``u`` transported to the pullback, built once per
-    ``u``.  Both commuting squares are re-checked at every state, against
-    the image of that dynamics pushed once per ``u``; a failure raises
+    The dynamics on the atom of ``w`` over a mediator atom is the mediator's
+    support there transported to the pullback.  Both commuting squares are
+    re-checked at every atom of ``p_f`` and ``q_g``, against the image of
+    that dynamics pushed once per mediator atom; a failure raises
     InternalInvariantViolation since it cannot occur on verified input.
     """
     report = verify_cospan(c)
@@ -180,6 +178,7 @@ def build_span(c: Cospan) -> SpanResult:
         blocks[c.m.space.atom_of(c.f(s))].append(name)
     w = Space(names, blocks)
     representative = [members[0] for members in blocks]
+    mediator_atom = {name: a for a, name in enumerate(representative)}
     pi_s = MeasurableMap(w, p_f.space, {name: s for name, (s, _) in zip(names, pairs)})
     pi_t = MeasurableMap(w, q_g.space, {name: t for name, (_, t) in zip(names, pairs)})
 
@@ -188,13 +187,14 @@ def build_span(c: Cospan) -> SpanResult:
     def transport(nu: SubProb) -> SubProb:
         return SubProb.of(w, {representative[a]: n for a, n in zip(nu.atoms, nu.nums)}, nu.den)
 
-    dynamics = {u: UpperSet(w, (MeasureSet(w, map(transport, _support(c.m, u))),)) for u in over}
+    supports = (MeasureSet(w, map(transport, u.generators[0])) for u in c.m.portfolio)
+    dynamics = [UpperSet(w, (support,)) for support in supports]
     for side, pi, leg, end in (("left", pi_s, c.f, p_f), ("right", pi_t, c.g, q_g)):
-        pushed = {u: push_upperset(pi, at) for u, at in dynamics.items()}
-        for s in end.space.carrier:
-            if not equals(pushed[leg(s)], end(s)):
-                raise InternalInvariantViolation(f"{side} square fails at {s}")
-    tau = EffFn(w, {name: dynamics[c.f(s)] for name, (s, _) in zip(names, pairs)})
+        pushed = [push_upperset(pi, at) for at in dynamics]
+        for block, u in zip(end.space.atoms, end.portfolio):
+            if not equals(pushed[c.m.space.atom_of(leg(block[0]))], u):
+                raise InternalInvariantViolation(f"{side} square fails at {block[0]}")
+    tau = EffFn._of(w, tuple(dynamics[mediator_atom[block[0]]] for block in w.atoms))
     return SpanResult(w, tau, p_f, q_g, pi_s, pi_t)
 
 
@@ -223,7 +223,7 @@ def support_relations(p: EffFn) -> list[dict[str, SubProb]]:
     """
     if not p.is_finitely_supported:
         raise NotFinitelySupportedError("portfolio has a state with several generators")
-    supports = {s: _support(p, s).members for s in p.space.carrier}
+    supports = {s: p(s).generators[0].members for s in p.space.carrier}
     if any(not members for members in supports.values()):
         empty = next(s for s, m in supports.items() if not m)
         raise NotFinitelySupportedError(

@@ -4,8 +4,9 @@ An effectivity function assigns each state an upper-closed family of measure
 sets, Angel's portfolio.  Only finitary portfolios (finite unions of
 principal filters of finite measure sets) are representable.  One is
 t-measurable exactly when it is constant on each atom of its space, and the
-constructor refuses any other (docs/derivations.md, section 4).  A portfolio
-is finitely supported when every state has exactly one generator.
+constructor refuses any other (docs/derivations.md, section 4); it holds
+one family per atom, and the operations here work per atom (section 9).  A
+portfolio is finitely supported when every state has exactly one generator.
 
 All quantifications over the (infinite) represented families reduce to their
 finite generator antichains; the reductions are spelled out per operation.
@@ -56,10 +57,10 @@ __all__ = [
 
 
 class EffFn(Record):
-    """A per-state portfolio of upper-closed families, constant on each atom."""
+    """Upper-closed families given per state, constant on each atom, held per atom."""
 
     space: Space
-    portfolio: tuple[tuple[str, UpperSet], ...]
+    portfolio: tuple[UpperSet, ...]
 
     def __init__(self, space: Space, portfolio: Mapping[str, UpperSet | Iterable[MeasureSet]]):
         table: dict[str, UpperSet] = {}
@@ -72,16 +73,14 @@ class EffFn(Record):
         missing = [s for s in space.carrier if s not in table]
         if missing:
             raise ForeignStateError(f"portfolio missing states {missing}")
-        families = [table[s] for s in space.carrier]
-        _constant_on_atoms(space, families, "portfolios")
-        self._store(space, tuple(zip(space.carrier, families)))
+        self._store(space, _constant_on_atoms(space, table, "portfolios"))
 
     def __call__(self, state: str) -> UpperSet:
-        return self.portfolio[self.space.index(state)][1]
+        return self.portfolio[self.space.atom_of(state)]
 
     @property
     def is_finitely_supported(self) -> bool:
-        return all(u.is_principal for _, u in self.portfolio)
+        return all(u.is_principal for u in self.portfolio)
 
 
 def _refine(
@@ -106,10 +105,7 @@ def _refine(
     state, so this is the order a reading by states gives."""
     number: dict[SubProb, int] = {}  # in order of first use
     generators = [
-        [
-            [tuple([number.setdefault(mu, len(number)) for mu in g]) for g in p(block[0])]
-            for block in space.atoms
-        ]
+        [[tuple([number.setdefault(mu, len(number)) for mu in g]) for g in u] for u in p.portfolio]
         for p in portfolios
     ]
     grouped: dict[int, list[int]] = {}
@@ -208,9 +204,12 @@ def restrict_upperset(u: UpperSet, coarser: Space) -> UpperSet:
 
 
 def _first_unmatched(f: MeasurableMap, p: EffFn, q: EffFn) -> str | None:
-    """The first state ``s`` whose image family differs from the target
-    portfolio at ``f(s)``, or None when ``f`` is a portfolio morphism."""
-    return next((s for s in p.space.carrier if not equals(q(f(s)), push_upperset(f, p(s)))), None)
+    """The least state of the first atom whose image family differs from the
+    target's where ``f`` sends it, or None when ``f`` is a portfolio morphism."""
+    for block, u, b in zip(p.space.atoms, p.portfolio, f.atom_map):
+        if not equals(q.portfolio[b], push_upperset(f, u)):
+            return block[0]
+    return None
 
 
 def is_ef_morphism(f: MeasurableMap, p: EffFn, q: EffFn) -> bool:
@@ -254,8 +253,8 @@ def is_strong_morphism(f: MeasurableMap, p: EffFn, q: EffFn) -> bool:
 def _mutually_dominate(f: MeasurableMap, p: EffFn, q: EffFn) -> bool:
     """The generator test of ``is_strong_morphism`` without surjectivity; on
     principal filters, the kernel-morphism test (docs/derivations.md, section 9)."""
-    for s in p.space.carrier:
-        source, target = p(s), q(f(s))
+    for source, b in zip(p.portfolio, f.atom_map):
+        target = q.portfolio[b]
         pushed = [MeasureSet(f.codomain, [pushforward(f, mu) for mu in g]) for g in source]
         if not all(any(image.issubset(h) for image in pushed) for h in target):
             return False
@@ -293,14 +292,15 @@ def quotient(p: EffFn, alpha: Relation) -> tuple[EffFn, MeasurableMap]:
     The candidate portfolio of a class is the image family of any
     representative; the equivalence is a congruence iff all representatives
     of every class agree, in which case the factor map is a portfolio
-    morphism onto the result.
+    morphism onto the result.  Each atom's family is pushed once.
     """
     qspace, eta = quotient_space(p.space, alpha)
+    pushed = [push_upperset(eta, u) for u in p.portfolio]
     table: dict[str, UpperSet] = {}
     witness_of: dict[str, str] = {}
     for s in p.space.carrier:
         cls = eta(s)
-        candidate = push_upperset(eta, p(s))
+        candidate = pushed[p.space.atom_of(s)]
         if cls not in table:
             table[cls] = candidate
             witness_of[cls] = s
@@ -330,20 +330,18 @@ def is_subsystem(p: EffFn, coarser: Space) -> bool:
 
 
 def dual_ef(p: EffFn) -> EffFn:
-    """Pointwise dual portfolio (Demon's view)."""
-    return EffFn(p.space, {s: dual(p(s)) for s in p.space.carrier})
+    """Pointwise dual portfolio (Demon's view), one dual per atom."""
+    return EffFn._of(p.space, tuple(map(dual, p.portfolio)))
 
 
 def sum_ef(p: EffFn, q: EffFn) -> tuple[EffFn, DirectSum]:
     """Piecewise sum portfolio on the tagged sum space, with measures
-    embedded by zero extension."""
+    embedded by zero extension.  The sum space lists the atoms of ``p``,
+    then those of ``q``, so each side's families are pushed once per atom."""
     ds = space_sum(p.space, q.space)
-    table: dict[str, UpperSet] = {}
-    for s in p.space.carrier:
-        table[ds.left(s)] = push_upperset(ds.left, p(s))
-    for t in q.space.carrier:
-        table[ds.right(t)] = push_upperset(ds.right, q(t))
-    return EffFn(ds.space, table), ds
+    left = [push_upperset(ds.left, u) for u in p.portfolio]
+    right = [push_upperset(ds.right, u) for u in q.portfolio]
+    return EffFn._of(ds.space, (*left, *right)), ds
 
 
 def from_markov_kernel(space: Space, k: Mapping[str, SubProb]) -> EffFn:

@@ -411,8 +411,7 @@ class _Evaluator:
 
     def __init__(self, p: EffFn):
         self.p = p
-        self.portfolios = [p(block[0]) for block in p.space.atoms]
-        self.top = (1 << len(self.portfolios)) - 1
+        self.top = (1 << len(p.portfolio)) - 1
         self._ext: dict[int, tuple[StateFormula, int]] = {}
 
     def numerator(self, mu: SubProb, f: StateFormula) -> int:
@@ -452,7 +451,7 @@ class _Evaluator:
             raise TypeError(f"not a state formula: {f!r}")
         box = isinstance(f, Box)
         ext = 0
-        for a, u in enumerate(self.portfolios):
+        for a, u in enumerate(self.p.portfolio):
             # A box holds iff every generator has a satisfying measure, a
             # diamond iff not every generator has a failing one: both read a
             # generator up to its first measure whose verdict is ``box``.
@@ -654,7 +653,7 @@ class _Refiner:
         refuted by the source.
         """
         for a, b in ((a, b), (b, a)):
-            source, target = self.ev.portfolios[a], self.ev.portfolios[b]
+            source, target = self.p.portfolio[a], self.p.portfolio[b]
             if target.is_empty and not source.is_empty:
                 return Box(_FALSUM), b
             if source.is_full and not target.is_full:

@@ -16,7 +16,8 @@ routine that reduces and interns every measure
 (docs/derivations.md, section 13); one that repeats in a file loads as one
 :class:`SubProb`, the live measure of its value, and is parsed once per
 load.  A model whose states of one atom have different dynamics is not
-measurable; the loader reports its constructor's refusal at ``sigma`` (sections 3, 4).
+measurable; the loader reports its constructor's refusal at ``sigma`` (sections 3, 4),
+and that of a portfolio leaving a state out at ``effectivity``.
 
 Emission is canonical: states in carrier order, atoms always listed, masses
 in lowest terms, so re-parsing an emitted model yields an equal value and
@@ -45,7 +46,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, TextIO
 
 from .effectivity import EffFn
-from .errors import EffkitError, ModelFormatError, NotMeasurableSetError
+from .errors import EffkitError, ForeignStateError, ModelFormatError, NotMeasurableSetError
 from .measure import SubProb, _interned, _rational_str
 from .nlmp import Kernel, Nlmp
 from .space import MeasurableMap, Space
@@ -210,11 +211,10 @@ def model_from_dict(doc: Mapping[str, Any], file: str | None = None) -> Nlmp | E
                 MeasureSet(space, [read_measure(m, where, j) for j, m in enumerate(gen)])
             )
         portfolio[state] = UpperSet(space, parsed)
-    missing = [s for s in space.carrier if s not in portfolio]
-    if missing:
-        raise _fail(f"portfolio missing states {missing}", file, "effectivity")
     try:
         return EffFn(space, portfolio)
+    except ForeignStateError as exc:  # a state left out
+        raise _fail(str(exc), file, "effectivity") from exc
     except NotMeasurableSetError as exc:
         raise _fail(str(exc), file, "sigma") from exc
 
@@ -327,29 +327,30 @@ def _model_pieces(model: Nlmp | EffFn) -> Iterator[str]:
         "sigma": [list(block) for block in space.atoms],
         "states": list(space.carrier),
     }
+    states = sorted((s, space.atom_of(s)) for s in space.carrier)
     if isinstance(model, Nlmp):
         rest["labels"] = list(model.labels)
-        images = {label: dict(k.image) for label, k in model.kernels}
-        texts = _measure_texts(space, [ms for image in images.values() for ms in image.values()])
+        images = dict(model.kernels)
+        texts = _measure_texts(space, [ms for k in images.values() for ms in k.image])
         yield '{\n  "kernels": {'
         sep = _IN4
         for label in sorted(images):
-            image = images[label]
+            image = [_set_text(ms, texts) for ms in images[label].image]
             yield f"{sep}{_quote(label)}: {{"
             inner = _IN6
-            for s in sorted(image):
-                yield f"{inner}{_quote(s)}: {_set_text(image[s], texts)}"
+            for s, a in states:
+                yield f"{inner}{_quote(s)}: {image[a]}"
                 inner = "," + _IN6
-            yield _IN4 + "}" if image else "}"
+            yield _IN4 + "}" if states else "}"
             sep = "," + _IN4
         yield "\n  }" if images else "}"
     else:
-        portfolio = dict(model.portfolio)
-        texts = _measure_texts(space, [g for family in portfolio.values() for g in family])
+        portfolio = model.portfolio
+        texts = _measure_texts(space, [g for family in portfolio for g in family])
         yield '{\n  "effectivity": {'
         sep = _IN4
-        for s in sorted(portfolio):
-            gens = portfolio[s].generators
+        for s, a in states:
+            gens = portfolio[a].generators
             yield f"{sep}{_quote(s)}: ["
             inner = _IN6
             for g in gens:
@@ -357,7 +358,7 @@ def _model_pieces(model: Nlmp | EffFn) -> Iterator[str]:
                 inner = "," + _IN6
             yield _IN4 + "]" if gens else "]"
             sep = "," + _IN4
-        yield "\n  }" if portfolio else "}"
+        yield "\n  }" if states else "}"
     chunks = []
     for key in sorted(rest):
         chunks.append(f',\n  "{key}": ')

@@ -3,8 +3,9 @@
 A kernel assigns each state a finite set of subprobability measures on its
 own space; a labelled process bundles one kernel per label.  A kernel is
 hit-measurable exactly when it is constant on each atom of its space, and
-the constructor refuses any other (docs/derivations.md, section 3); the
-condition against a coarser sigma-algebra is the event-bisimulation test.
+the constructor refuses any other (docs/derivations.md, section 3), and it
+holds one measure set per atom; the condition against a coarser
+sigma-algebra is the event-bisimulation test.
 
 Empty images are admitted.  Their principal filter is the full family, read
 as "Demon is effective for everything": with no moves available for Angel,
@@ -36,26 +37,24 @@ __all__ = [
 
 
 class Kernel(Record):
-    """A per-state finite set of successor measures, constant on each atom."""
+    """Finite sets of successor measures given per state (none for a state
+    left out), constant on each atom, held per atom."""
 
     space: Space
-    image: tuple[tuple[str, MeasureSet], ...]
+    image: tuple[MeasureSet, ...]
 
     def __init__(self, space: Space, image: Mapping[str, Iterable[SubProb] | MeasureSet]):
-        table = {}
+        table = dict.fromkeys(space.carrier, MeasureSet(space, ()))
         for state, measures in image.items():
             space.index(state)
             ms = measures if isinstance(measures, MeasureSet) else MeasureSet(space, measures)
             if ms.space != space:
                 raise SpaceMismatchError("kernel measures must live on the kernel space")
             table[state] = ms
-        empty = MeasureSet(space, ())
-        images = [table.get(s, empty) for s in space.carrier]
-        _constant_on_atoms(space, images, "measures")
-        self._store(space, tuple(zip(space.carrier, images)))
+        self._store(space, _constant_on_atoms(space, table, "measures"))
 
     def __call__(self, state: str) -> MeasureSet:
-        return self.image[self.space.index(state)][1]
+        return self.image[self.space.atom_of(state)]
 
 
 class Nlmp(Record):
@@ -142,25 +141,19 @@ def direct_sum(k: Kernel, k2: Kernel) -> tuple[Kernel, DirectSum]:
     ``filter_generate`` portfolios, each state's single generator read back
     as its measure set."""
     summed, ds = sum_ef(filter_generate(k), filter_generate(k2))
-    return Kernel(ds.space, {s: u.generators[0] for s, u in summed.portfolio}), ds
+    return Kernel._of(ds.space, tuple(u.generators[0] for u in summed.portfolio)), ds
 
 
 def filter_generate(k: Kernel) -> EffFn:
     """Principal-filter embedding of a kernel: each state's portfolio is the
     filter of its measure set (``demonize``)."""
-    return EffFn(
-        k.space,
-        {s: UpperSet(k.space, (k(s),)) for s in k.space.carrier},
-    )
+    return EffFn._of(k.space, tuple(UpperSet(k.space, (ms,)) for ms in k.image))
 
 
 def angelize(k: Kernel) -> EffFn:
     """Singleton-filter union of a kernel: each successor measure becomes an
     Angel choice of its own."""
-    return EffFn(
+    return EffFn._of(
         k.space,
-        {
-            s: UpperSet(k.space, tuple(MeasureSet(k.space, (mu,)) for mu in k(s)))
-            for s in k.space.carrier
-        },
+        tuple(UpperSet(k.space, [MeasureSet(k.space, (mu,)) for mu in ms]) for ms in k.image),
     )

@@ -4,7 +4,8 @@ A record's fields are the annotations of its class, in order, after those
 of the record classes it derives from.  ``_store`` stores values into the
 fields in that order: a class that only holds its fields takes it as its
 constructor (``__init__ = Record._store``), and one that checks or derives
-them ends its constructor in it.  The classes built per measure, per
+them ends its constructor in it; ``_of`` stores fields already checked,
+skipping the constructor.  The classes built per measure, per
 measure set or per formula node store their fields one by one with
 ``object.__setattr__`` instead, which costs less than the generic loop;
 defining a class runs no code beyond reading its annotations.  Two records
@@ -41,6 +42,13 @@ class Record:
             )
         for name, value in zip(fields, values):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of(cls, *values):
+        """A record from fields already checked, its constructor skipped."""
+        record = object.__new__(cls)
+        record._store(*values)
+        return record
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

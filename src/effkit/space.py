@@ -21,7 +21,7 @@ from __future__ import annotations
 import threading
 import weakref
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import (
     ForeignStateError,
@@ -298,9 +298,7 @@ class Relation(Record):
             for s in members:
                 space.index(s)
                 held[s] = held[s] | members if s in held else members
-        rel = object.__new__(Relation)
-        rel._store(space, tuple(held.get(s, frozenset()) for s in space.carrier))
-        return rel
+        return Relation._of(space, tuple(held.get(s, frozenset()) for s in space.carrier))
 
     def __contains__(self, pair: tuple[str, str]) -> bool:
         s, t = pair
@@ -378,19 +376,18 @@ def sigma_r(rel: Relation) -> Space:
     return Space(base.carrier, groups.values())
 
 
-def _constant_on_atoms(space: Space, values: Sequence, what: str) -> None:
-    """Refuse per-state ``values``, in carrier order, that differ on two
-    states of one atom: a kernel or a portfolio is measurable exactly when
-    it is constant on each atom (docs/derivations.md, sections 3 and 4)."""
-    index = space._index
-    for block in () if space.is_discrete else space.atoms:
-        first = values[index[block[0]]]
+def _constant_on_atoms(space: Space, values: Mapping, what: str) -> tuple:
+    """Per-state ``values`` as one value per atom, refused when two states of
+    one atom differ: a kernel or a portfolio is measurable exactly when it
+    is constant on each atom (docs/derivations.md, sections 3 and 4)."""
+    for block in space.atoms:
         for state in block[1:]:
-            if values[index[state]] != first:
+            if values[state] != values[block[0]]:
                 raise NotMeasurableSetError(
                     f"states {block[0]!r} and {state!r} of atom {list(block)} have different "
                     f"{what}; a model must be constant on each atom of its sigma"
                 )
+    return tuple(values[block[0]] for block in space.atoms)
 
 
 def kernel_of(f: MeasurableMap) -> Relation:

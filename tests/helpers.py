@@ -672,7 +672,7 @@ def ef_transfer_oracle(p: EffFn, rel: Relation, agree) -> bool:
     """Definition-level bisimulation check quantifying over all member sets
     of the (finite stand-ins for the) portfolios, not just generators."""
     pool = sorted(
-        {mu for _, u in p.portfolio for g in u.generators for mu in g},
+        {mu for u in p.portfolio for g in u.generators for mu in g},
         key=dense,
     )
     subsets = [
@@ -1423,7 +1423,7 @@ def refine_oracle(space: Space, portfolios, blocks) -> list:
     number: dict[SubProb, int] = {}
     support = []
     for p in portfolios:
-        for _, u in p.portfolio:
+        for u in p.portfolio:
             for g in u.generators:
                 for mu in g:
                     if number.setdefault(mu, len(number)) == len(support):

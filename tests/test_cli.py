@@ -199,6 +199,17 @@ class TestValidate:
             "message": f"unknown state {location.rsplit('.', 1)[1]!r}",
         }
 
+    def test_a_portfolio_missing_a_state_is_located_at_effectivity(self, tmp_path):
+        doc = {"kind": "ef", "states": ["a", "b"], "effectivity": {"a": [[{"b": "1"}]]}}
+        path = write(tmp_path, "missing.json", doc)
+        code, out, err = invoke("validate", path)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {
+            "file": path,
+            "location": "effectivity",
+            "message": "portfolio missing states ['b']",
+        }
+
     @pytest.mark.parametrize(
         "doc, message",
         [
@@ -1343,13 +1354,13 @@ class TestCanonicalEmitter:
             seen["coarse"] += len(space.atoms) < len(space.carrier)
             seen["reordered"] += sorted(space.carrier) != sorted(space.carrier, key=json.dumps)
             if isinstance(model, Nlmp):
-                sets = [ms for _, k in model.kernels for _, ms in k.image]
+                sets = [ms for _, k in model.kernels for ms in k.image]
                 seen["labels"] += len(model.labels) > 1
                 seen["empty image"] += any(not ms.members for ms in sets)
             else:
-                sets = [g for _, u in model.portfolio for g in u]
-                seen["empty family"] += any(u.is_empty for _, u in model.portfolio)
-                seen["full family"] += any(u.is_full for _, u in model.portfolio)
+                sets = [g for u in model.portfolio for g in u]
+                seen["empty family"] += any(u.is_empty for u in model.portfolio)
+                seen["full family"] += any(u.is_full for u in model.portfolio)
             members = [mu for ms in sets for mu in ms.members]
             seen["shared"] += len(set(members)) < len(members)
         assert min(seen.values()) >= 30 and len(seen) == 7, seen

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 from random import Random
 
 import pytest
@@ -44,6 +45,7 @@ from effkit import effectivity
 from effkit.effectivity import push_upperset
 from helpers import (
     all_partitions,
+    atom_twin,
     all_symmetric_relations,
     constant_on_atoms_oracle,
     dense,
@@ -167,7 +169,7 @@ class TestEfStateBisim:
             space = rand_space(rng, 2, 3)
             p = rand_ef(rng, space, max_gens=2, max_measures=2, max_den=3)
             pool_size = len(
-                {mu for _, u in p.portfolio for g in u.generators for mu in g}
+                {mu for u in p.portfolio for g in u.generators for mu in g}
             )
             if pool_size > 4:
                 continue
@@ -468,3 +470,41 @@ class TestDualSumMarkov:
         for s in S3.carrier:
             assert p(s).is_principal
             assert p(s).generators[0].members == (table[s],)
+
+
+class TestWorkPerAtom:
+    def test_operations_work_once_per_atom(self, monkeypatch):
+        """On portfolios whose atoms hold three states, ``dual_ef``
+        dualizes once per atom, and ``sum_ef``, ``is_ef_morphism`` and
+        ``quotient`` push as many families as on the discrete twin."""
+        calls: Counter = Counter()
+        for name in ("dual", "push_upperset"):
+            def counted(*args, _name=name, _call=getattr(effectivity, name)):
+                calls[_name] += 1
+                return _call(*args)
+
+            monkeypatch.setattr(effectivity, name, counted)
+
+        def work(call) -> Counter:
+            calls.clear()
+            call()
+            return +calls
+
+        rng = Random(2026)
+        for _ in range(10):
+            states = [f"s{i}" for i in range(9)]
+            rng.shuffle(states)
+            space = Space(states, [states[i: i + 3] for i in (0, 3, 6)])
+            p = rand_ef(rng, space)
+            twin, f = atom_twin(p)
+            identity = MeasurableMap.identity(twin.space)
+            assert work(lambda: dual_ef(p)) == {"dual": 3}
+            for on_p, on_twin in (
+                (lambda: sum_ef(p, p), lambda: sum_ef(twin, twin)),
+                (lambda: is_ef_morphism(f, p, twin), lambda: is_ef_morphism(identity, twin, twin)),
+                (
+                    lambda: quotient(p, greatest_ef_bisim(p)),
+                    lambda: quotient(twin, greatest_ef_bisim(twin)),
+                ),
+            ):
+                assert work(on_p) == work(on_twin) != Counter()

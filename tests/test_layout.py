@@ -180,13 +180,22 @@ def test_one_integer_sum_serves_evaluate_and_the_evaluator():
 def test_the_engine_and_the_logic_work_on_atoms():
     """Inside ``effectivity._refine``, ``logic._Evaluator`` and
     ``logic._Refiner`` a partition is a block id per atom and a set of
-    states is a mask over atom indices.  They read no ``carrier``,
-    ``_index`` or ``_atom_index`` of a space, look up no ``index``, keep no
-    ``_atoms`` table and name no ``frozenset[str]``; the evaluator and the
-    refiner build no ``frozenset`` at all.  ``_Refiner.separate`` alone
-    turns states into atoms, its two, through ``Space.atom_of``.
-    ``logic.py`` does not name ``_atoms_of``."""
-    scopes = {"effectivity.py": {"_refine"}, "logic.py": {"_Evaluator", "_Refiner"}}
+    states is a mask over atom indices.  The model operations that build or
+    compare portfolios and kernels (``dual_ef``, ``sum_ef``,
+    ``_first_unmatched``, ``_mutually_dominate``, ``filter_generate``,
+    ``angelize`` and ``nlmp.direct_sum``) take their values per atom too.
+    None of them reads a ``carrier``, ``_index`` or ``_atom_index`` of a
+    space, looks up an ``index``, keeps an ``_atoms`` table or names
+    ``frozenset[str]``; only the engine builds a ``frozenset`` at all.
+    ``_Refiner.separate`` alone turns states into atoms, its two, through
+    ``Space.atom_of``.  ``logic.py`` does not name ``_atoms_of``."""
+    scopes = {
+        "effectivity.py": {
+            "_refine", "dual_ef", "sum_ef", "_first_unmatched", "_mutually_dominate"
+        },
+        "logic.py": {"_Evaluator", "_Refiner"},
+        "nlmp.py": {"filter_generate", "angelize", "direct_sum"},
+    }
     names = ("carrier", "_index", "_atom_index", "index", "_atoms", "atoms_of_set", "atom_of")
     found = set()
     for name, wanted in scopes.items():

@@ -57,11 +57,11 @@ HALF = "SubProb({'a': '1/2'})"
 A_TEXT = "Space.discrete(['a'])"
 S_TEXT = "Space.discrete(['a', 'b'])"
 SUM_TEXT = "Space.discrete(['L:a', 'R:a'])"
-P_TEXT = f"EffFn(space={A_TEXT}, portfolio=(('a', UpperSet(full)),))"
-Q_TEXT = f"EffFn(space={A_TEXT}, portfolio=(('a', UpperSet(empty)),))"
+P_TEXT = f"EffFn(space={A_TEXT}, portfolio=(UpperSet(full),))"
+Q_TEXT = f"EffFn(space={A_TEXT}, portfolio=(UpperSet(empty),))"
 ID_TEXT = f"MeasurableMap(domain={A_TEXT}, codomain={A_TEXT}, assignment=(('a', 'a'),))"
 T_TEXT = "Threshold(state=Top(), cmp='>', bound=Fraction(1, 3))"
-K_TEXT = f"Kernel(space={S_TEXT}, image=(('a', MeasureSet([{HALF}])), ('b', MeasureSet([]))))"
+K_TEXT = f"Kernel(space={S_TEXT}, image=(MeasureSet([{HALF}]), MeasureSet([])))"
 FAILURE_TEXT = "CheckFailure(check='not_surjective', witness='f misses a')"
 
 # Per class: a builder, a builder with one field changed (None when the
