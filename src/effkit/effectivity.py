@@ -14,9 +14,9 @@ finite generator antichains; the reductions are spelled out per operation.
 
 from __future__ import annotations
 
-from functools import reduce
+from itertools import islice
 from math import gcd
-from operator import or_
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -37,7 +37,7 @@ from .space import (
     direct_sum as space_sum,
     sigma_r,
 )
-from .upperset import MeasureSet, UpperSet, _minimal, dual, equals
+from .upperset import MeasureSet, UpperSet, dual, equals
 
 __all__ = [
     "EffFn",
@@ -83,72 +83,201 @@ class EffFn(Record):
         return all(u.is_principal for u in self.portfolio)
 
 
-def _refine(
-    space: Space, portfolios: Sequence[EffFn], block_of: Sequence[int]
-) -> Iterator[tuple[Callable[[SubProb], int], tuple[tuple[tuple[int, ...], ...], ...]]]:
-    """Signature refinement of a partition of the atoms of ``space``, given
-    by a block id per atom (``Space.atom_map``'s form), against portfolios
-    on it (a kernel enters as its ``filter_generate``).
+def _key(den: int, atoms: Sequence[int], nums: Sequence[int], block_of: Sequence[int]) -> tuple:
+    """A measure's mass vector summed per block, from its support (``den``,
+    ``atoms``, ``nums``) and a block id per atom: the reduced denominator,
+    then the (block id, reduced numerator) pairs in block id order.  Equal
+    keys are exactly equal restricted vectors."""
+    if len(atoms) == 1:
+        g = gcd(den, nums[0])
+        return den // g, (block_of[atoms[0]], nums[0] // g)
+    vec: dict[int, int] = {}
+    for a, n in zip(atoms, nums):
+        b = block_of[a]
+        vec[b] = vec.get(b, 0) + n
+    g = gcd(den, *vec.values())
+    return den // g, *sorted([(b, n // g) for b, n in vec.items()])
+
+
+def _signature(families: Sequence[Sequence[tuple[int, ...]]], cid: Sequence[int]) -> tuple:
+    """An atom's signature from its generators, per portfolio, as measure
+    numbers and the class id ``cid`` of each measure: per portfolio, the
+    minimal antichain of the generators' class-id sets."""
+    signature = []
+    for gens in families:
+        sets = {frozenset([cid[m] for m in g]) for g in gens}
+        if len(sets) > 1:
+            sets = [s for s in sets if not any(t < s for t in sets)]
+        signature.append(frozenset(sets))
+    return tuple(signature)
+
+
+# A block's classes in a round: (block id, atoms) pairs, the class that
+# keeps the block's id listing None for its atoms.
+Split = tuple[tuple[int, "tuple[int, ...] | None"], ...]
+
+
+def _refine(space: Space, portfolios: Sequence[EffFn], block_of: Sequence[int]) -> Iterator[
+    tuple[Callable[[SubProb], int], dict[int, Split], Callable[[], list[tuple[int, ...]]]]
+]:
+    """Split-driven signature refinement of a partition of the atoms of
+    ``space``, given by a block id per atom (``Space.atom_map``'s form),
+    against portfolios on it (a kernel enters as its ``filter_generate``).
 
     The engine works on atoms only: a portfolio is constant on each atom,
     so an atom's states share one signature, and every round's blocks are
-    unions of atoms (docs/derivations.md, sections 6 and 7).  Each round
-    interns every measure's mass vector, its numerators summed per block
-    over its denominator and reduced, to a class id.  A signature is, per
-    portfolio, the minimal antichain of the generators' class-id sets, as
-    masks; equal signatures are exactly the two-sided generator transfer.
-    Every round yields the class id of a measure and, per block, its
-    signature classes as tuples of atom indices, the next round's blocks;
-    the rounds stop after the first that splits no block.  The first
-    round's blocks come in the order of their least atoms, and a block's
-    classes in the order of theirs; atoms are numbered by their least
-    state, so this is the order a reading by states gives."""
+    unions of atoms (docs/derivations.md, sections 6 and 7).  A measure's
+    class id stands for its mass vector summed per block (``_key``), and an
+    atom's signature is, per portfolio, the minimal antichain of its
+    generators' class-id sets (``_signature``); equal signatures are
+    exactly the two-sided generator transfer.  Each round splits every
+    block into its signature classes, and the rounds stop after the first
+    that splits no block.
+
+    Blocks, class ids and signatures persist across rounds.  A block keeps
+    its id until it splits; then its largest class keeps it and the others
+    get new ones.  The first round keys every measure and signs every
+    atom.  A later round re-keys only the measures whose support meets an
+    atom that moved to a new block id, re-signs only the atoms holding a
+    measure whose class id changed, and regroups only those atoms of their
+    blocks; the other atoms of a block keep the signature they share.  An
+    atom moves only into a class at most half its block's size, so at most
+    log2 of the atoms times (section 7).
+
+    Each round yields three things:
+
+    * ``class_of``, the class id of a measure in that round; it keeps
+      answering for its round after the engine moves on;
+    * the round's splits: per id of a block that split, its classes as a
+      ``Split``.  The class keeping the block's id lists None, as its atoms
+      are the block's outside the other classes, which may be many;
+    * ``partition``, which lists the current blocks as tuples of atoms.
+
+    The first round's blocks come in the order of their least atoms, a
+    block's classes in the order of theirs, and the next round's blocks
+    are the classes in that order; atoms are numbered by their least
+    state, so this is the order a reading by states gives.  Every class
+    lists its atoms in increasing order."""
     number: dict[SubProb, int] = {}  # in order of first use
-    generators = [
-        [[tuple([number.setdefault(mu, len(number)) for mu in g]) for g in u] for u in p.portfolio]
-        for p in portfolios
+    families = [
+        tuple([[tuple([number.setdefault(mu, len(number)) for mu in g]) for g in p.portfolio[a]]
+               for p in portfolios])
+        for a in range(len(block_of))
     ]
-    grouped: dict[int, list[int]] = {}
+    measures = list(number)
+    block_of = list(block_of)
+    members: dict[int, list[int]] = {}  # per block, increasing: its atoms and atoms that left
     for a, b in enumerate(block_of):
-        grouped.setdefault(b, []).append(a)
-    blocks = list(grouped.values())
+        members.setdefault(b, []).append(a)
+    vectors: dict[tuple, int] = {}  # key -> class id, never reset
+    if len(members) == 1:  # one block: a measure's vector is its total mass there
+        supports = [(mu.den, mu.atoms[:1], (sum(mu.nums),)) for mu in measures]
+    else:
+        supports = [(mu.den, mu.atoms, mu.nums) for mu in measures]
+    cid = [vectors.setdefault(_key(*support, block_of), len(vectors)) for support in supports]
+    head = dict.fromkeys(members, 0)  # per block, where its atoms begin in ``members``
+    size = {b: len(atoms) for b, atoms in members.items()}
+    shared: dict[int, tuple] = {}  # per block, the signature its atoms share
+    chain = [None, *members, None]
+    after = dict(zip(chain, chain[1:]))  # the blocks in order, linked from None to None
+    before = dict(zip(chain[1:], chain))
+    fresh = max(members, default=-1) + 1
+    signing = dict(members)  # per block, the atoms to sign this round, increasing
+    log: list = [None]  # [the next round's (old class ids, log)], once it runs
+    measures_of = atoms_of = None  # the indices, built for a second round
+
+    def partition() -> list[tuple[int, ...]]:
+        blocks, x = [], after[None]
+        while x is not None:
+            blocks.append(tuple([a for a in islice(members[x], head[x], None) if block_of[a] == x]))
+            x = after[x]
+        return blocks
+
     while True:
-        vectors: dict[tuple, int] = {}
-        cid = []
-        for mu in number:
-            vec: dict[int, int] = {}
-            for a, n in zip(mu.atoms, mu.nums):
-                vec[block_of[a]] = vec.get(block_of[a], 0) + n
-            g = gcd(mu.den, *vec.values())
-            key = (mu.den // g, *sorted((b, n // g) for b, n in vec.items()))
-            cid.append(vectors.setdefault(key, len(vectors)))
-        bit = [1 << c for c in cid]
-        classes = []
-        for block in blocks:
+        splits: dict[int, Split] = {}
+        moved: list[int] = []
+        for x, signed in signing.items():
             groups: dict[tuple, list[int]] = {}
-            for a in block:
-                signature = tuple(
-                    frozenset(_minimal([reduce(or_, [bit[m] for m in g], 0) for g in gens[a]]))
-                    for gens in generators
-                )
-                groups.setdefault(signature, []).append(a)
-            classes.append(tuple(map(tuple, groups.values())))
+            for a in signed:
+                groups.setdefault(_signature(families[a], cid), []).append(a)
+            keep = groups.pop(shared.get(x), [])  # re-signed to the shared signature
+            stay = size[x] - len(signed) + len(keep)
+            if not groups or not stay and len(groups) == 1:
+                if groups:  # every atom re-signed to one new signature
+                    shared[x] = next(iter(groups))
+                continue
+            classes = [(g[0], len(g), s, g) for s, g in groups.items()]
+            if stay:  # its least atom, past the atoms that left: O(signed) amortized
+                gone = {a for g in groups.values() for a in g}
+                atoms, h = members[x], head[x]
+                while block_of[atoms[h]] != x:
+                    h += 1
+                head[x] = h
+                least = next(a for a in islice(atoms, h, None) if block_of[a] == x and a not in gone)
+                classes.append((least, stay, shared[x], None))
+                classes.sort(key=itemgetter(0))
+            kept = max(classes, key=lambda c: (c[1], c[3] is None))
+            if stay and kept[3] is not None:  # the atoms that stay move out too
+                rest = [a for a in islice(members[x], head[x], None) if block_of[a] == x and a not in gone]
+                classes = [c if c[3] is not None else (*c[:3], rest) for c in classes]
+            split = []
+            for c in classes:
+                i, atoms = x, c[3]
+                if c is not kept:
+                    i, fresh = fresh, fresh + 1
+                    moved.extend(atoms)
+                if atoms is not None:
+                    members[i], head[i] = atoms, 0
+                size[i], shared[i] = c[1], c[2]
+                split.append((i, None if c is kept else tuple(atoms)))
+            for i, atoms in split:
+                if atoms is not None:
+                    for a in atoms:
+                        block_of[a] = i
+            chain = [before[x], *(i for i, _ in split), after[x]]
+            after.update(zip(chain, chain[1:]))
+            before.update(zip(chain[1:], chain))
+            splits[x] = tuple(split)
 
-        def class_of(mu: SubProb, cid=cid) -> int:
-            return cid[number[mu]]
+        def class_of(mu: SubProb, log=log) -> int:
+            m = number[mu]
+            while log[0] is not None:
+                old, log = log[0]
+                if m in old:
+                    return old[m]
+            return cid[m]
 
-        yield class_of, tuple(classes)
-        split = [c for group in classes for c in group]
-        if len(split) == len(blocks):
+        yield class_of, splits, partition
+        if not splits:
             return
-        blocks = split
-        block_of = {a: b for b, block in enumerate(blocks) for a in block}
+        if measures_of is None:
+            measures_of = [[] for _ in block_of]
+            for m, mu in enumerate(measures):
+                for a in mu.atoms:
+                    measures_of[a].append(m)
+            atoms_of = [set() for _ in measures]
+            for a, family in enumerate(families):
+                for gens in family:
+                    for g in gens:
+                        for m in g:
+                            atoms_of[m].add(a)
+        old: dict[int, int] = {}
+        for m in {m for a in moved for m in measures_of[a]}:
+            mu = measures[m]
+            c = vectors.setdefault(_key(mu.den, mu.atoms, mu.nums, block_of), len(vectors))
+            if c != cid[m]:
+                old[m], cid[m] = cid[m], c
+        log[0] = old, [None]
+        log = log[0][1]
+        signing = {}
+        for a in sorted({a for m in old for a in atoms_of[m]}):
+            signing.setdefault(block_of[a], []).append(a)
 
 
 def _greatest_bisim(space: Space, portfolios: Sequence[EffFn]) -> Relation:
-    for _, classes in _refine(space, portfolios, [0] * len(space.atoms)):
+    for _, _, partition in _refine(space, portfolios, [0] * len(space.atoms)):
         pass
-    blocks = [[s for a in c for s in space.atoms[a]] for group in classes for c in group]
+    blocks = [[s for a in c for s in space.atoms[a]] for c in partition()]
     return Relation.from_partition(space, blocks)
 
 
@@ -156,11 +285,15 @@ def _is_bisim(portfolios: Sequence[EffFn], rel: Relation) -> bool:
     """One round under ``sigma_r(rel)``: a pair of the symmetric relation
     passes the transfer test iff its two atoms have equal signatures."""
     space = rel.base
-    _, classes = next(_refine(space, portfolios, space.atom_map(sigma_r(rel))))
+    block_of = list(space.atom_map(sigma_r(rel)))
+    _, splits, _ = next(_refine(space, portfolios, block_of))
+    for split in splits.values():
+        for i, atoms in split:
+            for a in atoms or ():
+                block_of[a] = i
     atom_of = space._atom_index
-    number = {a: i for i, c in enumerate(c for group in classes for c in group) for a in c}
     pairs = rel._holders.items()
-    return all(len({number[atom_of[s]] for s in (*h, *ts)}) == 1 for ts, h in pairs if ts)
+    return all(len({block_of[atom_of[s]] for s in (*h, *ts)}) == 1 for ts, h in pairs if ts)
 
 
 def is_ef_state_bisim(p: EffFn, rel: Relation) -> bool:
@@ -325,8 +458,8 @@ def is_subsystem(p: EffFn, coarser: Space) -> bool:
         raise IncompatiblePartitionError(
             "subsystem test needs a coarsening of the portfolio space's atoms"
         )
-    _, classes = next(_refine(p.space, (p,), into))
-    return all(len(group) == 1 for group in classes)
+    _, splits, _ = next(_refine(p.space, (p,), into))
+    return not splits
 
 
 def dual_ef(p: EffFn) -> EffFn:

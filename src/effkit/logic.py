@@ -548,6 +548,11 @@ class DistinguishResult(Record):
 _FALSUM = Threshold(Top(), "<", Fraction(0))
 
 
+def _least(mask: int) -> int:
+    """The least atom of a nonempty mask."""
+    return (mask & -mask).bit_length() - 1
+
+
 class _Refiner:
     """Formula synthesis on top of the signature refinement.
 
@@ -557,10 +562,12 @@ class _Refiner:
     one separating formula, confirmed by the evaluator and checked to cut no
     class of the round; each class then meets its block's up-set with the
     round's extensions containing it (docs/derivations.md, section 12).
-    ``blocks`` holds the (key, extension, formula) records in the engine's
-    block order, ``upsets`` in key order: by number of states, then by atom
-    indices, which orders them as the states' carrier indices would
-    (section 12, step 4).  A key is computed once, when its up-set is new.
+    ``parts`` holds the engine's blocks as (block id, mask) pairs in the
+    engine's order, the round's splits spliced in; ``blocks`` holds their
+    (key, extension, formula) records in that order, ``upsets`` in key
+    order: by number of states, then by atom indices, which orders them as
+    the states' carrier indices would (section 12, step 4).  A key is
+    computed once, when its up-set is new.
     """
 
     def __init__(self, p: EffFn):
@@ -568,6 +575,7 @@ class _Refiner:
         self.ev = _Evaluator(p)
         self.sizes = [len(block) for block in p.space.atoms]
         self.blocks = self.upsets = [self._record(self.ev.top, Top())]
+        self.parts = [(0, self.ev.top)]
 
     def separate(self, s: str, t: str) -> DistinguishResult:
         """The verdict on ``s`` and ``t``, with the confirmed formula
@@ -579,38 +587,59 @@ class _Refiner:
         the pair reaches together (docs/derivations.md, section 12).  So an
         equivalent pair builds no formula for the last splitting round."""
         a, b = self.p.space.atom_of(s), self.p.space.atom_of(t)
+        block = 0  # the engine's id of the block holding both
         pending = ()
-        for class_of, classes in _refine(self.p.space, (self.p,), [0] * len(self.sizes)):
-            if all(len(group) == 1 for group in classes):
+        for class_of, splits, _ in _refine(self.p.space, (self.p,), [0] * len(self.sizes)):
+            if not splits:
                 break  # the fixed point: no later round reads the pending one
             if pending:
                 self._round(*pending)
-            if not any(a in c and b in c for group in classes for c in group):
+            ia, ib = (
+                next((i for i, atoms in splits.get(block, ()) if atoms and x in atoms), block)
+                for x in (a, b)
+            )
+            if ia != ib:
                 formula, _, satisfier = self._confirmed(a, b, class_of)
                 satisfier = s if satisfier == a else t
                 return DistinguishResult(equivalent=False, formula=formula, satisfied_by=satisfier)
-            pending = class_of, classes
+            block = ia
+            pending = class_of, splits
         return DistinguishResult(equivalent=True)
 
-    def _round(self, class_of, classes) -> list[tuple[StateFormula, int, int]]:
+    def _classes(self, splits) -> list[tuple[tuple[int, int], ...]]:
+        """Per block of ``parts``, its classes in a round with these splits,
+        as (block id, mask) pairs in the engine's order."""
+        groups = []
+        for i, mask in self.parts:
+            split = splits.get(i)
+            if split is None:
+                groups.append(((i, mask),))
+                continue
+            moved = {j: sum([1 << a for a in atoms]) for j, atoms in split if atoms is not None}
+            rest = mask & ~sum(moved.values())
+            groups.append(tuple((j, moved.get(j, rest)) for j, _ in split))
+        return groups
+
+    def _round(self, class_of, splits) -> list[tuple[StateFormula, int, int]]:
         """Confirm a formula per pair of signature classes in a block and
         meet the up-sets with them; returns their (formula, extension,
         satisfier atom).  A formula that cuts a class of its round is a
         bug: by induction over the rounds, no cut means the up-sets'
         partition is the round's classes (docs/derivations.md, section 12)."""
+        groups = self._classes(splits)
         fresh = [
-            self._confirmed(left[0], right[0], class_of)
-            for group in classes
-            for left, right in itertools.combinations(group, 2)
+            self._confirmed(_least(left), _least(right), class_of)
+            for group in groups
+            for (_, left), (_, right) in itertools.combinations(group, 2)
         ]
-        masks = [sum([1 << a for a in c]) for group in classes for c in group]
+        self.parts = [c for group in groups for c in group]
         for _, ext, _ in fresh:
-            if not all(ext & c == 0 or c & ~ext == 0 for c in masks):
+            if not all(ext & c == 0 or c & ~ext == 0 for _, c in self.parts):
                 raise InternalInvariantViolation("a confirmed formula cuts a signature class")
         self.blocks = [
-            self._meet(record, c[0], fresh)
-            for record, group in zip(self.blocks, classes)
-            for c in group
+            self._meet(record, _least(c), fresh)
+            for record, group in zip(self.blocks, groups)
+            for _, c in group
         ]
         self.upsets = sorted(self.blocks, key=itemgetter(0))
         return fresh

@@ -139,6 +139,25 @@ def ring_doc(n: int) -> dict:
     return {"kind": "nlmp", "states": states, "labels": ["a"], "kernels": {"a": kernel}}
 
 
+def half_chain_doc(n: int) -> dict:
+    """The 1/2-chain: states s0 .. s{n-1}, each but the last with one
+    measure of mass 1/2 on the next, and c0 moving as s0.  Refinement splits
+    off one level per round."""
+    states = [f"s{i}" for i in range(n)] + ["c0"]
+    kernel = {s: [{f"s{i + 1}": "1/2"}] if i < n - 1 else [] for i, s in enumerate(states[:-1])}
+    kernel["c0"] = kernel["s0"]
+    return {"kind": "nlmp", "states": states, "labels": ["a"], "kernels": {"a": kernel}}
+
+
+def harder_ring_doc(n: int) -> dict:
+    """The harder ring: ``n`` states, state ``i`` with one measure, of mass
+    (1 + i mod 3)/4 on the next state.  Unless 3 divides ``n``, the wrap
+    breaks the period one state per round, down to singletons."""
+    states = [f"s{i}" for i in range(n)]
+    kernel = {s: [{states[(i + 1) % n]: f"{1 + i % 3}/4"}] for i, s in enumerate(states)}
+    return {"kind": "nlmp", "states": states, "labels": ["a"], "kernels": {"a": kernel}}
+
+
 def rand_subprob_on(rng: Random, space: Space, support: list[str], max_den=8) -> SubProb:
     """Random measure with all mass on the atoms of the listed states."""
     den = rng.randint(1, max_den)
@@ -1416,10 +1435,10 @@ def dual_oracle(space: Space, generators) -> tuple[MeasureSetOracle, ...]:
 
 
 def refine_oracle(space: Space, portfolios, blocks) -> list:
-    """Per round of ``effectivity._refine``, the signature classes per block,
-    with each signature a frozenset of minimal frozensets of class ids and
-    each measure restricted to the atom closure of the blocks (the space
-    ``sigma_r`` gives for them)."""
+    """Per round of ``effectivity._refine``, the signature classes per block
+    and the class id of each measure, with each signature a frozenset of
+    minimal frozensets of class ids and each measure restricted to the atom
+    closure of the blocks (the space ``sigma_r`` gives for them)."""
     number: dict[SubProb, int] = {}
     support = []
     for p in portfolios:
@@ -1458,11 +1477,18 @@ def refine_oracle(space: Space, portfolios, blocks) -> list:
             for s in block:
                 groups.setdefault(signature[s], []).append(s)
             classes.append(tuple(map(tuple, groups.values())))
-        rounds.append(tuple(classes))
+        rounds.append((tuple(classes), {mu: cid[m] for mu, m in number.items()}))
         split = tuple(c for group in classes for c in group)
         if len(split) == len(blocks):
             return rounds
         blocks = split
+
+
+def same_classes(class_of, ids: dict) -> bool:
+    """Whether ``class_of`` gives equal ids exactly to the measures that
+    ``ids`` gives equal ids."""
+    pairs = {(class_of(mu), i) for mu, i in ids.items()}
+    return len(pairs) == len({c for c, _ in pairs}) == len({i for _, i in pairs})
 
 
 def atom_states(space: Space, atoms) -> tuple[str, ...]:
@@ -1485,15 +1511,45 @@ def atom_twin(p: EffFn) -> tuple[EffFn, MeasurableMap]:
     return EffFn(reps, {r: push_upperset(f, p(r)) for r in reps.carrier}), f
 
 
+def start_blocks(block_of) -> list[tuple[int, tuple[int, ...]]]:
+    """The blocks of a block id per atom, as (id, atoms) pairs in the order
+    of their least atoms: ``effectivity._refine``'s first round's blocks."""
+    grouped: dict[int, list[int]] = {}
+    for a, b in enumerate(block_of):
+        grouped.setdefault(b, []).append(a)
+    return [(b, tuple(atoms)) for b, atoms in grouped.items()]
+
+
+def whole_round(blocks, splits) -> tuple[list, tuple]:
+    """The blocks after a round of ``effectivity._refine`` with these
+    splits, and the round's classes per block in the form the engine gave
+    before it yielded splits, from the blocks before it (both as (id,
+    atoms) pairs in the engine's order)."""
+    after, classes = [], []
+    for i, atoms in blocks:
+        split = splits.get(i, ((i, None),))
+        moved = {a for _, c in split if c is not None for a in c}
+        rest = tuple(a for a in atoms if a not in moved)
+        group = tuple((j, rest if c is None else c) for j, c in split)
+        after += group
+        classes.append(tuple(c for _, c in group))
+    return after, tuple(classes)
+
+
 def engine_rounds(space: Space, portfolios, blocks) -> list:
     """``effectivity._refine``'s rounds from a partition of the carrier into
-    unions of atoms, with each class as its states: the form of
-    ``refine_oracle``."""
+    unions of atoms, each with its classes as states and its ``class_of``,
+    read after the engine has finished: the form of ``refine_oracle``.
+    Checks the engine's ``partition`` against the blocks its splits give."""
     start = space.atom_map(Space(space.carrier, blocks))
-    return [
-        tuple(tuple(atom_states(space, c) for c in group) for group in classes)
-        for _, classes in _refine(space, portfolios, start)
-    ]
+    parts = start_blocks(start)
+    rounds = []
+    for class_of, splits, partition in _refine(space, portfolios, start):
+        parts, classes = whole_round(parts, splits)
+        assert partition() == [atoms for _, atoms in parts]
+        states = tuple(tuple(atom_states(space, c) for c in group) for group in classes)
+        rounds.append((states, class_of))
+    return rounds
 
 
 class CertifyingRefiner(_Refiner):
@@ -1515,30 +1571,30 @@ class CertifyingRefiner(_Refiner):
         before the next round is read."""
         space = self.p.space
         a, b = space.atom_of(s), space.atom_of(t)
-        for class_of, classes in _refine(space, (self.p,), [0] * len(space.atoms)):
-            if not any(a in c and b in c for group in classes for c in group):
+        for class_of, splits, _ in _refine(space, (self.p,), [0] * len(space.atoms)):
+            classes = [m for group in self._classes(splits) for _, m in group]
+            if not any(m >> a & m >> b & 1 for m in classes):
                 formula, _, satisfier = self._confirmed(a, b, class_of)
                 satisfier = s if satisfier == a else t
                 return DistinguishResult(equivalent=False, formula=formula, satisfied_by=satisfier)
-            self._round(class_of, classes)
+            self._round(class_of, splits)
         return DistinguishResult(equivalent=True)
 
     def run(self) -> tuple[list[tuple[str, ...]], list[tuple]]:
         """The final blocks, in the engine's order, as states, and the
         up-set records."""
         space = self.p.space
-        for class_of, classes in _refine(space, (self.p,), [0] * len(space.atoms)):
+        for class_of, splits, _ in _refine(space, (self.p,), [0] * len(space.atoms)):
             pairs = [
-                (space.atoms[left[0]][0], space.atoms[right[0]][0])
-                for group in classes
-                for left, right in itertools.combinations(group, 2)
+                (atom_states(space, left)[0], atom_states(space, right)[0])
+                for group in self._classes(splits)
+                for (_, left), (_, right) in itertools.combinations(group, 2)
             ]
             self.witnesses += [
                 (pair, (formula, frozenset(atom_states(space, ext)), space.atoms[satisfier][0]))
-                for pair, (formula, ext, satisfier) in zip(pairs, self._round(class_of, classes))
+                for pair, (formula, ext, satisfier) in zip(pairs, self._round(class_of, splits))
             ]
-            split = [c for group in classes for c in group]
-        return [atom_states(space, c) for c in split], self.upsets
+        return [atom_states(space, m) for _, m in self.parts], self.upsets
 
 
 def certified_partition(p: EffFn) -> set[frozenset[str]]:
@@ -1580,8 +1636,8 @@ class FamilyRefiner(CertifyingRefiner):
         self.order.insert(at, ext)
         self.family[ext] = formula
 
-    def _round(self, class_of, classes) -> list:
-        fresh = super()._round(class_of, classes)
+    def _round(self, class_of, splits) -> list:
+        fresh = super()._round(class_of, splits)
         for formula, ext, _ in fresh:
             self._add(formula, frozenset(atom_states(self.p.space, ext)))
         return fresh

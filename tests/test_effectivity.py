@@ -43,6 +43,7 @@ from effkit import (
 )
 from effkit import effectivity
 from effkit.effectivity import push_upperset
+from effkit.model_io import model_from_dict
 from helpers import (
     all_partitions,
     atom_twin,
@@ -51,6 +52,8 @@ from helpers import (
     dense,
     ef_transfer_oracle,
     event_bisim_oracle,
+    half_chain_doc,
+    harder_ring_doc,
     pairs,
     pairwise_bisim_oracle,
     rand_coarsening,
@@ -61,6 +64,7 @@ from helpers import (
     rand_partition_blocks,
     rand_portfolio,
     rand_space,
+    ring_doc,
     subsystem_oracle,
     transfer_oracle,
 )
@@ -508,3 +512,57 @@ class TestWorkPerAtom:
                 ),
             ):
                 assert work(on_p) == work(on_twin) != Counter()
+
+
+class TestWorkPerSplit:
+    """Work of the refinement engine, counted as the measures it keys
+    (``effectivity._key``) and the atoms it signs (``_signature``)."""
+
+    @staticmethod
+    def counted(monkeypatch) -> Counter:
+        calls: Counter = Counter()
+        for name in ("_key", "_signature"):
+            def counted(*args, _name=name, _call=getattr(effectivity, name)):
+                calls[_name] += 1
+                return _call(*args)
+
+            monkeypatch.setattr(effectivity, name, counted)
+        return calls
+
+    def test_work_grows_with_the_splits_not_the_rounds(self, monkeypatch):
+        """On the 1/2-chain and both rings, where one block splits per
+        round, the work of a ``greatest_bisim`` run grows at most 2.5-fold
+        as ``n`` doubles; re-keying every measure and re-signing every atom
+        each round grows it about 4-fold."""
+        calls = self.counted(monkeypatch)
+        for doc in (half_chain_doc, ring_doc, harder_ring_doc):
+            work = []
+            for n in (50, 100, 200):
+                m = model_from_dict(doc(n))
+                calls.clear()
+                assert len(greatest_bisim(m).classes()) == n  # every state apart
+                work.append(calls["_key"] + calls["_signature"])
+            assert work[1] <= 2.5 * work[0] and work[2] <= 2.5 * work[1], (doc.__name__, work)
+
+    def test_one_round_callers_key_each_measure_and_sign_each_atom_once(self, monkeypatch):
+        """The bisimulation tests, ``is_subsystem`` and ``is_event_bisim``
+        run one round: each distinct measure keyed once, each atom signed
+        once, as a whole round does."""
+        calls = self.counted(monkeypatch)
+        rng = Random(27)
+        for _ in range(40):
+            space = rand_space(rng, 2, 6, allow_coarse=True)
+            p, k = rand_ef(rng, space), rand_kernel(rng, space)
+            ef_measures = {mu for u in p.portfolio for g in u for mu in g}
+            k_measures = {mu for image in k.image for mu in image}
+            rel = Relation.from_partition(space, rand_partition_blocks(rng, list(space.carrier)))
+            coarser = rand_coarsening(rng, space)
+            for call, measures in (
+                (lambda: is_ef_state_bisim(p, rel), ef_measures),
+                (lambda: is_state_bisim(k, rel), k_measures),
+                (lambda: is_subsystem(p, coarser), ef_measures),
+                (lambda: is_event_bisim(k, coarser), k_measures),
+            ):
+                calls.clear()
+                call()
+                assert (calls["_key"], calls["_signature"]) == (len(measures), len(space.atoms))

@@ -75,6 +75,8 @@ from helpers import (
     rand_state_formula,
     rand_subprob,
     relation_from_family,
+    start_blocks,
+    whole_round,
 )
 
 S3 = Space.discrete(["s0", "s1", "s2"])
@@ -726,9 +728,11 @@ class TestLogicalEquivalence:
         hook = {}
 
         def rounds(*args):
-            for class_of, classes in _refine(*args):
+            parts = start_blocks(args[2])
+            for class_of, splits, partition in _refine(*args):
+                parts, classes = whole_round(parts, splits)
                 hook["round"](class_of, classes)
-                yield class_of, classes
+                yield class_of, splits, partition
 
         monkeypatch.setattr(logic, "_refine", rounds)
         monkeypatch.setattr(helpers, "_refine", rounds)

@@ -33,13 +33,16 @@ from effkit import (
 )
 from effkit import upperset as upperset_module
 from effkit.effectivity import EffFn
-from effkit.model_io import dumps_canonical, model_to_dict
+from effkit.model_io import dumps_canonical, model_from_dict, model_to_dict
+from effkit.nlmp import filter_generate
 from effkit.upperset import _minimal
 from helpers import (
     MeasureSetOracle,
     dense,
     dual_oracle,
     engine_rounds,
+    half_chain_doc,
+    harder_ring_doc,
     minimal_oracle,
     per_atom,
     rand_coarsening,
@@ -48,6 +51,8 @@ from helpers import (
     rand_space,
     rand_subprob,
     refine_oracle,
+    ring_doc,
+    same_classes,
     upperset_members_oracle,
     upperset_oracle,
 )
@@ -299,6 +304,19 @@ class TestEquals:
             assert equals(us[0], us[1]) == same_ext
 
 
+def check_rounds(space: Space, portfolios, start) -> int:
+    """The engine's rounds against ``refine_oracle``'s: the same classes,
+    and per round a ``class_of``, read after the engine has finished, that
+    gives equal ids exactly to the measures the oracle puts together.
+    Returns the number of rounds."""
+    rounds = engine_rounds(space, portfolios, start)
+    expected = refine_oracle(space, portfolios, start)
+    assert [classes for classes, _ in rounds] == [classes for classes, _ in expected]
+    for (_, class_of), (_, ids) in zip(rounds, expected):
+        assert same_classes(class_of, ids)
+    return len(rounds)
+
+
 def values(measures) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
     return [(mu.den, mu.atoms, mu.nums) for mu in measures]
 
@@ -356,9 +374,25 @@ class TestAgainstFrozensetOracle:
             ]
             blocks = rand_coarsening(rng, space).atoms  # unions of atoms, as the engine needs
             for start in ((space.carrier,), blocks):
-                rounds = engine_rounds(space, portfolios, start)
-                assert rounds == refine_oracle(space, portfolios, start)
+                check_rounds(space, portfolios, start)
         assert min(seen.values()) > 500, seen
+        # Deep inputs, where one block splits per round, from the carrier and
+        # from coarse starts as ``is_subsystem`` gives them.
+        rng = Random(31)
+        rounds = []
+        for doc in (
+            *(half_chain_doc(n) for n in (2, 5, 17, 40)),
+            *(ring_doc(n) for n in (9, 20, 40)),
+            *(harder_ring_doc(n) for n in (7, 20, 39, 40)),
+        ):
+            m = model_from_dict(doc)
+            portfolios = [filter_generate(k) for _, k in m.kernels]
+            carrier = m.space.carrier
+            for k in (0, 1, 2):  # cut into k + 1 runs of states
+                cuts = [0, *sorted(rng.sample(range(1, len(carrier)), k)), len(carrier)]
+                blocks = [carrier[i:j] for i, j in zip(cuts, cuts[1:])]
+                rounds.append(check_rounds(m.space, portfolios, blocks))
+        assert max(rounds) == 40 and sum(r >= 10 for r in rounds) >= 12, rounds
 
     def test_ids_belong_to_the_space_value(self):
         twin = Space(S3.carrier, S3.atoms)

@@ -10,7 +10,12 @@ Usage, from the root of a checkout:
 ``record`` runs one pass of each workload of ``perfbench/workloads.py``
 (refine, portfolio, query) at each of the seeds 1, 2, 5 and 7, and the
 workloads' known-defect probes at each seed, in process through this
-checkout's ``effkit.cli.run``.  It saves under DIR, which must be new or
+checkout's ``effkit.cli.run``.  Then it sends a fixed deep set, where
+refinement runs up to 60 rounds (the workloads never run more than 14):
+``bisim``, ``bisim --pairs``, ``lequiv``, ``distinguish`` and ``eval
+--state`` of its witness on both states, for one pair on each of the NLMP
+and ef 2-clone 1/2-chains at n = 60, the ring at n = 60 and the harder
+ring at n = 50.  It saves under DIR, which must be new or
 empty, every input file as each request read it (``files/``, by content
 hash) and, per request, its argv, exit code, stdout and stderr
 (``requests.json``).
@@ -34,6 +39,7 @@ import argparse
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +49,54 @@ sys.dont_write_bytecode = True
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 5, 7)
 WORKLOADS = ("refine", "portfolio", "query")
+
+
+def _ring(n: int) -> dict:
+    """The ring: state i with one measure, 1/4 on the next state and 1/4,
+    or 1/8 unless 3 divides i, on the seventh next."""
+    states = [f"s{i}" for i in range(n)]
+    kernel = {
+        s: [{states[(i + 1) % n]: "1/4", states[(i + 7) % n]: "1/8" if i % 3 else "1/4"}]
+        for i, s in enumerate(states)
+    }
+    return {"kind": "nlmp", "states": states, "labels": ["a"], "kernels": {"a": kernel}}
+
+
+def _harder_ring(n: int) -> dict:
+    """The harder ring: state i with one measure, (1 + i mod 3)/4 on the
+    next state."""
+    states = [f"s{i}" for i in range(n)]
+    kernel = {s: [{states[(i + 1) % n]: f"{1 + i % 3}/4"}] for i, s in enumerate(states)}
+    return {"kind": "nlmp", "states": states, "labels": ["a"], "kernels": {"a": kernel}}
+
+
+def _deep_set(workdir: Path, send) -> None:
+    """The deep set's requests through ``send(argv)``, which returns the
+    answer.  Each model is asked about its first state and one more: on the
+    chains a state of the second level, which parts from the first in the
+    next-to-last round; on the rings the fourth state."""
+    import gen
+
+    workdir.mkdir(parents=True)
+    models = {  # name: (model, index of the second state of the pair)
+        "chain-n": (gen.chain(random.Random(1), 60, 2, "nlmp").doc, 2),
+        "chain-e": (gen.chain(random.Random(1), 60, 2, "ef").doc, 2),
+        "ring": (_ring(60), 3),
+        "harder-ring": (_harder_ring(50), 3),
+    }
+    for name, (doc, other) in models.items():
+        path = workdir / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        model = str(path)
+        s, t = doc["states"][0], doc["states"][other]
+        send(["bisim", model])
+        send(["bisim", model, "--pairs", f"{s},{t}"])
+        send(["lequiv", model])
+        answer = send(["distinguish", model, s, t])
+        formula = json.loads(answer["out"]).get("formula") if answer["code"] == 1 else None
+        if formula is not None:
+            for state in (s, t):
+                send(["eval", model, "--formula", formula, "--state", state])
 
 
 def _import_cli(checkout: Path):
@@ -126,6 +180,14 @@ def record(directory: Path) -> int:
                     pass
             failed += sum(client.failures.values())
             print(f"{name} seed {seed}: {len(requests) - sent} requests")
+    sent = len(requests)
+
+    def send(argv: list[str]) -> dict:
+        recorder(argv, io.StringIO(), io.StringIO())
+        return requests[-1]
+
+    _deep_set(directory / "work" / "deep", send)
+    print(f"deep set: {len(requests) - sent} requests")
     (directory / "requests.json").write_text(json.dumps(requests), encoding="utf-8")
     print(f"recorded {len(requests)} requests under {directory}; {failed} failed their checks")
     return 0
