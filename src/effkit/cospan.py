@@ -6,34 +6,28 @@ facts.  For finitely supported portfolios they imply that the mediator is
 finitely supported as well, and that both legs push the per-state supports
 onto the same mediator support whenever their images meet.
 
-The span construction builds the pullback carrier of the two legs, equips
-it with one atom per mediator atom, and transports the mediator's support at
-each mediator state through the atom correspondence.  Measures on the
-pullback space then match measures on the mediator one-to-one, and both
-projection squares commute by canonical portfolio equality; a failed square
-on verified input is a bug, not an input error.
+The span construction builds its three portfolios by one routine: on the
+preimages of the mediator atoms under ``f`` and ``g`` (``p_f``, ``q_g``)
+and on the pairs over them (``tau`` on the pullback ``w``), each atom gets
+the mediator's family at the mediator atom under it.  A failed projection
+square on verified input is a bug, not an input error.
 """
 
 from __future__ import annotations
 
-from .effectivity import (
-    EffFn,
-    _first_unmatched,
-    greatest_ef_bisim,
-    push_upperset,
-    quotient,
-    sum_ef,
-)
+from typing import Iterable, Sequence
+
+from .effectivity import EffFn, _first_unmatched, greatest_ef_bisim, quotient, sum_ef
 from .errors import (
     EffkitError,
     InternalInvariantViolation,
     NotFinitelySupportedError,
     SpaceMismatchError,
 )
-from .measure import SubProb
+from .measure import SubProb, _collect
 from .record import Record
 from .space import MeasurableMap, Space, compose
-from .upperset import MeasureSet, UpperSet, equals
+from .upperset import MeasureSet, UpperSet
 
 __all__ = [
     "Cospan",
@@ -109,9 +103,9 @@ def verify_cospan(c: Cospan) -> CospanReport:
 class SpanResult(Record):
     """Pullback system with its projections and quotiented endpoints.
 
-    ``w`` carries one atom per mediator atom; ``tau`` is the transported
-    dynamics; ``p_f`` and ``q_g`` are the endpoint portfolios restricted to
-    the invariant sets of the respective legs.
+    ``w`` carries one atom per mediator atom; ``tau`` is the mediator's
+    dynamics moved onto it; ``p_f`` and ``q_g`` are the endpoint portfolios
+    restricted to the preimages of the mediator atoms under the legs.
     """
 
     w: Space
@@ -124,36 +118,35 @@ class SpanResult(Record):
     __init__ = Record._store
 
 
-def _preimage_portfolio(leg: MeasurableMap, side: EffFn) -> EffFn:
-    """``side`` restricted to its carrier with the atoms pulled back from
-    the codomain of ``leg``.
-
-    For the legs of a verified cospan these preimages realize the invariant
-    sigma-algebra of the leg's kernel in the exact form that makes measures
-    on it correspond one-to-one to codomain measures; on discrete spaces it
-    is literally the fiber partition.  Restriction is the pushforward along
-    the identity-carrier inclusion, one map and so one atom map per side
-    (docs/derivations.md, section 13), once per atom of ``side``; the public
-    constructor checks the result constant on each preimage atom (section 11).
-    """
-    atoms = leg.domain.atoms
-    sigma = Space(
-        leg.domain.carrier,
-        ([s for i in over for s in atoms[i]] for over in leg.preimage_atoms),
-    )
-    inclusion = MeasurableMap(side.space, sigma, {s: s for s in sigma.carrier})
-    restricted = [push_upperset(inclusion, u) for u in side.portfolio]
-    return EffFn(sigma, {s: u for block, u in zip(atoms, restricted) for s in block})
+def _lifted(m: EffFn, carrier: Sequence[str], under: Iterable[str]) -> tuple[EffFn, list[int]]:
+    """The portfolio on ``carrier`` whose atoms are the states lying over
+    each mediator atom of ``m`` (``under`` holds the mediator state under
+    each state), holding at each atom the mediator's family there; and per
+    mediator atom, its atom here.  Measures here match measures on the
+    mediator atom for atom, so each family moves once, measure by measure
+    (docs/derivations.md, section 11)."""
+    blocks: list[list[str]] = [[] for _ in m.space.atoms]
+    for s, u in zip(carrier, under):
+        blocks[m.space.atom_of(u)].append(s)
+    space = Space(carrier, blocks)
+    at = [space.atom_of(block[0]) for block in blocks]
+    moved = {
+        i: UpperSet(space, [MeasureSet(space, [_collect(space, at, nu) for nu in g]) for g in u])
+        for i, u in zip(at, m.portfolio)
+    }
+    return EffFn._of(space, tuple([moved[i] for i in range(len(at))])), at
 
 
 def build_span(c: Cospan) -> SpanResult:
     """Construct the pullback span of a verified, finitely supported cospan.
 
-    The dynamics on the atom of ``w`` over a mediator atom is the mediator's
-    support there transported to the pullback.  Both commuting squares are
-    re-checked at every atom of ``p_f`` and ``q_g``, against the image of
-    that dynamics pushed once per mediator atom; a failure raises
-    InternalInvariantViolation since it cannot occur on verified input.
+    ``p_f``, ``q_g`` and ``tau`` are one construction: the mediator's
+    family at each mediator atom, moved onto the states over it, which are
+    its preimages under ``f``, under ``g``, and the pairs.  The squares
+    commute when each projection sends the pairs over a mediator atom into
+    the preimage over it; that is re-checked per mediator atom, and a
+    failure raises InternalInvariantViolation since it cannot occur on
+    verified input.
     """
     report = verify_cospan(c)
     if not report.ok:
@@ -163,7 +156,8 @@ def build_span(c: Cospan) -> SpanResult:
             "span construction requires finitely supported portfolios"
         )
 
-    p_f, q_g = _preimage_portfolio(c.f, c.p), _preimage_portfolio(c.g, c.q)
+    p_f, at_f = _lifted(c.m, c.p.space.carrier, map(c.f, c.p.space.carrier))
+    q_g, at_g = _lifted(c.m, c.q.space.carrier, map(c.g, c.q.space.carrier))
 
     over: dict[str, list[str]] = {}  # per mediator state, g's fiber in carrier order
     for t in c.q.space.carrier:
@@ -173,28 +167,14 @@ def build_span(c: Cospan) -> SpanResult:
     states = (*c.p.space.carrier, *c.q.space.carrier)
     escaped = {s: s.replace("\\", "\\\\").replace("|", "\\|") for s in states}
     names = [f"{escaped[s]}|{escaped[t]}" for s, t in pairs]
-    blocks: list[list[str]] = [[] for _ in c.m.space.atoms]
-    for (s, _), name in zip(pairs, names):
-        blocks[c.m.space.atom_of(c.f(s))].append(name)
-    w = Space(names, blocks)
-    representative = [members[0] for members in blocks]
-    mediator_atom = {name: a for a, name in enumerate(representative)}
+    tau, at_w = _lifted(c.m, names, [c.f(s) for s, _ in pairs])
+    w = tau.space
     pi_s = MeasurableMap(w, p_f.space, {name: s for name, (s, _) in zip(names, pairs)})
     pi_t = MeasurableMap(w, q_g.space, {name: t for name, (_, t) in zip(names, pairs)})
-
-    # Measures on w correspond to mediator measures atom for atom; transport
-    # the mediator's support at u by reading its mass per mediator atom.
-    def transport(nu: SubProb) -> SubProb:
-        return SubProb.of(w, {representative[a]: n for a, n in zip(nu.atoms, nu.nums)}, nu.den)
-
-    supports = (MeasureSet(w, map(transport, u.generators[0])) for u in c.m.portfolio)
-    dynamics = [UpperSet(w, (support,)) for support in supports]
-    for side, pi, leg, end in (("left", pi_s, c.f, p_f), ("right", pi_t, c.g, q_g)):
-        pushed = [push_upperset(pi, at) for at in dynamics]
-        for block, u in zip(end.space.atoms, end.portfolio):
-            if not equals(pushed[c.m.space.atom_of(leg(block[0]))], u):
-                raise InternalInvariantViolation(f"{side} square fails at {block[0]}")
-    tau = EffFn._of(w, tuple(dynamics[mediator_atom[block[0]]] for block in w.atoms))
+    for side, pi, at in (("left", pi_s, at_f), ("right", pi_t, at_g)):
+        for block, i, j in zip(c.m.space.atoms, at_w, at):
+            if pi.atom_map[i] != j:
+                raise InternalInvariantViolation(f"{side} square fails over {block[0]}")
     return SpanResult(w, tau, p_f, q_g, pi_s, pi_t)
 
 

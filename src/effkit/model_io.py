@@ -10,7 +10,9 @@ omitted states carrying mass zero.
 Files are read as bytes and decoded as UTF-8 (RFC 8259), whatever the
 locale; a file that is not UTF-8 or not JSON, nests too deeply or holds an
 integer too long to convert is a located :class:`ModelFormatError`.  A
-measure object is read straight to integer numerators over the lcm of its
+file's objects decode to tuples of (key, value) pairs, so one that repeats
+a key is refused where it is read; a document built in code may hold dicts.
+A measure object is read straight to integer numerators over the lcm of its
 denominators, each rational string parsed once per load, and handed to the
 routine that reduces and interns every measure
 (docs/derivations.md, section 13); one that repeats in a file loads as one
@@ -84,6 +86,19 @@ def _rational(raw: str) -> tuple[int, int] | None:
         return None
 
 
+def _object(raw: Any, file: str | None, where: str) -> Mapping[str, Any] | None:
+    """The JSON object ``raw`` at ``where`` as a mapping, the pairs a file's
+    object decodes to refused if a key repeats; None if ``raw`` is no object."""
+    if not isinstance(raw, tuple):
+        return raw if isinstance(raw, Mapping) else None
+    table = dict(raw)
+    if len(table) < len(raw):
+        seen: set[str] = set()
+        repeated = next(k for k, _ in raw if k in seen or seen.add(k))
+        raise _fail(f"duplicate key {repeated!r}", file, where)
+    return table
+
+
 def _read_measure(
     space: Space, file: str | None, read: dict, rationals: dict, raw: Any, where: str, i: int
 ) -> SubProb:
@@ -91,13 +106,14 @@ def _read_measure(
     its values are parsed, then its states resolved to atoms with integer
     numerators over the lcm of the denominators, which go straight to
     ``measure._interned``, so faults are reported in the order rationals,
-    states, mass.  ``read`` maps the items of each measure object
-    read before in the file to its measure, so a repeat is not parsed again
-    (equal measures are one object anyway), and ``rationals`` maps each
-    rational string read before to its numerator and denominator."""
-    if not isinstance(raw, dict):
+    states (a state given twice among them), mass.  ``read`` maps the items
+    of each measure object read before in the file to its measure, so a
+    repeat is not parsed again (equal measures are one object anyway), and
+    ``rationals`` maps each rational string read before to its numerator
+    and denominator."""
+    key = tuple(raw.items()) if isinstance(raw, dict) else raw  # a file's object is its pairs
+    if not isinstance(key, tuple):
         raise _fail(f"a measure must be an object, got {type(raw).__name__}", file, f"{where}[{i}]")
-    key = tuple(raw.items())
     try:
         mu = read.get(key)
     except TypeError:  # an unhashable value, which the parse reports
@@ -106,7 +122,7 @@ def _read_measure(
         return mu
     den = 1
     parts = []
-    for state, value in raw.items():
+    for state, value in key:
         pq = None
         if isinstance(value, str):
             pq = rationals.get(value)
@@ -120,13 +136,15 @@ def _read_measure(
         parts.append(pq)
     index = space._atom_index
     mass = {}
-    for state, (p, q) in zip(raw, parts):
+    for (state, _), (p, q) in zip(key, parts):
         a = index.get(state)
         if a is None:
             raise _fail(f"state {state!r} not in carrier", file, f"{where}[{i}]")
         if a in mass:
-            first = next(s for s in raw if index[s] == a)
+            first = next(s for s, _ in key if index[s] == a)
             message = f"states {first!r} and {state!r} lie in one atom; give the atom's mass once"
+            if first == state:
+                message = f"duplicate key {state!r}"
             raise _fail(message, file, f"{where}[{i}]")
         mass[a] = p * (den // q)
     try:
@@ -156,8 +174,10 @@ def _parse_space(doc: Mapping[str, Any], file: str | None) -> Space:
         raise _fail(str(exc), file, "sigma") from exc
 
 
-def model_from_dict(doc: Mapping[str, Any], file: str | None = None) -> Nlmp | EffFn:
-    if not isinstance(doc, Mapping):
+def model_from_dict(doc: Mapping[str, Any] | tuple, file: str | None = None) -> Nlmp | EffFn:
+    """The model a JSON document describes, its objects dicts or pairs."""
+    doc = _object(doc, file, "$")
+    if doc is None:
         raise _fail("model file must hold a JSON object", file, "$")
     kind = doc.get("kind")
     if kind not in KINDS.values():
@@ -170,13 +190,13 @@ def model_from_dict(doc: Mapping[str, Any], file: str | None = None) -> Nlmp | E
             raise _fail("'labels' must be a list of strings", file, "labels")
         if len(set(labels)) != len(labels):
             raise _fail("duplicate label names", file, "labels")
-        kernels_doc = doc.get("kernels")
-        if not isinstance(kernels_doc, dict) or set(kernels_doc) != set(labels):
+        kernels_doc = _object(doc.get("kernels"), file, "kernels")
+        if kernels_doc is None or set(kernels_doc) != set(labels):
             raise _fail("'kernels' must map every label to a kernel", file, "kernels")
         kernels = {}
         for label in labels:
-            per_state = kernels_doc[label]
-            if not isinstance(per_state, dict):
+            per_state = _object(kernels_doc[label], file, f"kernels.{label}")
+            if per_state is None:
                 raise _fail("a kernel must map states to measure lists", file, f"kernels.{label}")
             image = {}
             for state, measures in per_state.items():
@@ -193,8 +213,8 @@ def model_from_dict(doc: Mapping[str, Any], file: str | None = None) -> Nlmp | E
                 raise _fail(f"{head} under label {label!r}; {rule}", file, "sigma") from exc
         return Nlmp(space, kernels)
 
-    eff_doc = doc.get("effectivity")
-    if not isinstance(eff_doc, dict):
+    eff_doc = _object(doc.get("effectivity"), file, "effectivity")
+    if eff_doc is None:
         raise _fail("'effectivity' must map states to generator lists", file, "effectivity")
     portfolio = {}
     for state, gens in eff_doc.items():
@@ -233,7 +253,7 @@ def _read_json(path: str | Path) -> Any:
             f"invalid UTF-8: {exc.reason} at byte {exc.start}", file=file, location=f"line {line}"
         ) from exc
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=tuple)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(
             f"invalid JSON: {exc.msg}", file=file, location=f"line {exc.lineno}"
@@ -267,21 +287,18 @@ def load_partition(path: str | Path, space: Space) -> Space:
 def load_map(path: str | Path, domain: Space, codomain: Space) -> MeasurableMap:
     """A map file carries a 'map' object (and, informationally, the paths of
     its endpoint models)."""
-    doc = _read_json(path)
-    if not isinstance(doc, Mapping) or not isinstance(doc.get("map"), dict):
-        raise ModelFormatError(
-            "map file must hold an object with a 'map' entry", file=str(path), location="map"
-        )
-    table = doc["map"]
+    file = str(path)
+    doc = _object(_read_json(path), file, "$")
+    table = None if doc is None else _object(doc.get("map"), file, "map")
+    if table is None:
+        raise _fail("map file must hold an object with a 'map' entry", file, "map")
     for k, v in table.items():
         if not isinstance(k, str) or not isinstance(v, str):
-            raise ModelFormatError(
-                "map entries must be state-to-state strings", file=str(path), location=f"map.{k}"
-            )
+            raise _fail("map entries must be state-to-state strings", file, f"map.{k}")
     try:
         return MeasurableMap(domain, codomain, table)
     except EffkitError as exc:
-        raise ModelFormatError(str(exc), file=str(path), location="map") from exc
+        raise _fail(str(exc), file, "map") from exc
 
 
 # An emitted model holds every measure at one depth, so a measure's JSON

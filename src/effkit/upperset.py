@@ -296,17 +296,19 @@ def dual(u: UpperSet) -> UpperSet:
             else:
                 grown.extend([h | bit for bit in bits])
         partial = _minimal(grown)
-    return UpperSet(space, (MeasureSet(space, _members(h, member)) for h in partial))
+    # a deduplicated antichain of masks: the checked constructors would find nothing to drop
+    gens = [MeasureSet._of(space, h, _members(h, member)) for h in partial]
+    return UpperSet._of(space, tuple(gens))
 
 
-def _members(mask: int, member: dict[int, SubProb]) -> list[SubProb]:
+def _members(mask: int, member: dict[int, SubProb]) -> tuple[SubProb, ...]:
     """The measures whose bits ``mask`` sets, lowest id first."""
     out = []
     while mask:
         low = mask & -mask
         out.append(member[low])
         mask ^= low
-    return out
+    return tuple(out)
 
 
 def equals(u: UpperSet, v: UpperSet) -> bool:

@@ -164,6 +164,62 @@ class TestValidate:
             "message": "state 's0' appears twice in one atom",
         }
 
+    @pytest.mark.parametrize(
+        "text, location, key",
+        [
+            (
+                '{"kind": "ef", "states": ["s0"], "effectivity": {"s0": [[{"s0": "1/2", "s0": "1/3"}]]}}',
+                "effectivity.s0[0][0]",
+                "s0",
+            ),
+            (
+                '{"kind": "ef", "states": ["s0"], "effectivity": {"s0": [[{}]], "s0": [[]]}}',
+                "effectivity",
+                "s0",
+            ),
+            (
+                '{"kind": "nlmp", "states": ["s0"], "labels": ["a"],'
+                ' "kernels": {"a": {"s0": [{}], "s0": []}}}',
+                "kernels.a",
+                "s0",
+            ),
+            (
+                '{"kind": "nlmp", "states": ["s0"], "labels": ["a"],'
+                ' "kernels": {"a": {"s0": [{}]}, "a": {"s0": []}}}',
+                "kernels",
+                "a",
+            ),
+            ('{"kind": "ef", "states": ["s0"], "effectivity": {"s0": []}, "kind": "nlmp"}', "$", "kind"),
+        ],
+        ids=["measure", "effectivity", "kernel", "kernels", "document"],
+    )
+    def test_a_repeated_key_is_refused(self, tmp_path, text, location, key):
+        path = tmp_path / "twice.json"
+        path.write_text(text)
+        code, out, err = invoke("validate", str(path))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {
+            "file": str(path),
+            "location": location,
+            "message": f"duplicate key {key!r}",
+        }
+
+    def test_a_state_repeated_in_a_map_is_refused(self, efA, tmp_path):
+        path = tmp_path / "twice.map.json"
+        for text, location in (
+            ('{"map": {"s0": "s0", "s1": "s1", "s2": "s2", "s0": "s1"}}', "map"),
+            ('{"map": {"s0": "s0", "s1": "s1", "s2": "s2"}, "map": {}}', "$"),
+        ):
+            path.write_text(text)
+            code, out, err = invoke("morphism", efA, efA, "--map", str(path))
+            assert (code, out) == (2, "")
+            key = "s0" if location == "map" else "map"
+            assert json.loads(err)["error"] == {
+                "file": str(path),
+                "location": location,
+                "message": f"duplicate key {key!r}",
+            }
+
     def test_mass_exceeds_one(self, tmp_path):
         doc = {
             "kind": "nlmp",

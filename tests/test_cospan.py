@@ -34,7 +34,7 @@ from effkit import (
     support_relations,
     verify_cospan,
 )
-from effkit import cospan
+from effkit import cospan, effectivity
 from effkit.effectivity import push_upperset
 from helpers import (
     atom_map_oracle,
@@ -260,23 +260,24 @@ def one_block_cospan(n: int) -> Cospan:
 
 class TestSpanWork:
     def test_pushes_grow_with_states_not_pairs(self, monkeypatch):
+        """On the one-block cospan of n states, verification pushes one
+        family per atom of p and of q, 2n in all, and the span moves the
+        mediator's one family, of one measure, once per space it builds:
+        p_f's, q_g's and w's.  Nothing grows with the n * n pairs."""
         calls: Counter = Counter()
-        for name in ("pushforward", "push_upperset"):
-            if hasattr(cospan, name):
-                def counted(*args, _push=getattr(cospan, name)):
-                    calls["push"] += 1
-                    return _push(*args)
+        for module, name in ((effectivity, "push_upperset"), (cospan, "_collect")):
+            def counted(*args, _real=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
 
-                monkeypatch.setattr(cospan, name, counted)
-        pushes = {}
+            monkeypatch.setattr(module, name, counted)
         for n in (10, 20, 40):
             c = one_block_cospan(n)
             assert len(c.m.space.carrier) == 1
-            before = calls["push"]
+            assert [len(g) for u in c.m.portfolio for g in u] == [1]
+            calls.clear()
             assert len(build_span(c).w.carrier) == n * n
-            pushes[n] = calls["push"] - before
-        # linear in n: doubling n doubles the increment; n * n pairs would quadruple it
-        assert pushes[40] - pushes[20] == 2 * (pushes[20] - pushes[10]), pushes
+            assert calls == {"push_upperset": 2 * n, "_collect": 3}, (n, calls)
 
     def test_atom_maps_do_not_grow_with_states(self, monkeypatch):
         calls: Counter = Counter()

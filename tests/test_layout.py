@@ -119,15 +119,13 @@ def _owners(tree: ast.AST) -> dict[int, str]:
 
 def test_measure_supports_are_read_in_few_places():
     """A measure's support, its ``atoms`` beside its ``nums``, is read
-    outside ``measure.py`` only by the engine's round (``_refine``), the
-    model writer's measure renderer (``_measure_text``) and the span's
-    ``transport``.  A read
+    outside ``measure.py`` only by the engine's round (``_refine``) and the
+    model writer's measure renderer (``_measure_text``).  A read
     of ``.atoms`` counts as a measure's when its object is also read for
     ``.nums`` in that module, or is named ``mu`` or ``nu``."""
     allowed = {
         "effectivity.py:_refine",
         "model_io.py:_measure_text",
-        "cospan.py:transport",
     }
     where = set()
     for path in sorted(SRC.glob("*.py")):

@@ -15,8 +15,9 @@ refinement runs up to 60 rounds (the workloads never run more than 14):
 ``bisim``, ``bisim --pairs``, ``lequiv``, ``distinguish`` and ``eval
 --state`` of its witness on both states, for one pair on each of the NLMP
 and ef 2-clone 1/2-chains at n = 60, the ring at n = 60 and the harder
-ring at n = 50.  It saves under DIR, which must be new or
-empty, every input file as each request read it (``files/``, by content
+ring at n = 50; and ``span`` on a one-block cospan at n = 30 (900 pairs
+over one mediator state) and on a cospan whose mediator has a two-state
+atom.  It saves under DIR, which must be new or empty, every input file as each request read it (``files/``, by content
 hash) and, per request, its argv, exit code, stdout and stderr
 (``requests.json``).
 
@@ -70,11 +71,70 @@ def _harder_ring(n: int) -> dict:
     return {"kind": "nlmp", "states": states, "labels": ["a"], "kernels": {"a": kernel}}
 
 
+def _one_block_cospan(n: int) -> dict:
+    """A cospan's files as documents: an n-state portfolio whose states
+    each hold one measure of mass 1/2 on a random state, twice, over the one
+    state of its quotient by its greatest bisimulation."""
+    rng = random.Random(n)
+    states = [f"s{i}" for i in range(n)]
+    p = {s: [[{states[rng.randrange(n)]: "1/2"}]] for s in states}
+    leg = {"map": {s: "m" for s in states}}
+    return {
+        "p": {"kind": "ef", "states": states, "effectivity": p},
+        "m": {"kind": "ef", "states": ["m"], "effectivity": {"m": [[{"m": "1/2"}]]}},
+        "f": leg,
+        "g": leg,
+    }
+
+
+def _coarse_cospan() -> dict:
+    """A cospan's files as documents: the mediator has the atom {u0, u1};
+    the left side is discrete, the right side has the atom {t0, t1} over
+    it."""
+    return {
+        "p": {
+            "kind": "ef",
+            "states": ["p0", "p1", "p2", "p3", "p4"],
+            "effectivity": {
+                "p0": [[{"p3": "1/2"}]],
+                "p1": [[{"p3": "1/4", "p4": "1/4"}]],
+                "p2": [[{"p4": "1/2"}]],
+                "p3": [[{"p0": "1/3", "p4": "1/3"}]],
+                "p4": [[{"p1": "1/6", "p2": "1/6", "p3": "1/3"}]],
+            },
+        },
+        "q": {
+            "kind": "ef",
+            "states": ["t0", "t1", "t2", "t3"],
+            "sigma": [["t0", "t1"], ["t2"], ["t3"]],
+            "effectivity": {
+                "t0": [[{"t2": "1/2"}]],
+                "t1": [[{"t2": "1/2"}]],
+                "t2": [[{"t0": "1/3", "t3": "1/3"}]],
+                "t3": [[{"t1": "1/3", "t2": "1/6", "t3": "1/6"}]],
+            },
+        },
+        "m": {
+            "kind": "ef",
+            "states": ["u0", "u1", "v"],
+            "sigma": [["u0", "u1"], ["v"]],
+            "effectivity": {
+                "u0": [[{"v": "1/2"}]],
+                "u1": [[{"v": "1/2"}]],
+                "v": [[{"u0": "1/3", "v": "1/3"}]],
+            },
+        },
+        "f": {"map": {"p0": "u0", "p1": "u1", "p2": "u1", "p3": "v", "p4": "v"}},
+        "g": {"map": {"t0": "u0", "t1": "u1", "t2": "v", "t3": "v"}},
+    }
+
+
 def _deep_set(workdir: Path, send) -> None:
     """The deep set's requests through ``send(argv)``, which returns the
     answer.  Each model is asked about its first state and one more: on the
     chains a state of the second level, which parts from the first in the
-    next-to-last round; on the rings the fourth state."""
+    next-to-last round; on the rings the fourth state.  Then ``span`` on
+    each cospan, the one-block one with its left side as both sides."""
     import gen
 
     workdir.mkdir(parents=True)
@@ -97,6 +157,13 @@ def _deep_set(workdir: Path, send) -> None:
         if formula is not None:
             for state in (s, t):
                 send(["eval", model, "--formula", formula, "--state", state])
+    for name, docs in (("one-block", _one_block_cospan(30)), ("coarse", _coarse_cospan())):
+        paths = {}
+        for part, doc in docs.items():
+            paths[part] = workdir / f"{name}.{part}.json"
+            paths[part].write_text(json.dumps(doc), encoding="utf-8")
+        p, q, m, f, g = (str(paths.get(part, paths["p"])) for part in "pqmfg")
+        send(["span", p, q, m, "--f", f, "--g", g])
 
 
 def _import_cli(checkout: Path):
