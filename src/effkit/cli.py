@@ -131,15 +131,31 @@ def cmd_validate(args) -> tuple[int, dict[str, Any]]:
     }
 
 
+def _pair_states(space, text: str) -> tuple[str, str]:
+    """The states ``s, t`` of ``--pairs s,t``, split at the one comma that
+    leaves two carrier states; state names may hold commas."""
+    known = space._index
+    longest = max(map(len, known), default=0)  # neither part of a cut is longer
+    window = range(max(len(text) - longest - 1, 0), min(longest, len(text) - 1) + 1)
+    cuts = [i for i in window if text[i] == "," and text[:i] in known and text[i + 1:] in known]
+    if len(cuts) > 1:
+        message = f"--pairs is ambiguous: {len(cuts)} of its commas split it into two states"
+        raise ModelFormatError(message, location="--pairs")
+    if cuts:
+        return text[: cuts[0]], text[cuts[0] + 1:]
+    try:
+        s, t = text.split(",")
+    except ValueError:
+        raise ModelFormatError("--pairs wants 's,t'", location="--pairs") from None
+    _located("--pairs", space.index, s)
+    _located("--pairs", space.index, t)
+    return s, t
+
+
 def cmd_bisim(args) -> tuple[int, dict[str, Any]]:
     model = load_model(args.model)
     if args.pairs:
-        try:
-            s, t = args.pairs.split(",")
-        except ValueError:
-            raise ModelFormatError("--pairs wants 's,t'", location="--pairs") from None
-        _located("--pairs", model.space.index, s)
-        _located("--pairs", model.space.index, t)
+        s, t = _pair_states(model.space, args.pairs)
     if isinstance(model, Nlmp):
         rel = nlmp_ops.greatest_bisim(model)
     else:

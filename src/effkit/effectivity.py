@@ -14,7 +14,6 @@ finite generator antichains; the reductions are spelled out per operation.
 
 from __future__ import annotations
 
-from itertools import islice
 from math import gcd
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -118,7 +117,7 @@ Split = tuple[tuple[int, "tuple[int, ...] | None"], ...]
 
 
 def _refine(space: Space, portfolios: Sequence[EffFn], block_of: Sequence[int]) -> Iterator[
-    tuple[Callable[[SubProb], int], dict[int, Split], Callable[[], list[tuple[int, ...]]]]
+    tuple[Callable[[SubProb], int], dict[int, Split], list[int]]
 ]:
     """Split-driven signature refinement of a partition of the atoms of
     ``space``, given by a block id per atom (``Space.atom_map``'s form),
@@ -135,29 +134,26 @@ def _refine(space: Space, portfolios: Sequence[EffFn], block_of: Sequence[int]) 
     that splits no block.
 
     Blocks, class ids and signatures persist across rounds.  A block keeps
-    its id until it splits; then its largest class keeps it and the others
-    get new ones.  The first round keys every measure and signs every
-    atom.  A later round re-keys only the measures whose support meets an
-    atom that moved to a new block id, re-signs only the atoms holding a
-    measure whose class id changed, and regroups only those atoms of their
-    blocks; the other atoms of a block keep the signature they share.  An
-    atom moves only into a class at most half its block's size, so at most
-    log2 of the atoms times (section 7).
+    its id until it splits; then its first largest class keeps it and the
+    others get new ones.  The first round keys every measure and signs
+    every atom.  A later round re-keys only the measures whose support
+    meets an atom that moved to a new block id, re-signs only the atoms
+    holding a measure whose class id changed, and regroups only those atoms
+    of their blocks; the other atoms of a block keep the signature they
+    share.  An atom moves only into a class at most half its block's size,
+    so at most log2 of the atoms times (section 7).
 
     Each round yields three things:
 
     * ``class_of``, the class id of a measure in that round; it keeps
       answering for its round after the engine moves on;
     * the round's splits: per id of a block that split, its classes as a
-      ``Split``.  The class keeping the block's id lists None, as its atoms
-      are the block's outside the other classes, which may be many;
-    * ``partition``, which lists the current blocks as tuples of atoms.
-
-    The first round's blocks come in the order of their least atoms, a
-    block's classes in the order of theirs, and the next round's blocks
-    are the classes in that order; atoms are numbered by their least
-    state, so this is the order a reading by states gives.  Every class
-    lists its atoms in increasing order."""
+      ``Split``: first the atoms not re-signed, if any, then the re-signed
+      groups in the order of their least atoms.  The class keeping the
+      block's id lists None, as its atoms are the block's outside the other
+      classes, which may be many;
+    * ``block_of``, the block id per atom after the round: the engine's own
+      list, valid until the engine moves on."""
     number: dict[SubProb, int] = {}  # in order of first use
     families = [
         tuple([[tuple([number.setdefault(mu, len(number)) for mu in g]) for g in p.portfolio[a]]
@@ -175,23 +171,12 @@ def _refine(space: Space, portfolios: Sequence[EffFn], block_of: Sequence[int]) 
     else:
         supports = [(mu.den, mu.atoms, mu.nums) for mu in measures]
     cid = [vectors.setdefault(_key(*support, block_of), len(vectors)) for support in supports]
-    head = dict.fromkeys(members, 0)  # per block, where its atoms begin in ``members``
     size = {b: len(atoms) for b, atoms in members.items()}
     shared: dict[int, tuple] = {}  # per block, the signature its atoms share
-    chain = [None, *members, None]
-    after = dict(zip(chain, chain[1:]))  # the blocks in order, linked from None to None
-    before = dict(zip(chain[1:], chain))
     fresh = max(members, default=-1) + 1
     signing = dict(members)  # per block, the atoms to sign this round, increasing
     log: list = [None]  # [the next round's (old class ids, log)], once it runs
     measures_of = atoms_of = None  # the indices, built for a second round
-
-    def partition() -> list[tuple[int, ...]]:
-        blocks, x = [], after[None]
-        while x is not None:
-            blocks.append(tuple([a for a in islice(members[x], head[x], None) if block_of[a] == x]))
-            x = after[x]
-        return blocks
 
     while True:
         splits: dict[int, Split] = {}
@@ -206,37 +191,26 @@ def _refine(space: Space, portfolios: Sequence[EffFn], block_of: Sequence[int]) 
                 if groups:  # every atom re-signed to one new signature
                     shared[x] = next(iter(groups))
                 continue
-            classes = [(g[0], len(g), s, g) for s, g in groups.items()]
-            if stay:  # its least atom, past the atoms that left: O(signed) amortized
+            classes = [(stay, shared[x], None)] if stay else []
+            classes += [(len(g), s, g) for s, g in groups.items()]
+            kept = max(classes, key=itemgetter(0))  # the first largest
+            if stay and kept[2] is not None:  # the atoms that stay move out too
                 gone = {a for g in groups.values() for a in g}
-                atoms, h = members[x], head[x]
-                while block_of[atoms[h]] != x:
-                    h += 1
-                head[x] = h
-                least = next(a for a in islice(atoms, h, None) if block_of[a] == x and a not in gone)
-                classes.append((least, stay, shared[x], None))
-                classes.sort(key=itemgetter(0))
-            kept = max(classes, key=lambda c: (c[1], c[3] is None))
-            if stay and kept[3] is not None:  # the atoms that stay move out too
-                rest = [a for a in islice(members[x], head[x], None) if block_of[a] == x and a not in gone]
-                classes = [c if c[3] is not None else (*c[:3], rest) for c in classes]
+                rest = [a for a in members[x] if block_of[a] == x and a not in gone]
+                classes[0] = (stay, shared[x], rest)
             split = []
             for c in classes:
-                i, atoms = x, c[3]
+                n, s, atoms = c
+                i = x
                 if c is not kept:
                     i, fresh = fresh, fresh + 1
                     moved.extend(atoms)
-                if atoms is not None:
-                    members[i], head[i] = atoms, 0
-                size[i], shared[i] = c[1], c[2]
-                split.append((i, None if c is kept else tuple(atoms)))
-            for i, atoms in split:
-                if atoms is not None:
                     for a in atoms:
                         block_of[a] = i
-            chain = [before[x], *(i for i, _ in split), after[x]]
-            after.update(zip(chain, chain[1:]))
-            before.update(zip(chain[1:], chain))
+                if atoms is not None:
+                    members[i] = atoms
+                size[i], shared[i] = n, s
+                split.append((i, None if c is kept else tuple(atoms)))
             splits[x] = tuple(split)
 
         def class_of(mu: SubProb, log=log) -> int:
@@ -247,7 +221,7 @@ def _refine(space: Space, portfolios: Sequence[EffFn], block_of: Sequence[int]) 
                     return old[m]
             return cid[m]
 
-        yield class_of, splits, partition
+        yield class_of, splits, block_of
         if not splits:
             return
         if measures_of is None:
@@ -275,25 +249,25 @@ def _refine(space: Space, portfolios: Sequence[EffFn], block_of: Sequence[int]) 
 
 
 def _greatest_bisim(space: Space, portfolios: Sequence[EffFn]) -> Relation:
-    for _, _, partition in _refine(space, portfolios, [0] * len(space.atoms)):
+    for _, _, block_of in _refine(space, portfolios, [0] * len(space.atoms)):
         pass
-    blocks = [[s for a in c for s in space.atoms[a]] for c in partition()]
-    return Relation.from_partition(space, blocks)
+    blocks: dict[int, list[str]] = {}
+    for a, b in enumerate(block_of):
+        blocks.setdefault(b, []).extend(space.atoms[a])
+    return Relation.from_partition(space, blocks.values())
+
+
+def _stable(space: Space, portfolios: Sequence[EffFn], block_of: Sequence[int]) -> bool:
+    """Whether one refinement round splits no block of a partition of the
+    atoms (a block id per atom)."""
+    return not next(_refine(space, portfolios, block_of))[1]
 
 
 def _is_bisim(portfolios: Sequence[EffFn], rel: Relation) -> bool:
-    """One round under ``sigma_r(rel)``: a pair of the symmetric relation
-    passes the transfer test iff its two atoms have equal signatures."""
-    space = rel.base
-    block_of = list(space.atom_map(sigma_r(rel)))
-    _, splits, _ = next(_refine(space, portfolios, block_of))
-    for split in splits.values():
-        for i, atoms in split:
-            for a in atoms or ():
-                block_of[a] = i
-    atom_of = space._atom_index
-    pairs = rel._holders.items()
-    return all(len({block_of[atom_of[s]] for s in (*h, *ts)}) == 1 for ts, h in pairs if ts)
+    """Whether no block of ``sigma_r(rel)`` splits: its blocks connect the
+    related pairs, so that is equal signatures on every related pair
+    (docs/derivations.md, section 7)."""
+    return _stable(rel.base, portfolios, rel.base.atom_map(sigma_r(rel)))
 
 
 def is_ef_state_bisim(p: EffFn, rel: Relation) -> bool:
@@ -450,16 +424,15 @@ def is_subsystem(p: EffFn, coarser: Space) -> bool:
     """Whether a coarser sigma-algebra on the carrier cuts out a subsystem:
     the portfolio restricted to the coarser space must be constant on each
     coarser atom, which is the finite form of t-measurability of the
-    restricted portfolio.  One refinement round from the coarser atoms
-    decides it: they are their own atom closure, and equal signatures are
-    equal restricted antichains (docs/derivations.md, section 6)."""
+    restricted portfolio.  It holds iff one refinement round splits no
+    coarser atom: they are their own atom closure, and equal signatures
+    are equal restricted antichains (docs/derivations.md, section 6)."""
     into = p.space.atom_map(coarser)
     if into is None:
         raise IncompatiblePartitionError(
             "subsystem test needs a coarsening of the portfolio space's atoms"
         )
-    _, splits, _ = next(_refine(p.space, (p,), into))
-    return not splits
+    return _stable(p.space, (p,), into)
 
 
 def dual_ef(p: EffFn) -> EffFn:

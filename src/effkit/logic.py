@@ -562,9 +562,11 @@ class _Refiner:
     one separating formula, confirmed by the evaluator and checked to cut no
     class of the round; each class then meets its block's up-set with the
     round's extensions containing it (docs/derivations.md, section 12).
-    ``parts`` holds the engine's blocks as (block id, mask) pairs in the
-    engine's order, the round's splits spliced in; ``blocks`` holds their
-    (key, extension, formula) records in that order, ``upsets`` in key
+    ``parts`` holds the engine's blocks as (block id, mask) pairs, a split
+    block's classes spliced in where it stood, in the order of their least
+    atoms: the refiner owns this order, which the witnesses follow, and the
+    engine's order of a split's classes is not read.  ``blocks`` holds
+    their (key, extension, formula) records in that order, ``upsets`` in key
     order: by number of states, then by atom indices, which orders them as
     the states' carrier indices would (section 12, step 4).  A key is
     computed once, when its up-set is new.
@@ -587,28 +589,22 @@ class _Refiner:
         the pair reaches together (docs/derivations.md, section 12).  So an
         equivalent pair builds no formula for the last splitting round."""
         a, b = self.p.space.atom_of(s), self.p.space.atom_of(t)
-        block = 0  # the engine's id of the block holding both
         pending = ()
-        for class_of, splits, _ in _refine(self.p.space, (self.p,), [0] * len(self.sizes)):
+        for class_of, splits, block_of in _refine(self.p.space, (self.p,), [0] * len(self.sizes)):
             if not splits:
                 break  # the fixed point: no later round reads the pending one
             if pending:
                 self._round(*pending)
-            ia, ib = (
-                next((i for i, atoms in splits.get(block, ()) if atoms and x in atoms), block)
-                for x in (a, b)
-            )
-            if ia != ib:
+            if block_of[a] != block_of[b]:
                 formula, _, satisfier = self._confirmed(a, b, class_of)
                 satisfier = s if satisfier == a else t
                 return DistinguishResult(equivalent=False, formula=formula, satisfied_by=satisfier)
-            block = ia
             pending = class_of, splits
         return DistinguishResult(equivalent=True)
 
     def _classes(self, splits) -> list[tuple[tuple[int, int], ...]]:
         """Per block of ``parts``, its classes in a round with these splits,
-        as (block id, mask) pairs in the engine's order."""
+        as (block id, mask) pairs in the order of their least atoms."""
         groups = []
         for i, mask in self.parts:
             split = splits.get(i)
@@ -617,7 +613,8 @@ class _Refiner:
                 continue
             moved = {j: sum([1 << a for a in atoms]) for j, atoms in split if atoms is not None}
             rest = mask & ~sum(moved.values())
-            groups.append(tuple((j, moved.get(j, rest)) for j, _ in split))
+            classes = [(j, moved.get(j, rest)) for j, _ in split]
+            groups.append(tuple(sorted(classes, key=lambda c: c[1] & -c[1])))
         return groups
 
     def _round(self, class_of, splits) -> list[tuple[StateFormula, int, int]]:

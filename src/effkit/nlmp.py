@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .effectivity import EffFn, _greatest_bisim, _is_bisim, _mutually_dominate, is_subsystem, sum_ef
+from .effectivity import EffFn, _greatest_bisim, _is_bisim, _mutually_dominate, _stable, sum_ef
 from .errors import ForeignStateError, IncompatiblePartitionError, SpaceMismatchError
 from .measure import SubProb
 from .record import Record
@@ -112,14 +112,15 @@ def is_event_bisim(m: Kernel | Nlmp, coarser: Space) -> bool:
     coarser atom.  This is the finite reduction of hit-measurability against
     the sub-sigma-algebra (docs/derivations.md).  A principal filter
     restricted to the coarser space is constant on an atom exactly when its
-    restricted measure set is, so each label's ``filter_generate``
-    portfolio goes through ``is_subsystem``.
+    restricted measure set is, so the test is one refinement round of all
+    labels' ``filter_generate`` portfolios that splits no coarser atom.
     """
-    if m.space.atom_map(coarser) is None:  # also when there is no label to test
+    into = m.space.atom_map(coarser)
+    if into is None:
         raise IncompatiblePartitionError(
             "event test needs a coarsening of the kernel space's atoms"
         )
-    return all(is_subsystem(p, coarser) for p in _portfolios(m))
+    return _stable(m.space, _portfolios(m), into)
 
 
 def is_nk_morphism(f: MeasurableMap, k: Kernel, k2: Kernel) -> bool:

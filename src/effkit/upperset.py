@@ -19,9 +19,11 @@ live mask names an id that a dead measure gave back, and a bit means one
 measure wherever it is read.  Duplicates are dropped by bit, containment is
 a bit test and ``A ⊆ B`` is ``A & ~B == 0``.  One routine, ``_minimal``,
 keeps the minimal members of a family of masks in popcount order; the
-``UpperSet`` constructor, ``dual`` (whose hitting sets are masks until the
-end) and the refinement engine's signatures all use it.  Two antichains are
-equal iff their sets of generator masks are.
+``UpperSet`` constructor and ``dual`` (whose hitting sets are masks until
+the end) use it.  The refinement engine's signatures do not: they are
+frozensets of class ids, which are never reset across rounds, so masks
+over them would grow without bound.  Two antichains are equal iff their
+sets of generator masks are.
 
 Iteration, ``len`` and ``in`` read the sets as built.  The canonical order,
 measures by mass vector and generators by size and then by their members,

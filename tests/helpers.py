@@ -1513,7 +1513,7 @@ def atom_twin(p: EffFn) -> tuple[EffFn, MeasurableMap]:
 
 def start_blocks(block_of) -> list[tuple[int, tuple[int, ...]]]:
     """The blocks of a block id per atom, as (id, atoms) pairs in the order
-    of their least atoms: ``effectivity._refine``'s first round's blocks."""
+    of their least atoms, as ``_Refiner`` and ``refine_oracle`` list them."""
     grouped: dict[int, list[int]] = {}
     for a, b in enumerate(block_of):
         grouped.setdefault(b, []).append(a)
@@ -1524,13 +1524,14 @@ def whole_round(blocks, splits) -> tuple[list, tuple]:
     """The blocks after a round of ``effectivity._refine`` with these
     splits, and the round's classes per block in the form the engine gave
     before it yielded splits, from the blocks before it (both as (id,
-    atoms) pairs in the engine's order)."""
+    atoms) pairs, a split block's classes in the order of their least
+    atoms, as ``_Refiner._classes`` lists them)."""
     after, classes = [], []
     for i, atoms in blocks:
         split = splits.get(i, ((i, None),))
         moved = {a for _, c in split if c is not None for a in c}
         rest = tuple(a for a in atoms if a not in moved)
-        group = tuple((j, rest if c is None else c) for j, c in split)
+        group = sorted(((j, rest if c is None else c) for j, c in split), key=lambda jc: jc[1][0])
         after += group
         classes.append(tuple(c for _, c in group))
     return after, tuple(classes)
@@ -1540,13 +1541,18 @@ def engine_rounds(space: Space, portfolios, blocks) -> list:
     """``effectivity._refine``'s rounds from a partition of the carrier into
     unions of atoms, each with its classes as states and its ``class_of``,
     read after the engine has finished: the form of ``refine_oracle``.
-    Checks the engine's ``partition`` against the blocks its splits give."""
+    Checks each round's ``block_of``, atom by atom, against the blocks its
+    splits give."""
     start = space.atom_map(Space(space.carrier, blocks))
     parts = start_blocks(start)
     rounds = []
-    for class_of, splits, partition in _refine(space, portfolios, start):
+    for class_of, splits, block_of in _refine(space, portfolios, start):
         parts, classes = whole_round(parts, splits)
-        assert partition() == [atoms for _, atoms in parts]
+        expected = [None] * len(block_of)
+        for i, atoms in parts:
+            for a in atoms:
+                expected[a] = i
+        assert block_of == expected
         states = tuple(tuple(atom_states(space, c) for c in group) for group in classes)
         rounds.append((states, class_of))
     return rounds

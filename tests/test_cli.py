@@ -758,6 +758,44 @@ class TestBisim:
         assert code == 0
         assert json.loads(out)["partition"] == [["s0", "s1"], ["s2"]]
 
+    @staticmethod
+    def named(tmp_path, states) -> str:
+        """An NLMP whose states each put 1/2 on themselves: all bisimilar."""
+        kernel = {s: [{s: "1/2"}] for s in states}
+        doc = {"kind": "nlmp", "states": states, "labels": ["a"], "kernels": {"a": kernel}}
+        return write(tmp_path, "named.json", doc)
+
+    def test_pair_splits_at_the_comma_that_leaves_two_states(self, tmp_path):
+        model = self.named(tmp_path, ["a", "b,c"])
+        code, out, err = invoke("bisim", model, "--pairs", "a,b,c")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["query"] == {"s": "a", "t": "b,c", "bisimilar": True}
+        code, out, _ = invoke("bisim", model, "--pairs", "b,c,a")
+        assert json.loads(out)["query"] == {"s": "b,c", "t": "a", "bisimilar": True}
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ("a,b,d", "--pairs wants 's,t'"),
+            ("a,b", "state 'b' not in carrier"),
+            ("," * 10**5, "--pairs wants 's,t'"),
+        ],
+        ids=["three-parts", "unknown-state", "many-commas"],
+    )
+    def test_pair_that_no_comma_splits_into_two_states_is_refused(self, tmp_path, pair, message):
+        model = self.named(tmp_path, ["a", "b,c"])
+        code, out, err = invoke("bisim", model, "--pairs", pair)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {"file": None, "location": "--pairs", "message": message}
+
+    def test_pair_that_two_commas_split_into_two_states_is_ambiguous(self, tmp_path):
+        model = self.named(tmp_path, ["a", "a,b", "b,c", "c"])
+        code, out, err = invoke("bisim", model, "--pairs", "a,b,c")
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert (error["file"], error["location"]) == (None, "--pairs")
+        assert "ambiguous" in error["message"]
+
 
 class TestPartitionCommands:
     def test_event_bisim(self, kA, tmp_path):

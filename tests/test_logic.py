@@ -729,10 +729,10 @@ class TestLogicalEquivalence:
 
         def rounds(*args):
             parts = start_blocks(args[2])
-            for class_of, splits, partition in _refine(*args):
+            for class_of, splits, block_of in _refine(*args):
                 parts, classes = whole_round(parts, splits)
                 hook["round"](class_of, classes)
-                yield class_of, splits, partition
+                yield class_of, splits, block_of
 
         monkeypatch.setattr(logic, "_refine", rounds)
         monkeypatch.setattr(helpers, "_refine", rounds)
@@ -1007,6 +1007,36 @@ class TestFormulaWorkWaitsForALaterRound:
                     assert format_formula(new.formula) == format_formula(old.formula)
                 compared[new.equivalent] += 1
         assert compared[True] > 0 and compared[False] > 0, compared
+
+
+class TestRefinerOwnsTheClassOrder:
+    """The witnesses follow the refiner's order of a split block's classes,
+    by least atom, and not the order in which the engine lists a round's
+    splits or a split's classes."""
+
+    def test_witnesses_do_not_depend_on_the_engine_order(self, monkeypatch):
+        rng = Random(307)
+        systems = [collision_heavy_ef(rng) for _ in range(20)]
+        systems += [half_chain(n, clone) for n in range(2, 7) for clone in (False, True)]
+
+        def answers() -> list:
+            return [
+                (r.equivalent, r.satisfied_by, r.formula and format_formula(r.formula))
+                for p in systems
+                for s, t in itertools.permutations(p.space.carrier, 2)
+                for r in (distinguish(p, s, t),)
+            ]
+
+        expected = answers()
+        assert any(not equivalent for equivalent, _, _ in expected)
+        refine = logic._refine
+
+        def reversed_rounds(*args):
+            for class_of, splits, block_of in refine(*args):
+                yield class_of, {x: split[::-1] for x, split in reversed(splits.items())}, block_of
+
+        monkeypatch.setattr(logic, "_refine", reversed_rounds)
+        assert answers() == expected
 
 
 class TestIdentityMemos:

@@ -15,11 +15,15 @@ refinement runs up to 60 rounds (the workloads never run more than 14):
 ``bisim``, ``bisim --pairs``, ``lequiv``, ``distinguish`` and ``eval
 --state`` of its witness on both states, for one pair on each of the NLMP
 and ef 2-clone 1/2-chains at n = 60, the ring at n = 60 and the harder
-ring at n = 50; and ``span`` on a one-block cospan at n = 30 (900 pairs
-over one mediator state) and on a cospan whose mediator has a two-state
-atom.  It saves under DIR, which must be new or empty, every input file as each request read it (``files/``, by content
-hash) and, per request, its argv, exit code, stdout and stderr
-(``requests.json``).
+ring at n = 50; ``event-bisim`` and ``subsystem`` (per label) on a
+two-label ring at n = 60, under the partition by parity, which label a
+splits and label b does not, and under its greatest bisimulation, and
+``subsystem`` on the ef chain under its levels with two levels merged;
+and ``span`` on a one-block cospan at n = 30 (900 pairs over one mediator
+state) and on a cospan whose mediator has a two-state atom.  It saves
+under DIR, which must be new or empty, every input file as each request
+read it (``files/``, by content hash) and, per request, its argv, exit
+code, stdout and stderr (``requests.json``).
 
 ``compare`` replays the recording on each CHECKOUT in a subprocess of its
 own that imports that checkout's ``src/effkit``.  The requests are sent in
@@ -69,6 +73,17 @@ def _harder_ring(n: int) -> dict:
     states = [f"s{i}" for i in range(n)]
     kernel = {s: [{states[(i + 1) % n]: f"{1 + i % 3}/4"}] for i, s in enumerate(states)}
     return {"kind": "nlmp", "states": states, "labels": ["a"], "kernels": {"a": kernel}}
+
+
+def _two_label_ring(n: int) -> dict:
+    """The ring under label a; under label b, state i puts 1/2 on state
+    i + 2, so b splits no block of states of one parity, while a splits
+    both (n even)."""
+    doc = _ring(n)
+    states = doc["states"]
+    doc["labels"] = ["a", "b"]
+    doc["kernels"]["b"] = {s: [{states[(i + 2) % n]: "1/2"}] for i, s in enumerate(states)}
+    return doc
 
 
 def _one_block_cospan(n: int) -> dict:
@@ -133,8 +148,10 @@ def _deep_set(workdir: Path, send) -> None:
     """The deep set's requests through ``send(argv)``, which returns the
     answer.  Each model is asked about its first state and one more: on the
     chains a state of the second level, which parts from the first in the
-    next-to-last round; on the rings the fourth state.  Then ``span`` on
-    each cospan, the one-block one with its left side as both sides."""
+    next-to-last round; on the rings the fourth state.  Then the one-round
+    tests, whose partitions are read off the ``bisim`` answers, and
+    ``span`` on each cospan, the one-block one with its left side as both
+    sides."""
     import gen
 
     workdir.mkdir(parents=True)
@@ -144,12 +161,13 @@ def _deep_set(workdir: Path, send) -> None:
         "ring": (_ring(60), 3),
         "harder-ring": (_harder_ring(50), 3),
     }
+    partitions = {}  # name: the partition of its bisim answer
     for name, (doc, other) in models.items():
         path = workdir / f"{name}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         model = str(path)
         s, t = doc["states"][0], doc["states"][other]
-        send(["bisim", model])
+        partitions[name] = json.loads(send(["bisim", model])["out"])["partition"]
         send(["bisim", model, "--pairs", f"{s},{t}"])
         send(["lequiv", model])
         answer = send(["distinguish", model, s, t])
@@ -157,6 +175,22 @@ def _deep_set(workdir: Path, send) -> None:
         if formula is not None:
             for state in (s, t):
                 send(["eval", model, "--formula", formula, "--state", state])
+    ring = workdir / "two-label-ring.json"
+    doc = _two_label_ring(60)
+    ring.write_text(json.dumps(doc), encoding="utf-8")
+    greatest = json.loads(send(["bisim", str(ring)])["out"])["partition"]
+    levels = partitions["chain-e"]
+    merged = [*levels[:29], levels[29] + levels[30], *levels[31:]]
+    parity = [doc["states"][r::2] for r in (0, 1)]
+    for name, blocks in (("parity", parity), ("greatest", greatest), ("merged", merged)):
+        path = workdir / f"{name}.partition.json"
+        path.write_text(json.dumps(blocks), encoding="utf-8")
+        if name == "merged":
+            send(["subsystem", str(workdir / "chain-e.json"), "--partition", str(path)])
+            continue
+        send(["event-bisim", str(ring), "--partition", str(path)])
+        for label in "ab":
+            send(["subsystem", str(ring), "--label", label, "--partition", str(path)])
     for name, docs in (("one-block", _one_block_cospan(30)), ("coarse", _coarse_cospan())):
         paths = {}
         for part, doc in docs.items():
