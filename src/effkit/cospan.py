@@ -17,17 +17,17 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .effectivity import EffFn, _first_unmatched, greatest_ef_bisim, quotient, sum_ef
+from .effectivity import EffFn, _first_unmatched, _moved, greatest_ef_bisim, quotient, sum_ef
 from .errors import (
     EffkitError,
     InternalInvariantViolation,
     NotFinitelySupportedError,
     SpaceMismatchError,
 )
-from .measure import SubProb, _collect
+from .measure import SubProb
 from .record import Record
 from .space import MeasurableMap, Space, compose
-from .upperset import MeasureSet, UpperSet
+from .upperset import UpperSet
 
 __all__ = [
     "Cospan",
@@ -130,10 +130,7 @@ def _lifted(m: EffFn, carrier: Sequence[str], under: Iterable[str]) -> tuple[Eff
         blocks[m.space.atom_of(u)].append(s)
     space = Space(carrier, blocks)
     at = [space.atom_of(block[0]) for block in blocks]
-    moved = {
-        i: UpperSet(space, [MeasureSet(space, [_collect(space, at, nu) for nu in g]) for g in u])
-        for i, u in zip(at, m.portfolio)
-    }
+    moved = {i: UpperSet(space, _moved(u, space, at)) for i, u in zip(at, m.portfolio)}
     return EffFn._of(space, tuple([moved[i] for i in range(len(at))])), at
 
 

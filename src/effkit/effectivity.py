@@ -18,14 +18,8 @@ from math import gcd
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import (
-    ForeignStateError,
-    IncompatiblePartitionError,
-    NotACongruenceError,
-    NotSurjectiveError,
-    SpaceMismatchError,
-)
-from .measure import SubProb, _coarsening, _collect, pushforward, unique_preimages
+from .errors import ForeignStateError, NotACongruenceError, NotSurjectiveError, SpaceMismatchError
+from .measure import SubProb, _coarsening, _collect, unique_preimages
 from .record import Record
 from .space import (
     DirectSum,
@@ -257,24 +251,25 @@ def _greatest_bisim(space: Space, portfolios: Sequence[EffFn]) -> Relation:
     return Relation.from_partition(space, blocks.values())
 
 
-def _stable(space: Space, portfolios: Sequence[EffFn], block_of: Sequence[int]) -> bool:
-    """Whether one refinement round splits no block of a partition of the
-    atoms (a block id per atom)."""
-    return not next(_refine(space, portfolios, block_of))[1]
+def _stable(space: Space, portfolios: Sequence[EffFn], coarser: Space) -> bool:
+    """Whether one refinement round splits no atom of a coarser space, the
+    question of every stability test (docs/derivations.md, sections 6 and 7)."""
+    return not next(_refine(space, portfolios, _coarsening(space, coarser)))[1]
 
 
-def _is_bisim(portfolios: Sequence[EffFn], rel: Relation) -> bool:
-    """Whether no block of ``sigma_r(rel)`` splits: its blocks connect the
-    related pairs, so that is equal signatures on every related pair
-    (docs/derivations.md, section 7)."""
-    return _stable(rel.base, portfolios, rel.base.atom_map(sigma_r(rel)))
+def _is_bisim(space: Space, portfolios: Sequence[EffFn], rel: Relation) -> bool:
+    """Whether no block of ``sigma_r(rel)``, which refuses a relation that is
+    not symmetric, splits: its blocks connect the related pairs, so that is
+    equal signatures on every related pair (docs/derivations.md, section 7)."""
+    if rel.base != space:
+        raise ForeignStateError("relation must be over the model's space")
+    return _stable(space, portfolios, sigma_r(rel))
 
 
 def is_ef_state_bisim(p: EffFn, rel: Relation) -> bool:
-    """State bisimulation test for a symmetric relation on a portfolio."""
-    if rel.base != p.space:
-        raise ForeignStateError("relation must be over the portfolio's space")
-    return _is_bisim((p,), rel)  # sigma_r rejects non-symmetric relations
+    """State bisimulation test for a relation on a portfolio; one that is
+    not symmetric raises ``NonSymmetricRelationError``."""
+    return _is_bisim(p.space, (p,), rel)
 
 
 def greatest_ef_bisim(p: EffFn) -> Relation:
@@ -287,27 +282,24 @@ def greatest_ef_bisim(p: EffFn) -> Relation:
     return _greatest_bisim(p.space, (p,))
 
 
+def _moved(u: Iterable[MeasureSet], space: Space, into: Sequence[int]) -> list[MeasureSet]:
+    """A family's generators moved onto ``space`` measure by measure, the
+    mass of atom ``i`` going to atom ``into[i]`` of ``space``."""
+    return [MeasureSet(space, [_collect(space, into, mu) for mu in g]) for g in u]
+
+
 def push_upperset(f: MeasurableMap, u: UpperSet) -> UpperSet:
     """Image family on the codomain: generated by the pushforward images of
     the generators.  A set belongs to the image family iff its pushforward
     preimage belongs to ``u``."""
     if u.space != f.domain:
         raise SpaceMismatchError("measure does not live on the map's domain")
-    gens = (
-        MeasureSet(f.codomain, (pushforward(f, mu) for mu in g))
-        for g in u
-    )
-    return UpperSet(f.codomain, gens)
+    return UpperSet(f.codomain, _moved(u, f.codomain, f.atom_map))
 
 
 def restrict_upperset(u: UpperSet, coarser: Space) -> UpperSet:
     """Family of restrictions to a coarser sigma-algebra on the carrier."""
-    into = _coarsening(u.space, coarser)
-    gens = (
-        MeasureSet(coarser, (_collect(coarser, into, mu) for mu in g))
-        for g in u
-    )
-    return UpperSet(coarser, gens)
+    return UpperSet(coarser, _moved(u, coarser, _coarsening(u.space, coarser)))
 
 
 def _first_unmatched(f: MeasurableMap, p: EffFn, q: EffFn) -> str | None:
@@ -362,7 +354,7 @@ def _mutually_dominate(f: MeasurableMap, p: EffFn, q: EffFn) -> bool:
     principal filters, the kernel-morphism test (docs/derivations.md, section 9)."""
     for source, b in zip(p.portfolio, f.atom_map):
         target = q.portfolio[b]
-        pushed = [MeasureSet(f.codomain, [pushforward(f, mu) for mu in g]) for g in source]
+        pushed = _moved(source, f.codomain, f.atom_map)
         if not all(any(image.issubset(h) for image in pushed) for h in target):
             return False
         preimages = [_preimage_set(f, h) for h in target]
@@ -383,8 +375,6 @@ def quotient_space(space: Space, alpha: Relation) -> tuple[Space, MeasurableMap]
     """
     if alpha.base != space:
         raise ForeignStateError("equivalence must be over the given space")
-    if not alpha.is_equivalence:
-        raise SpaceMismatchError("quotient requires an equivalence relation")
     classes = alpha.classes()
     name_of = {s: cls[0] for cls in classes for s in cls}
     carrier = tuple(cls[0] for cls in classes)
@@ -426,13 +416,9 @@ def is_subsystem(p: EffFn, coarser: Space) -> bool:
     coarser atom, which is the finite form of t-measurability of the
     restricted portfolio.  It holds iff one refinement round splits no
     coarser atom: they are their own atom closure, and equal signatures
-    are equal restricted antichains (docs/derivations.md, section 6)."""
-    into = p.space.atom_map(coarser)
-    if into is None:
-        raise IncompatiblePartitionError(
-            "subsystem test needs a coarsening of the portfolio space's atoms"
-        )
-    return _stable(p.space, (p,), into)
+    are equal restricted antichains (docs/derivations.md, section 6).  A
+    non-coarsening raises ``IncompatiblePartitionError``."""
+    return _stable(p.space, (p,), coarser)
 
 
 def dual_ef(p: EffFn) -> EffFn:

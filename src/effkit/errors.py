@@ -25,7 +25,10 @@ class NonSymmetricRelationError(EffkitError):
 
     Closed sets of a non-symmetric relation are not complement-closed, so
     they do not form a field of sets; every operation built on the invariant
-    set structure rejects such relations instead of guessing an intent.
+    set structure rejects such relations instead of guessing an intent:
+    ``sigma_r``, ``agree_mod`` and the state-bisimulation tests of kernels
+    and portfolios alike.  ``Relation.classes`` and ``quotient`` raise it
+    for a relation that is not an equivalence.
     """
 
 

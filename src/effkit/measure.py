@@ -28,8 +28,8 @@ atom.
 The lifted agreement relation ``agree_mod`` compares two measures on every
 measurable closed set of a symmetric relation.  Under symmetry those closed
 sets form a field whose atoms are the blocks computed by
-:func:`effkit.space.sigma_r`, so agreement on all closed sets reduces to
-agreement block by block (see docs/derivations.md).
+:func:`effkit.space.sigma_r`, so agreement on all closed sets is equality
+of the two restrictions to that field (see docs/derivations.md).
 """
 
 from __future__ import annotations
@@ -339,14 +339,13 @@ def _coarsening(fine: Space, coarse: Space) -> tuple[int, ...]:
 
 
 def agree_mod(rel: Relation, mu: SubProb, nu: SubProb) -> bool:
-    """The lifted relation on measures: agreement on every measurable
-    closed set of a symmetric relation, decided block by block."""
+    """The lifted relation on measures: agreement on every measurable closed
+    set of a symmetric relation, that is, equal restrictions to ``sigma_r(rel)``,
+    which are one object, as measures are interned per space."""
     if mu.space != rel.base or nu.space != rel.base:
         raise SpaceMismatchError("measures must live on the relation's base space")
     quotient = sigma_r(rel)
-    return all(
-        evaluate(mu, block) == evaluate(nu, block) for block in quotient.atoms
-    )
+    return restrict(mu, quotient) is restrict(nu, quotient)
 
 
 def invariant_measure_transport(f: MeasurableMap, nu: SubProb) -> SubProb:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .effectivity import EffFn, _greatest_bisim, _is_bisim, _mutually_dominate, _stable, sum_ef
-from .errors import ForeignStateError, IncompatiblePartitionError, SpaceMismatchError
+from .errors import ForeignStateError, SpaceMismatchError
 from .measure import SubProb
 from .record import Record
 from .space import DirectSum, MeasurableMap, Relation, Space, _constant_on_atoms
@@ -86,12 +86,10 @@ def _portfolios(m: Kernel | Nlmp) -> tuple[EffFn, ...]:
 def is_state_bisim(m: Kernel | Nlmp, rel: Relation) -> bool:
     """Transfer test: a symmetric relation is a state bisimulation iff every
     successor measure of one related state is matched by a successor of the
-    other agreeing on all closed sets of the relation."""
-    if rel.base != m.space:
-        raise ForeignStateError("relation must be over the kernel's space")
-    if not rel.is_symmetric:
-        return False
-    return _is_bisim(_portfolios(m), rel)
+    other agreeing on all closed sets of the relation.  As in
+    ``is_ef_state_bisim``, one that is not symmetric raises
+    ``NonSymmetricRelationError``: its closed sets form no field."""
+    return _is_bisim(m.space, _portfolios(m), rel)
 
 
 def greatest_bisim(m: Kernel | Nlmp) -> Relation:
@@ -113,14 +111,10 @@ def is_event_bisim(m: Kernel | Nlmp, coarser: Space) -> bool:
     the sub-sigma-algebra (docs/derivations.md).  A principal filter
     restricted to the coarser space is constant on an atom exactly when its
     restricted measure set is, so the test is one refinement round of all
-    labels' ``filter_generate`` portfolios that splits no coarser atom.
+    labels' ``filter_generate`` portfolios that splits no coarser atom.  A
+    non-coarsening raises ``IncompatiblePartitionError``.
     """
-    into = m.space.atom_map(coarser)
-    if into is None:
-        raise IncompatiblePartitionError(
-            "event test needs a coarsening of the kernel space's atoms"
-        )
-    return _stable(m.space, _portfolios(m), into)
+    return _stable(m.space, _portfolios(m), coarser)
 
 
 def is_nk_morphism(f: MeasurableMap, k: Kernel, k2: Kernel) -> bool:

@@ -34,7 +34,7 @@ from effkit import (
     support_relations,
     verify_cospan,
 )
-from effkit import cospan, effectivity
+from effkit import effectivity
 from effkit.effectivity import push_upperset
 from helpers import (
     atom_map_oracle,
@@ -262,22 +262,25 @@ class TestSpanWork:
     def test_pushes_grow_with_states_not_pairs(self, monkeypatch):
         """On the one-block cospan of n states, verification pushes one
         family per atom of p and of q, 2n in all, and the span moves the
-        mediator's one family, of one measure, once per space it builds:
-        p_f's, q_g's and w's.  Nothing grows with the n * n pairs."""
+        mediator's one family once per space it builds: p_f's, q_g's and
+        w's.  Every family holds one generator of one measure, and both
+        moves go through ``effectivity._moved``, which moves a measure by
+        one ``_collect`` call: 2n + 3 of them.  Nothing grows with the
+        n * n pairs."""
         calls: Counter = Counter()
-        for module, name in ((effectivity, "push_upperset"), (cospan, "_collect")):
-            def counted(*args, _real=getattr(module, name), _name=name):
+        for name in ("push_upperset", "_collect"):
+            def counted(*args, _real=getattr(effectivity, name), _name=name):
                 calls[_name] += 1
                 return _real(*args)
 
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(effectivity, name, counted)
         for n in (10, 20, 40):
             c = one_block_cospan(n)
             assert len(c.m.space.carrier) == 1
             assert [len(g) for u in c.m.portfolio for g in u] == [1]
             calls.clear()
             assert len(build_span(c).w.carrier) == n * n
-            assert calls == {"push_upperset": 2 * n, "_collect": 3}, (n, calls)
+            assert calls == {"push_upperset": 2 * n, "_collect": 2 * n + 3}, (n, calls)
 
     def test_atom_maps_do_not_grow_with_states(self, monkeypatch):
         calls: Counter = Counter()

@@ -318,15 +318,18 @@ class TestStrongMorphism:
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_each_source_measure_is_pushed_once(self, monkeypatch, k):
         """The generator test pushes every source measure forward once,
-        whatever the number of target generators it is checked against."""
+        whatever the number of target generators it is checked against.
+        Each of the 3 atoms holds k generators of 2 measures, and
+        ``effectivity._moved`` moves each measure by one ``_collect``
+        call: 3 * 2k calls, one per source measure."""
         space = Space.discrete(["s0", "s1", "s2"])
         measures = [SubProb.of(space, {"s0": f"{j}/{2 * k + 1}"}) for j in range(1, 2 * k + 1)]
         family = UpperSet(space, [MeasureSet(space, measures[2 * i: 2 * i + 2]) for i in range(k)])
         p = EffFn(space, {s: family for s in space.carrier})
         pushed = []
-        pushforward = effectivity.pushforward
+        collect = effectivity._collect
         monkeypatch.setattr(
-            effectivity, "pushforward", lambda f, mu: pushed.append(mu) or pushforward(f, mu)
+            effectivity, "_collect", lambda *args: pushed.append(args[2]) or collect(*args)
         )
         assert is_strong_morphism(MeasurableMap.identity(space), p, p)
         assert len(pushed) == sum(len(g) for s in space.carrier for g in p(s)) == 3 * 2 * k
@@ -370,6 +373,16 @@ class TestQuotient:
         with pytest.raises(NotACongruenceError) as exc:
             quotient(P_A, alpha)
         assert set(exc.value.witness) == {"s0", "s2"}
+
+    def test_relation_that_is_no_equivalence_is_refused_as_classes_refuses_it(self):
+        from effkit import NonSymmetricRelationError
+
+        alpha = Relation(S3, [("s0", "s1"), ("s1", "s0")])  # symmetric, not reflexive
+        with pytest.raises(NonSymmetricRelationError) as by_classes:
+            alpha.classes()
+        with pytest.raises(NonSymmetricRelationError) as by_quotient:
+            quotient(P_A, alpha)
+        assert str(by_quotient.value) == str(by_classes.value)
 
     def test_kernel_of_accepted_surjective_morphism_is_congruence(self):
         rng = Random(157)

@@ -144,6 +144,33 @@ def test_measure_supports_are_read_in_few_places():
     assert where == allowed, sorted(where ^ allowed)
 
 
+def test_a_coarser_space_is_read_and_a_family_moved_in_one_place():
+    """A coarser space becomes an atom map in one routine: outside
+    ``space.py`` only ``measure._coarsening`` calls ``Space.atom_map`` (a
+    map's ``atom_map`` is an attribute, read anywhere), and only it raises
+    ``IncompatiblePartitionError``.  Outside ``measure.py`` only
+    ``effectivity._moved`` calls ``measure._collect``, so every family
+    moves along an atom map through that one helper."""
+    maps, collects, refusals = set(), set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = _owners(tree)
+        for node in ast.walk(tree):
+            where = f"{path.name}:{owner.get(id(node), '<module>')}"
+            if isinstance(node, ast.Raise) and "IncompatiblePartitionError" in ast.unparse(node):
+                refusals.add(where)
+            if not isinstance(node, ast.Call):
+                continue
+            called = node.func.attr if isinstance(node.func, ast.Attribute) else ast.unparse(node.func)
+            if called == "atom_map" and path.name != "space.py":
+                maps.add(where)
+            if called == "_collect" and path.name != "measure.py":
+                collects.add(where)
+    assert maps == {"measure.py:_coarsening"}, sorted(maps)
+    assert refusals == {"measure.py:_coarsening"}, sorted(refusals)
+    assert collects == {"effectivity.py:_moved"}, sorted(collects)
+
+
 def test_one_integer_sum_serves_evaluate_and_the_evaluator():
     """``measure.evaluate`` and ``logic._Evaluator.numerator`` sum a
     measure's numerators over a mask of atoms through one helper defined in

@@ -8,10 +8,13 @@ from random import Random
 import pytest
 
 from effkit import (
+    EffkitError,
+    ForeignStateError,
     IncompatiblePartitionError,
     Kernel,
     MeasurableMap,
     Nlmp,
+    NonSymmetricRelationError,
     Relation,
     Space,
     SubProb,
@@ -26,6 +29,9 @@ from effkit import (
     kernel_sum,
     pushforward,
     is_ef_state_bisim,
+    is_subsystem,
+    restrict_upperset,
+    sigma_r,
     unique_preimages,
     UpperSet,
 )
@@ -71,7 +77,43 @@ class TestStateBisim:
         assert not is_state_bisim(K_A, rel)
 
     def test_non_symmetric_rejected(self):
-        assert not is_state_bisim(K_A, Relation(S3, [("s0", "s1")]))
+        with pytest.raises(NonSymmetricRelationError, match="do not form a field"):
+            is_state_bisim(K_A, Relation(S3, [("s0", "s1")]))
+
+
+def _raised(question, *args) -> tuple[type, str]:
+    with pytest.raises(EffkitError) as info:
+        question(*args)
+    return type(info.value), str(info.value)
+
+
+COARSE = Space(S3.carrier, [["s0", "s1"], ["s2"]])
+K_C = Kernel(COARSE, {"s0": [SubProb.dirac(COARSE, "s2")], "s1": [SubProb.dirac(COARSE, "s2")]})
+
+
+@pytest.mark.parametrize(
+    "k, arg, on_kernel, on_portfolio, expected",
+    [
+        pytest.param(
+            K_A, Relation(S3, [("s0", "s1")]), is_state_bisim, is_ef_state_bisim,
+            lambda rel: _raised(sigma_r, rel), id="non-symmetric",
+        ),
+        pytest.param(
+            K_A, Relation.full(Space.discrete(["s0", "s1"])), is_state_bisim, is_ef_state_bisim,
+            lambda rel: (ForeignStateError, "relation must be over the model's space"),
+            id="foreign-relation",
+        ),
+        pytest.param(  # {s1, s2} splits the atom {s0, s1}
+            K_C, Space(S3.carrier, [["s0"], ["s1", "s2"]]), is_event_bisim, is_subsystem,
+            lambda coarser: _raised(restrict_upperset, filter_generate(K_C)("s0"), coarser),
+            id="not-a-coarsening",
+        ),
+    ],
+)
+def test_one_question_gets_one_answer(k, arg, on_kernel, on_portfolio, expected):
+    """A kernel and its ``filter_generate`` portfolio refuse one input with
+    one error class and one message: the one their shared step gives."""
+    assert _raised(on_kernel, k, arg) == _raised(on_portfolio, filter_generate(k), arg) == expected(arg)
 
 
 class TestGreatestBisim:

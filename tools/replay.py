@@ -19,8 +19,13 @@ ring at n = 50; ``event-bisim`` and ``subsystem`` (per label) on a
 two-label ring at n = 60, under the partition by parity, which label a
 splits and label b does not, and under its greatest bisimulation, and
 ``subsystem`` on the ef chain under its levels with two levels merged;
-and ``span`` on a one-block cospan at n = 30 (900 pairs over one mediator
-state) and on a cospan whose mediator has a two-state atom.  It saves
+``span`` on a one-block cospan at n = 30 (900 pairs over one mediator
+state) and on a cospan whose mediator has a two-state atom; and on that
+coarse cospan's models, as ef models and read as NLMPs, ``morphism
+--strong`` (ef) and ``morphism`` (NLMP) along both legs and along the
+mediator's identity, and ``subsystem`` and ``event-bisim`` on its coarse
+right side under a partition that splits its two-state atom (exit 2) and
+under one that merges atoms.  It saves
 under DIR, which must be new or empty, every input file as each request
 read it (``files/``, by content hash) and, per request, its argv, exit
 code, stdout and stderr (``requests.json``).
@@ -144,14 +149,22 @@ def _coarse_cospan() -> dict:
     }
 
 
+def _as_nlmp(doc: dict) -> dict:
+    """An ef document whose states each hold one generator, read as a
+    one-label NLMP with that generator's measures."""
+    kernel = {s: gens[0] for s, gens in doc["effectivity"].items()}
+    nlmp = {k: v for k, v in doc.items() if k != "effectivity"}
+    return {**nlmp, "kind": "nlmp", "labels": ["a"], "kernels": {"a": kernel}}
+
+
 def _deep_set(workdir: Path, send) -> None:
     """The deep set's requests through ``send(argv)``, which returns the
     answer.  Each model is asked about its first state and one more: on the
     chains a state of the second level, which parts from the first in the
     next-to-last round; on the rings the fourth state.  Then the one-round
-    tests, whose partitions are read off the ``bisim`` answers, and
-    ``span`` on each cospan, the one-block one with its left side as both
-    sides."""
+    tests, whose partitions are read off the ``bisim`` answers, ``span``
+    on each cospan, the one-block one with its left side as both sides,
+    and the requests on the coarse cospan's models."""
     import gen
 
     workdir.mkdir(parents=True)
@@ -198,6 +211,23 @@ def _deep_set(workdir: Path, send) -> None:
             paths[part].write_text(json.dumps(doc), encoding="utf-8")
         p, q, m, f, g = (str(paths.get(part, paths["p"])) for part in "pqmfg")
         send(["span", p, q, m, "--f", f, "--g", g])
+    ef = {part: str(workdir / f"coarse.{part}.json") for part in "pqmfg"}
+    nlmp = {}
+    for part in "pqm":
+        doc = json.loads(Path(ef[part]).read_text(encoding="utf-8"))
+        nlmp[part] = str(workdir / f"coarse.{part}.nlmp.json")
+        Path(nlmp[part]).write_text(json.dumps(_as_nlmp(doc)), encoding="utf-8")
+    ef["id"] = str(workdir / "coarse.id.json")
+    Path(ef["id"]).write_text(json.dumps({"map": {s: s for s in ("u0", "u1", "v")}}), "utf-8")
+    for side, leg in (("p", "f"), ("q", "g"), ("m", "id")):
+        send(["morphism", ef[side], ef["m"], "--map", ef[leg], "--strong"])
+        send(["morphism", nlmp[side], nlmp["m"], "--map", ef[leg]])
+    splits, merges = [["t0"], ["t1", "t2"], ["t3"]], [["t0", "t1"], ["t2", "t3"]]
+    for name, blocks in (("splits", splits), ("merges", merges)):
+        path = workdir / f"coarse.{name}.partition.json"
+        path.write_text(json.dumps(blocks), encoding="utf-8")
+        send(["subsystem", ef["q"], "--partition", str(path)])
+        send(["event-bisim", nlmp["q"], "--partition", str(path)])
 
 
 def _import_cli(checkout: Path):
