@@ -14,6 +14,7 @@ finite generator antichains; the reductions are spelled out per operation.
 
 from __future__ import annotations
 
+from itertools import takewhile
 from math import gcd
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -76,31 +77,45 @@ class EffFn(Record):
         return all(u.is_principal for u in self.portfolio)
 
 
-def _key(den: int, atoms: Sequence[int], nums: Sequence[int], block_of: Sequence[int]) -> tuple:
-    """A measure's mass vector summed per block, from its support (``den``,
-    ``atoms``, ``nums``) and a block id per atom: the reduced denominator,
-    then the (block id, reduced numerator) pairs in block id order.  Equal
-    keys are exactly equal restricted vectors."""
-    if len(atoms) == 1:
-        g = gcd(den, nums[0])
-        return den // g, (block_of[atoms[0]], nums[0] // g)
-    vec: dict[int, int] = {}
-    for a, n in zip(atoms, nums):
+def _rekey(atoms: Sequence[int], entries: Sequence[Sequence[tuple[int, int]]], block_of: Sequence[int],
+           measures: Sequence[SubProb], cid: list[int], vectors: dict[tuple, int]) -> dict[int, int]:
+    """Re-key each measure with mass on ``atoms``, which entered new blocks
+    and come block by block, from their (measure, numerator) ``entries``:
+    its class id in ``cid``, reduced denominator, and new block ids with
+    reduced numerators make a key, which the table ``vectors`` maps to its
+    new class id.  Returns the previous ids (docs/derivations.md, section 7)."""
+    mass: dict[int, list[int]] = {}  # per measure: a new block id, its numerator, the next ...
+    for a in atoms:
         b = block_of[a]
-        vec[b] = vec.get(b, 0) + n
-    g = gcd(den, *vec.values())
-    return den // g, *sorted([(b, n // g) for b, n in vec.items()])
+        for m, n in entries[a]:
+            vec = mass.get(m)
+            if vec is None:
+                mass[m] = [b, n]
+            elif vec[-2] == b:
+                vec[-1] += n
+            else:
+                vec += b, n
+    old = {}
+    for m, vec in mass.items():
+        den = measures[m].den
+        g = gcd(den, *vec[1::2])
+        for i in range(1, len(vec), 2):
+            vec[i] //= g
+        old[m], cid[m] = cid[m], vectors.setdefault((cid[m], den // g, *vec), len(vectors))
+    return old
 
 
 def _signature(families: Sequence[Sequence[tuple[int, ...]]], cid: Sequence[int]) -> tuple:
     """An atom's signature from its generators, per portfolio, as measure
     numbers and the class id ``cid`` of each measure: per portfolio, the
-    minimal antichain of the generators' class-id sets."""
+    minimal antichain of the generators' class-id sets, each compared only
+    with the smaller sets, as a proper subset is smaller."""
     signature = []
     for gens in families:
         sets = {frozenset([cid[m] for m in g]) for g in gens}
         if len(sets) > 1:
-            sets = [s for s in sets if not any(t < s for t in sets)]
+            sets = sorted(sets, key=len)
+            sets = [s for s in sets if not any(t < s for t in takewhile(lambda t: len(t) < len(s), sets))]
         signature.append(frozenset(sets))
     return tuple(signature)
 
@@ -120,22 +135,22 @@ def _refine(space: Space, portfolios: Sequence[EffFn], block_of: Sequence[int]) 
     The engine works on atoms only: a portfolio is constant on each atom,
     so an atom's states share one signature, and every round's blocks are
     unions of atoms (docs/derivations.md, sections 6 and 7).  A measure's
-    class id stands for its mass vector summed per block (``_key``), and an
-    atom's signature is, per portfolio, the minimal antichain of its
-    generators' class-id sets (``_signature``); equal signatures are
-    exactly the two-sided generator transfer.  Each round splits every
-    block into its signature classes, and the rounds stop after the first
-    that splits no block.
+    class id stands for its mass vector summed per block, and an atom's
+    signature is, per portfolio, the minimal antichain of its generators'
+    class-id sets (``_signature``); equal signatures are exactly the
+    two-sided generator transfer.  Each round splits every block into its
+    signature classes, and the rounds stop after the first that splits no
+    block.
 
     Blocks, class ids and signatures persist across rounds.  A block keeps
     its id until it splits; then its first largest class keeps it and the
-    others get new ones.  The first round keys every measure and signs
-    every atom.  A later round re-keys only the measures whose support
-    meets an atom that moved to a new block id, re-signs only the atoms
-    holding a measure whose class id changed, and regroups only those atoms
-    of their blocks; the other atoms of a block keep the signature they
-    share.  An atom moves only into a class at most half its block's size,
-    so at most log2 of the atoms times (section 7).
+    others get new ones.  Every class id comes from ``_rekey``, by a
+    measure's mass in the blocks atoms entered: every atom its start block,
+    from one virtual class, before the first round, and the moved atoms
+    their new blocks after each later one.  A round re-signs only the atoms
+    holding a re-keyed measure and regroups only those; the other atoms of
+    a block keep the signature they share.  An atom moves only into a class
+    at most half its block's size, so at most log2 of the atoms times.
 
     Each round yields three things:
 
@@ -155,22 +170,23 @@ def _refine(space: Space, portfolios: Sequence[EffFn], block_of: Sequence[int]) 
         for a in range(len(block_of))
     ]
     measures = list(number)
+    entries: list[list[tuple[int, int]]] = [[] for _ in block_of]  # per atom: its (measure, numerator)
+    for m, mu in enumerate(measures):
+        for a, n in zip(mu.atoms, mu.nums):
+            entries[a].append((m, n))
     block_of = list(block_of)
     members: dict[int, list[int]] = {}  # per block, increasing: its atoms and atoms that left
     for a, b in enumerate(block_of):
         members.setdefault(b, []).append(a)
     vectors: dict[tuple, int] = {}  # key -> class id, never reset
-    if len(members) == 1:  # one block: a measure's vector is its total mass there
-        supports = [(mu.den, mu.atoms[:1], (sum(mu.nums),)) for mu in measures]
-    else:
-        supports = [(mu.den, mu.atoms, mu.nums) for mu in measures]
-    cid = [vectors.setdefault(_key(*support, block_of), len(vectors)) for support in supports]
+    cid = [-1] * len(measures)  # the virtual class, where the zero measure stays
+    _rekey([a for atoms in members.values() for a in atoms], entries, block_of, measures, cid, vectors)
     size = {b: len(atoms) for b, atoms in members.items()}
     shared: dict[int, tuple] = {}  # per block, the signature its atoms share
     fresh = max(members, default=-1) + 1
     signing = dict(members)  # per block, the atoms to sign this round, increasing
-    log: list = [None]  # [the next round's (old class ids, log)], once it runs
-    measures_of = atoms_of = None  # the indices, built for a second round
+    logs: list[dict[int, int]] = []  # per round that split, the class ids its re-key replaced
+    atoms_of = None  # per measure, the atoms whose generators hold it, built for a second round
 
     while True:
         splits: dict[int, Split] = {}
@@ -207,36 +223,20 @@ def _refine(space: Space, portfolios: Sequence[EffFn], block_of: Sequence[int]) 
                 split.append((i, None if c is kept else tuple(atoms)))
             splits[x] = tuple(split)
 
-        def class_of(mu: SubProb, log=log) -> int:
+        def class_of(mu: SubProb, r=len(logs)) -> int:  # the first id replaced since, or the current
             m = number[mu]
-            while log[0] is not None:
-                old, log = log[0]
-                if m in old:
-                    return old[m]
-            return cid[m]
+            return next((old[m] for old in logs[r:] if m in old), cid[m])
 
         yield class_of, splits, block_of
         if not splits:
             return
-        if measures_of is None:
-            measures_of = [[] for _ in block_of]
-            for m, mu in enumerate(measures):
-                for a in mu.atoms:
-                    measures_of[a].append(m)
-            atoms_of = [set() for _ in measures]
+        if atoms_of is None:
+            atoms_of = [[] for _ in measures]
             for a, family in enumerate(families):
-                for gens in family:
-                    for g in gens:
-                        for m in g:
-                            atoms_of[m].add(a)
-        old: dict[int, int] = {}
-        for m in {m for a in moved for m in measures_of[a]}:
-            mu = measures[m]
-            c = vectors.setdefault(_key(mu.den, mu.atoms, mu.nums, block_of), len(vectors))
-            if c != cid[m]:
-                old[m], cid[m] = cid[m], c
-        log[0] = old, [None]
-        log = log[0][1]
+                for m in {m for gens in family for g in gens for m in g}:
+                    atoms_of[m].append(a)
+        old = _rekey(moved, entries, block_of, measures, cid, vectors)
+        logs.append(old)
         signing = {}
         for a in sorted({a for m in old for a in atoms_of[m]}):
             signing.setdefault(block_of[a], []).append(a)

@@ -158,6 +158,16 @@ def harder_ring_doc(n: int) -> dict:
     return {"kind": "nlmp", "states": states, "labels": ["a"], "kernels": {"a": kernel}}
 
 
+def hub_doc(n: int) -> dict:
+    """The 1/2-chain with a hub: a state h whose one measure puts 1/(2n) on
+    each chain state s0 .. s{n-1}, so each split of the chain moves one of
+    its support atoms."""
+    doc = half_chain_doc(n)
+    doc["states"].append("h")
+    doc["kernels"]["a"]["h"] = [{f"s{i}": f"1/{2 * n}" for i in range(n)}]
+    return doc
+
+
 def rand_subprob_on(rng: Random, space: Space, support: list[str], max_den=8) -> SubProb:
     """Random measure with all mass on the atoms of the listed states."""
     den = rng.randint(1, max_den)

@@ -54,6 +54,7 @@ from helpers import (
     event_bisim_oracle,
     half_chain_doc,
     harder_ring_doc,
+    hub_doc,
     pairs,
     pairwise_bisim_oracle,
     rand_coarsening,
@@ -249,6 +250,33 @@ class TestGreatestEfBisim:
             assert verdict == transfer_oracle(system, rel)
             verdicts[verdict] += 1
         assert min(verdicts.values()) >= 400
+        # wide families, where the signature's antichain filter works: many
+        # generators of one size (``angelize`` of a kernel with many
+        # measures) or of several, on masses in halves, so that measures
+        # often share a class and class-id sets nest
+        from effkit import angelize
+
+        for i in range(300):
+            space = rand_space(rng, 1, 5, allow_coarse=True)
+            if i % 2:
+                system = angelize(rand_kernel(rng, space, max_measures=8, max_den=2))
+            else:
+                system = rand_ef(rng, space, max_gens=8, max_measures=3, max_den=2)
+            assert greatest_ef_bisim(system) == pairwise_bisim_oracle(system)
+            kept = [(s, t) for s in space.carrier for t in space.carrier if rng.random() < 0.3]
+            rel = Relation(space, kept + [(t, s) for s, t in kept])
+            assert is_ef_state_bisim(system, rel) == transfer_oracle(system, rel)
+        # the filter itself against the pairwise one, on many nested and
+        # many same-size class-id sets
+        pruned = 0
+        for _ in range(500):
+            cid = [rng.randrange(5) for _ in range(10)]
+            gens = [tuple(rng.sample(range(10), rng.randint(0, 5))) for _ in range(rng.randint(0, 14))]
+            sets = {frozenset([cid[m] for m in g]) for g in gens}
+            minimal = frozenset(s for s in sets if not any(t < s for t in sets))
+            assert effectivity._signature([gens], cid) == (minimal,)
+            pruned += minimal != sets
+        assert pruned >= 250
 
     def test_is_greatest_exhaustively(self):
         rng = Random(137)
@@ -528,40 +556,49 @@ class TestWorkPerAtom:
 
 
 class TestWorkPerSplit:
-    """Work of the refinement engine, counted as the measures it keys
-    (``effectivity._key``) and the atoms it signs (``_signature``)."""
+    """Work of the refinement engine, counted as the support entries it
+    re-keys (the entries of the atoms given to ``effectivity._rekey``) and
+    the atoms it signs (``_signature``)."""
 
     @staticmethod
     def counted(monkeypatch) -> Counter:
-        calls: Counter = Counter()
-        for name in ("_key", "_signature"):
-            def counted(*args, _name=name, _call=getattr(effectivity, name)):
-                calls[_name] += 1
-                return _call(*args)
+        work: Counter = Counter()
+        rekey, signature = effectivity._rekey, effectivity._signature
 
-            monkeypatch.setattr(effectivity, name, counted)
-        return calls
+        def counted_rekey(atoms, entries, *rest):
+            work["entries"] += sum(len(entries[a]) for a in atoms)
+            return rekey(atoms, entries, *rest)
+
+        def counted_signature(*args):
+            work["_signature"] += 1
+            return signature(*args)
+
+        monkeypatch.setattr(effectivity, "_rekey", counted_rekey)
+        monkeypatch.setattr(effectivity, "_signature", counted_signature)
+        return work
 
     def test_work_grows_with_the_splits_not_the_rounds(self, monkeypatch):
-        """On the 1/2-chain and both rings, where one block splits per
-        round, the work of a ``greatest_bisim`` run grows at most 2.5-fold
-        as ``n`` doubles; re-keying every measure and re-signing every atom
-        each round grows it about 4-fold."""
-        calls = self.counted(monkeypatch)
-        for doc in (half_chain_doc, ring_doc, harder_ring_doc):
-            work = []
+        """On the 1/2-chain, both rings and the hub, where one block splits
+        per round, the work of a ``greatest_bisim`` run grows at most
+        2.5-fold as ``n`` doubles; re-keying every measure and re-signing
+        every atom each round grows it about 4-fold, and so does re-keying
+        the hub's measure over its whole support whenever one of its atoms
+        moves."""
+        work = self.counted(monkeypatch)
+        for doc, hubs in ((half_chain_doc, 0), (ring_doc, 0), (harder_ring_doc, 0), (hub_doc, 1)):
+            done = []
             for n in (50, 100, 200):
                 m = model_from_dict(doc(n))
-                calls.clear()
-                assert len(greatest_bisim(m).classes()) == n  # every state apart
-                work.append(calls["_key"] + calls["_signature"])
-            assert work[1] <= 2.5 * work[0] and work[2] <= 2.5 * work[1], (doc.__name__, work)
+                work.clear()
+                assert len(greatest_bisim(m).classes()) == n + hubs  # every state apart
+                done.append(work["entries"] + work["_signature"])
+            assert done[1] <= 2.5 * done[0] and done[2] <= 2.5 * done[1], (doc.__name__, done)
 
     def test_one_round_callers_key_each_measure_and_sign_each_atom_once(self, monkeypatch):
         """The bisimulation tests, ``is_subsystem`` and ``is_event_bisim``
-        run one round: each distinct measure keyed once, each atom signed
-        once, as a whole round does."""
-        calls = self.counted(monkeypatch)
+        run one round: each support entry of each distinct measure re-keyed
+        once, each atom signed once, as a whole round does."""
+        work = self.counted(monkeypatch)
         rng = Random(27)
         for _ in range(40):
             space = rand_space(rng, 2, 6, allow_coarse=True)
@@ -576,6 +613,7 @@ class TestWorkPerSplit:
                 (lambda: is_subsystem(p, coarser), ef_measures),
                 (lambda: is_event_bisim(k, coarser), k_measures),
             ):
-                calls.clear()
+                work.clear()
                 call()
-                assert (calls["_key"], calls["_signature"]) == (len(measures), len(space.atoms))
+                entries = sum(len(mu.atoms) for mu in measures)
+                assert (work["entries"], work["_signature"]) == (entries, len(space.atoms))

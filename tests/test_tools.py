@@ -52,3 +52,32 @@ def test_replay_reports_every_differing_request(tmp_path):
     assert lines[1:3] == ["validate: 1 differ; the first:", f"request 0 differs in code: validate {model}"]
     assert lines[5:7] == ["lequiv: 1 differ; the first:", f"request 1 differs in out: lequiv {model}"]
     assert len(lines) == 9
+
+
+def test_ladder_runs_each_row_at_its_smallest_size(tmp_path):
+    """``tools/ladder.py`` at each row's smallest size, this checkout
+    against itself: every case finishes on both, prints the same stdout,
+    and exits 0; a run over its budget is recorded as a timeout."""
+    out = tmp_path / "ladder.json"
+    argv = [sys.executable, str(ROOT / "tools" / "ladder.py"), str(out), "--smallest", "--repeat", "1"]
+    subprocess.run([*argv, "--against", str(ROOT)], check=True, capture_output=True, timeout=300)
+    result = json.loads(out.read_text(encoding="utf-8"))
+    assert result["checkouts"] == {"change": str(ROOT), "against": str(ROOT)}
+    cases = [(case["row"], case["command"], case["n"]) for case in result["cases"]]
+    assert cases == [
+        ("chain-nlmp", "bisim", 320),
+        ("chain-ef", "bisim", 320),
+        ("chain-ef", "lequiv", 320),
+        ("ring", "bisim", 10_000),
+        ("harder-ring", "bisim", 10_000),
+        ("hub", "bisim", 1000),
+        ("wide-family", "lequiv", 250),
+    ]
+    for case in result["cases"]:
+        assert case["same_stdout"]
+        for runs in case["runs"].values():
+            [run] = runs
+            assert run["exit"] == 0 and run["stdout_bytes"] > 0 and run["peak_rss_mb"] > 0
+    subprocess.run([*argv, "--budget", "0.01"], check=True, capture_output=True, timeout=60)
+    for case in json.loads(out.read_text(encoding="utf-8"))["cases"]:
+        assert case["runs"] == {"change": ["timeout"]} and case["median_wall_s"] == {"change": "timeout"}

@@ -14,8 +14,9 @@ checkout's ``effkit.cli.run``.  Then it sends a fixed deep set, where
 refinement runs up to 60 rounds (the workloads never run more than 14):
 ``bisim``, ``bisim --pairs``, ``lequiv``, ``distinguish`` and ``eval
 --state`` of its witness on both states, for one pair on each of the NLMP
-and ef 2-clone 1/2-chains at n = 60, the ring at n = 60 and the harder
-ring at n = 50; ``event-bisim`` and ``subsystem`` (per label) on a
+and ef 2-clone 1/2-chains at n = 60, the ring at n = 60, the harder
+ring at n = 50, and the hub and the wide family at n = 60 (``hub``,
+``wide_family``); ``event-bisim`` and ``subsystem`` (per label) on a
 two-label ring at n = 60, under the partition by parity, which label a
 splits and label b does not, and under its greatest bisimulation, and
 ``subsystem`` on the ef chain under its levels with two levels merged;
@@ -78,6 +79,28 @@ def _harder_ring(n: int) -> dict:
     states = [f"s{i}" for i in range(n)]
     kernel = {s: [{states[(i + 1) % n]: f"{1 + i % 3}/4"}] for i, s in enumerate(states)}
     return {"kind": "nlmp", "states": states, "labels": ["a"], "kernels": {"a": kernel}}
+
+
+def hub(n: int) -> dict:
+    """The 1/2-chain with a hub: states s0 .. s{n-1}, each but the last with
+    one measure of mass 1/2 on the next, c0 moving as s0, and h, whose one
+    measure puts 1/(2n) on each of s0 .. s{n-1}."""
+    states = [f"s{i}" for i in range(n)]
+    kernel = {s: [{states[i + 1]: "1/2"}] if i < n - 1 else [] for i, s in enumerate(states)}
+    kernel["c0"] = kernel["s0"]
+    kernel["h"] = [{s: f"1/{2 * n}" for s in states}]
+    return {"kind": "nlmp", "states": [*states, "c0", "h"], "labels": ["a"], "kernels": {"a": kernel}}
+
+
+def wide_family(n: int) -> dict:
+    """The ef 1/2-chain with a wide family: state s{i} holds the one
+    generator [{s{i+1}: 1/2}], the last state the full family, and h the n
+    generators [{s: 1/2}], one per chain state, as ``angelize`` makes of a
+    state with n successor measures."""
+    states = [f"s{i}" for i in range(n)]
+    table = {s: [[{states[i + 1]: "1/2"}]] if i < n - 1 else [[]] for i, s in enumerate(states)}
+    table["h"] = [[{s: "1/2"}] for s in states]
+    return {"kind": "ef", "states": [*states, "h"], "effectivity": table}
 
 
 def _two_label_ring(n: int) -> dict:
@@ -161,7 +184,8 @@ def _deep_set(workdir: Path, send) -> None:
     """The deep set's requests through ``send(argv)``, which returns the
     answer.  Each model is asked about its first state and one more: on the
     chains a state of the second level, which parts from the first in the
-    next-to-last round; on the rings the fourth state.  Then the one-round
+    next-to-last round; on the rings the fourth state; on the hub and the
+    wide family the second.  Then the one-round
     tests, whose partitions are read off the ``bisim`` answers, ``span``
     on each cospan, the one-block one with its left side as both sides,
     and the requests on the coarse cospan's models."""
@@ -173,6 +197,8 @@ def _deep_set(workdir: Path, send) -> None:
         "chain-e": (gen.chain(random.Random(1), 60, 2, "ef").doc, 2),
         "ring": (_ring(60), 3),
         "harder-ring": (_harder_ring(50), 3),
+        "hub": (hub(60), 1),
+        "wide-family": (wide_family(60), 1),
     }
     partitions = {}  # name: the partition of its bisim answer
     for name, (doc, other) in models.items():
