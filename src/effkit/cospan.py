@@ -91,7 +91,7 @@ def verify_cospan(c: Cospan) -> CospanReport:
     failures: list[CheckFailure] = []
     for name, leg in (("f", c.f), ("g", c.g)):
         if not leg.is_surjective:
-            missed = sorted(set(leg.codomain.carrier) - {leg(s) for s in leg.domain.carrier})
+            missed = sorted(set(leg.codomain.carrier) - set(leg.images))
             failures.append(CheckFailure("not_surjective", f"{name} misses {missed[0]}"))
     for name, leg, side in (("f", c.f, c.p), ("g", c.g, c.q)):
         s = _first_unmatched(leg, side, c.m)
@@ -129,7 +129,8 @@ def _lifted(m: EffFn, carrier: Sequence[str], under: Iterable[str]) -> tuple[Eff
     for s, u in zip(carrier, under):
         blocks[m.space.atom_of(u)].append(s)
     space = Space(carrier, blocks)
-    at = [space.atom_of(block[0]) for block in blocks]
+    first = {block[0]: i for i, block in enumerate(space.atoms)}
+    at = [first[block[0]] for block in blocks]
     moved = {i: UpperSet(space, _moved(u, space, at)) for i, u in zip(at, m.portfolio)}
     return EffFn._of(space, tuple([moved[i] for i in range(len(at))])), at
 
@@ -153,21 +154,23 @@ def build_span(c: Cospan) -> SpanResult:
             "span construction requires finitely supported portfolios"
         )
 
-    p_f, at_f = _lifted(c.m, c.p.space.carrier, map(c.f, c.p.space.carrier))
-    q_g, at_g = _lifted(c.m, c.q.space.carrier, map(c.g, c.q.space.carrier))
+    p_f, at_f = _lifted(c.m, c.p.space.carrier, c.f.images)
+    q_g, at_g = _lifted(c.m, c.q.space.carrier, c.g.images)
 
     over: dict[str, list[str]] = {}  # per mediator state, g's fiber in carrier order
-    for t in c.q.space.carrier:
-        over.setdefault(c.g(t), []).append(t)
-    pairs = [(s, t) for s in c.p.space.carrier for t in over[c.f(s)]]
+    for t, u in zip(c.q.space.carrier, c.g.images):
+        over.setdefault(u, []).append(t)
+    lefts = [s for s, u in zip(c.p.space.carrier, c.f.images) for _ in over[u]]
+    rights = [t for u in c.f.images for t in over[u]]  # pair i is (lefts[i], rights[i])
+    unders = [u for u in c.f.images for _ in over[u]]  # the mediator state under pair i
     # a backslash escapes each backslash and bar in a state name, so "s|t" names one pair
     states = (*c.p.space.carrier, *c.q.space.carrier)
     escaped = {s: s.replace("\\", "\\\\").replace("|", "\\|") for s in states}
-    names = [f"{escaped[s]}|{escaped[t]}" for s, t in pairs]
-    tau, at_w = _lifted(c.m, names, [c.f(s) for s, _ in pairs])
+    names = [f"{escaped[s]}|{escaped[t]}" for s, t in zip(lefts, rights)]
+    tau, at_w = _lifted(c.m, names, unders)
     w = tau.space
-    pi_s = MeasurableMap(w, p_f.space, {name: s for name, (s, _) in zip(names, pairs)})
-    pi_t = MeasurableMap(w, q_g.space, {name: t for name, (_, t) in zip(names, pairs)})
+    pi_s = MeasurableMap(w, p_f.space, dict(zip(names, lefts)))
+    pi_t = MeasurableMap(w, q_g.space, dict(zip(names, rights)))
     for side, pi, at in (("left", pi_s, at_f), ("right", pi_t, at_g)):
         for block, i, j in zip(c.m.space.atoms, at_w, at):
             if pi.atom_map[i] != j:

@@ -180,7 +180,8 @@ def _atoms_into(
 
 
 class MeasurableMap(Record):
-    """A total measurable assignment between two finite spaces.
+    """A total measurable assignment between two finite spaces, held as
+    ``images``: the image of each domain state, in domain carrier order.
 
     Measurability requires the preimage of every codomain atom to be a union
     of domain atoms, that is, every domain atom to map into one codomain
@@ -191,36 +192,34 @@ class MeasurableMap(Record):
 
     domain: Space
     codomain: Space
-    assignment: tuple[tuple[str, str], ...]
+    images: tuple[str, ...]
 
     def __init__(self, domain: Space, codomain: Space, assignment: Mapping[str, str]):
-        table = dict(assignment)
-        for s in domain.carrier:
-            if s not in table:
-                raise ForeignStateError(f"map is not total: no image for {s!r}")
-        for s, t in table.items():
-            domain.index(s)
-            codomain.index(t)
         index = codomain._atom_index
-        into, straddled = _atoms_into(domain.atoms, {s: index[t] for s, t in table.items()})
+        images = tuple(map(assignment.get, domain.carrier))
+        if len(assignment) != len(images) or not index.keys() >= set(images):
+            for s in domain.carrier:  # name the first fault
+                if s not in assignment:
+                    raise ForeignStateError(f"map is not total: no image for {s!r}")
+            for s, t in assignment.items():
+                domain.index(s)
+                codomain.index(t)
+        atom_of = dict(zip(domain.carrier, map(index.__getitem__, images)))
+        into, straddled = _atoms_into(domain.atoms, atom_of)
         if straddled:
             raise SpaceMismatchError(
                 f"not measurable: preimage of atom {codomain.atoms[min(straddled)]} "
                 "is not a union of domain atoms"
             )
-        self._store(domain, codomain, tuple((s, table[s]) for s in domain.carrier))
+        self._store(domain, codomain, images)
         object.__setattr__(self, "atom_map", into)
 
     @staticmethod
     def identity(space: Space) -> "MeasurableMap":
         return MeasurableMap(space, space, {s: s for s in space.carrier})
 
-    @cached_property
-    def mapping(self) -> dict[str, str]:
-        return dict(self.assignment)
-
     def __call__(self, state: str) -> str:
-        return self.mapping[state]
+        return self.images[self.domain.index(state)]
 
     @cached_property
     def preimage_atoms(self) -> tuple[tuple[int, ...], ...]:
@@ -233,19 +232,18 @@ class MeasurableMap(Record):
 
     @cached_property
     def is_surjective(self) -> bool:
-        return {t for _, t in self.assignment} == set(self.codomain.carrier)
+        return set(self.images) == set(self.codomain.carrier)
 
     def preimage(self, states: Iterable[str]) -> frozenset[str]:
         wanted = frozenset(states)
-        return frozenset(s for s, t in self.assignment if t in wanted)
+        return frozenset(s for s, t in zip(self.domain.carrier, self.images) if t in wanted)
 
     def image(self, states: Iterable[str]) -> frozenset[str]:
-        m = self.mapping
-        return frozenset(m[s] for s in states)
+        return frozenset(map(self, states))
 
     def fibers(self) -> dict[str, frozenset[str]]:
         out: dict[str, set[str]] = {t: set() for t in self.codomain.carrier}
-        for s, t in self.assignment:
+        for s, t in zip(self.domain.carrier, self.images):
             out[t].add(s)
         return {t: frozenset(ss) for t, ss in out.items()}
 
@@ -254,9 +252,8 @@ def compose(outer: MeasurableMap, inner: MeasurableMap) -> MeasurableMap:
     """The composite ``outer . inner``."""
     if inner.codomain != outer.domain:
         raise SpaceMismatchError("composition mismatch: inner codomain != outer domain")
-    return MeasurableMap(
-        inner.domain, outer.codomain, {s: outer(inner(s)) for s in inner.domain.carrier}
-    )
+    images = map(outer, inner.images)
+    return MeasurableMap(inner.domain, outer.codomain, dict(zip(inner.domain.carrier, images)))
 
 
 class Relation(Record):

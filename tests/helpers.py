@@ -19,6 +19,7 @@ from effkit import (
     CospanVerificationError,
     EffFn,
     EffkitError,
+    ForeignStateError,
     FormulaSyntaxError,
     InternalInvariantViolation,
     Kernel,
@@ -844,6 +845,23 @@ def measurability_oracle(domain: Space, codomain: Space, table) -> str | None:
         if domain.atoms_of_set(pre) is None:
             return f"not measurable: preimage of atom {block} is not a union of domain atoms"
     return None
+
+
+def map_fault_oracle(domain: Space, codomain: Space, table) -> tuple[type, str] | None:
+    """Type and message of the error ``table`` between the spaces raises as
+    a map, or None if it is a map: a state without an image first, in
+    carrier order; then a key outside the domain or an image outside the
+    codomain, in the table's order, the key of an entry before its image;
+    then the lowest codomain atom whose preimage straddles a domain atom."""
+    for s in domain.carrier:
+        if s not in table:
+            return ForeignStateError, f"map is not total: no image for {s!r}"
+    for s, t in table.items():
+        for state, space in ((s, domain), (t, codomain)):
+            if state not in space.carrier:
+                return ForeignStateError, f"state {state!r} not in carrier"
+    message = measurability_oracle(domain, codomain, table)
+    return None if message is None else (SpaceMismatchError, message)
 
 
 def atom_map_oracle(f: MeasurableMap) -> tuple[int, ...]:

@@ -253,7 +253,8 @@ def test_criterion_9_invariant_measure_infrastructure():
             cod = Space(cod_states, [cod_states[: m - 1] or cod_states, cod_states[m - 1:]]
                         if m > 1 else None)
             flat = Space.discrete([f"s{i}" for i in range(rng.randint(m, 6))])
-            assignment = rand_surjection(rng, flat, Space.discrete(cod_states)).mapping
+            flat_f = rand_surjection(rng, flat, Space.discrete(cod_states))
+            assignment = dict(zip(flat.carrier, flat_f.images))
             dom = Space(
                 flat.carrier,
                 [
@@ -268,7 +269,7 @@ def test_criterion_9_invariant_measure_infrastructure():
         assert len(set(preimages)) == len(cod.atoms)
 
         invariant = sigma_r(kernel_of(f))
-        lift = MeasurableMap(invariant, cod, dict(f.assignment))
+        lift = MeasurableMap(invariant, cod, dict(zip(f.domain.carrier, f.images)))
         nu = rand_subprob(rng, cod)
         assert pushforward(lift, invariant_measure_transport(f, nu)) == nu
         mu0 = rand_subprob(rng, dom)

@@ -220,6 +220,28 @@ class TestValidate:
                 "message": f"duplicate key {key!r}",
             }
 
+    @pytest.mark.parametrize(
+        "doc, location, message",
+        [
+            (
+                dict(K_A_DOC, kernels={"a": {"s0": {"s2": "1"}}}),
+                "kernels.a.s0",
+                "kernel entries must be lists of measures",
+            ),
+            (
+                dict(EF_A_DOC, effectivity={"s0": [{"s2": "1"}]}),
+                "effectivity.s0[0]",
+                "a generator must be a list of measures",
+            ),
+        ],
+        ids=["kernel-entry", "generator"],
+    )
+    def test_an_entry_that_is_not_a_list_is_refused(self, tmp_path, doc, location, message):
+        path = write(tmp_path, "flat.json", doc)
+        code, out, err = invoke("validate", path)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {"file": path, "location": location, "message": message}
+
     def test_mass_exceeds_one(self, tmp_path):
         doc = {
             "kind": "nlmp",
@@ -457,8 +479,9 @@ class TestUnreadableFiles:
             (b'{"kind": "nlmp",\n "states": ["\xff"]}', "line 2", "invalid UTF-8"),
             (b"[" * 100_000, "$", "nested too deeply"),
             (b'{"kind": ' + b"1" * 5000 + b"}", "$", "integer too long"),
+            (b'{"kind": "ef", "states": ["s0"', "line 1", "invalid JSON: Expecting ',' delimiter"),
         ],
-        ids=["invalid-utf8", "deep-nesting", "5000-digit-int"],
+        ids=["invalid-utf8", "deep-nesting", "5000-digit-int", "truncated"],
     )
     def test_decode_failure_is_located(self, tmp_path, kA, role, content, location, message):
         bad = tmp_path / "bad.json"
@@ -1103,6 +1126,35 @@ class TestMorphism:
         for argv in (["morphism", a, other, "--map", mapfile], ["sum", a, other]):
             code, _, err = invoke(*argv)
             assert code == 2 and json.loads(err)["error"]["message"] == "label sets differ"
+
+    @pytest.mark.parametrize(
+        "doc, location, message",
+        [
+            (["s0", "s1", "s2"], "map", "map file must hold an object with a 'map' entry"),
+            ({"map": ["s0", "s1", "s2"]}, "map", "map file must hold an object with a 'map' entry"),
+            (
+                {"map": {"s0": 0, "s1": "s1", "s2": "s2"}},
+                "map.s0",
+                "map entries must be state-to-state strings",
+            ),
+        ],
+        ids=["file-not-object", "map-not-object", "image-not-string"],
+    )
+    def test_a_malformed_map_file_is_refused(self, efA, tmp_path, doc, location, message):
+        mapfile = write(tmp_path, "bad.map.json", doc)
+        code, out, err = invoke("morphism", efA, efA, "--map", mapfile)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {"file": mapfile, "location": location, "message": message}
+
+    def test_strong_is_refused_on_nlmp_models(self, kA, tmp_path):
+        mapfile = write(tmp_path, "id.json", {"map": {s: s for s in ["s0", "s1", "s2"]}})
+        code, out, err = invoke("morphism", kA, kA, "--map", mapfile, "--strong")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {
+            "file": kA,
+            "location": "kind",
+            "message": "--strong applies to 'ef' models",
+        }
 
     def test_non_morphism(self, kA, tmp_path):
         mapfile = write(

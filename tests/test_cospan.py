@@ -145,7 +145,7 @@ class TestBuildSpan:
             space = rand_space(rng, 2, 4)
             p = rand_fin_supported_ef(rng, space, allow_empty=True)
             span = build_span(canonical_cospan(p))  # raises on a failed square
-            assert set(span.pi_s.mapping.values()) == set(space.carrier)
+            assert set(span.pi_s.images) == set(space.carrier)
 
     def test_measure_correspondence_bijective(self):
         span = build_span(canonical_cospan(P_A))
@@ -193,7 +193,7 @@ def random_cospan(rng: Random, kind: str) -> Cospan:
         inject = MeasurableMap(c.m.space, wide, {u: u for u in c.m.space.carrier})
         table = {u: push_upperset(inject, c.m(u)) for u in c.m.space.carrier}
         mediator = EffFn(wide, {**table, "extra": UpperSet(wide, ())})
-        f = MeasurableMap(c.p.space, wide, c.f.mapping)
+        f = MeasurableMap(c.p.space, wide, dict(zip(c.p.space.carrier, c.f.images)))
         return Cospan(c.p, c.q, mediator, f, f)
     return c
 

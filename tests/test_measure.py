@@ -290,7 +290,7 @@ class TestInvariantTransport:
             dom = Space.discrete([f"s{i}" for i in range(rng.randint(m, 6))])
             f = rand_surjection(rng, dom, cod)
             invariant = sigma_r(kernel_of(f))
-            lift = MeasurableMap(invariant, cod, dict(f.assignment))
+            lift = MeasurableMap(invariant, cod, dict(zip(f.domain.carrier, f.images)))
 
             nu = rand_subprob(rng, cod)
             mu = invariant_measure_transport(f, nu)

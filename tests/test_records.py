@@ -59,7 +59,7 @@ S_TEXT = "Space.discrete(['a', 'b'])"
 SUM_TEXT = "Space.discrete(['L:a', 'R:a'])"
 P_TEXT = f"EffFn(space={A_TEXT}, portfolio=(UpperSet(full),))"
 Q_TEXT = f"EffFn(space={A_TEXT}, portfolio=(UpperSet(empty),))"
-ID_TEXT = f"MeasurableMap(domain={A_TEXT}, codomain={A_TEXT}, assignment=(('a', 'a'),))"
+ID_TEXT = f"MeasurableMap(domain={A_TEXT}, codomain={A_TEXT}, images=('a',))"
 T_TEXT = "Threshold(state=Top(), cmp='>', bound=Fraction(1, 3))"
 K_TEXT = f"Kernel(space={S_TEXT}, image=(MeasureSet([{HALF}]), MeasureSet([])))"
 FAILURE_TEXT = "CheckFailure(check='not_surjective', witness='f misses a')"
@@ -76,8 +76,8 @@ CASES = {
     MeasurableMap: (
         lambda: MeasurableMap(S, S, {"a": "a", "b": "b"}),
         lambda: MeasurableMap(S, S, {"a": "b", "b": "a"}),
-        "assignment",
-        f"MeasurableMap(domain={S_TEXT}, codomain={S_TEXT}, assignment=(('a', 'a'), ('b', 'b')))",
+        "images",
+        f"MeasurableMap(domain={S_TEXT}, codomain={S_TEXT}, images=('a', 'b'))",
     ),
     Relation: (
         lambda: Relation(S, [("a", "b")]),
@@ -90,8 +90,8 @@ CASES = {
         lambda: direct_sum(A, Space.discrete(["b"])),
         "left",
         f"DirectSum(space={SUM_TEXT}, "
-        f"left=MeasurableMap(domain={A_TEXT}, codomain={SUM_TEXT}, assignment=(('a', 'L:a'),)), "
-        f"right=MeasurableMap(domain={A_TEXT}, codomain={SUM_TEXT}, assignment=(('a', 'R:a'),)))",
+        f"left=MeasurableMap(domain={A_TEXT}, codomain={SUM_TEXT}, images=('L:a',)), "
+        f"right=MeasurableMap(domain={A_TEXT}, codomain={SUM_TEXT}, images=('R:a',)))",
     ),
     FinalSurjection: (
         lambda: FinalSurjection(True, ((frozenset("a"), frozenset("a")),)),

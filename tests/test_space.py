@@ -9,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from collections import Counter
 from random import Random
 
 import pytest
@@ -39,6 +40,7 @@ from helpers import (
     PairRelation,
     atom_map_oracle,
     generated_field,
+    map_fault_oracle,
     measurability_oracle,
     pairs,
     rand_measurable_map,
@@ -235,7 +237,7 @@ class TestMeasurableMap:
                 dom = Space(dom.carrier, rand_partition_blocks(rng, list(dom.carrier)))
             cod = rand_space(rng, 1, 5, allow_coarse=True)
             if rng.random() < 0.3:
-                table = rand_measurable_map(rng, dom, cod).mapping
+                table = dict(zip(dom.carrier, rand_measurable_map(rng, dom, cod).images))
             else:
                 table = {s: rng.choice(cod.carrier) for s in dom.carrier}
             expected = measurability_oracle(dom, cod, table)
@@ -254,6 +256,54 @@ class TestMeasurableMap:
                     (f.preimage(block), frozenset(block)) for block in cod.atoms
                 )
         assert min(verdicts.values()) > 500
+
+    def test_first_fault_matches_oracle(self):
+        """A table with several faults is refused for the one the check
+        order names first: a missing image, then a foreign key or image in
+        the table's order, then a straddled atom."""
+        rng = Random(437)
+        seen: Counter[str] = Counter()
+        for _ in range(3000):
+            dom = rand_space(rng, 1, 6)
+            if rng.random() < 0.7:
+                dom = Space(dom.carrier, rand_partition_blocks(rng, list(dom.carrier)))
+            cod = rand_space(rng, 1, 5, allow_coarse=True)
+            f = rand_measurable_map(rng, dom, cod)
+            table = {s: f(s) for s in dom.carrier}
+            for k in range(rng.randint(0, 3)):
+                fault = rng.choice(["missing", "key", "image", "straddle", "straddle"])
+                if fault == "missing" and table:
+                    del table[rng.choice(list(table))]
+                elif fault == "key":
+                    table[f"x{k}"] = rng.choice(cod.carrier)
+                elif fault == "image" and table:
+                    table[rng.choice(list(table))] = f"zz{k}"
+                elif fault == "straddle":
+                    wide = [block for block in dom.atoms if len(block) > 1]
+                    if wide and len(cod.atoms) > 1:
+                        s = rng.choice(rng.choice(wide))
+                        away = [b for b in cod.atoms if table.get(s) not in b]
+                        table[s] = rng.choice(rng.choice(away))
+            items = list(table.items())
+            rng.shuffle(items)
+            table = dict(items)
+            expected = map_fault_oracle(dom, cod, table)
+            if expected is None:
+                f = MeasurableMap(dom, cod, table)
+                assert [f(s) for s in dom.carrier] == [table[s] for s in dom.carrier]
+                seen["valid"] += 1
+                continue
+            with pytest.raises(EffkitError) as exc:
+                MeasurableMap(dom, cod, table)
+            assert (type(exc.value), str(exc.value)) == expected
+            seen[expected[1].split()[0]] += 1  # "map" (missing), "state" (foreign), "not"
+        assert len(seen) == 4 and min(seen.values()) > 150, seen
+
+    def test_a_foreign_state_is_refused_by_name(self):
+        f = MeasurableMap.identity(Space(["a"]))
+        for call in (lambda: f("zz"), lambda: f.image(["a", "zz"])):
+            with pytest.raises(ForeignStateError, match="state 'zz' not in carrier"):
+                call()
 
     def test_space_atom_map_matches_scan_oracle(self):
         """``Space.atom_map`` shares the routine: a partition of the same

@@ -17,17 +17,20 @@ on it:
 * ``hub``: ``replay.hub``, the 1/2-chain with a state spreading its mass
   over every chain state, at n = 1000, 2000 and 4000; ``bisim``;
 * ``wide-family``: ``replay.wide_family``, the ef 1/2-chain with a state of
-  n generators, at n = 250, 500, 1000 and 2000; ``lequiv``.
+  n generators, at n = 250, 500, 1000 and 2000; ``lequiv``;
+* ``span``: ``replay._one_block_cospan``, an n-state portfolio P over the
+  one state of its quotient M by the legs F and G, at n = 300 and 1000;
+  ``span P P M --f F --g G``, whose pullback has n² states.
 
-``--smallest`` keeps each row's smallest size.  Each model file is written
-once, to a temporary directory.  Each case runs ``python -m effkit.cli
-SUBCOMMAND MODEL`` in a subprocess of its own that imports the checkout's
-``src/effkit``, ``--repeat`` times (default 3), and records per run its
-wall time, interpreter start included, the child's peak RSS
-(``ru_maxrss``), its exit code, and the size and SHA-256 of its stdout.  A run still going after ``--budget``
-seconds (default 60) is killed and recorded as ``"timeout"``.  With
-``--against``, each repeat runs the case on this checkout and on CHECKOUT,
-the order swapped every repeat.
+``--smallest`` keeps each row's smallest size.  Each row's files are
+written once, to a temporary directory.  Each case runs ``python -m
+effkit.cli SUBCOMMAND FILES...`` in a subprocess of its own that imports
+the checkout's ``src/effkit``, ``--repeat`` times (default 3), and records
+per run its wall time, interpreter start included, the child's peak RSS
+(``ru_maxrss``), its exit code, and the size and SHA-256 of its stdout.  A
+run still going after ``--budget`` seconds (default 60) is killed and
+recorded as ``"timeout"``.  With ``--against``, each repeat runs the case
+on this checkout and on CHECKOUT, the order swapped every repeat.
 
 OUT gets one JSON object: the machine, the checkouts by role (``change``,
 and ``against`` when given), and per case its row, subcommand, n, the runs
@@ -55,15 +58,25 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import gen  # noqa: E402
-from replay import _harder_ring, _ring, hub, wide_family  # noqa: E402
+from replay import _harder_ring, _one_block_cospan, _ring, hub, wide_family  # noqa: E402
 
-ROWS = {  # name: (build(n) -> document, sizes, subcommands)
-    "chain-nlmp": (lambda n: gen.chain(random.Random(1), n, 1, "nlmp").doc, (320, 1280, 2560), ("bisim",)),
-    "chain-ef": (lambda n: gen.chain(random.Random(1), n, 1, "ef").doc, (320, 1280, 2560), ("bisim", "lequiv")),
-    "ring": (_ring, (10_000,), ("bisim",)),
-    "harder-ring": (_harder_ring, (10_000,), ("bisim",)),
-    "hub": (hub, (1000, 2000, 4000), ("bisim",)),
-    "wide-family": (wide_family, (250, 500, 1000, 2000), ("lequiv",)),
+
+def _model(build):
+    """A row's files from a builder of its one model, named ``model``."""
+    return lambda n: {"model": build(n)}
+
+
+BISIM, LEQUIV = ("bisim", "model"), ("lequiv", "model")
+SPAN = ("span", "p", "p", "m", "--f", "f", "--g", "g")  # the one-block cospan's q is its p
+
+ROWS = {  # name: (build(n) -> {file name: document}, sizes, argvs naming the files)
+    "chain-nlmp": (_model(lambda n: gen.chain(random.Random(1), n, 1, "nlmp").doc), (320, 1280, 2560), (BISIM,)),
+    "chain-ef": (_model(lambda n: gen.chain(random.Random(1), n, 1, "ef").doc), (320, 1280, 2560), (BISIM, LEQUIV)),
+    "ring": (_model(_ring), (10_000,), (BISIM,)),
+    "harder-ring": (_model(_harder_ring), (10_000,), (BISIM,)),
+    "hub": (_model(hub), (1000, 2000, 4000), (BISIM,)),
+    "wide-family": (_model(wide_family), (250, 500, 1000, 2000), (LEQUIV,)),
+    "span": (_one_block_cospan, (300, 1000), (SPAN,)),
 }
 
 
@@ -117,14 +130,17 @@ def ladder(checkouts: dict[str, Path], smallest: bool, repeat: int, budget: floa
         workdir = Path(tmp)
         for row, (build, sizes, commands) in ROWS.items():
             for n in sizes[:1] if smallest else sizes:
-                model = workdir / f"{row}-{n}.json"
-                model.write_text(json.dumps(build(n)), encoding="utf-8")
-                for command in commands:
+                paths = {}
+                for name, doc in build(n).items():
+                    paths[name] = str(workdir / f"{row}-{n}.{name}.json")
+                    Path(paths[name]).write_text(json.dumps(doc), encoding="utf-8")
+                for command, *args in commands:
+                    argv = [command, *(paths.get(arg, arg) for arg in args)]
                     runs: dict[str, list] = {role: [] for role in checkouts}
                     for r in range(repeat):
                         order = list(checkouts) if r % 2 == 0 else list(checkouts)[::-1]
                         for role in order:
-                            runs[role].append(run_case(checkouts[role], [command, str(model)], budget, workdir))
+                            runs[role].append(run_case(checkouts[role], argv, budget, workdir))
                     done = {role: [run for run in role_runs if run != "timeout"] for role, role_runs in runs.items()}
                     median = {
                         role: statistics.median([run["wall_s"] for run in finished]) if finished else "timeout"
