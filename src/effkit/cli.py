@@ -143,13 +143,10 @@ def _pair_states(space, text: str) -> tuple[str, str]:
         raise ModelFormatError(message, location="--pairs")
     if cuts:
         return text[: cuts[0]], text[cuts[0] + 1:]
-    try:
-        s, t = text.split(",")
-    except ValueError:
-        raise ModelFormatError("--pairs wants 's,t'", location="--pairs") from None
-    _located("--pairs", space.index, s)
-    _located("--pairs", space.index, t)
-    return s, t
+    if text.count(",") != 1:
+        raise ModelFormatError("--pairs wants 's,t'", location="--pairs")
+    for part in text.split(","):  # one comma between two states would be a cut
+        _located("--pairs", space.index, part)
 
 
 def cmd_bisim(args) -> tuple[int, dict[str, Any]]:

@@ -148,9 +148,10 @@ def _refine(space: Space, portfolios: Sequence[EffFn], block_of: Sequence[int]) 
     measure's mass in the blocks atoms entered: every atom its start block,
     from one virtual class, before the first round, and the moved atoms
     their new blocks after each later one.  A round re-signs only the atoms
-    holding a re-keyed measure and regroups only those; the other atoms of
-    a block keep the signature they share.  An atom moves only into a class
-    at most half its block's size, so at most log2 of the atoms times.
+    holding a re-keyed measure in blocks of two or more atoms, and regroups
+    only those; the other atoms keep the signature their block shares.  An
+    atom moves only into a class at most half its block's size, so at most
+    log2 of the atoms times.
 
     Each round yields three things:
 
@@ -239,7 +240,8 @@ def _refine(space: Space, portfolios: Sequence[EffFn], block_of: Sequence[int]) 
         logs.append(old)
         signing = {}
         for a in sorted({a for m in old for a in atoms_of[m]}):
-            signing.setdefault(block_of[a], []).append(a)
+            if size[block_of[a]] > 1:  # a block of one atom never splits
+                signing.setdefault(block_of[a], []).append(a)
 
 
 def _greatest_bisim(space: Space, portfolios: Sequence[EffFn]) -> Relation:

@@ -72,13 +72,14 @@ class Space(Record):
         if atoms is None:
             blocks = tuple((s,) for s in carrier)
         else:
-            raw = [tuple(sorted(a, key=lambda s: order.get(s, -1))) for a in atoms]
+            raw = [tuple(a) for a in atoms]
             for block in raw:
                 if not block:
                     raise SpaceMismatchError("empty atom in partition")
                 for s in block:
                     if s not in order:
                         raise ForeignStateError(f"atom state {s!r} not in carrier")
+            raw = [tuple(sorted(block, key=order.__getitem__)) for block in raw]
             seen: set[str] = set()
             for block in raw:
                 for i, s in enumerate(block):
@@ -160,23 +161,18 @@ class Space(Record):
         each atom here lies inside one atom of ``coarser``."""
         if self.carrier != coarser.carrier:
             return None
-        into, straddled = _atoms_into(self.atoms, coarser._atom_index)
-        return None if straddled else into
+        into, split = _atom_values(self.atoms, coarser._atom_index)
+        return None if split else into
 
 
-def _atoms_into(
-    atoms: tuple[tuple[str, ...], ...], index: Mapping[str, int]
-) -> tuple[tuple[int, ...], set[int]]:
-    """Per atom, the index its first state has under ``index``; and the
-    indices of the states of every atom whose states do not share one."""
-    into = tuple(index[block[0]] for block in atoms)
-    straddled = {
-        index[s]
-        for block, j in zip(atoms, into)
-        if any(index[s] != j for s in block)
-        for s in block
-    }
-    return into, straddled
+def _atom_values(atoms: tuple[tuple[str, ...], ...], value: Mapping) -> tuple[tuple, list]:
+    """Per atom, the value its first state has under ``value``; and, atom
+    by atom, each ``(atom, later state)`` whose value differs.  A model, a
+    map and a coarsening are measurable exactly when their per-state value
+    is constant on each atom, that is, when the second is empty
+    (docs/derivations.md, sections 3, 4 and 13)."""
+    split = [(block, s) for block in atoms for s in block[1:] if value[s] != value[block[0]]]
+    return tuple([value[block[0]] for block in atoms]), split
 
 
 class MeasurableMap(Record):
@@ -205,10 +201,11 @@ class MeasurableMap(Record):
                 domain.index(s)
                 codomain.index(t)
         atom_of = dict(zip(domain.carrier, map(index.__getitem__, images)))
-        into, straddled = _atoms_into(domain.atoms, atom_of)
-        if straddled:
+        into, split = _atom_values(domain.atoms, atom_of)
+        if split:
+            lowest = min(atom_of[s] for block, _ in split for s in block)
             raise SpaceMismatchError(
-                f"not measurable: preimage of atom {codomain.atoms[min(straddled)]} "
+                f"not measurable: preimage of atom {codomain.atoms[lowest]} "
                 "is not a union of domain atoms"
             )
         self._store(domain, codomain, images)
@@ -374,17 +371,19 @@ def sigma_r(rel: Relation) -> Space:
 
 
 def _constant_on_atoms(space: Space, values: Mapping, what: str) -> tuple:
-    """Per-state ``values`` as one value per atom, refused when two states of
-    one atom differ: a kernel or a portfolio is measurable exactly when it
-    is constant on each atom (docs/derivations.md, sections 3 and 4)."""
-    for block in space.atoms:
-        for state in block[1:]:
-            if values[state] != values[block[0]]:
-                raise NotMeasurableSetError(
-                    f"states {block[0]!r} and {state!r} of atom {list(block)} have different "
-                    f"{what}; a model must be constant on each atom of its sigma"
-                )
-    return tuple(values[block[0]] for block in space.atoms)
+    """Per-state ``values`` as one value per atom (``_atom_values``), refused
+    at the first atom whose states differ, naming its first state and the
+    first later one with another value: a kernel or a portfolio is
+    measurable exactly when it is constant on each atom (docs/derivations.md,
+    sections 3 and 4)."""
+    per_atom, split = _atom_values(space.atoms, values)
+    if split:
+        block, state = split[0]
+        raise NotMeasurableSetError(
+            f"states {block[0]!r} and {state!r} of atom {list(block)} have different "
+            f"{what}; a model must be constant on each atom of its sigma"
+        )
+    return per_atom
 
 
 def kernel_of(f: MeasurableMap) -> Relation:

@@ -169,6 +169,16 @@ def hub_doc(n: int) -> dict:
     return doc
 
 
+def wide_family_doc(n: int) -> dict:
+    """The ef 1/2-chain with a wide family: state s{i} holds the one
+    generator [{s{i+1}: 1/2}], the last state the full family, and h the n
+    generators [{s: 1/2}], one per chain state."""
+    states = [f"s{i}" for i in range(n)]
+    table = {s: [[{states[i + 1]: "1/2"}]] if i < n - 1 else [[]] for i, s in enumerate(states)}
+    table["h"] = [[{s: "1/2"}] for s in states]
+    return {"kind": "ef", "states": [*states, "h"], "effectivity": table}
+
+
 def rand_subprob_on(rng: Random, space: Space, support: list[str], max_den=8) -> SubProb:
     """Random measure with all mass on the atoms of the listed states."""
     den = rng.randint(1, max_den)
@@ -845,6 +855,33 @@ def measurability_oracle(domain: Space, codomain: Space, table) -> str | None:
         if domain.atoms_of_set(pre) is None:
             return f"not measurable: preimage of atom {block} is not a union of domain atoms"
     return None
+
+
+def space_fault_oracle(carrier: list[str], atoms: list[list[str]]) -> tuple[type, str] | None:
+    """Type and message of the error ``Space(carrier, atoms)`` raises for a
+    carrier without repeats, or None if it builds: an empty atom or the
+    first foreign state of an atom first, atom by atom in the given order;
+    then the first state met again, atom by atom with each atom's states in
+    carrier order, named as twice in one atom or in two atoms; then the
+    states no atom covers, in carrier order."""
+    order = {s: i for i, s in enumerate(carrier)}
+    for block in atoms:
+        if not block:
+            return SpaceMismatchError, "empty atom in partition"
+        for s in block:
+            if s not in order:
+                return ForeignStateError, f"atom state {s!r} not in carrier"
+    seen: set[str] = set()
+    for block in atoms:
+        here: set[str] = set()
+        for s in sorted(block, key=order.__getitem__):
+            if s in seen:
+                where = "twice in one atom" if s in here else "in two atoms"
+                return SpaceMismatchError, f"state {s!r} appears {where}"
+            seen.add(s)
+            here.add(s)
+    missing = [s for s in carrier if s not in seen]
+    return (SpaceMismatchError, f"atoms do not cover carrier; missing {missing}") if missing else None
 
 
 def map_fault_oracle(domain: Space, codomain: Space, table) -> tuple[type, str] | None:

@@ -153,6 +153,17 @@ class TestValidate:
             assert (code, out) == (2, "")
             assert json.loads(err)["error"] == expected
 
+    def test_a_kernel_that_is_not_an_object_is_refused(self, tmp_path):
+        doc = dict(K_A_DOC, kernels={"a": [{"s2": "1"}]})
+        path = write(tmp_path, "list.json", doc)
+        code, out, err = invoke("validate", path)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {
+            "file": path,
+            "location": "kernels.a",
+            "message": "a kernel must map states to measure lists",
+        }
+
     def test_a_state_repeated_in_a_sigma_block_is_refused(self, tmp_path):
         doc = dict(EF_A_DOC, sigma=[["s0", "s1", "s0"], ["s2"]])
         path = write(tmp_path, "twice.json", doc)
@@ -1338,6 +1349,18 @@ class TestFormatAndDeterminism:
         code, out, _ = invoke("--format", "text", "bisim", kA)
         assert code == 0
         assert out == 'partition: [["s0", "s1"], ["s2"]]\n'
+
+    def test_text_format_prints_a_model_by_its_document(self, efA):
+        """A command that answers with a model prints one line per key of
+        the model's document."""
+        code, out, _ = invoke("--format", "text", "dual", efA)
+        assert code == 0
+        assert out == (
+            'effectivity: {"s0": [[{"s2": "1"}]], "s1": [[{"s2": "1"}]], "s2": [[{}]]}\n'
+            "kind: ef\n"
+            'sigma: [["s0"], ["s1"], ["s2"]]\n'
+            'states: ["s0", "s1", "s2"]\n'
+        )
 
     def test_text_format_prints_booleans_as_json(self, kA, efA, tmp_path):
         """A top-level boolean reads as in JSON; strings and integers print

@@ -9,18 +9,29 @@ from random import Random
 
 import pytest
 
+from fractions import Fraction
+
 from effkit import (
     Cospan,
     EffFn,
+    ForeignStateError,
+    FormulaSyntaxError,
     IncompatiblePartitionError,
     Kernel,
     MeasurableMap,
     MeasureSet,
+    Nlmp,
+    Relation,
     Space,
     SpaceMismatchError,
     SubProb,
+    Threshold,
+    ThresholdOutOfRangeError,
+    Top,
     UpperSet,
     build_span,
+    compose,
+    contains,
     distinguish,
     dual_ef,
     equals,
@@ -29,12 +40,18 @@ from effkit import (
     format_formula,
     greatest_bisim,
     greatest_ef_bisim,
+    intersect,
+    invariant_measure_transport,
     is_ef_morphism,
+    is_nk_morphism,
+    is_strong_morphism,
     logical_equivalence,
     parse_formula,
     push_upperset,
     quotient,
+    quotient_space,
     restrict_upperset,
+    union,
     unique_preimages,
 )
 from effkit.upperset import filter_of
@@ -196,3 +213,65 @@ class TestForeignSpaceOnEntry:
         }
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             calls[operation]()
+
+
+TWO = Space.discrete(["a", "b"])
+OTHER = Space.discrete(["x", "y"])
+ON_TWO = EffFn(TWO, {s: UpperSet.full(TWO) for s in TWO.carrier})
+ON_OTHER = EffFn(OTHER, {s: UpperSet.full(OTHER) for s in OTHER.carrier})
+K_TWO = Kernel(TWO, {"a": [SubProb.dirac(TWO, "b")]})
+K_OTHER = Kernel(OTHER, {})
+ID_TWO, ID_OTHER = MeasurableMap.identity(TWO), MeasurableMap.identity(OTHER)
+
+
+class TestRefusalsByTypeAndMessage:
+    """Refusals on argument shapes the pipelines never build: each names
+    its fault with its own type and message."""
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: Cospan(ON_TWO, ON_TWO, ON_TWO, ID_OTHER, ID_TWO), SpaceMismatchError,
+             "left leg must map the left portfolio onto the mediator"),
+            (lambda: Cospan(ON_TWO, ON_TWO, ON_TWO, ID_TWO, ID_OTHER), SpaceMismatchError,
+             "right leg must map the right portfolio onto the mediator"),
+            (lambda: EffFn(TWO, {"a": UpperSet.full(OTHER), "b": UpperSet.full(TWO)}), SpaceMismatchError,
+             "portfolio values must live on the carrier space"),
+            (lambda: is_ef_morphism(ID_OTHER, ON_TWO, ON_TWO), SpaceMismatchError,
+             "map endpoints must match the portfolio spaces"),
+            (lambda: is_strong_morphism(ID_TWO, ON_TWO, ON_OTHER), SpaceMismatchError,
+             "map endpoints must match the portfolio spaces"),
+            (lambda: is_nk_morphism(ID_TWO, K_TWO, K_OTHER), SpaceMismatchError,
+             "map endpoints must match the kernel spaces"),
+            (lambda: quotient_space(TWO, Relation.identity(OTHER)), ForeignStateError,
+             "equivalence must be over the given space"),
+            (lambda: Threshold(Top(), "=", Fraction(1, 2)), FormulaSyntaxError,
+             "comparison must be < or >, got '=' (at position 0)"),
+            (lambda: Threshold(Top(), ">", "1"), ThresholdOutOfRangeError, "threshold 1 outside [0, 1)"),
+            (lambda: SubProb(TWO, {}, den=0), SpaceMismatchError, "denominator must be positive, got 0"),
+            (lambda: invariant_measure_transport(ID_TWO, SubProb.zero(OTHER)), SpaceMismatchError,
+             "measure does not live on the map's codomain"),
+            (lambda: Kernel(TWO, {"a": MeasureSet(OTHER, ())}), SpaceMismatchError,
+             "kernel measures must live on the kernel space"),
+            (lambda: Nlmp(TWO, {"l": K_OTHER}), SpaceMismatchError, "kernel for label 'l' lives on another space"),
+            (lambda: Nlmp(TWO, {"l": K_TWO}).kernel("x"), ForeignStateError, "no kernel for label 'x'"),
+            (lambda: TWO.atoms_of_set(["a", "z"]), ForeignStateError, "state 'z' not in carrier"),
+            (lambda: compose(ID_TWO, ID_OTHER), SpaceMismatchError,
+             "composition mismatch: inner codomain != outer domain"),
+            (lambda: contains(UpperSet.full(TWO), MeasureSet(OTHER, ())), SpaceMismatchError,
+             "membership test across different spaces"),
+            (lambda: union(UpperSet.full(TWO), UpperSet.full(OTHER)), SpaceMismatchError,
+             "union across different spaces"),
+            (lambda: intersect(UpperSet.full(TWO), UpperSet.full(OTHER)), SpaceMismatchError,
+             "intersection across different spaces"),
+            (lambda: equals(UpperSet.full(TWO), UpperSet.full(OTHER)), SpaceMismatchError,
+             "equality test across different spaces"),
+        ],
+    )
+    def test_the_refusal_names_its_fault(self, call, error, message):
+        with pytest.raises(error) as exc:
+            call()
+        assert (type(exc.value), str(exc.value)) == (error, message)
+
+    def test_a_threshold_reads_a_bound_given_as_text(self):
+        assert Threshold(Top(), ">", "1/2").bound == Fraction(1, 2)

@@ -68,6 +68,7 @@ from helpers import (
     ring_doc,
     subsystem_oracle,
     transfer_oracle,
+    wide_family_doc,
 )
 
 S3 = Space.discrete(["s0", "s1", "s2"])
@@ -557,8 +558,9 @@ class TestWorkPerAtom:
 
 class TestWorkPerSplit:
     """Work of the refinement engine, counted as the support entries it
-    re-keys (the entries of the atoms given to ``effectivity._rekey``) and
-    the atoms it signs (``_signature``)."""
+    re-keys (the entries of the atoms given to ``effectivity._rekey``), the
+    atoms it signs (``_signature``) and the generators those signatures
+    read."""
 
     @staticmethod
     def counted(monkeypatch) -> Counter:
@@ -569,29 +571,37 @@ class TestWorkPerSplit:
             work["entries"] += sum(len(entries[a]) for a in atoms)
             return rekey(atoms, entries, *rest)
 
-        def counted_signature(*args):
+        def counted_signature(families, *rest):
             work["_signature"] += 1
-            return signature(*args)
+            work["generators"] += sum(len(gens) for gens in families)
+            return signature(families, *rest)
 
         monkeypatch.setattr(effectivity, "_rekey", counted_rekey)
         monkeypatch.setattr(effectivity, "_signature", counted_signature)
         return work
 
     def test_work_grows_with_the_splits_not_the_rounds(self, monkeypatch):
-        """On the 1/2-chain, both rings and the hub, where one block splits
-        per round, the work of a ``greatest_bisim`` run grows at most
-        2.5-fold as ``n`` doubles; re-keying every measure and re-signing
-        every atom each round grows it about 4-fold, and so does re-keying
-        the hub's measure over its whole support whenever one of its atoms
-        moves."""
+        """On the 1/2-chain, both rings, the hub and the wide family, where
+        one block splits per round, the work of a greatest bisimulation
+        grows at most 2.5-fold as ``n`` doubles; re-keying every measure and
+        re-signing every atom each round grows it about 4-fold, and so does
+        re-keying the hub's measure over its whole support whenever one of
+        its atoms moves, or re-signing the wide family's state, alone in
+        its block, each round."""
         work = self.counted(monkeypatch)
-        for doc, hubs in ((half_chain_doc, 0), (ring_doc, 0), (harder_ring_doc, 0), (hub_doc, 1)):
+        for doc, hubs, bisim in (
+            (half_chain_doc, 0, greatest_bisim),
+            (ring_doc, 0, greatest_bisim),
+            (harder_ring_doc, 0, greatest_bisim),
+            (hub_doc, 1, greatest_bisim),
+            (wide_family_doc, 1, greatest_ef_bisim),
+        ):
             done = []
             for n in (50, 100, 200):
                 m = model_from_dict(doc(n))
                 work.clear()
-                assert len(greatest_bisim(m).classes()) == n + hubs  # every state apart
-                done.append(work["entries"] + work["_signature"])
+                assert len(bisim(m).classes()) == n + hubs  # every state apart
+                done.append(work["entries"] + work["_signature"] + work["generators"])
             assert done[1] <= 2.5 * done[0] and done[2] <= 2.5 * done[1], (doc.__name__, done)
 
     def test_one_round_callers_key_each_measure_and_sign_each_atom_once(self, monkeypatch):

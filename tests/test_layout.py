@@ -279,18 +279,62 @@ def test_one_routine_interns_every_measure():
     assert named == {"_read_measure _interned"}, sorted(named)
 
 
+def _atom_comparisons(tree: ast.AST) -> set[str]:
+    """The scopes (as ``_scopes`` names them) holding an equality test that
+    reads a state of an atom.  In a scope, a name bound by a loop over an
+    expression naming ``atoms`` is an atom, a name bound by a loop over an
+    atom or a slice of one is a state, and a test reads a state when it
+    names one or subscripts an atom by 0."""
+    scopes = _scopes(tree)
+    atoms: dict[str, set[str]] = {}
+    states: dict[str, set[str]] = {}
+    loops = [(scopes[id(n)], n.target, n.iter) for n in ast.walk(tree) if isinstance(n, (ast.For, ast.comprehension))]
+    for scope, target, over in loops:
+        if "atoms" in ast.unparse(over):
+            atoms.setdefault(scope, set()).update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    for scope, target, over in loops:
+        base = over.value if isinstance(over, ast.Subscript) and isinstance(over.slice, ast.Slice) else over
+        if isinstance(target, ast.Name) and isinstance(base, ast.Name) and base.id in atoms.get(scope, ()):
+            states.setdefault(scope, set()).add(target.id)
+
+    def reads_a_state(node: ast.AST, scope: str) -> bool:
+        return isinstance(node, ast.Name) and node.id in states.get(scope, ()) or (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in atoms.get(scope, ())
+            and ast.unparse(node.slice) == "0"
+        )
+
+    return {
+        scopes[id(node)]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and all(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+        and any(reads_a_state(n, scopes[id(node)]) for n in ast.walk(node))
+    }
+
+
 def test_the_atom_rule_is_written_once():
     """A kernel or a portfolio is measurable exactly when it is constant on
-    each atom, and one routine, ``space._constant_on_atoms``, says so: only
-    the ``Kernel`` and ``EffFn`` constructors call it, and only it words the
-    refusal.  ``model_io`` compares no dynamics across an atom's states: it
-    reads the ``atoms`` of a space or a measure only to emit them.  No
-    module names ``_atom_roots``, and the union-find of the atom closure
-    lives in ``space.sigma_r`` alone."""
-    found: dict[str, set[str]] = {"calls": set(), "words": set(), "atoms": set(), "finds": set()}
+    each atom, a map exactly when the codomain atom of its image is, and a
+    partition coarsens a space exactly when its block index is.  One
+    routine, ``space._atom_values``, decides that rule for all three: it is
+    the only code that compares a per-state value across an atom's states,
+    and only ``Space.atom_map``, ``MeasurableMap.__init__`` and
+    ``space._constant_on_atoms`` call it.  ``_constant_on_atoms`` words the
+    model refusal: only the ``Kernel`` and ``EffFn`` constructors call it,
+    and only it words it.  ``model_io`` compares no dynamics across an
+    atom's states: it reads the ``atoms`` of a space or a measure only to
+    emit them.  No module names ``_atoms_into`` or ``_atom_roots``, and the
+    union-find of the atom closure lives in ``space.sigma_r`` alone."""
+    found: dict[str, set[str]] = {
+        "calls": set(), "words": set(), "atoms": set(), "finds": set(), "rule": set(), "compares": set()
+    }
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         owner = _owners(tree)
+        scopes = _scopes(tree)
+        found["compares"].update(f"{path.name}:{scope}" for scope in _atom_comparisons(tree))
         docs = {
             id(scope.body[0].value)
             for scope in ast.walk(tree)
@@ -300,10 +344,12 @@ def test_the_atom_rule_is_written_once():
         }
         for node in ast.walk(tree):
             where = f"{path.name}:{owner.get(id(node), '<module>')}"
-            if isinstance(node, ast.Name) and node.id in ("_constant_on_atoms", "_atom_roots"):
+            if isinstance(node, ast.Name) and node.id in ("_constant_on_atoms", "_atoms_into", "_atom_roots"):
                 found["calls"].add(f"{where} {node.id}")
-            elif isinstance(node, (ast.alias, ast.FunctionDef)) and node.name == "_atom_roots":
-                found["calls"].add(f"{where} _atom_roots")
+            elif isinstance(node, (ast.alias, ast.FunctionDef)) and node.name in ("_atoms_into", "_atom_roots"):
+                found["calls"].add(f"{where} {node.name}")
+            elif getattr(node, "id", getattr(node, "name", None)) == "_atom_values":
+                found["rule"].add(f"{path.name}:{scopes[id(node)]} {type(node).__name__}")
             elif (
                 isinstance(node, ast.Constant)
                 and isinstance(node.value, str)
@@ -329,6 +375,13 @@ def test_the_atom_rule_is_written_once():
             "model_io.py:_model_pieces",
         },
         "finds": {"space.py:sigma_r"},
+        "rule": {
+            "space.py:<module> FunctionDef",
+            "space.py:Space.atom_map Name",
+            "space.py:MeasurableMap.__init__ Name",
+            "space.py:_constant_on_atoms Name",
+        },
+        "compares": {"space.py:_atom_values"},
     }, found
 
 

@@ -49,6 +49,7 @@ from helpers import (
     rand_surjection,
     relation_from_family,
     sigma_r_blocks_oracle,
+    space_fault_oracle,
 )
 
 S3 = Space.discrete(["s0", "s1", "s2"])
@@ -64,6 +65,11 @@ class TestSpace:
     def test_discrete_atoms(self):
         assert S3.atoms == (("s0",), ("s1",), ("s2",))
         assert S3.is_discrete
+
+    def test_repr_names_the_atoms_of_a_coarse_space(self):
+        coarse = Space(["a", "b", "c"], [["c"], ["b", "a"]])
+        assert repr(coarse) == "Space(['a', 'b', 'c'], [['a', 'b'], ['c']])"
+        assert eval(repr(coarse)) is coarse
 
     def test_partition_must_cover(self):
         with pytest.raises(SpaceMismatchError):
@@ -90,6 +96,43 @@ class TestSpace:
         with pytest.raises(SpaceMismatchError) as exc:
             Space(["a", "b", "c"], atoms)
         assert str(exc.value) == message
+
+    def test_first_fault_matches_oracle(self):
+        """Seeded partitions with empty atoms, foreign states, a state twice
+        in one atom or in two atoms, and uncovered states: ``Space`` names
+        the fault ``space_fault_oracle`` replays, by type and message."""
+        rng = Random(34)
+        faults = Counter()
+        for _ in range(600):
+            carrier = [f"s{i}" for i in range(rng.randint(1, 6))]
+            atoms = [list(block) for block in rand_partition_blocks(rng, carrier)]
+            for _ in range(rng.randint(0, 3)):
+                kind = rng.choice(("empty", "foreign", "again", "other", "drop"))
+                block = rng.choice(atoms) if atoms else None
+                if kind == "empty" or block is None:
+                    atoms.insert(rng.randint(0, len(atoms)), [])
+                elif kind == "foreign":
+                    block.insert(rng.randint(0, len(block)), f"x{rng.randint(0, 2)}")
+                elif kind == "again" and block:
+                    block.insert(rng.randint(0, len(block)), rng.choice(block))
+                elif kind == "other":
+                    block.insert(rng.randint(0, len(block)), rng.choice(carrier))
+                elif block:
+                    block.remove(rng.choice(block))
+            for block in atoms:
+                rng.shuffle(block)
+            rng.shuffle(atoms)
+            expected = space_fault_oracle(carrier, atoms)
+            if expected is None:
+                space = Space(carrier, atoms)
+                assert set(space.atom_sets) == {frozenset(block) for block in atoms}
+                faults["none"] += 1
+                continue
+            with pytest.raises(EffkitError) as exc:
+                Space(carrier, atoms)
+            assert (type(exc.value), str(exc.value)) == expected, (carrier, atoms)
+            faults[expected[1].split(" ")[0] + (" twice" if "twice" in expected[1] else "")] += 1
+        assert set(faults) == {"none", "empty", "atom", "state", "state twice", "atoms"}, faults
 
     def test_atom_union_detection(self):
         sp = Space(["a", "b", "c"], [["a", "b"], ["c"]])

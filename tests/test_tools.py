@@ -72,6 +72,7 @@ def test_ladder_runs_each_row_at_its_smallest_size(tmp_path):
         ("harder-ring", "bisim", 10_000),
         ("hub", "bisim", 1000),
         ("wide-family", "lequiv", 250),
+        ("wide-family-2", "lequiv", 250),
         ("span", "span", 300),
     ]
     for case in result["cases"]:

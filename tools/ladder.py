@@ -17,7 +17,9 @@ on it:
 * ``hub``: ``replay.hub``, the 1/2-chain with a state spreading its mass
   over every chain state, at n = 1000, 2000 and 4000; ``bisim``;
 * ``wide-family``: ``replay.wide_family``, the ef 1/2-chain with a state of
-  n generators, at n = 250, 500, 1000 and 2000; ``lequiv``;
+  n generators, at n = 250, 500, 1000, 2000 and 4000; ``lequiv``;
+* ``wide-family-2``: ``replay.wide_family_2``, the same model with a clone
+  of that state, at n = 250, 500, 1000 and 2000; ``lequiv``;
 * ``span``: ``replay._one_block_cospan``, an n-state portfolio P over the
   one state of its quotient M by the legs F and G, at n = 300 and 1000;
   ``span P P M --f F --g G``, whose pullback has n² states.
@@ -58,7 +60,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import gen  # noqa: E402
-from replay import _harder_ring, _one_block_cospan, _ring, hub, wide_family  # noqa: E402
+from replay import _harder_ring, _one_block_cospan, _ring, hub, wide_family, wide_family_2  # noqa: E402
 
 
 def _model(build):
@@ -75,7 +77,8 @@ ROWS = {  # name: (build(n) -> {file name: document}, sizes, argvs naming the fi
     "ring": (_model(_ring), (10_000,), (BISIM,)),
     "harder-ring": (_model(_harder_ring), (10_000,), (BISIM,)),
     "hub": (_model(hub), (1000, 2000, 4000), (BISIM,)),
-    "wide-family": (_model(wide_family), (250, 500, 1000, 2000), (LEQUIV,)),
+    "wide-family": (_model(wide_family), (250, 500, 1000, 2000, 4000), (LEQUIV,)),
+    "wide-family-2": (_model(wide_family_2), (250, 500, 1000, 2000), (LEQUIV,)),
     "span": (_one_block_cospan, (300, 1000), (SPAN,)),
 }
 
@@ -154,7 +157,7 @@ def ladder(checkouts: dict[str, Path], smallest: bool, repeat: int, budget: floa
                         "same_stdout": len({run["stdout_sha256"] for runs in done.values() for run in runs}) <= 1,
                         "runs": runs,
                     }
-                    print(f"{row:12} {command:7} n={n:<6} " + "  ".join(
+                    print(f"{row:13} {command:7} n={n:<6} " + "  ".join(
                         f"{role} {value if value == 'timeout' else f'{value:.3f} s'}"
                         for role, value in median.items()
                     ) + ("" if case["same_stdout"] else "  STDOUT DIFFERS"), flush=True)

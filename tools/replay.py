@@ -103,6 +103,15 @@ def wide_family(n: int) -> dict:
     return {"kind": "ef", "states": [*states, "h"], "effectivity": table}
 
 
+def wide_family_2(n: int) -> dict:
+    """The wide family with h2, a clone of h: h and h2 share a block of
+    two atoms to the end."""
+    doc = wide_family(n)
+    doc["states"].append("h2")
+    doc["effectivity"]["h2"] = doc["effectivity"]["h"]
+    return doc
+
+
 def _two_label_ring(n: int) -> dict:
     """The ring under label a; under label b, state i puts 1/2 on state
     i + 2, so b splits no block of states of one parity, while a splits
